@@ -23,9 +23,8 @@ from .errors import (
     NotPositiveDefiniteError,
     ShrinkageSingularityError,
 )
-from .matrix_core import SpectralDecomp, cholesky, schur_pivots, spectral_decompose
+from .matrix_core import TIE_GAP, SpectralDecomp, cholesky, schur_pivots, spectral_decompose
 
-TIE_GAP = 1e-12
 DENOM_GUARD = 1e-10  # relative to n
 
 MODE_UNCENTERED = "uncentered_n"
@@ -183,6 +182,24 @@ def dp_equivariant(a: ScatterMatrix) -> CovarianceEstimate:
     )
 
 
+def require_distinct_descending(lv: np.ndarray) -> None:
+    """Reject eigenvalues that are not strictly descending or that tie within TIE_GAP."""
+    if lv.shape[0] < 2:
+        return
+    gaps = lv[:-1] - lv[1:]
+    if np.min(gaps) <= 0.0:
+        raise ValueError("eigenvalues must be strictly descending")
+    if np.min(gaps) < TIE_GAP:
+        raise EigenvalueTieError(f"minimum eigenvalue gap {np.min(gaps):.3e} below {TIE_GAP:.0e}")
+
+
+def gap_sums(lv: np.ndarray) -> np.ndarray:
+    """The vector of gap sums sum_{j != i} 1/(l_j - l_i), one per eigenvalue."""
+    diff = lv[None, :] - lv[:, None]  # diff[i, j] = l_j - l_i
+    np.fill_diagonal(diff, np.inf)
+    return (1.0 / diff).sum(axis=1)
+
+
 def shrinkage_terms(l, n: int) -> tuple[np.ndarray, np.ndarray]:
     """Raw shrinkage arithmetic without the positivity guard.
 
@@ -193,10 +210,7 @@ def shrinkage_terms(l, n: int) -> tuple[np.ndarray, np.ndarray]:
     """
     lv = np.asarray(l, dtype=float)
     p = lv.shape[0]
-    diff = lv[None, :] - lv[:, None]  # diff[i, j] = l_j - l_i
-    np.fill_diagonal(diff, np.inf)
-    gap_sum = (1.0 / diff).sum(axis=1)
-    d = (n - p + 1) - lv * gap_sum
+    d = (n - p + 1) - lv * gap_sums(lv)
     return n * lv / d, d
 
 
@@ -234,14 +248,7 @@ def tsai_eigenvalues(l, n: int) -> ShrinkageTable:
         raise ValueError(f"sample count {n} below dimension {p}")
     if lv[-1] <= 0.0:
         raise ValueError("eigenvalues must be positive")
-    if p > 1:
-        gaps = lv[:-1] - lv[1:]
-        if np.min(gaps) <= 0.0:
-            raise ValueError("eigenvalues must be strictly descending")
-        if np.min(gaps) < TIE_GAP:
-            raise EigenvalueTieError(
-                f"minimum eigenvalue gap {np.min(gaps):.3e} below {TIE_GAP:.0e}"
-            )
+    require_distinct_descending(lv)
     psi, d = shrinkage_terms(lv, n)
     guard = DENOM_GUARD * n
     bad = np.nonzero(d <= guard)[0]

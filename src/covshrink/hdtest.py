@@ -8,17 +8,14 @@ finite-sample F calibration is attempted.
 """
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import gammaincc
-from scipy.stats import chi2
+from scipy.special import chdtri, gammaincc
 
-from ._rng import gaussian_rows, replicate_rng
+from ._rng import check_failures, run_replicates
 from .errors import CovshrinkError, NumericError
 from .estimators import as_data_matrix, sample_covariance, tsai_eigenvalues
-from .loss_risk import MAX_FAILURE_FRACTION
 from .matrix_core import cholesky, spectral_decompose
 from scipy.linalg import solve_triangular
 
@@ -203,11 +200,9 @@ def power_simulation(n: int, p: int, sigma, delta, alpha: float = 0.05,
     chol_sig = cholesky(sig)
     scale = p ** 0.25 if rate == "hdim" else 1.0
     mu = d * scale / math.sqrt(n)
-    crit = float(chi2.ppf(1.0 - alpha, p))
+    crit = float(chdtri(p, alpha))
 
-    def one(r: int):
-        rng = replicate_rng(seed, r)
-        x = gaussian_rows(rng, chol_sig, n, mean=mu)
+    def score(r: int, x: np.ndarray):
         try:
             if method == "hotelling":
                 res = hotelling_t2(x)
@@ -219,18 +214,9 @@ def power_simulation(n: int, p: int, sigma, delta, alpha: float = 0.05,
         except CovshrinkError:
             return None
 
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            outcomes = list(pool.map(one, range(replicates)))
-    else:
-        outcomes = [one(r) for r in range(replicates)]
+    outcomes = run_replicates(score, seed, chol_sig, n, replicates, threads, mean=mu)
+    failures = check_failures(outcomes, method, n, p)
     ok = [o for o in outcomes if o is not None]
-    failures = replicates - len(ok)
-    if failures > MAX_FAILURE_FRACTION * replicates:
-        raise NumericError(
-            f"{failures} of {replicates} replicates failed for method {method!r} "
-            f"at n={n}, p={p}; above the {MAX_FAILURE_FRACTION:.0%} tolerance"
-        )
     m = len(ok)
     rate_hat = sum(ok) / m
     se = math.sqrt(rate_hat * (1.0 - rate_hat) / m)

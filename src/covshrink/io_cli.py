@@ -223,7 +223,7 @@ def _resolve_seed(args) -> int:
     return 0
 
 
-def _cmd_estimate(args, seed):
+def _cmd_estimate(args, seed, threads):
     data = read_csv(args.input, delimiter=args.delimiter, header=args.header)
     centered = args.n_convention == "centered"
     mode = MODE_CENTERED if centered else MODE_UNCENTERED
@@ -254,7 +254,7 @@ def _cmd_estimate(args, seed):
     return config, results
 
 
-def _cmd_ttest(args, seed):
+def _cmd_ttest(args, seed, threads):
     data = read_csv(args.input, delimiter=args.delimiter, header=args.header)
     res = hotelling_t2(data) if args.method == "hotelling" else decomposite_t2(data)
     config = {"input": args.input, "method": args.method, "header": args.header}
@@ -275,7 +275,7 @@ def _mp_table(args):
     ]
 
 
-def _cmd_mp(args, seed):
+def _cmd_mp(args, seed, threads):
     model, table = _mp_table(args)
     config = {"c": args.c, "points": args.points}
     results = {"lambda_minus": model.lambda_minus, "lambda_plus": model.lambda_plus,
@@ -337,6 +337,16 @@ def _cmd_power(args, seed, threads):
     return config, results
 
 
+_COMMANDS = {
+    "estimate": _cmd_estimate,
+    "ttest": _cmd_ttest,
+    "mp": _cmd_mp,
+    "risk": _cmd_risk,
+    "simulate": _cmd_simulate,
+    "power": _cmd_power,
+}
+
+
 def _render_csv(args, results) -> str:
     if args.subcommand != "mp":
         raise _UsageError("csv output is only available for the mp grid")
@@ -360,18 +370,7 @@ def run_cli(argv) -> int:
     try:
         seed = _resolve_seed(args)
         threads = max(1, args.threads)
-        if args.subcommand == "estimate":
-            config, results = _cmd_estimate(args, seed)
-        elif args.subcommand == "ttest":
-            config, results = _cmd_ttest(args, seed)
-        elif args.subcommand == "mp":
-            config, results = _cmd_mp(args, seed)
-        elif args.subcommand == "risk":
-            config, results = _cmd_risk(args, seed, threads)
-        elif args.subcommand == "simulate":
-            config, results = _cmd_simulate(args, seed, threads)
-        else:
-            config, results = _cmd_power(args, seed, threads)
+        config, results = _COMMANDS[args.subcommand](args, seed, threads)
 
         fmt = args.format or ("csv" if args.subcommand == "mp" else "json")
         if fmt == "csv":

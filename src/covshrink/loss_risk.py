@@ -5,15 +5,14 @@ E[log chi2_k]; the Monte Carlo runner exists to confirm an implementation
 against those closed forms and to measure estimators that lack one.
 """
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg import solve_triangular
 from scipy.special import digamma
 
-from ._rng import gaussian_rows, replicate_rng
-from .errors import CovshrinkError, NumericError
+from ._rng import check_failures, run_replicates
+from .errors import CovshrinkError
 from .matrix_core import cholesky, schur_pivots
 from .estimators import (
     dp_equivariant,
@@ -25,7 +24,6 @@ from .estimators import (
 
 RISK_KINDS = ("ml", "stein", "dp")
 MC_METHODS = ("sample", "stein_triangular", "dp_equivariant", "tsai")
-MAX_FAILURE_FRACTION = 0.01
 
 
 def stein_loss(phi, sigma) -> float:
@@ -39,15 +37,17 @@ def stein_loss(phi, sigma) -> float:
     b = np.asarray(sigma, dtype=float)
     if a.shape != b.shape:
         raise ValueError(f"dimension mismatch: {a.shape} vs {b.shape}")
-    p = a.shape[0]
-    t_phi = cholesky(a)
-    t_sig = cholesky(b)
+    return _stein_loss(cholesky(a), cholesky(b))
+
+
+def _stein_loss(t_phi: np.ndarray, t_sig: np.ndarray) -> float:
+    """Stein loss from the lower Cholesky factors of phi and sigma."""
     # sigma^-1 phi = (t_sig^-T t_sig^-1)(t_phi t_phi^T); trace is the squared
     # Frobenius norm of t_sig^-1 t_phi
     w = solve_triangular(t_sig, t_phi, lower=True)
     trace = float(np.sum(w * w))
     logdet = 2.0 * float(np.sum(np.log(np.diag(t_phi))) - np.sum(np.log(np.diag(t_sig))))
-    return trace - logdet - p
+    return trace - logdet - t_phi.shape[0]
 
 
 def elog_chisq(k) -> float:
@@ -120,30 +120,24 @@ def replicate_losses(method: str, sigma, n: int, replicates: int, seed: int,
 
     Returns (losses, target); a failed replicate is recorded as None.  The
     pivot estimator is scored against the Schur pivot diagonal of sigma, its
-    own target; every other method is scored against sigma itself.
+    own target; every other method is scored against sigma itself.  The
+    target is validated and factored once, not per replicate.
     """
     sig = np.asarray(sigma, dtype=float)
     chol_sig = cholesky(sig)
     if method == "dp_equivariant":
         target = np.diag(schur_pivots(sig))
+        chol_target = cholesky(target)
     else:
-        target = sig
+        target, chol_target = sig, chol_sig
 
-    def one(r: int):
-        rng = replicate_rng(seed, r)
-        x = gaussian_rows(rng, chol_sig, n)
+    def score(r: int, x: np.ndarray):
         try:
-            est = _estimate_for(method, x)
-            return stein_loss(est.matrix, target)
+            return _stein_loss(cholesky(_estimate_for(method, x).matrix), chol_target)
         except CovshrinkError:
             return None
 
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            losses = list(pool.map(one, range(replicates)))
-    else:
-        losses = [one(r) for r in range(replicates)]
-    return losses, target
+    return run_replicates(score, seed, chol_sig, n, replicates, threads), target
 
 
 def monte_carlo_risk(method: str, sigma, n: int, replicates: int, seed: int,
@@ -161,13 +155,8 @@ def monte_carlo_risk(method: str, sigma, n: int, replicates: int, seed: int,
     if n < p:
         raise ValueError(f"sample count {n} below dimension {p}")
     losses, _ = replicate_losses(method, sigma, n, replicates, seed, threads=threads)
+    failures = check_failures(losses, method, n, p)
     ok = np.array([v for v in losses if v is not None], dtype=float)
-    failures = replicates - ok.size
-    if failures > MAX_FAILURE_FRACTION * replicates:
-        raise NumericError(
-            f"{failures} of {replicates} replicates failed for method {method!r} "
-            f"at n={n}, p={p}; above the {MAX_FAILURE_FRACTION:.0%} tolerance"
-        )
     mean = float(ok.mean())
     se = float(ok.std(ddof=1) / np.sqrt(ok.size))
     return RiskEstimate(

@@ -127,44 +127,8 @@ def schur_pivots(m) -> np.ndarray:
 
     Step k records the current (0,0) entry and replaces the matrix by the
     Schur complement of that entry.  For positive definite input the pivots
-    are exactly the squared diagonal of the Cholesky factor.
+    are exactly the squared diagonal of the Cholesky factor, which is how
+    they are computed; their product is det(m).  Raises
+    NotPositiveDefiniteError naming the 1-based first non-positive pivot.
     """
-    a = _as_symmetric(m)
-    p = a.shape[0]
-    pivots = np.empty(p)
-    for k in range(p):
-        piv = a[0, 0]
-        if piv <= 0.0:
-            raise NotPositiveDefiniteError(
-                f"pivot {k + 1} is not positive (got {piv:.6e})", index=k + 1
-            )
-        pivots[k] = piv
-        a = a[1:, 1:] - np.outer(a[1:, 0], a[0, 1:]) / piv
-    return pivots
-
-
-@dataclass(frozen=True)
-class SchurReduction:
-    """Result of the successive diagonalization: the pivot diagonal.
-
-    ``pivots[k]`` is the leading entry of the k-th Schur complement; their
-    product equals det of the input.  The elimination matrices themselves are
-    never materialized, only their combined effect on the diagonal.
-    """
-
-    pivots: np.ndarray
-
-    @property
-    def dim(self) -> int:
-        return self.pivots.shape[0]
-
-    def determinant(self) -> float:
-        return float(np.prod(self.pivots))
-
-    def diagonal_matrix(self) -> np.ndarray:
-        return np.diag(self.pivots)
-
-
-def successive_diagonalize(m) -> SchurReduction:
-    """Reduce a positive definite matrix to its Schur pivot diagonal."""
-    return SchurReduction(pivots=schur_pivots(m))
+    return np.diag(cholesky(m)) ** 2

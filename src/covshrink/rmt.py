@@ -13,9 +13,9 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.integrate import quad
 
-from .errors import EigenvalueTieError, NumericError
+from .errors import NumericError
+from .estimators import gap_sums, require_distinct_descending
 
-TIE_GAP = 1e-12
 QUAD_TOL = 1e-8
 
 
@@ -76,16 +76,8 @@ def naive_hilbert(l, i: int) -> float:
     p = lv.shape[0]
     if not 1 <= i <= p:
         raise ValueError(f"index must lie in [1, {p}], got {i}")
-    if p == 1:
-        return 0.0
-    gaps = lv[:-1] - lv[1:]
-    if np.min(gaps) <= 0.0:
-        raise ValueError("eigenvalues must be strictly descending")
-    if np.min(gaps) < TIE_GAP:
-        raise EigenvalueTieError(f"minimum eigenvalue gap {np.min(gaps):.3e} below {TIE_GAP:.0e}")
-    li = lv[i - 1]
-    diffs = np.delete(lv, i - 1) - li
-    return float(np.sum(1.0 / diffs) / p)
+    require_distinct_descending(lv)
+    return float(gap_sums(lv)[i - 1] / p)
 
 
 def mp_density(x, model: MPModel):

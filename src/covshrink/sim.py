@@ -16,16 +16,15 @@ risk_comparison_experiment
 """
 
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._rng import gaussian_rows, replicate_rng
-from .errors import ConfigError, NumericError
-from .estimators import DENOM_GUARD, TIE_GAP, shrinkage_terms
-from .loss_risk import MAX_FAILURE_FRACTION, min_risk, replicate_losses
-from .matrix_core import cholesky, spectral_decompose
+from ._rng import check_failures, gaussian_rows, replicate_rng, run_replicates
+from .errors import ConfigError
+from .estimators import DENOM_GUARD, shrinkage_terms
+from .loss_risk import min_risk, replicate_losses
+from .matrix_core import TIE_GAP, cholesky, spectral_decompose
 from .rmt import MPModel, mp_cdf
 
 VARIANTS = ("identity", "spiked", "ar1", "explicit")
@@ -171,13 +170,6 @@ def aggregate(values) -> dict:
     return {"mean": float(v.mean()), "se": se, "count": int(v.size)}
 
 
-def _map_ordered(fn, count: int, threads: int) -> list:
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            return list(pool.map(fn, range(count)))
-    return [fn(r) for r in range(count)]
-
-
 def eigenvalue_recovery_experiment(config: ExperimentConfig, threads: int = 1) -> ExperimentReport:
     """Compare shrunk and raw spectra against the true population eigenvalues.
 
@@ -199,9 +191,7 @@ def eigenvalue_recovery_experiment(config: ExperimentConfig, threads: int = 1) -
     n, p = config.n, config.p
     guard = DENOM_GUARD * n
 
-    def one(r: int) -> dict:
-        rng = replicate_rng(config.seed, r)
-        x = gaussian_rows(rng, chol_sig, n)
+    def one(r: int, x: np.ndarray) -> dict:
         s = x.T @ x / n
         l = np.linalg.eigvalsh(s)[::-1]
         sample_mae = float(np.mean(np.abs(l - gamma)))
@@ -220,7 +210,7 @@ def eigenvalue_recovery_experiment(config: ExperimentConfig, threads: int = 1) -
             "rel_frobenius": float(np.linalg.norm(psi - l) / np.linalg.norm(l)) if ok else None,
         }
 
-    rows = _map_ordered(one, config.replicates, threads)
+    rows = run_replicates(one, config.seed, chol_sig, n, config.replicates, threads)
     failures = sum(1 for row in rows if row["shrunk_mae"] is None)
     metrics = {
         "sample_mae": aggregate(row["sample_mae"] for row in rows),
@@ -245,18 +235,15 @@ def esd_fit_experiment(config: ExperimentConfig, threads: int = 1) -> Experiment
     start = time.perf_counter()
     n, p = config.n, config.p
     model = MPModel(p / n)
-    eye_chol = np.eye(p)
 
-    def one(r: int) -> dict:
-        rng = replicate_rng(config.seed, r)
-        x = gaussian_rows(rng, eye_chol, n)
+    def one(r: int, x: np.ndarray) -> dict:
         l = np.sort(np.linalg.eigvalsh(x.T @ x / n))
         f = np.array([mp_cdf(v, model) for v in l])
         i = np.arange(1, p + 1)
         ks = float(np.max(np.maximum(np.abs(f - i / p), np.abs(f - (i - 1) / p))))
         return {"replicate": r, "ks": ks}
 
-    rows = _map_ordered(one, config.replicates, threads)
+    rows = run_replicates(one, config.seed, np.eye(p), n, config.replicates, threads)
     metrics = {"ks": aggregate(row["ks"] for row in rows), "concentration": p / n}
     return ExperimentReport(
         config=config.to_dict(),
@@ -284,12 +271,7 @@ def risk_comparison_experiment(config: ExperimentConfig, threads: int = 1) -> Ex
     for method in methods:
         losses, _ = replicate_losses(method, sigma, n, config.replicates, config.seed,
                                      threads=threads)
-        failures = sum(1 for v in losses if v is None)
-        if failures > MAX_FAILURE_FRACTION * config.replicates:
-            raise NumericError(
-                f"{failures} of {config.replicates} replicates failed for method "
-                f"{method!r} at n={n}, p={p}; above the {MAX_FAILURE_FRACTION:.0%} tolerance"
-            )
+        failures = check_failures(losses, method, n, p)
         total_failures += failures
         per_method[method] = {**aggregate(losses), "failures": failures}
         loss_rows[method] = losses

@@ -1,10 +1,15 @@
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 from scipy.stats import chi2, ncx2
 
+import covshrink
 from covshrink import (
     chisq_pvalue,
     decomposite_t2,
@@ -229,6 +234,13 @@ class TestPowerSimulation:
                              replicates=300, seed=26, threads=4)
         assert a.rejection_rate == b.rejection_rate
 
+    def test_critical_value_is_the_chi_square_quantile(self):
+        for p in (1, 2, 5, 10):
+            for alpha in (0.01, 0.05, 0.1):
+                rep = power_simulation(n=30, p=p, sigma=np.eye(p), delta=np.zeros(p),
+                                       alpha=alpha, replicates=5, seed=27)
+                assert_allclose(rep.critical_value, chi2.ppf(1.0 - alpha, p), rtol=1e-12)
+
     def test_argument_validation(self):
         with pytest.raises(ValueError):
             power_simulation(n=30, p=2, sigma=np.eye(2), delta=np.zeros(2), method="bartlett")
@@ -238,3 +250,13 @@ class TestPowerSimulation:
             power_simulation(n=30, p=2, sigma=np.eye(2), delta=np.zeros(2), alpha=1.5)
         with pytest.raises(ValueError):
             power_simulation(n=30, p=2, sigma=np.eye(2), delta=np.zeros(3))
+
+
+def test_import_does_not_load_scipy_stats():
+    src = str(Path(covshrink.__file__).resolve().parents[1])
+    path = [src, os.environ.get("PYTHONPATH")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, path)))
+    code = "import sys, covshrink; print('scipy.stats' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True, timeout=120)
+    assert out.stdout.strip() == "False"

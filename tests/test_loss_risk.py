@@ -10,7 +10,10 @@ from covshrink import (
     monte_carlo_risk,
     stein_loss,
 )
+from covshrink._rng import check_failures, gaussian_rows, replicate_rng
+from covshrink.estimators import dp_equivariant, scatter_matrix
 from covshrink.loss_risk import replicate_losses
+from covshrink.matrix_core import cholesky
 
 EULER_GAMMA = 0.5772156649015329
 
@@ -173,6 +176,13 @@ class TestMonteCarloRisk:
         with pytest.raises(NumericError):
             monte_carlo_risk("tsai", np.eye(30), n=60, replicates=100, seed=3)
 
+    def test_failure_fraction_boundary(self):
+        # exactly 1 % failed is tolerated, one more failure is not
+        ok = [0.5] * 198
+        assert check_failures(ok + [None] * 2, "sample", n=10, p=2) == 2
+        with pytest.raises(NumericError, match="3 of 200 replicates failed"):
+            check_failures(ok[:-1] + [None] * 3, "sample", n=10, p=2)
+
     def test_replicate_floor(self):
         with pytest.raises(ValueError):
             monte_carlo_risk("sample", np.eye(2), n=10, replicates=50, seed=1)
@@ -192,6 +202,14 @@ class TestReplicateLosses:
         sigma = np.array([[4.0, 2.0], [2.0, 5.0]])
         _, target = replicate_losses("sample", sigma, n=10, replicates=2, seed=0)
         assert_allclose(target, sigma)
+
+    def test_losses_equal_public_stein_loss(self):
+        # the per-replicate loss reuses the target's factor; the value must not move
+        sigma = np.array([[4.0, 2.0], [2.0, 5.0]])
+        losses, target = replicate_losses("dp_equivariant", sigma, n=10, replicates=4, seed=3)
+        x = gaussian_rows(replicate_rng(3, 2), cholesky(sigma), 10)
+        est = dp_equivariant(scatter_matrix(x, centered=False))
+        assert losses[2] == stein_loss(est.matrix, target)
 
     def test_failures_recorded_as_none(self):
         losses, _ = replicate_losses("tsai", np.eye(20), n=40, replicates=20, seed=5)

@@ -177,11 +177,13 @@ class TestRecoveryExperiment:
         assert rep.metrics["sample_mae"]["count"] == 3
 
     def test_thread_determinism(self):
-        a = eigenvalue_recovery_experiment(identity_config(p=3, n=40, replicates=12, seed=8))
-        b = eigenvalue_recovery_experiment(
-            identity_config(p=3, n=40, replicates=12, seed=8), threads=4
-        )
-        assert a.rows == b.rows
+        config = identity_config(p=3, n=40, replicates=12, seed=8,
+                                 methods=("sample", "stein_triangular", "dp_equivariant"))
+        for experiment in (eigenvalue_recovery_experiment, esd_fit_experiment,
+                           risk_comparison_experiment):
+            a = experiment(config)
+            b = experiment(config, threads=4)
+            assert a.rows == b.rows, experiment.__name__
 
 
 class TestEsdExperiment:
