@@ -45,7 +45,11 @@ class ShrinkageSingularityError(CovshrinkError):
 
 
 class NumericError(CovshrinkError):
-    """A quadrature or iterative routine failed to reach its tolerance."""
+    """A numerical result is unusable.
+
+    Raised by ``check_failures`` when too many Monte Carlo replicates fail,
+    and by ``quantile_map`` when its denominator falls to the guard.
+    """
 
 
 class ConfigError(CovshrinkError):

@@ -11,10 +11,10 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import chdtri, gammaincc
+from scipy.special import chdtri, chndtr, gammaincc
 
 from ._rng import check_failures, run_replicates
-from .errors import CovshrinkError, NumericError
+from .errors import CovshrinkError, NotPositiveDefiniteError
 from .estimators import as_data_matrix, sample_covariance, tsai_eigenvalues
 from .matrix_core import cholesky, spectral_decompose
 from scipy.linalg import solve_triangular
@@ -39,20 +39,37 @@ class TestResult:
             raise ValueError("p-value outside [0, 1]")
 
 
-def _quad_form(xbar: np.ndarray, matrix: np.ndarray) -> float:
+def _mahalanobis_sq(xbar: np.ndarray, matrix: np.ndarray) -> float:
     """xbar' matrix^-1 xbar through a Cholesky solve; raises on singular input."""
     t = cholesky(matrix)
     w = solve_triangular(t, xbar, lower=True)
     return float(w @ w)
 
 
+def _require_nonsingular(s: np.ndarray, eigenvalues: np.ndarray) -> None:
+    """Refuse the centered S when its smallest eigenvalue is rounding noise.
+
+    On exactly collinear data rounding can leave the smallest eigenvalue
+    slightly positive instead of zero.  Eigenvalues are computed to about
+    eps * ||S||, so anything at or below p * eps times the largest diagonal
+    entry of S is treated as zero.
+    """
+    p = s.shape[0]
+    floor = p * np.finfo(float).eps * float(np.max(np.diag(s)))
+    smallest = float(np.min(eigenvalues))
+    if smallest <= floor:
+        raise NotPositiveDefiniteError(
+            f"centered covariance is singular: smallest eigenvalue {smallest:.3e} "
+            f"is at or below {floor:.3e}", index=p)
+
+
 def chisq_pvalue(statistic: float, p: int, noncentrality: float = 0.0) -> float:
     """Upper-tail probability of (non)central chi-square with p dof.
 
-    Central case via the regularized upper incomplete gamma.  Noncentral case
-    via the Poisson mixture series, truncated once the accumulated Poisson
-    weight reaches 1 - 1e-8 (the tail contributes at most 1e-8 since each
-    mixture term is a probability).
+    Central case via the regularized upper incomplete gamma, which keeps its
+    relative accuracy deep in the tail.  Noncentral case as 1 - chndtr, which
+    is accurate to about 2e-15 absolute (not relative: tail values below that
+    round to 0) and has no ceiling on the noncentrality.
     """
     if statistic < 0.0:
         raise ValueError(f"statistic must be nonnegative, got {statistic}")
@@ -60,19 +77,7 @@ def chisq_pvalue(statistic: float, p: int, noncentrality: float = 0.0) -> float:
         raise ValueError("noncentrality must be nonnegative")
     if noncentrality == 0.0:
         return float(gammaincc(p / 2.0, statistic / 2.0))
-    half = noncentrality / 2.0
-    weight = math.exp(-half)
-    total_weight = 0.0
-    value = 0.0
-    k = 0
-    while total_weight < 1.0 - 1e-8:
-        value += weight * float(gammaincc((p + 2 * k) / 2.0, statistic / 2.0))
-        total_weight += weight
-        k += 1
-        weight *= half / k
-        if k > 100000:
-            raise NumericError("noncentral chi-square series failed to converge")
-    return min(max(value, 0.0), 1.0)
+    return min(max(1.0 - float(chndtr(statistic, p, noncentrality)), 0.0), 1.0)
 
 
 def hotelling_t2(x) -> TestResult:
@@ -82,8 +87,9 @@ def hotelling_t2(x) -> TestResult:
     if n < p + 1:
         raise ValueError(f"need n >= p + 1 for an invertible centered covariance, got n={n}, p={p}")
     xbar = a.mean(axis=0)
-    s = sample_covariance(a, mode="centered_n_minus_1")
-    stat = n * _quad_form(xbar, s.matrix)
+    s = sample_covariance(a, mode="centered_n_minus_1").matrix
+    _require_nonsingular(s, np.linalg.eigvalsh(s))
+    stat = n * _mahalanobis_sq(xbar, s)
     return TestResult(stat, p, chisq_pvalue(stat, p), "hotelling", n, p)
 
 
@@ -99,10 +105,9 @@ def decomposite_t2(x) -> TestResult:
     if n < p + 1:
         raise ValueError(f"need n >= p + 1 for an invertible centered covariance, got n={n}, p={p}")
     xbar = a.mean(axis=0)
-    s = sample_covariance(a, mode="centered_n_minus_1")
-    dec = spectral_decompose(s.matrix)
-    if dec.eigenvalues[-1] <= 0.0:
-        raise CovshrinkError("centered covariance is singular; cannot shrink its spectrum")
+    s = sample_covariance(a, mode="centered_n_minus_1").matrix
+    dec = spectral_decompose(s)
+    _require_nonsingular(s, dec.eigenvalues)
     table = tsai_eigenvalues(dec.eigenvalues, n - 1)
     proj = dec.eigenvectors.T @ xbar
     stat = n * float(np.sum(proj * proj / table.shrunk_eigenvalues))
@@ -117,7 +122,7 @@ def oracle_t2(x, sigma) -> TestResult:
     a = as_data_matrix(x)
     n, p = a.shape
     xbar = a.mean(axis=0)
-    stat = n * _quad_form(xbar, np.asarray(sigma, dtype=float))
+    stat = n * _mahalanobis_sq(xbar, np.asarray(sigma, dtype=float))
     return TestResult(stat, p, chisq_pvalue(stat, p), "oracle", n, p)
 
 
@@ -147,7 +152,7 @@ def local_alternative(delta, n: int, sigma=None) -> LocalAlternative:
     if sigma is None:
         ncp = float(d @ d)
     else:
-        ncp = _quad_form(d, np.asarray(sigma, dtype=float))
+        ncp = _mahalanobis_sq(d, np.asarray(sigma, dtype=float))
     return LocalAlternative(delta=d, n=n, noncentrality=ncp)
 
 

@@ -268,11 +268,8 @@ def _mp_table(args):
     if args.points < 2:
         raise ConfigError(f"need at least 2 grid points, got {args.points}")
     xs = np.linspace(model.lambda_minus, model.lambda_plus, args.points)
-    return model, [
-        {"x": float(x), "density": float(mp_density(float(x), model)),
-         "cdf": mp_cdf(float(x), model)}
-        for x in xs
-    ]
+    columns = zip(xs, mp_density(xs, model), mp_cdf(xs, model))
+    return model, [{"x": float(x), "density": float(d), "cdf": float(f)} for x, d, f in columns]
 
 
 def _cmd_mp(args, seed, threads):

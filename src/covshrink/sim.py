@@ -238,7 +238,7 @@ def esd_fit_experiment(config: ExperimentConfig, threads: int = 1) -> Experiment
 
     def one(r: int, x: np.ndarray) -> dict:
         l = np.sort(np.linalg.eigvalsh(x.T @ x / n))
-        f = np.array([mp_cdf(v, model) for v in l])
+        f = mp_cdf(l, model)
         i = np.arange(1, p + 1)
         ks = float(np.max(np.maximum(np.abs(f - i / p), np.abs(f - (i - 1) / p))))
         return {"replicate": r, "ks": ks}

@@ -11,6 +11,7 @@ from scipy.stats import chi2, ncx2
 
 import covshrink
 from covshrink import (
+    NotPositiveDefiniteError,
     chisq_pvalue,
     decomposite_t2,
     hotelling_t2,
@@ -58,6 +59,10 @@ class TestChisqPvalue:
 
     def test_noncentral_shifts_mass_right(self):
         assert chisq_pvalue(10.0, 5, noncentrality=4.0) > chisq_pvalue(10.0, 5)
+
+    def test_large_noncentrality(self):
+        for x, ncp in ((1500.0, 1500.0), (3100.0, 3000.0)):
+            assert_allclose(chisq_pvalue(x, 5, noncentrality=ncp), ncx2.sf(x, 5, ncp), atol=1e-12)
 
     def test_domain(self):
         with pytest.raises(ValueError):
@@ -129,6 +134,17 @@ class TestDecomposite:
     def test_sample_floor(self):
         with pytest.raises(ValueError):
             decomposite_t2(np.random.default_rng(1).standard_normal((3, 3)))
+
+
+@pytest.mark.parametrize("seed", range(5))
+@pytest.mark.parametrize("test", [hotelling_t2, decomposite_t2])
+def test_collinear_data_is_refused(test, seed):
+    # column 4 copies column 3, so the centered S is exactly singular; rounding
+    # leaves its smallest eigenvalue or last pivot at +-1e-16 relative
+    x = np.random.default_rng(seed).standard_normal((20, 4))
+    x[:, 3] = x[:, 2]
+    with pytest.raises(NotPositiveDefiniteError):
+        test(x)
 
 
 class TestOracle:
@@ -256,7 +272,8 @@ def test_import_does_not_load_scipy_stats():
     src = str(Path(covshrink.__file__).resolve().parents[1])
     path = [src, os.environ.get("PYTHONPATH")]
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, path)))
-    code = "import sys, covshrink; print('scipy.stats' in sys.modules)"
+    code = ("import sys, covshrink; "
+            "print([m for m in ('scipy.stats', 'scipy.integrate') if m in sys.modules])")
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                          text=True, check=True, timeout=120)
-    assert out.stdout.strip() == "False"
+    assert out.stdout.strip() == "[]"
