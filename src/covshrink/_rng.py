@@ -3,8 +3,9 @@
 Every Monte Carlo replicate seeds its own generator from a stable 64-bit
 hash of (master seed, replicate index), so results are bit-identical no
 matter how replicates are scheduled across workers.  ``run_replicates`` is
-the one loop that draws and scores replicates, and ``check_failures`` the
-one place the failed-replicate tolerance is enforced.
+the one loop that draws and scores replicates, ``check_failures`` the one
+place the failed-replicate tolerance is enforced, and ``aggregate`` the one
+mean and standard error over the replicates that completed.
 """
 
 import hashlib
@@ -65,3 +66,12 @@ def check_failures(outcomes, method: str, n: int, p: int) -> int:
             f"at n={n}, p={p}; above the {MAX_FAILURE_FRACTION:.0%} tolerance"
         )
     return failures
+
+
+def aggregate(values) -> dict:
+    """Mean, standard error, and count; None aggregates for empty input."""
+    v = np.array([x for x in values if x is not None], dtype=float)
+    if v.size == 0:
+        return {"mean": None, "se": None, "count": 0}
+    se = float(v.std(ddof=1) / np.sqrt(v.size)) if v.size > 1 else None
+    return {"mean": float(v.mean()), "se": se, "count": int(v.size)}

@@ -301,3 +301,17 @@ def tsai_estimator(s, n: int | None = None) -> CovarianceEstimate:
         divisor=int(n),
         shrinkage=table,
     )
+
+
+def _mode(centered: bool) -> str:
+    return MODE_CENTERED if centered else MODE_UNCENTERED
+
+
+# method tag -> estimator(x, centered) on an (n, p) data matrix; centered
+# subtracts the sample mean and counts n - 1 degrees of freedom, else n
+ESTIMATORS = {
+    "sample": lambda x, centered: sample_covariance(x, mode=_mode(centered)),
+    "stein_triangular": lambda x, centered: stein_triangular(scatter_matrix(x, centered=centered)),
+    "dp_equivariant": lambda x, centered: dp_equivariant(scatter_matrix(x, centered=centered)),
+    "tsai": lambda x, centered: tsai_estimator(sample_covariance(x, mode=_mode(centered))),
+}

@@ -19,7 +19,6 @@ from .estimators import as_data_matrix, sample_covariance, tsai_eigenvalues
 from .matrix_core import cholesky, spectral_decompose
 from scipy.linalg import solve_triangular
 
-TEST_METHODS = ("hotelling", "decomposite", "oracle")
 RATES = ("hdim", "classical")
 
 
@@ -126,6 +125,14 @@ def oracle_t2(x, sigma) -> TestResult:
     return TestResult(stat, p, chisq_pvalue(stat, p), "oracle", n, p)
 
 
+# test name -> statistic(x, sigma); only the oracle reads the true covariance
+MEAN_TESTS = {
+    "hotelling": lambda x, sigma: hotelling_t2(x),
+    "decomposite": lambda x, sigma: decomposite_t2(x),
+    "oracle": oracle_t2,
+}
+
+
 @dataclass(frozen=True)
 class LocalAlternative:
     """Mean-shift alternative mu = n^(-1/2) p^(1/4) delta with its noncentrality."""
@@ -188,12 +195,15 @@ def power_simulation(n: int, p: int, sigma, delta, alpha: float = 0.05,
         delta.  "classical" drops the p^(1/4) factor, giving noncentrality
         exactly delta' sigma^-1 delta.
     method : {"hotelling", "decomposite", "oracle"}
+        A key of MEAN_TESTS.
 
     Failed replicates (singular shrinkage) are recorded; more than 1 percent
     failures aborts, as in the risk runner.
     """
-    if method not in TEST_METHODS:
-        raise ValueError(f"unknown method {method!r}, expected one of {TEST_METHODS}")
+    if method not in MEAN_TESTS:
+        raise ValueError(f"unknown method {method!r}, expected one of {tuple(MEAN_TESTS)}")
+    if replicates < 1:
+        raise ValueError(f"need at least 1 replicate, got {replicates}")
     if rate not in RATES:
         raise ValueError(f"unknown rate {rate!r}, expected one of {RATES}")
     if not 0.0 < alpha < 1.0:
@@ -206,16 +216,11 @@ def power_simulation(n: int, p: int, sigma, delta, alpha: float = 0.05,
     scale = p ** 0.25 if rate == "hdim" else 1.0
     mu = d * scale / math.sqrt(n)
     crit = float(chdtri(p, alpha))
+    statistic = MEAN_TESTS[method]
 
     def score(r: int, x: np.ndarray):
         try:
-            if method == "hotelling":
-                res = hotelling_t2(x)
-            elif method == "decomposite":
-                res = decomposite_t2(x)
-            else:
-                res = oracle_t2(x, sig)
-            return bool(res.statistic > crit)
+            return bool(statistic(x, sig).statistic > crit)
         except CovshrinkError:
             return None
 

@@ -1,7 +1,8 @@
 """CSV ingestion, JSON report documents, and the command-line surface.
 
 Exit codes: 0 success, 1 usage error (bad flags, unknown subcommand),
-2 numeric or model error (singular input, breached guard, bad config).
+2 numeric or model error (singular input, breached guard, bad config) or an
+unreadable input or unwritable output file.
 Reports are JSON documents with schema_version "1"; the Marchenko-Pastur
 grid can also be emitted as CSV for external plotting.  The seed resolves
 from --seed, then the COVSHRINK_SEED environment variable, then 0.
@@ -14,27 +15,21 @@ import json
 import math
 import os
 import sys
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 
 from .errors import ConfigError, CovshrinkError, CsvFormatError
-from .estimators import (
-    MODE_CENTERED,
-    MODE_UNCENTERED,
-    dp_equivariant,
-    sample_covariance,
-    scatter_matrix,
-    stein_triangular,
-    tsai_estimator,
-)
-from .hdtest import decomposite_t2, hotelling_t2, power_simulation
-from .loss_risk import min_risk, monte_carlo_risk
+from .estimators import ESTIMATORS
+from .hdtest import MEAN_TESTS, power_simulation
+from .loss_risk import RISK_KINDS, min_risk, monte_carlo_risk
 from .rmt import MPModel, mp_cdf, mp_density
 from .sim import EXPERIMENTS, ExperimentConfig, PopulationModel, make_sigma
 
 SCHEMA_VERSION = "1"
 ENV_SEED = "COVSHRINK_SEED"
+# estimate --method short names for two estimator tags; the others keep their tag
+METHOD_ALIASES = {"stein": "stein_triangular", "dp": "dp_equivariant"}
 
 
 class _UsageError(Exception):
@@ -97,29 +92,15 @@ class ReportDocument:
     timestamps: dict
 
     def to_dict(self) -> dict:
-        return {
-            "schema_version": self.schema_version,
-            "command": self.command,
-            "config": self.config,
-            "results": self.results,
-            "seed": self.seed,
-            "timestamps": self.timestamps,
-        }
+        # shallow, unlike dataclasses.asdict, which deep-copies the results
+        return {f.name: getattr(self, f.name) for f in fields(self)}
 
     def to_json(self) -> str:
         return json.dumps(self.to_dict(), indent=2) + "\n"
 
     @classmethod
     def from_json(cls, text: str) -> "ReportDocument":
-        d = json.loads(text)
-        return cls(
-            schema_version=d["schema_version"],
-            command=d["command"],
-            config=d["config"],
-            results=d["results"],
-            seed=d["seed"],
-            timestamps=d["timestamps"],
-        )
+        return cls(**json.loads(text))
 
 
 def matrix_payload(m: np.ndarray) -> dict:
@@ -164,7 +145,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     est = sub.add_parser("estimate", help="estimate a covariance matrix from CSV data")
     est.add_argument("--input", required=True)
-    est.add_argument("--method", choices=("sample", "stein", "dp", "tsai"), default="tsai")
+    short = {tag: alias for alias, tag in METHOD_ALIASES.items()}
+    est.add_argument("--method", choices=tuple(short.get(tag, tag) for tag in ESTIMATORS),
+                     default="tsai")
     est.add_argument("--n-convention", choices=("uncentered", "centered"), default="centered",
                      help="divisor convention: n on raw cross products, or n-1 after centering")
     est.add_argument("--delimiter", default=",")
@@ -172,7 +155,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     tt = sub.add_parser("ttest", help="one-sample mean test")
     tt.add_argument("--input", required=True)
-    tt.add_argument("--method", choices=("hotelling", "decomposite"), default="decomposite")
+    tt.add_argument("--method", choices=tuple(m for m in MEAN_TESTS if m != "oracle"),
+                    default="decomposite")
     tt.add_argument("--delimiter", default=",")
     tt.add_argument("--header", action="store_true")
 
@@ -205,7 +189,7 @@ def build_parser() -> argparse.ArgumentParser:
     pw.add_argument("--delta", required=True, help="comma-separated shift vector of length p")
     pw.add_argument("--alpha", type=float, default=0.05)
     pw.add_argument("--replicates", type=int, default=1000)
-    pw.add_argument("--method", choices=("hotelling", "decomposite", "oracle"), default="oracle")
+    pw.add_argument("--method", choices=tuple(MEAN_TESTS), default="oracle")
     pw.add_argument("--rate", choices=("hdim", "classical"), default="hdim")
     pw.add_argument("--model", default="identity")
     return parser
@@ -225,16 +209,8 @@ def _resolve_seed(args) -> int:
 
 def _cmd_estimate(args, seed, threads):
     data = read_csv(args.input, delimiter=args.delimiter, header=args.header)
-    centered = args.n_convention == "centered"
-    mode = MODE_CENTERED if centered else MODE_UNCENTERED
-    if args.method == "sample":
-        est = sample_covariance(data, mode=mode)
-    elif args.method == "stein":
-        est = stein_triangular(scatter_matrix(data, centered=centered))
-    elif args.method == "dp":
-        est = dp_equivariant(scatter_matrix(data, centered=centered))
-    else:
-        est = tsai_estimator(sample_covariance(data, mode=mode))
+    method = METHOD_ALIASES.get(args.method, args.method)
+    est = ESTIMATORS[method](data, args.n_convention == "centered")
     results = {
         "method": est.method,
         "n": est.n,
@@ -244,11 +220,7 @@ def _cmd_estimate(args, seed, threads):
         "matrix": matrix_payload(est.matrix),
     }
     if est.shrinkage is not None:
-        results["shrinkage"] = {
-            "sample_eigenvalues": est.shrinkage.sample_eigenvalues.tolist(),
-            "shrunk_eigenvalues": est.shrinkage.shrunk_eigenvalues.tolist(),
-            "denominators": est.shrinkage.denominators.tolist(),
-        }
+        results["shrinkage"] = {k: v.tolist() for k, v in asdict(est.shrinkage).items()}
     config = {"input": args.input, "method": args.method, "n_convention": args.n_convention,
               "header": args.header}
     return config, results
@@ -256,11 +228,9 @@ def _cmd_estimate(args, seed, threads):
 
 def _cmd_ttest(args, seed, threads):
     data = read_csv(args.input, delimiter=args.delimiter, header=args.header)
-    res = hotelling_t2(data) if args.method == "hotelling" else decomposite_t2(data)
+    res = MEAN_TESTS[args.method](data, None)
     config = {"input": args.input, "method": args.method, "header": args.header}
-    results = {"statistic": res.statistic, "dof": res.dof, "pvalue": res.pvalue,
-               "method": res.method, "n": res.n, "p": res.p}
-    return config, results
+    return config, asdict(res)
 
 
 def _mp_table(args):
@@ -287,8 +257,7 @@ def _cmd_risk(args, seed, threads):
               "replicates": args.replicates}
     results = {}
     if closed:
-        results["closed_form"] = {kind: min_risk(kind, args.n, args.p)
-                                  for kind in ("ml", "stein", "dp")}
+        results["closed_form"] = {kind: min_risk(kind, args.n, args.p) for kind in RISK_KINDS}
     if args.monte_carlo:
         sigma = make_sigma(parse_model(args.model, args.p))
         mc = {}
@@ -327,10 +296,8 @@ def _cmd_power(args, seed, threads):
     config = {"n": args.n, "p": args.p, "delta": delta.tolist(), "alpha": args.alpha,
               "replicates": args.replicates, "method": args.method, "rate": args.rate,
               "model": args.model}
-    results = {"rejection_rate": rep.rejection_rate, "std_error": rep.std_error,
-               "replicates": rep.replicates, "failures": rep.failures,
-               "critical_value": rep.critical_value, "alpha": rep.alpha,
-               "method": rep.method, "rate": rep.rate, "n": rep.n, "p": rep.p}
+    results = asdict(rep)
+    del results["seed"]  # the envelope carries it
     return config, results
 
 
@@ -393,8 +360,12 @@ def run_cli(argv) -> int:
         return 2
 
     if args.output:
-        with open(args.output, "w") as fh:
-            fh.write(text)
+        try:
+            with open(args.output, "w") as fh:
+                fh.write(text)
+        except OSError as exc:
+            print(f"error: cannot write {args.output}: {exc}", file=sys.stderr)
+            return 2
     else:
         sys.stdout.write(text)
     return 0

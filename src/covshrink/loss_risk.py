@@ -11,19 +11,18 @@ import numpy as np
 from scipy.linalg import solve_triangular
 from scipy.special import digamma
 
-from ._rng import check_failures, run_replicates
+from ._rng import aggregate, check_failures, run_replicates
 from .errors import CovshrinkError
+from .estimators import ESTIMATORS
 from .matrix_core import cholesky, schur_pivots
-from .estimators import (
-    dp_equivariant,
-    sample_covariance,
-    scatter_matrix,
-    stein_triangular,
-    tsai_estimator,
-)
 
-RISK_KINDS = ("ml", "stein", "dp")
-MC_METHODS = ("sample", "stein_triangular", "dp_equivariant", "tsai")
+# risk kind -> divisors d_i(n, p, i) of the best estimator in that class
+RISK_DIVISORS = {
+    "ml": lambda n, p, i: np.full(p, float(n)),
+    "stein": lambda n, p, i: (n + p - 2 * i + 1).astype(float),
+    "dp": lambda n, p, i: (n - i + 1).astype(float),
+}
+RISK_KINDS = tuple(RISK_DIVISORS)
 
 
 def stein_loss(phi, sigma) -> float:
@@ -68,17 +67,11 @@ def min_risk(kind: str, n: int, p: int) -> float:
     """
     if not 1 <= p <= n:
         raise ValueError(f"need n >= p >= 1, got n={n}, p={p}")
-    i = np.arange(1, p + 1)
-    elog = elog_chisq(n - i + 1)
-    if kind == "ml":
-        d = np.full(p, float(n))
-    elif kind == "stein":
-        d = (n + p - 2 * i + 1).astype(float)
-    elif kind == "dp":
-        d = (n - i + 1).astype(float)
-    else:
+    if kind not in RISK_DIVISORS:
         raise ValueError(f"unknown risk kind {kind!r}, expected one of {RISK_KINDS}")
-    return float(np.sum(np.log(d) - elog))
+    i = np.arange(1, p + 1)
+    d = RISK_DIVISORS[kind](n, p, i)
+    return float(np.sum(np.log(d) - elog_chisq(n - i + 1)))
 
 
 @dataclass(frozen=True)
@@ -101,19 +94,6 @@ class RiskEstimate:
             raise ValueError("standard error cannot be negative")
 
 
-def _estimate_for(method: str, x: np.ndarray):
-    if method == "sample":
-        return sample_covariance(x, mode="uncentered_n")
-    if method == "stein_triangular":
-        return stein_triangular(scatter_matrix(x, centered=False))
-    if method == "dp_equivariant":
-        return dp_equivariant(scatter_matrix(x, centered=False))
-    if method == "tsai":
-        s = sample_covariance(x, mode="uncentered_n")
-        return tsai_estimator(s, n=x.shape[0])
-    raise ValueError(f"unknown method {method!r}, expected one of {MC_METHODS}")
-
-
 def replicate_losses(method: str, sigma, n: int, replicates: int, seed: int,
                      threads: int = 1) -> tuple[list[float | None], np.ndarray]:
     """Per-replicate Stein losses for a mean-zero Gaussian population.
@@ -121,8 +101,12 @@ def replicate_losses(method: str, sigma, n: int, replicates: int, seed: int,
     Returns (losses, target); a failed replicate is recorded as None.  The
     pivot estimator is scored against the Schur pivot diagonal of sigma, its
     own target; every other method is scored against sigma itself.  The
-    target is validated and factored once, not per replicate.
+    target is validated and factored once, not per replicate.  Each
+    replicate's data are mean zero, so every estimator runs uncentered.
     """
+    if method not in ESTIMATORS:
+        raise ValueError(f"unknown method {method!r}, expected one of {tuple(ESTIMATORS)}")
+    estimate = ESTIMATORS[method]
     sig = np.asarray(sigma, dtype=float)
     chol_sig = cholesky(sig)
     if method == "dp_equivariant":
@@ -133,7 +117,7 @@ def replicate_losses(method: str, sigma, n: int, replicates: int, seed: int,
 
     def score(r: int, x: np.ndarray):
         try:
-            return _stein_loss(cholesky(_estimate_for(method, x).matrix), chol_target)
+            return _stein_loss(cholesky(estimate(x, False).matrix), chol_target)
         except CovshrinkError:
             return None
 
@@ -156,13 +140,11 @@ def monte_carlo_risk(method: str, sigma, n: int, replicates: int, seed: int,
         raise ValueError(f"sample count {n} below dimension {p}")
     losses, _ = replicate_losses(method, sigma, n, replicates, seed, threads=threads)
     failures = check_failures(losses, method, n, p)
-    ok = np.array([v for v in losses if v is not None], dtype=float)
-    mean = float(ok.mean())
-    se = float(ok.std(ddof=1) / np.sqrt(ok.size))
+    agg = aggregate(losses)
     return RiskEstimate(
-        mean_loss=mean,
-        std_error=se,
-        replicates=int(ok.size),
+        mean_loss=agg["mean"],
+        std_error=agg["se"],
+        replicates=agg["count"],
         method=method,
         n=n,
         p=p,

@@ -16,6 +16,8 @@ import numpy as np
 from .errors import NumericError
 from .estimators import gap_sums, require_distinct_descending
 
+QUANTILE_GUARD = 1e-10  # quantile_map's smallest accepted denominator
+
 
 @dataclass(frozen=True)
 class MPModel:
@@ -166,16 +168,17 @@ def mp_equation_residual(z: complex, model: MPModel) -> float:
     return abs(m - 1.0 / (1.0 - c - c * z * m - z))
 
 
-def quantile_map(l: float, c: float, hilbert_value: float, eps: float = 1e-10) -> float:
+def quantile_map(l: float, c: float, hilbert_value: float) -> float:
     """Map a sample eigenvalue to its population counterpart.
 
     gamma = l / (1 - c - c * l * H) where H is the Hilbert transform value at
     l (closed form or plug-in, caller's choice).  Raises when the denominator
-    is within ``eps`` of zero.
+    is at or below QUANTILE_GUARD.
     """
     den = 1.0 - c - c * l * hilbert_value
-    if den <= eps:
-        raise NumericError(f"quantile map denominator {den:.3e} at or below guard {eps:.0e}")
+    if den <= QUANTILE_GUARD:
+        raise NumericError(
+            f"quantile map denominator {den:.3e} at or below guard {QUANTILE_GUARD:.0e}")
     return l / den
 
 

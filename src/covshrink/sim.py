@@ -16,14 +16,14 @@ risk_comparison_experiment
 """
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, fields
 
 import numpy as np
 
-from ._rng import check_failures, gaussian_rows, replicate_rng, run_replicates
+from ._rng import aggregate, check_failures, gaussian_rows, replicate_rng, run_replicates
 from .errors import ConfigError
-from .estimators import DENOM_GUARD, shrinkage_terms
-from .loss_risk import min_risk, replicate_losses
+from .estimators import DENOM_GUARD, ESTIMATORS, shrinkage_terms
+from .loss_risk import RISK_KINDS, min_risk, replicate_losses
 from .matrix_core import TIE_GAP, cholesky, spectral_decompose
 from .rmt import MPModel, mp_cdf
 
@@ -152,22 +152,16 @@ class ExperimentReport:
     wall_clock: float
 
     def to_dict(self) -> dict:
-        return {
-            "config": self.config,
-            "metrics": self.metrics,
-            "rows": self.rows,
-            "failures": int(self.failures),
-            "wall_clock": float(self.wall_clock),
-        }
+        # shallow, unlike dataclasses.asdict, which deep-copies every row
+        return {f.name: getattr(self, f.name) for f in fields(self)}
 
 
-def aggregate(values) -> dict:
-    """Mean, standard error, and count; None aggregates for empty input."""
-    v = np.array([x for x in values if x is not None], dtype=float)
-    if v.size == 0:
-        return {"mean": None, "se": None, "count": 0}
-    se = float(v.std(ddof=1) / np.sqrt(v.size)) if v.size > 1 else None
-    return {"mean": float(v.mean()), "se": se, "count": int(v.size)}
+def _report(config: ExperimentConfig, metrics: dict, rows: list, failures: int,
+            start: float) -> ExperimentReport:
+    """Report of a run that began at ``time.perf_counter() == start``."""
+    return ExperimentReport(config=config.to_dict(), metrics=metrics,
+                            rows=rows if config.keep_rows else None,
+                            failures=failures, wall_clock=time.perf_counter() - start)
 
 
 def eigenvalue_recovery_experiment(config: ExperimentConfig, threads: int = 1) -> ExperimentReport:
@@ -219,13 +213,7 @@ def eigenvalue_recovery_experiment(config: ExperimentConfig, threads: int = 1) -
         "rel_frobenius": aggregate(row["rel_frobenius"] for row in rows),
         "failure_rate": failures / config.replicates,
     }
-    return ExperimentReport(
-        config=config.to_dict(),
-        metrics=metrics,
-        rows=rows if config.keep_rows else None,
-        failures=failures,
-        wall_clock=time.perf_counter() - start,
-    )
+    return _report(config, metrics, rows, failures, start)
 
 
 def esd_fit_experiment(config: ExperimentConfig, threads: int = 1) -> ExperimentReport:
@@ -245,13 +233,7 @@ def esd_fit_experiment(config: ExperimentConfig, threads: int = 1) -> Experiment
 
     rows = run_replicates(one, config.seed, np.eye(p), n, config.replicates, threads)
     metrics = {"ks": aggregate(row["ks"] for row in rows), "concentration": p / n}
-    return ExperimentReport(
-        config=config.to_dict(),
-        metrics=metrics,
-        rows=rows if config.keep_rows else None,
-        failures=0,
-        wall_clock=time.perf_counter() - start,
-    )
+    return _report(config, metrics, rows, 0, start)
 
 
 def risk_comparison_experiment(config: ExperimentConfig, threads: int = 1) -> ExperimentReport:
@@ -262,7 +244,7 @@ def risk_comparison_experiment(config: ExperimentConfig, threads: int = 1) -> Ex
     follow the risk runner's policy: recorded, and fatal above 1 percent.
     """
     start = time.perf_counter()
-    methods = tuple(config.methods) or ("sample", "stein_triangular", "dp_equivariant", "tsai")
+    methods = tuple(config.methods) or tuple(ESTIMATORS)
     sigma = make_sigma(config.model)
     n, p = config.n, config.p
     per_method = {}
@@ -281,15 +263,9 @@ def risk_comparison_experiment(config: ExperimentConfig, threads: int = 1) -> Ex
     ]
     metrics = {
         "monte_carlo": per_method,
-        "closed_form": {kind: min_risk(kind, n, p) for kind in ("ml", "stein", "dp")},
+        "closed_form": {kind: min_risk(kind, n, p) for kind in RISK_KINDS},
     }
-    return ExperimentReport(
-        config=config.to_dict(),
-        metrics=metrics,
-        rows=rows if config.keep_rows else None,
-        failures=total_failures,
-        wall_clock=time.perf_counter() - start,
-    )
+    return _report(config, metrics, rows, total_failures, start)
 
 
 EXPERIMENTS = {

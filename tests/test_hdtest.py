@@ -267,6 +267,12 @@ class TestPowerSimulation:
         with pytest.raises(ValueError):
             power_simulation(n=30, p=2, sigma=np.eye(2), delta=np.zeros(3))
 
+    def test_replicate_count_below_one_is_refused(self):
+        for replicates in (0, -3):
+            with pytest.raises(ValueError, match="at least 1 replicate"):
+                power_simulation(n=30, p=2, sigma=np.eye(2), delta=np.zeros(2),
+                                 replicates=replicates)
+
 
 def test_import_does_not_load_scipy_stats():
     src = str(Path(covshrink.__file__).resolve().parents[1])

@@ -6,6 +6,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 from covshrink import CsvFormatError, min_risk
+from covshrink.estimators import ESTIMATORS
 from covshrink.io_cli import (
     ReportDocument,
     matrix_payload,
@@ -143,6 +144,22 @@ class TestEstimateCommand:
         doc = run_json(tmp_path, ["estimate", "--input", data, "--header"])
         assert doc.results["matrix"]["data"] == [2.0]
 
+    @pytest.mark.parametrize("centered", [False, True])
+    @pytest.mark.parametrize("name", ["sample", "stein_triangular", "dp_equivariant", "tsai"])
+    def test_estimator_table_tags_and_cli_aliases(self, tmp_path, name, centered):
+        # each table entry produces the tag it is filed under, and the CLI's
+        # short spellings reach the same entry
+        x = np.random.default_rng(6).standard_normal((15, 3)) * [3.0, 2.0, 1.0]
+        est = ESTIMATORS[name](x, centered)
+        assert est.method == name
+        alias = {"stein_triangular": "stein", "dp_equivariant": "dp"}.get(name, name)
+        data = write(tmp_path, "d.csv", "".join(",".join(map(repr, r)) + "\n" for r in x.tolist()))
+        convention = "centered" if centered else "uncentered"
+        doc = run_json(tmp_path, ["estimate", "--input", data, "--method", alias,
+                                  "--n-convention", convention])
+        assert doc.results["method"] == name
+        assert doc.results["matrix"]["data"] == est.matrix.ravel().tolist()
+
 
 class TestTtestCommand:
     def test_default_is_decomposite(self, tmp_path):
@@ -246,6 +263,13 @@ class TestPowerCommand:
         assert code == 2
         assert "delta" in capsys.readouterr().err
 
+    def test_replicate_count_below_one_is_2(self, capsys):
+        for count in ("0", "-2"):
+            code = run_cli(["power", "--n", "30", "--p", "2", "--delta", "0,0",
+                            "--replicates", count])
+            assert code == 2
+            assert "at least 1 replicate" in capsys.readouterr().err
+
 
 class TestExitCodes:
     def test_missing_subcommand(self):
@@ -269,6 +293,12 @@ class TestExitCodes:
         data = write(tmp_path, "d.csv", "1,2\n3,4\n")
         assert run_cli(["ttest", "--input", data]) == 2
         assert "error" in capsys.readouterr().err
+
+    def test_unwritable_output_is_2(self, tmp_path, capsys):
+        out = tmp_path / "absent" / "report.json"
+        assert run_cli(["--output", str(out), "risk", "--n", "10", "--p", "2"]) == 2
+        assert f"error: cannot write {out}" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_help_exits_zero(self, capsys):
         assert run_cli(["--help"]) == 0

@@ -10,7 +10,7 @@ from covshrink import (
     monte_carlo_risk,
     stein_loss,
 )
-from covshrink._rng import check_failures, gaussian_rows, replicate_rng
+from covshrink._rng import aggregate, check_failures, gaussian_rows, replicate_rng
 from covshrink.estimators import dp_equivariant, scatter_matrix
 from covshrink.loss_risk import replicate_losses
 from covshrink.matrix_core import cholesky
@@ -191,6 +191,14 @@ class TestMonteCarloRisk:
         with pytest.raises(ValueError):
             monte_carlo_risk("oas", np.eye(2), n=10, replicates=200, seed=1)
 
+    def test_mean_and_se_are_the_aggregate_of_the_losses(self):
+        sigma = np.array([[4.0, 2.0], [2.0, 5.0]])
+        est = monte_carlo_risk("stein_triangular", sigma, n=10, replicates=150, seed=4)
+        losses, _ = replicate_losses("stein_triangular", sigma, n=10, replicates=150, seed=4)
+        agg = aggregate(losses)
+        assert (est.mean_loss, est.std_error, est.replicates) == (
+            agg["mean"], agg["se"], agg["count"])
+
 
 class TestReplicateLosses:
     def test_pivot_method_scored_against_pivot_diagonal(self):
@@ -210,6 +218,10 @@ class TestReplicateLosses:
         x = gaussian_rows(replicate_rng(3, 2), cholesky(sigma), 10)
         est = dp_equivariant(scatter_matrix(x, centered=False))
         assert losses[2] == stein_loss(est.matrix, target)
+
+    def test_unknown_method_refused_before_any_replicate(self):
+        with pytest.raises(ValueError, match="unknown method 'oas'"):
+            replicate_losses("oas", np.eye(2), n=10, replicates=0, seed=0)
 
     def test_failures_recorded_as_none(self):
         losses, _ = replicate_losses("tsai", np.eye(20), n=40, replicates=20, seed=5)
