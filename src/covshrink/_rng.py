@@ -2,10 +2,12 @@
 
 Every Monte Carlo replicate seeds its own generator from a stable 64-bit
 hash of (master seed, replicate index), so results are bit-identical no
-matter how replicates are scheduled across workers.  ``run_replicates`` is
-the one loop that draws and scores replicates, ``check_failures`` the one
-place the failed-replicate tolerance is enforced, and ``aggregate`` the one
-mean and standard error over the replicates that completed.
+matter how replicates are scheduled across workers.  ``run_chunks`` is the
+one loop that draws replicates, stacked into chunks of a fixed byte budget,
+and scores them a chunk at a time; ``run_replicates`` scores each replicate
+of a chunk on its own.  ``check_failures`` is the one place the
+failed-replicate tolerance is enforced, and ``aggregate`` the one mean and
+standard error over the replicates that completed.
 """
 
 import hashlib
@@ -16,6 +18,9 @@ import numpy as np
 from .errors import NumericError
 
 MAX_FAILURE_FRACTION = 0.01
+# draws per chunk: about 256 KiB of float64, so a chunk adds little to the
+# peak memory at any (n, p) while amortizing the per-call overhead at small p
+CHUNK_BYTES = 256 * 1024
 
 
 def replicate_rng(seed: int, index: int) -> np.random.Generator:
@@ -34,22 +39,65 @@ def gaussian_rows(rng: np.random.Generator, chol_factor: np.ndarray, n: int,
     return x
 
 
+def chunk_replicates(n: int, p: int) -> int:
+    """Replicates per chunk: as many (n, p) draws as fit in CHUNK_BYTES, at least one."""
+    return max(1, CHUNK_BYTES // (8 * n * p))
+
+
+def draw_chunk(seed: int, chol_factor: np.ndarray, n: int, start: int, stop: int,
+               mean=None) -> np.ndarray:
+    """Replicates start .. stop - 1 stacked as a (stop - start, n, p) array.
+
+    Slice j is bit for bit ``gaussian_rows(replicate_rng(seed, start + j),
+    chol_factor, n, mean)``: each replicate keeps its own stream, and the
+    stacked product applies the same matrix product to every slice.
+    """
+    z = np.empty((stop - start, n, chol_factor.shape[0]))
+    for j in range(stop - start):
+        replicate_rng(seed, start + j).standard_normal(out=z[j])
+    x = z @ chol_factor.T
+    if mean is not None:
+        x += mean
+    return x
+
+
+def run_chunks(score_chunk, seed: int, chol_factor: np.ndarray, n: int, replicates: int,
+               threads: int = 1, mean=None) -> list:
+    """Concatenated ``score_chunk(start, x)`` over the chunks, in replicate order.
+
+    x is ``draw_chunk(seed, chol_factor, n, start, stop, mean)`` and
+    ``score_chunk`` returns one outcome per slice.  The chunk size depends on
+    (n, p) alone, so every outcome depends on (seed, r) alone, never on
+    ``threads``; above one thread each worker draws and scores whole chunks.
+    Errors raised by ``score_chunk`` propagate.
+    """
+    step = chunk_replicates(n, chol_factor.shape[0])
+
+    def one(start: int) -> list:
+        stop = min(start + step, replicates)
+        return score_chunk(start, draw_chunk(seed, chol_factor, n, start, stop, mean))
+
+    starts = range(0, replicates, step)
+    if threads > 1:
+        with ThreadPoolExecutor(max_workers=threads) as pool:
+            parts = list(pool.map(one, starts))
+    else:
+        parts = [one(start) for start in starts]
+    return [outcome for part in parts for outcome in part]
+
+
 def run_replicates(score, seed: int, chol_factor: np.ndarray, n: int, replicates: int,
                    threads: int = 1, mean=None) -> list:
     """``score(r, x_r)`` for r = 0 .. replicates - 1, in replicate order.
 
     x_r is ``gaussian_rows(replicate_rng(seed, r), chol_factor, n, mean)``,
-    so every outcome depends on (seed, r) alone, never on ``threads``.
-    Errors raised by ``score`` propagate; a scorer that tolerates a failed
-    replicate returns None for it instead.
+    read as a slice of its chunk.  A scorer that tolerates a failed
+    replicate returns None for it instead of raising.
     """
-    def one(r: int):
-        return score(r, gaussian_rows(replicate_rng(seed, r), chol_factor, n, mean))
+    def score_chunk(start: int, x: np.ndarray) -> list:
+        return [score(start + j, xj) for j, xj in enumerate(x)]
 
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            return list(pool.map(one, range(replicates)))
-    return [one(r) for r in range(replicates)]
+    return run_chunks(score_chunk, seed, chol_factor, n, replicates, threads, mean)
 
 
 def check_failures(outcomes, method: str, n: int, p: int) -> int:

@@ -15,6 +15,7 @@ nearly collide, so denominators at or below the guard are a hard error and
 """
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -23,7 +24,14 @@ from .errors import (
     NotPositiveDefiniteError,
     ShrinkageSingularityError,
 )
-from .matrix_core import TIE_GAP, SpectralDecomp, cholesky, schur_pivots, spectral_decompose
+from .matrix_core import (
+    TIE_GAP,
+    SpectralDecomp,
+    cholesky,
+    cholesky_stack,
+    schur_pivots,
+    spectral_decompose,
+)
 
 DENOM_GUARD = 1e-10  # relative to n
 
@@ -314,4 +322,63 @@ ESTIMATORS = {
     "stein_triangular": lambda x, centered: stein_triangular(scatter_matrix(x, centered=centered)),
     "dp_equivariant": lambda x, centered: dp_equivariant(scatter_matrix(x, centered=centered)),
     "tsai": lambda x, centered: tsai_estimator(sample_covariance(x, mode=_mode(centered))),
+}
+
+
+class ScatterStack:
+    """Uncentered scatters x_j' x_j of a (k, n, p) stack of mean-zero samples.
+
+    Slice j of ``matrix`` is bit for bit ``scatter_matrix(x[j]).matrix``;
+    ``cholesky`` is its ``cholesky_stack``, computed once on first use and
+    shared by the triangular and pivot estimators.
+    """
+
+    def __init__(self, x: np.ndarray):
+        _, self.n, self.p = x.shape
+        if self.n < 2:
+            raise ValueError(f"need at least 2 observations, got {self.n}")
+        if not np.isfinite(x).all():
+            raise ValueError("data contains non-finite entries")
+        self.matrix = x.transpose(0, 2, 1) @ x
+
+    @cached_property
+    def cholesky(self) -> tuple[np.ndarray, list]:
+        return cholesky_stack(self.matrix)
+
+    def require_dof(self) -> None:
+        if self.n < self.p:
+            raise ValueError(f"need degrees of freedom >= dimension, got {self.n} < {self.p}")
+
+
+def _stacked_sample(a: ScatterStack) -> tuple[np.ndarray, list]:
+    s = a.matrix / a.n
+    return (s + s.swapaxes(1, 2)) / 2.0, [None] * len(s)
+
+
+def _stacked_triangular(a: ScatterStack) -> tuple[np.ndarray, list]:
+    a.require_dof()
+    t, errors = a.cholesky
+    d = a.n + a.p - 2 * np.arange(1, a.p + 1) + 1
+    est = (t / d) @ t.swapaxes(1, 2)
+    return (est + est.swapaxes(1, 2)) / 2.0, errors
+
+
+def _stacked_pivot(a: ScatterStack) -> tuple[np.ndarray, list]:
+    a.require_dof()
+    t, errors = a.cholesky
+    d = a.n - np.arange(1, a.p + 1) + 1
+    est = np.zeros(t.shape)
+    idx = np.arange(a.p)
+    est[:, idx, idx] = np.diagonal(t, axis1=1, axis2=2) ** 2 / d
+    return est, errors
+
+
+# method tag -> (estimate matrices, per-matrix refusals) for a whole
+# ScatterStack; slice j equals ESTIMATORS[tag](x[j], False).matrix bit for
+# bit, and its refusal is the CovshrinkError that estimator raises, or None.
+# Tags missing here are scored one replicate at a time.
+STACKED_ESTIMATORS = {
+    "sample": _stacked_sample,
+    "stein_triangular": _stacked_triangular,
+    "dp_equivariant": _stacked_pivot,
 }

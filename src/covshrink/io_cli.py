@@ -22,7 +22,7 @@ import numpy as np
 from .errors import ConfigError, CovshrinkError, CsvFormatError
 from .estimators import ESTIMATORS
 from .hdtest import MEAN_TESTS, power_simulation
-from .loss_risk import RISK_KINDS, min_risk, monte_carlo_risk
+from .loss_risk import RISK_KINDS, min_risk, monte_carlo_risks
 from .rmt import MPModel, mp_cdf, mp_density
 from .sim import EXPERIMENTS, ExperimentConfig, PopulationModel, make_sigma
 
@@ -137,7 +137,8 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--seed", type=int, default=None,
                         help=f"master seed (default: ${ENV_SEED} or 0)")
     parser.add_argument("--threads", type=int, default=1,
-                        help="worker threads for replicate loops (results independent of this)")
+                        help="worker threads for replicate loops scored one replicate at a "
+                             "time (results independent of this)")
     parser.add_argument("--output", default=None, help="write the report here instead of stdout")
     parser.add_argument("--format", choices=("json", "csv"), default=None,
                         help="output format (csv only for the mp grid; default json)")
@@ -252,6 +253,7 @@ def _cmd_mp(args, seed, threads):
 
 def _cmd_risk(args, seed, threads):
     closed = args.closed_form or not args.monte_carlo
+    model = parse_model(args.model, args.p)
     config = {"n": args.n, "p": args.p, "closed_form": closed,
               "monte_carlo": args.monte_carlo, "model": args.model,
               "replicates": args.replicates}
@@ -259,14 +261,13 @@ def _cmd_risk(args, seed, threads):
     if closed:
         results["closed_form"] = {kind: min_risk(kind, args.n, args.p) for kind in RISK_KINDS}
     if args.monte_carlo:
-        sigma = make_sigma(parse_model(args.model, args.p))
-        mc = {}
-        for method in [m for m in args.methods.split(",") if m]:
-            est = monte_carlo_risk(method, sigma, args.n, args.replicates, seed,
-                                   threads=threads)
-            mc[method] = {"mean_loss": est.mean_loss, "std_error": est.std_error,
-                          "replicates": est.replicates, "failures": est.failures}
-        results["monte_carlo"] = mc
+        methods = [m for m in args.methods.split(",") if m]
+        estimates = monte_carlo_risks(methods, make_sigma(model), args.n, args.replicates,
+                                      seed, threads=threads)
+        results["monte_carlo"] = {
+            method: {"mean_loss": est.mean_loss, "std_error": est.std_error,
+                     "replicates": est.replicates, "failures": est.failures}
+            for method, est in estimates.items()}
     return config, results
 
 

@@ -11,10 +11,10 @@ import numpy as np
 from scipy.linalg import solve_triangular
 from scipy.special import digamma
 
-from ._rng import aggregate, check_failures, run_replicates
+from ._rng import aggregate, check_failures, run_chunks
 from .errors import CovshrinkError
-from .estimators import ESTIMATORS
-from .matrix_core import cholesky, schur_pivots
+from .estimators import ESTIMATORS, STACKED_ESTIMATORS, ScatterStack
+from .matrix_core import cholesky, cholesky_stack, schur_pivots
 
 # risk kind -> divisors d_i(n, p, i) of the best estimator in that class
 RISK_DIVISORS = {
@@ -40,13 +40,28 @@ def stein_loss(phi, sigma) -> float:
 
 
 def _stein_loss(t_phi: np.ndarray, t_sig: np.ndarray) -> float:
-    """Stein loss from the lower Cholesky factors of phi and sigma."""
+    """Stein loss from the lower Cholesky factors of phi and sigma; consumes t_phi."""
+    return float(_stein_losses(t_phi[None], t_sig)[0])
+
+
+def _stein_losses(t_phi: np.ndarray, t_sig: np.ndarray) -> np.ndarray:
+    """Stein losses of a (k, p, p) stack of lower factors against one sigma factor.
+
+    Consumes t_phi: the triangular solve overwrites it, which keeps the
+    peak memory at one stack of factors.
+    """
+    k, p, _ = t_phi.shape
+    logdet = 2.0 * (np.sum(np.log(np.diagonal(t_phi, axis1=1, axis2=2)), axis=1)
+                    - np.sum(np.log(np.diag(t_sig))))
     # sigma^-1 phi = (t_sig^-T t_sig^-1)(t_phi t_phi^T); trace is the squared
-    # Frobenius norm of t_sig^-1 t_phi
-    w = solve_triangular(t_sig, t_phi, lower=True)
-    trace = float(np.sum(w * w))
-    logdet = 2.0 * float(np.sum(np.log(np.diag(t_phi))) - np.sum(np.log(np.diag(t_sig))))
-    return trace - logdet - t_phi.shape[0]
+    # Frobenius norm of t_sig^-1 t_phi.  One solve covers every right-hand
+    # side, each factor a Fortran-ordered block of columns, so each w[j] is
+    # summed in the same column-major order as a lone factor would be.
+    w = solve_triangular(t_sig, t_phi.transpose(1, 0, 2).reshape(p, k * p), lower=True,
+                         overwrite_b=True)
+    w = w.reshape(p, k, p).transpose(1, 0, 2)
+    w *= w
+    return np.sum(w, axis=(1, 2)) - logdet - p
 
 
 def elog_chisq(k) -> float:
@@ -94,60 +109,103 @@ class RiskEstimate:
             raise ValueError("standard error cannot be negative")
 
 
-def replicate_losses(method: str, sigma, n: int, replicates: int, seed: int,
-                     threads: int = 1) -> tuple[list[float | None], np.ndarray]:
-    """Per-replicate Stein losses for a mean-zero Gaussian population.
-
-    Returns (losses, target); a failed replicate is recorded as None.  The
-    pivot estimator is scored against the Schur pivot diagonal of sigma, its
-    own target; every other method is scored against sigma itself.  The
-    target is validated and factored once, not per replicate.  Each
-    replicate's data are mean zero, so every estimator runs uncentered.
-    """
-    if method not in ESTIMATORS:
-        raise ValueError(f"unknown method {method!r}, expected one of {tuple(ESTIMATORS)}")
-    estimate = ESTIMATORS[method]
-    sig = np.asarray(sigma, dtype=float)
-    chol_sig = cholesky(sig)
+def _target(method: str, sig: np.ndarray, chol_sig: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(target, its Cholesky factor): the Schur pivot diagonal of sigma for
+    the pivot estimator, sigma itself for every other method."""
     if method == "dp_equivariant":
         target = np.diag(schur_pivots(sig))
-        chol_target = cholesky(target)
-    else:
-        target, chol_target = sig, chol_sig
+        return target, cholesky(target)
+    return sig, chol_sig
 
-    def score(r: int, x: np.ndarray):
+
+def replicate_losses(methods, sigma, n: int, replicates: int, seed: int,
+                     threads: int = 1) -> dict:
+    """Per-replicate Stein losses of several methods on one draw of each replicate.
+
+    Returns {method: (losses, target)} for a mean-zero Gaussian population;
+    a failed replicate is recorded as None.  The pivot estimator is scored
+    against the Schur pivot diagonal of sigma, its own target; every other
+    method against sigma itself.  Targets are validated and factored once,
+    not per replicate, and every estimator runs uncentered.
+
+    Methods in STACKED_ESTIMATORS are scored a chunk at a time, the others
+    one replicate at a time; the losses are the same bits either way.
+    Chunks run serially unless some method is scored per replicate, the only
+    case where ``threads`` pays off.
+    """
+    if isinstance(methods, str):
+        raise TypeError(f"methods must be a sequence of tags, got the string {methods!r}")
+    methods = tuple(methods)
+    for method in methods:
+        if method not in ESTIMATORS:
+            raise ValueError(f"unknown method {method!r}, expected one of {tuple(ESTIMATORS)}")
+    if not methods:
+        return {}
+    sig = np.asarray(sigma, dtype=float)
+    chol_sig = cholesky(sig)
+    targets = {method: _target(method, sig, chol_sig) for method in methods}
+
+    def per_replicate(method: str, xj: np.ndarray):
         try:
-            return _stein_loss(cholesky(estimate(x, False).matrix), chol_target)
+            return _stein_loss(cholesky(ESTIMATORS[method](xj, False).matrix), targets[method][1])
         except CovshrinkError:
             return None
 
-    return run_replicates(score, seed, chol_sig, n, replicates, threads), target
+    def stacked(method: str, scatter: ScatterStack) -> list:
+        est, est_errors = STACKED_ESTIMATORS[method](scatter)
+        t_phi, errors = cholesky_stack(est)
+        losses = _stein_losses(t_phi, targets[method][1])
+        return [None if e1 is not None or e2 is not None else float(loss)
+                for loss, e1, e2 in zip(losses, est_errors, errors)]
+
+    any_stacked = any(m in STACKED_ESTIMATORS for m in methods)
+
+    def score_chunk(start: int, x: np.ndarray) -> list:
+        scatter = ScatterStack(x) if any_stacked else None
+        columns = [stacked(m, scatter) if m in STACKED_ESTIMATORS
+                   else [per_replicate(m, xj) for xj in x] for m in methods]
+        return list(zip(*columns))
+
+    chunk_threads = threads if any(m not in STACKED_ESTIMATORS for m in methods) else 1
+    rows = run_chunks(score_chunk, seed, chol_sig, n, replicates, chunk_threads)
+    return {method: ([row[i] for row in rows], targets[method][0])
+            for i, method in enumerate(methods)}
 
 
-def monte_carlo_risk(method: str, sigma, n: int, replicates: int, seed: int,
-                     threads: int = 1) -> RiskEstimate:
-    """Mean and standard error of the Stein loss over Wishart-data replicates.
+def monte_carlo_risks(methods, sigma, n: int, replicates: int, seed: int,
+                      threads: int = 1) -> dict:
+    """{method: RiskEstimate} from one draw of each replicate shared by every method.
 
-    Deterministic given ``seed`` regardless of ``threads``.  Individual
+    Mean and standard error of the Stein loss over Wishart-data replicates,
+    deterministic given ``seed`` regardless of ``threads``.  Individual
     replicate failures (singular shrinkage and the like) are tolerated up to
-    1 percent of the run; beyond that the whole estimate aborts, since a
-    mean over a heavily censored sample is not the risk.
+    1 percent of the run; beyond that the whole call aborts, since a mean
+    over a heavily censored sample is not the risk.
     """
     if replicates < 100:
         raise ValueError(f"need at least 100 replicates for reporting, got {replicates}")
     p = np.asarray(sigma).shape[0]
     if n < p:
         raise ValueError(f"sample count {n} below dimension {p}")
-    losses, _ = replicate_losses(method, sigma, n, replicates, seed, threads=threads)
-    failures = check_failures(losses, method, n, p)
-    agg = aggregate(losses)
-    return RiskEstimate(
-        mean_loss=agg["mean"],
-        std_error=agg["se"],
-        replicates=agg["count"],
-        method=method,
-        n=n,
-        p=p,
-        seed=seed,
-        failures=int(failures),
-    )
+    out = {}
+    for method, (losses, _) in replicate_losses(methods, sigma, n, replicates, seed,
+                                              threads=threads).items():
+        failures = check_failures(losses, method, n, p)
+        agg = aggregate(losses)
+        out[method] = RiskEstimate(
+            mean_loss=agg["mean"],
+            std_error=agg["se"],
+            replicates=agg["count"],
+            method=method,
+            n=n,
+            p=p,
+            seed=seed,
+            failures=int(failures),
+        )
+    return out
+
+
+def monte_carlo_risk(method: str, sigma, n: int, replicates: int, seed: int,
+                     threads: int = 1) -> RiskEstimate:
+    """Mean and standard error of one method's Stein loss; see ``monte_carlo_risks``."""
+    return monte_carlo_risks((method,), sigma, n, replicates, seed, threads)[method]

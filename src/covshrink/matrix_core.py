@@ -21,24 +21,44 @@ TIE_GAP = 1e-12
 SIGN_EPS = 1e-12
 
 
-def _as_symmetric(m) -> np.ndarray:
-    """Validate shape and symmetry, return the symmetrized copy (M + M.T)/2.
+def _symmetrize(a: np.ndarray) -> tuple[np.ndarray, list]:
+    """Symmetrized copies (M + M.T)/2 of a (k, p, p) stack, and each matrix's refusal.
 
-    Asymmetry up to SYM_RTOL relative to the largest entry is treated as
-    accumulation noise and repaired; anything larger is an error.
+    ``errors[j]`` is the AsymmetricInputError that matrix j earns (non-finite
+    entries, or asymmetry above SYM_RTOL relative to its largest entry, which
+    is more than accumulation noise), or None.
     """
+    at = a.swapaxes(1, 2)
+    with np.errstate(invalid="ignore"):  # inf - inf in a matrix refused anyway
+        finite = np.isfinite(a).all(axis=(1, 2)).tolist()
+        scale = np.abs(a).max(axis=(1, 2)).tolist()
+        diff = a - at
+        gap = np.abs(diff, out=diff).max(axis=(1, 2)).tolist()
+    errors = [None] * a.shape[0]
+    for j, (ok, s, g) in enumerate(zip(finite, scale, gap)):
+        if not ok:
+            errors[j] = AsymmetricInputError("matrix has non-finite entries")
+        elif g > SYM_RTOL * max(s, 1.0):
+            errors[j] = AsymmetricInputError(
+                f"asymmetry {g:.3e} exceeds tolerance {SYM_RTOL:.0e} relative to scale {s:.3e}")
+    sym = np.add(a, at, out=diff)  # reuse the buffer of the differences
+    sym /= 2.0
+    return sym, errors
+
+
+def _square(m) -> np.ndarray:
     a = np.asarray(m, dtype=float)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise AsymmetricInputError(f"expected a square matrix, got shape {a.shape}")
-    if not np.isfinite(a).all():
-        raise AsymmetricInputError("matrix has non-finite entries")
-    scale = np.abs(a).max()
-    gap = np.abs(a - a.T).max()
-    if gap > SYM_RTOL * max(scale, 1.0):
-        raise AsymmetricInputError(
-            f"asymmetry {gap:.3e} exceeds tolerance {SYM_RTOL:.0e} relative to scale {scale:.3e}"
-        )
-    return (a + a.T) / 2.0
+    return a
+
+
+def _as_symmetric(m) -> np.ndarray:
+    """Validate shape and symmetry, return the symmetrized copy (M + M.T)/2."""
+    sym, errors = _symmetrize(_square(m)[None])
+    if errors[0] is not None:
+        raise errors[0]
+    return sym[0]
 
 
 @dataclass(frozen=True)
@@ -105,21 +125,46 @@ def spectral_decompose(m) -> SpectralDecomp:
     return SpectralDecomp(eigenvalues=w, eigenvectors=v, tied=tied)
 
 
+def cholesky_stack(m) -> tuple[np.ndarray, list]:
+    """Lower Cholesky factors of a (k, p, p) stack, and each matrix's refusal.
+
+    ``errors[j]`` is the error ``cholesky`` raises for matrix j, or None;
+    a refused matrix gets the identity as a placeholder factor so stacked
+    arithmetic on the factors stays finite.  Each factor is Fortran-ordered,
+    as LAPACK returns it, so downstream solves take the same path as on a
+    single factor.
+    """
+    a = np.asarray(m, dtype=float)
+    if a.ndim != 3 or a.shape[1] != a.shape[2]:
+        raise AsymmetricInputError(f"expected a stack of square matrices, got shape {a.shape}")
+    sym, errors = _symmetrize(a)
+    p = a.shape[1]
+    # each sym[j] is exactly symmetric, so its transpose is the same matrix
+    # in Fortran order, which dpotrf factors in place without a copy
+    t = sym.swapaxes(1, 2)
+    for j, error in enumerate(errors):
+        if error is None:
+            _, info = lapack.dpotrf(t[j], lower=1, clean=1, overwrite_a=1)
+            if info > 0:
+                errors[j] = NotPositiveDefiniteError(
+                    f"leading minor of order {info} is not positive definite", index=int(info))
+            elif info < 0:
+                errors[j] = DecompositionError(f"illegal value in argument {-info} of dpotrf")
+        if errors[j] is not None:
+            t[j] = np.eye(p)
+    return t, errors
+
+
 def cholesky(m) -> np.ndarray:
     """Lower-triangular T with T @ T.T = m and strictly positive diagonal.
 
     Raises NotPositiveDefiniteError naming the 1-based failing minor when m
     is not positive definite.
     """
-    a = _as_symmetric(m)
-    t, info = lapack.dpotrf(a, lower=1, clean=1, overwrite_a=0)
-    if info > 0:
-        raise NotPositiveDefiniteError(
-            f"leading minor of order {info} is not positive definite", index=int(info)
-        )
-    if info < 0:
-        raise DecompositionError(f"illegal value in argument {-info} of dpotrf")
-    return t
+    t, errors = cholesky_stack(_square(m)[None])
+    if errors[0] is not None:
+        raise errors[0]
+    return t[0]
 
 
 def schur_pivots(m) -> np.ndarray:

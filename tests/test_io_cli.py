@@ -300,6 +300,11 @@ class TestExitCodes:
         assert f"error: cannot write {out}" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_unknown_model_with_closed_form_is_2(self, capsys):
+        assert run_cli(["risk", "--n", "50", "--p", "10", "--closed-form",
+                        "--model", "bogus"]) == 2
+        assert "unknown population model 'bogus'" in capsys.readouterr().err
+
     def test_help_exits_zero(self, capsys):
         assert run_cli(["--help"]) == 0
         capsys.readouterr()
@@ -345,6 +350,24 @@ class TestDeterminism:
         text1, text2 = out1.read_text(), out2.read_text()
         doc1, doc2 = ReportDocument.from_json(text1), ReportDocument.from_json(text2)
         assert strip_volatile(doc1) == strip_volatile(doc2)
+
+    def test_risk_keeps_the_methods_that_completed(self, tmp_path):
+        # tsai refuses 4 of 300 replicates here, above the 1 % tolerance
+        argv = ["--seed", "7", "simulate", "--experiment", "risk", "--n", "60", "--p", "4",
+                "--replicates", "300"]
+        doc = run_json(tmp_path, argv)
+        stacked = ("sample", "stein_triangular", "dp_equivariant")
+        alone = run_json(tmp_path, argv + ["--methods", ",".join(stacked)])
+        mc = doc.results["metrics"]["monte_carlo"]
+        assert mc["tsai"] == {
+            "mean": None, "se": None, "count": 296, "failures": 4,
+            "error": "4 of 300 replicates failed for method 'tsai' at n=60, p=4; "
+                     "above the 1% tolerance"}
+        assert {m: mc[m] for m in stacked} == alone.results["metrics"]["monte_carlo"]
+        assert all("error" not in mc[m] for m in stacked)
+        assert doc.results["failures"] == 4
+        for row, row_alone in zip(doc.results["rows"], alone.results["rows"]):
+            assert {m: row["losses"][m] for m in stacked} == row_alone["losses"]
 
     def test_thread_count_invisible_in_results(self, tmp_path):
         base = ["--seed", "11", "simulate", "--experiment", "risk",

@@ -3,6 +3,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 from covshrink import (
+    AsymmetricInputError,
     NotPositiveDefiniteError,
     NumericError,
     elog_chisq,
@@ -10,10 +11,17 @@ from covshrink import (
     monte_carlo_risk,
     stein_loss,
 )
+from covshrink import _rng
 from covshrink._rng import aggregate, check_failures, gaussian_rows, replicate_rng
-from covshrink.estimators import dp_equivariant, scatter_matrix
+from covshrink.estimators import (
+    ESTIMATORS,
+    STACKED_ESTIMATORS,
+    ScatterStack,
+    dp_equivariant,
+    scatter_matrix,
+)
 from covshrink.loss_risk import replicate_losses
-from covshrink.matrix_core import cholesky
+from covshrink.matrix_core import cholesky, cholesky_stack
 
 EULER_GAMMA = 0.5772156649015329
 
@@ -194,7 +202,8 @@ class TestMonteCarloRisk:
     def test_mean_and_se_are_the_aggregate_of_the_losses(self):
         sigma = np.array([[4.0, 2.0], [2.0, 5.0]])
         est = monte_carlo_risk("stein_triangular", sigma, n=10, replicates=150, seed=4)
-        losses, _ = replicate_losses("stein_triangular", sigma, n=10, replicates=150, seed=4)
+        losses, _ = replicate_losses(["stein_triangular"], sigma, n=10, replicates=150,
+                                     seed=4)["stein_triangular"]
         agg = aggregate(losses)
         assert (est.mean_loss, est.std_error, est.replicates) == (
             agg["mean"], agg["se"], agg["count"])
@@ -203,27 +212,110 @@ class TestMonteCarloRisk:
 class TestReplicateLosses:
     def test_pivot_method_scored_against_pivot_diagonal(self):
         sigma = np.array([[4.0, 2.0], [2.0, 5.0]])
-        _, target = replicate_losses("dp_equivariant", sigma, n=10, replicates=2, seed=0)
+        _, target = replicate_losses(["dp_equivariant"], sigma, n=10, replicates=2,
+                                     seed=0)["dp_equivariant"]
         assert_allclose(target, np.diag([4.0, 4.0]))
 
     def test_other_methods_scored_against_sigma(self):
         sigma = np.array([[4.0, 2.0], [2.0, 5.0]])
-        _, target = replicate_losses("sample", sigma, n=10, replicates=2, seed=0)
+        _, target = replicate_losses(["sample"], sigma, n=10, replicates=2, seed=0)["sample"]
         assert_allclose(target, sigma)
 
     def test_losses_equal_public_stein_loss(self):
         # the per-replicate loss reuses the target's factor; the value must not move
         sigma = np.array([[4.0, 2.0], [2.0, 5.0]])
-        losses, target = replicate_losses("dp_equivariant", sigma, n=10, replicates=4, seed=3)
+        losses, target = replicate_losses(["dp_equivariant"], sigma, n=10, replicates=4,
+                                          seed=3)["dp_equivariant"]
         x = gaussian_rows(replicate_rng(3, 2), cholesky(sigma), 10)
         est = dp_equivariant(scatter_matrix(x, centered=False))
         assert losses[2] == stein_loss(est.matrix, target)
 
     def test_unknown_method_refused_before_any_replicate(self):
         with pytest.raises(ValueError, match="unknown method 'oas'"):
-            replicate_losses("oas", np.eye(2), n=10, replicates=0, seed=0)
+            replicate_losses(["sample", "oas"], np.eye(2), n=10, replicates=0, seed=0)
 
     def test_failures_recorded_as_none(self):
-        losses, _ = replicate_losses("tsai", np.eye(20), n=40, replicates=20, seed=5)
+        losses, _ = replicate_losses(["tsai"], np.eye(20), n=40, replicates=20, seed=5)["tsai"]
         assert any(v is None for v in losses)
         assert len(losses) == 20
+
+    def test_a_bare_string_is_not_a_method_list(self):
+        with pytest.raises(TypeError, match="sequence of tags"):
+            replicate_losses("sample", np.eye(2), n=10, replicates=2, seed=0)
+
+
+def ar1(p, rho):
+    idx = np.arange(p)
+    return rho ** np.abs(idx[:, None] - idx[None, :])
+
+
+STACKED_TAGS = ("sample", "stein_triangular", "dp_equivariant")
+
+
+class TestStackedEngine:
+    @pytest.mark.parametrize("sigma", [np.eye(10), ar1(10, 0.7)], ids=["identity", "ar1"])
+    def test_stacked_losses_equal_per_replicate_losses(self, sigma):
+        # n=50, p=10: 65 replicates per chunk, so 300 replicates span five chunks
+        n, reps, seed = 50, 300, 7
+        out = replicate_losses(STACKED_TAGS, sigma, n, reps, seed)
+        chol = cholesky(sigma)
+        for tag in STACKED_TAGS:
+            losses, target = out[tag]
+            for r in range(reps):
+                x = gaussian_rows(replicate_rng(seed, r), chol, n)
+                assert losses[r] == stein_loss(ESTIMATORS[tag](x, False).matrix, target)
+
+    def test_losses_do_not_depend_on_chunk_size(self, monkeypatch):
+        sigma = ar1(6, 0.5)
+        tags = STACKED_TAGS + ("tsai",)
+        default = replicate_losses(tags, sigma, 12, 150, 2)
+        monkeypatch.setattr(_rng, "CHUNK_BYTES", 1)
+        single = replicate_losses(tags, sigma, 12, 150, 2)
+        assert {t: default[t][0] for t in tags} == {t: single[t][0] for t in tags}
+        assert any(v is None for v in default["tsai"][0])
+
+    def test_each_method_scored_alone_or_together_alike(self):
+        sigma = ar1(4, 0.3)
+        tags = ("tsai",) + STACKED_TAGS
+        together = replicate_losses(tags, sigma, 9, 120, 6, threads=2)
+        for tag in tags:
+            alone, _ = replicate_losses([tag], sigma, 9, 120, 6)[tag]
+            assert together[tag][0] == alone
+
+    def test_stacked_cholesky_refuses_as_cholesky_does(self):
+        good = np.array([[4.0, 1.0, 0.0], [1.0, 3.0, 0.5], [0.0, 0.5, 2.0]])
+        indefinite = np.array([[1.0, 0.0, 0.0], [0.0, 2.0, 3.0], [0.0, 3.0, 1.0]])
+        nonfinite = good.copy()
+        nonfinite[2, 1] = np.nan
+        asymmetric = good.copy()
+        asymmetric[0, 2] = 1e-3
+        stack = np.stack([good, indefinite, nonfinite, asymmetric, good])
+        t, errors = cholesky_stack(stack)
+        assert errors[0] is None and errors[4] is None
+        assert np.array_equal(t[0], cholesky(good))
+        for m, err, kind in ((indefinite, errors[1], NotPositiveDefiniteError),
+                             (nonfinite, errors[2], AsymmetricInputError),
+                             (asymmetric, errors[3], AsymmetricInputError)):
+            with pytest.raises(kind) as single:
+                cholesky(m)
+            assert type(err) is kind
+            assert str(err) == str(single.value)
+            assert getattr(err, "index", None) == getattr(single.value, "index", None)
+        assert errors[1].index == 3
+        for j in (1, 2, 3):
+            assert np.array_equal(t[j], np.eye(3))
+
+    def test_stacked_estimators_refuse_as_the_estimators_do(self):
+        # replicate 1 has an all-zero column, so its scatter is singular at index 2
+        x = np.random.default_rng(5).standard_normal((3, 8, 3))
+        x[1, :, 1] = 0.0
+        scatter = ScatterStack(x)
+        assert np.array_equal(scatter.matrix[1], scatter_matrix(x[1]).matrix)
+        for tag in ("stein_triangular", "dp_equivariant"):
+            est, errors = STACKED_ESTIMATORS[tag](scatter)
+            with pytest.raises(NotPositiveDefiniteError) as single:
+                ESTIMATORS[tag](x[1], False)
+            assert (str(errors[1]), errors[1].index) == (str(single.value), single.value.index)
+            for j in (0, 2):
+                assert errors[j] is None
+                assert np.array_equal(est[j], ESTIMATORS[tag](x[j], False).matrix)

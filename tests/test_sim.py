@@ -73,6 +73,11 @@ class TestPopulationModel:
         with pytest.raises(ConfigError):
             PopulationModel(variant="explicit", p=2, matrix=np.array([[1.0, 2.0], [2.0, 1.0]]))
 
+    @pytest.mark.parametrize("spike", [float("nan"), float("inf")])
+    def test_non_finite_spike_named(self, spike):
+        with pytest.raises(ConfigError, match=f"spike value {spike!r} is not finite"):
+            PopulationModel(variant="spiked", p=3, spikes=(2.0, spike))
+
     def test_noninteger_dimension_rejected(self):
         with pytest.raises(ConfigError):
             PopulationModel(variant="identity", p=1600 * 0.999)
