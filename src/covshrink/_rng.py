@@ -11,6 +11,7 @@ standard error over the replicates that completed.
 """
 
 import hashlib
+from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -62,28 +63,39 @@ def draw_chunk(seed: int, chol_factor: np.ndarray, n: int, start: int, stop: int
 
 
 def run_chunks(score_chunk, seed: int, chol_factor: np.ndarray, n: int, replicates: int,
-               threads: int = 1, mean=None) -> list:
+               threads: int = 1, mean=None, draw_ahead: bool = False) -> list:
     """Concatenated ``score_chunk(start, x)`` over the chunks, in replicate order.
 
     x is ``draw_chunk(seed, chol_factor, n, start, stop, mean)`` and
     ``score_chunk`` returns one outcome per slice.  The chunk size depends on
     (n, p) alone, so every outcome depends on (seed, r) alone, never on
-    ``threads``; above one thread each worker draws and scores whole chunks.
-    Errors raised by ``score_chunk`` propagate.
+    ``threads``.  Above one thread, each worker draws and scores whole
+    chunks; with ``draw_ahead``, ``threads - 1`` workers draw the next
+    chunks while the calling thread scores the current one, for scorers
+    that hold the interpreter lock and so gain nothing from a second
+    scoring thread.  Errors raised by ``score_chunk`` propagate.
     """
     step = chunk_replicates(n, chol_factor.shape[0])
-
-    def one(start: int) -> list:
-        stop = min(start + step, replicates)
-        return score_chunk(start, draw_chunk(seed, chol_factor, n, start, stop, mean))
-
     starts = range(0, replicates, step)
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            parts = list(pool.map(one, starts))
-    else:
-        parts = [one(start) for start in starts]
-    return [outcome for part in parts for outcome in part]
+
+    def draw(start: int) -> np.ndarray:
+        return draw_chunk(seed, chol_factor, n, start, min(start + step, replicates), mean)
+
+    if threads <= 1:
+        return [outcome for start in starts for outcome in score_chunk(start, draw(start))]
+    with ThreadPoolExecutor(max_workers=threads - 1 if draw_ahead else threads) as pool:
+        if not draw_ahead:
+            parts = pool.map(lambda start: score_chunk(start, draw(start)), starts)
+            return [outcome for part in parts for outcome in part]
+        # at most threads - 1 chunks wait in memory beyond the one being scored
+        pending = deque(pool.submit(draw, start) for start in starts[:threads - 1])
+        outcomes = []
+        for k, start in enumerate(starts):
+            x = pending.popleft().result()
+            if k + threads - 1 < len(starts):
+                pending.append(pool.submit(draw, starts[k + threads - 1]))
+            outcomes.extend(score_chunk(start, x))
+        return outcomes
 
 
 def run_replicates(score, seed: int, chol_factor: np.ndarray, n: int, replicates: int,

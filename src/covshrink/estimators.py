@@ -15,7 +15,6 @@ nearly collide, so denominators at or below the guard are a hard error and
 """
 
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
@@ -328,9 +327,7 @@ ESTIMATORS = {
 class ScatterStack:
     """Uncentered scatters x_j' x_j of a (k, n, p) stack of mean-zero samples.
 
-    Slice j of ``matrix`` is bit for bit ``scatter_matrix(x[j]).matrix``;
-    ``cholesky`` is its ``cholesky_stack``, computed once on first use and
-    shared by the triangular and pivot estimators.
+    Slice j of ``matrix`` is bit for bit ``scatter_matrix(x[j]).matrix``.
     """
 
     def __init__(self, x: np.ndarray):
@@ -340,10 +337,6 @@ class ScatterStack:
         if not np.isfinite(x).all():
             raise ValueError("data contains non-finite entries")
         self.matrix = x.transpose(0, 2, 1) @ x
-
-    @cached_property
-    def cholesky(self) -> tuple[np.ndarray, list]:
-        return cholesky_stack(self.matrix)
 
     def require_dof(self) -> None:
         if self.n < self.p:
@@ -357,7 +350,7 @@ def _stacked_sample(a: ScatterStack) -> tuple[np.ndarray, list]:
 
 def _stacked_triangular(a: ScatterStack) -> tuple[np.ndarray, list]:
     a.require_dof()
-    t, errors = a.cholesky
+    t, errors = cholesky_stack(a.matrix)
     d = a.n + a.p - 2 * np.arange(1, a.p + 1) + 1
     est = (t / d) @ t.swapaxes(1, 2)
     return (est + est.swapaxes(1, 2)) / 2.0, errors
@@ -365,7 +358,7 @@ def _stacked_triangular(a: ScatterStack) -> tuple[np.ndarray, list]:
 
 def _stacked_pivot(a: ScatterStack) -> tuple[np.ndarray, list]:
     a.require_dof()
-    t, errors = a.cholesky
+    t, errors = cholesky_stack(a.matrix)
     d = a.n - np.arange(1, a.p + 1) + 1
     est = np.zeros(t.shape)
     idx = np.arange(a.p)

@@ -11,7 +11,7 @@ import numpy as np
 from scipy.linalg import solve_triangular
 from scipy.special import digamma
 
-from ._rng import aggregate, check_failures, run_chunks
+from ._rng import aggregate, check_failures, run_chunks, run_replicates
 from .errors import CovshrinkError
 from .estimators import ESTIMATORS, STACKED_ESTIMATORS, ScatterStack
 from .matrix_core import cholesky, cholesky_stack, schur_pivots
@@ -120,7 +120,7 @@ def _target(method: str, sig: np.ndarray, chol_sig: np.ndarray) -> tuple[np.ndar
 
 def replicate_losses(methods, sigma, n: int, replicates: int, seed: int,
                      threads: int = 1) -> dict:
-    """Per-replicate Stein losses of several methods on one draw of each replicate.
+    """Per-replicate Stein losses of several methods on the same replicate draws.
 
     Returns {method: (losses, target)} for a mean-zero Gaussian population;
     a failed replicate is recorded as None.  The pivot estimator is scored
@@ -128,10 +128,12 @@ def replicate_losses(methods, sigma, n: int, replicates: int, seed: int,
     method against sigma itself.  Targets are validated and factored once,
     not per replicate, and every estimator runs uncentered.
 
-    Methods in STACKED_ESTIMATORS are scored a chunk at a time, the others
-    one replicate at a time; the losses are the same bits either way.
-    Chunks run serially unless some method is scored per replicate, the only
-    case where ``threads`` pays off.
+    Each method makes its own pass over the replicates, and replicate r of
+    every pass is drawn from ``replicate_rng(seed, r)``, so all methods see
+    the same data.  Methods in STACKED_ESTIMATORS are scored a chunk at a
+    time on the calling thread, with the next chunks drawn ahead on the
+    other threads; the others one replicate at a time, split across threads.
+    The losses are the same bits either way.
     """
     if isinstance(methods, str):
         raise TypeError(f"methods must be a sequence of tags, got the string {methods!r}")
@@ -143,38 +145,36 @@ def replicate_losses(methods, sigma, n: int, replicates: int, seed: int,
         return {}
     sig = np.asarray(sigma, dtype=float)
     chol_sig = cholesky(sig)
-    targets = {method: _target(method, sig, chol_sig) for method in methods}
+    out = {}
+    for method in methods:
+        target, t_target = _target(method, sig, chol_sig)
+        estimate = ESTIMATORS[method]
+        stacked_estimate = STACKED_ESTIMATORS.get(method)
 
-    def per_replicate(method: str, xj: np.ndarray):
-        try:
-            return _stein_loss(cholesky(ESTIMATORS[method](xj, False).matrix), targets[method][1])
-        except CovshrinkError:
-            return None
+        def per_replicate(r: int, xj: np.ndarray):
+            try:
+                return _stein_loss(cholesky(estimate(xj, False).matrix), t_target)
+            except CovshrinkError:
+                return None
 
-    def stacked(method: str, scatter: ScatterStack) -> list:
-        est, est_errors = STACKED_ESTIMATORS[method](scatter)
-        t_phi, errors = cholesky_stack(est)
-        losses = _stein_losses(t_phi, targets[method][1])
-        return [None if e1 is not None or e2 is not None else float(loss)
-                for loss, e1, e2 in zip(losses, est_errors, errors)]
+        def stacked(start: int, x: np.ndarray) -> list:
+            est, est_errors = stacked_estimate(ScatterStack(x))
+            t_phi, errors = cholesky_stack(est)
+            losses = _stein_losses(t_phi, t_target)
+            return [None if e1 is not None or e2 is not None else float(loss)
+                    for loss, e1, e2 in zip(losses, est_errors, errors)]
 
-    any_stacked = any(m in STACKED_ESTIMATORS for m in methods)
-
-    def score_chunk(start: int, x: np.ndarray) -> list:
-        scatter = ScatterStack(x) if any_stacked else None
-        columns = [stacked(m, scatter) if m in STACKED_ESTIMATORS
-                   else [per_replicate(m, xj) for xj in x] for m in methods]
-        return list(zip(*columns))
-
-    chunk_threads = threads if any(m not in STACKED_ESTIMATORS for m in methods) else 1
-    rows = run_chunks(score_chunk, seed, chol_sig, n, replicates, chunk_threads)
-    return {method: ([row[i] for row in rows], targets[method][0])
-            for i, method in enumerate(methods)}
+        if stacked_estimate is None:
+            losses = run_replicates(per_replicate, seed, chol_sig, n, replicates, threads)
+        else:
+            losses = run_chunks(stacked, seed, chol_sig, n, replicates, threads, draw_ahead=True)
+        out[method] = (losses, target)
+    return out
 
 
 def monte_carlo_risks(methods, sigma, n: int, replicates: int, seed: int,
                       threads: int = 1) -> dict:
-    """{method: RiskEstimate} from one draw of each replicate shared by every method.
+    """{method: RiskEstimate}, every method scored on the same replicate draws.
 
     Mean and standard error of the Stein loss over Wishart-data replicates,
     deterministic given ``seed`` regardless of ``threads``.  Individual

@@ -243,7 +243,7 @@ def esd_fit_experiment(config: ExperimentConfig, threads: int = 1) -> Experiment
 def risk_comparison_experiment(config: ExperimentConfig, threads: int = 1) -> ExperimentReport:
     """Monte Carlo risks for the chosen estimators plus the closed-form minima.
 
-    Every method is scored on one draw of each replicate.  The pivot
+    Every method is scored on the same replicate draws.  The pivot
     estimator is scored against its own target (the Schur pivot diagonal of
     sigma); everything else against sigma.  Replicate failures are recorded;
     a method above the risk runner's 1 percent tolerance reports a null

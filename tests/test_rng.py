@@ -1,3 +1,5 @@
+import threading
+
 import numpy as np
 import pytest
 
@@ -57,7 +59,8 @@ class TestChunking:
 
 class TestReplicateCounts:
     @pytest.mark.parametrize("threads", ["1", "2"])
-    def test_three_method_risk_draws_each_replicate_once(self, tmp_path, monkeypatch, threads):
+    def test_three_method_risk_draws_each_replicate_once_per_method(self, tmp_path, monkeypatch,
+                                                                     threads):
         calls = []
 
         def counted(seed, index):
@@ -69,4 +72,20 @@ class TestReplicateCounts:
                         "risk", "--n", "20", "--p", "4", "--monte-carlo",
                         "--replicates", "200"])
         assert code == 0
-        assert sorted(calls) == list(range(200))
+        assert sorted(calls) == sorted(list(range(200)) * 3)
+
+    def test_draw_ahead_scores_on_the_calling_thread_in_order(self, monkeypatch):
+        monkeypatch.setattr(_rng, "CHUNK_BYTES", 8 * 10 * 3 * 7)  # seven replicates a chunk
+        chol = cholesky(ar1(3, 0.2))
+        seen = []
+
+        def score_chunk(start, x):
+            seen.append((start, threading.get_ident()))
+            return [float(np.sum(xj)) for xj in x]
+
+        serial = run_chunks(score_chunk, 8, chol, 10, 100)
+        seen.clear()
+        for threads in (2, 3):
+            assert run_chunks(score_chunk, 8, chol, 10, 100, threads, draw_ahead=True) == serial
+            assert seen == [(start, threading.get_ident()) for start in range(0, 100, 7)]
+            seen.clear()
