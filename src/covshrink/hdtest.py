@@ -11,13 +11,11 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import chdtri, chndtr, gammaincc
 
 from ._rng import check_failures, run_replicates
 from .errors import CovshrinkError, NotPositiveDefiniteError
 from .estimators import as_data_matrix, sample_covariance, tsai_eigenvalues
 from .matrix_core import cholesky, spectral_decompose
-from scipy.linalg import solve_triangular
 
 RATES = ("hdim", "classical")
 
@@ -40,6 +38,8 @@ class TestResult:
 
 def _mahalanobis_sq(xbar: np.ndarray, matrix: np.ndarray) -> float:
     """xbar' matrix^-1 xbar through a Cholesky solve; raises on singular input."""
+    from scipy.linalg import solve_triangular  # on first use, not at import
+
     t = cholesky(matrix)
     w = solve_triangular(t, xbar, lower=True)
     return float(w @ w)
@@ -70,6 +70,8 @@ def chisq_pvalue(statistic: float, p: int, noncentrality: float = 0.0) -> float:
     is accurate to about 2e-15 absolute (not relative: tail values below that
     round to 0) and has no ceiling on the noncentrality.
     """
+    from scipy.special import chndtr, gammaincc
+
     if statistic < 0.0:
         raise ValueError(f"statistic must be nonnegative, got {statistic}")
     if noncentrality < 0.0:
@@ -200,6 +202,8 @@ def power_simulation(n: int, p: int, sigma, delta, alpha: float = 0.05,
     Failed replicates (singular shrinkage) are recorded; more than 1 percent
     failures aborts, as in the risk runner.
     """
+    from scipy.special import chdtri
+
     if method not in MEAN_TESTS:
         raise ValueError(f"unknown method {method!r}, expected one of {tuple(MEAN_TESTS)}")
     if replicates < 1:

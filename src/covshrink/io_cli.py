@@ -11,6 +11,7 @@ from --seed, then the COVSHRINK_SEED environment variable, then 0.
 import argparse
 import csv
 import datetime
+import itertools
 import json
 import math
 import os
@@ -53,11 +54,29 @@ def read_csv(path: str, delimiter: str = ",", header: bool = False) -> np.ndarra
         numbered = numbered[1:]
     if not numbered:
         raise CsvFormatError(f"{path}: no data rows")
-    width = len(numbered[0][1])
-    data = np.empty((len(numbered), width))
-    for out_i, (lineno, row) in enumerate(numbered):
+    rows = [row for _, row in numbered]
+    width = len(rows[0])
+    if all(len(row) == width for row in rows):
+        # one C-level pass, with the same float() per cell as _first_malformed
+        try:
+            data = np.fromiter(map(float, itertools.chain.from_iterable(rows)), float,
+                               count=len(rows) * width)
+        except ValueError:
+            pass
+        else:
+            if np.isfinite(data).all():
+                return data.reshape(len(rows), width)
+    raise _first_malformed(path, numbered, width)
+
+
+def _first_malformed(path: str, numbered: list, width: int) -> CsvFormatError:
+    """The error for the first short or long row, or bad cell, in file order.
+
+    Only called when some row or cell is malformed.
+    """
+    for lineno, row in numbered:
         if len(row) != width:
-            raise CsvFormatError(
+            return CsvFormatError(
                 f"{path}: line {lineno} has {len(row)} fields, expected {width}",
                 line=lineno,
             )
@@ -65,19 +84,18 @@ def read_csv(path: str, delimiter: str = ",", header: bool = False) -> np.ndarra
             try:
                 value = float(cell)
             except ValueError:
-                raise CsvFormatError(
+                return CsvFormatError(
                     f"{path}: non-numeric value {cell.strip()!r} at line {lineno}, column {j + 1}",
                     line=lineno,
                     column=j + 1,
-                ) from None
+                )
             if not math.isfinite(value):
-                raise CsvFormatError(
+                return CsvFormatError(
                     f"{path}: non-finite value at line {lineno}, column {j + 1}",
                     line=lineno,
                     column=j + 1,
                 )
-            data[out_i, j] = value
-    return data
+    raise AssertionError(f"{path}: no malformed row or cell found")
 
 
 @dataclass(frozen=True)
@@ -254,14 +272,17 @@ def _cmd_mp(args, seed, threads):
 def _cmd_risk(args, seed, threads):
     closed = args.closed_form or not args.monte_carlo
     model = parse_model(args.model, args.p)
+    methods = [m for m in args.methods.split(",") if m]
     config = {"n": args.n, "p": args.p, "closed_form": closed,
               "monte_carlo": args.monte_carlo, "model": args.model,
-              "replicates": args.replicates}
+              "replicates": args.replicates, "methods": methods}
     results = {}
     if closed:
         results["closed_form"] = {kind: min_risk(kind, args.n, args.p) for kind in RISK_KINDS}
     if args.monte_carlo:
-        methods = [m for m in args.methods.split(",") if m]
+        if not methods:
+            raise ConfigError(f"--methods {args.methods!r} gives no estimator tag, "
+                              f"expected some of {tuple(ESTIMATORS)}")
         estimates = monte_carlo_risks(methods, make_sigma(model), args.n, args.replicates,
                                       seed, threads=threads)
         results["monte_carlo"] = {

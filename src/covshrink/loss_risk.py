@@ -8,8 +8,6 @@ against those closed forms and to measure estimators that lack one.
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import solve_triangular
-from scipy.special import digamma
 
 from ._rng import aggregate, check_failures, run_chunks, run_replicates
 from .errors import CovshrinkError
@@ -50,6 +48,8 @@ def _stein_losses(t_phi: np.ndarray, t_sig: np.ndarray) -> np.ndarray:
     Consumes t_phi: the triangular solve overwrites it, which keeps the
     peak memory at one stack of factors.
     """
+    from scipy.linalg import solve_triangular  # on first use, not at import
+
     k, p, _ = t_phi.shape
     logdet = 2.0 * (np.sum(np.log(np.diagonal(t_phi, axis1=1, axis2=2)), axis=1)
                     - np.sum(np.log(np.diag(t_sig))))
@@ -66,6 +66,8 @@ def _stein_losses(t_phi: np.ndarray, t_sig: np.ndarray) -> np.ndarray:
 
 def elog_chisq(k) -> float:
     """E[log chi2_k] = log 2 + digamma(k / 2) for k >= 1."""
+    from scipy.special import digamma
+
     kv = np.asarray(k, dtype=float)
     if np.any(kv < 1):
         raise ValueError(f"degrees of freedom must be >= 1, got {k}")

@@ -8,7 +8,6 @@ enforced here once and nowhere else.
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import lapack
 
 from .errors import (
     AsymmetricInputError,
@@ -134,6 +133,9 @@ def cholesky_stack(m) -> tuple[np.ndarray, list]:
     as LAPACK returns it, so downstream solves take the same path as on a
     single factor.
     """
+    # scipy loads on first use, so `import covshrink` loads none of it
+    from scipy.linalg import lapack
+
     a = np.asarray(m, dtype=float)
     if a.ndim != 3 or a.shape[1] != a.shape[2]:
         raise AsymmetricInputError(f"expected a stack of square matrices, got shape {a.shape}")

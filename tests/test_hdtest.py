@@ -1,3 +1,4 @@
+import json
 import math
 import os
 import subprocess
@@ -283,3 +284,43 @@ def test_import_does_not_load_scipy_stats():
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                          text=True, check=True, timeout=120)
     assert out.stdout.strip() == "[]"
+
+
+# Runs each argv through run_cli in one fresh interpreter and prints, as JSON,
+# the scipy modules loaded after the import and after each call.
+SCIPY_PROBE = """
+import contextlib, io, json, sys
+from covshrink.io_cli import run_cli
+
+def loaded():
+    return sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
+
+steps = [[None, loaded()]]
+for argv in json.loads(sys.argv[1]):
+    with contextlib.redirect_stdout(io.StringIO()):
+        code = run_cli(argv)
+    steps.append([code, loaded()])
+print(json.dumps(steps))
+"""
+
+
+def test_scipy_loads_only_when_a_command_calls_it(tmp_path):
+    data = tmp_path / "d.csv"
+    data.write_text("1,2,0.5\n3,5,1\n4,4,-2\n2,7,3\n0,1,1\n6,2,2\n")
+    argvs = [
+        ["estimate", "--input", str(data), "--method", "sample"],
+        ["estimate", "--input", str(data), "--method", "tsai"],
+        ["mp", "--c", "0.25", "--points", "5"],
+        ["simulate", "--experiment", "esd", "--n", "40", "--p", "8", "--replicates", "2"],
+        ["estimate", "--input", str(data), "--method", "stein"],
+    ]
+    src = str(Path(covshrink.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    out = subprocess.run([sys.executable, "-c", SCIPY_PROBE, json.dumps(argvs)],
+                         env=dict(os.environ, PYTHONPATH=path), capture_output=True, text=True,
+                         check=True, timeout=120)
+    steps = json.loads(out.stdout)
+    assert steps[:5] == [[None, []], [0, []], [0, []], [0, []], [0, []]]
+    code, modules = steps[5]
+    assert code == 0
+    assert "scipy.linalg" in modules  # the Cholesky factor is where the cost moved

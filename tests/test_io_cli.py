@@ -1,10 +1,15 @@
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+import covshrink
 from covshrink import CsvFormatError, min_risk
 from covshrink.estimators import ESTIMATORS
 from covshrink.io_cli import (
@@ -74,6 +79,36 @@ class TestReadCsv:
     def test_missing_file(self, tmp_path):
         with pytest.raises(CsvFormatError):
             read_csv(str(tmp_path / "nope.csv"))
+
+    def test_values_are_the_bits_of_float_per_cell(self, tmp_path):
+        rows = [[" 2.5 ", "1_000", "-0.0"], ["1e-320", "0.1", "-7.25e300"]]
+        path = write(tmp_path, "a.csv", "".join(",".join(row) + "\n" for row in rows))
+        got = read_csv(path)
+        want = np.array([[float(cell) for cell in row] for row in rows])
+        assert got.shape == (2, 3)
+        assert got.tobytes() == want.tobytes()
+        assert np.signbit(got[0, 2])
+
+    @pytest.mark.parametrize("text, line, column, message", [
+        ("1,2\n3,x\n4\n", 2, 2, "non-numeric value 'x' at line 2, column 2"),
+        ("1,2\n3\n4,x\n", 2, None, "line 2 has 1 fields, expected 2"),
+        ("1,2\n3,4\n5,inf,6\n7,x\n", 3, None, "line 3 has 3 fields, expected 2"),
+    ])
+    def test_first_malformed_row_or_cell_in_file_order(self, tmp_path, text, line, column,
+                                                        message):
+        path = write(tmp_path, "a.csv", text)
+        with pytest.raises(CsvFormatError) as exc:
+            read_csv(path)
+        assert (str(exc.value), exc.value.line, exc.value.column) == (
+            f"{path}: {message}", line, column)
+
+    @pytest.mark.parametrize("cell", ["nan", "inf", "-inf", " -Infinity "])
+    def test_non_finite_cell_named_at_its_line_and_column(self, tmp_path, cell):
+        path = write(tmp_path, "a.csv", f"1,2\n\n3,{cell}\n")
+        with pytest.raises(CsvFormatError) as exc:
+            read_csv(path)
+        assert (str(exc.value), exc.value.line, exc.value.column) == (
+            f"{path}: non-finite value at line 3, column 2", 3, 2)
 
 
 class TestReportDocument:
@@ -216,6 +251,7 @@ class TestRiskCommand:
         doc = run_json(tmp_path, ["risk", "--n", "8", "--p", "2"])
         assert "closed_form" in doc.results
         assert "monte_carlo" not in doc.results
+        assert doc.config["methods"] == ["sample", "stein_triangular", "dp_equivariant"]
 
     def test_monte_carlo(self, tmp_path):
         doc = run_json(
@@ -224,6 +260,7 @@ class TestRiskCommand:
              "--methods", "sample", "--replicates", "150"],
         )
         mc = doc.results["monte_carlo"]["sample"]
+        assert list(doc.results["monte_carlo"]) == doc.config["methods"] == ["sample"]
         assert mc["replicates"] == 150
         assert abs(mc["mean_loss"] - min_risk("ml", 8, 2)) < 5 * mc["std_error"]
 
@@ -305,9 +342,24 @@ class TestExitCodes:
                         "--model", "bogus"]) == 2
         assert "unknown population model 'bogus'" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("methods", [",", ""])
+    def test_empty_method_list_is_2(self, capsys, methods):
+        assert run_cli(["risk", "--n", "20", "--p", "4", "--monte-carlo", "--replicates", "100",
+                        "--methods", methods]) == 2
+        assert "gives no estimator tag" in capsys.readouterr().err
+
     def test_help_exits_zero(self, capsys):
         assert run_cli(["--help"]) == 0
         capsys.readouterr()
+
+    def test_python_dash_m_runs_the_cli(self):
+        src = str(Path(covshrink.__file__).resolve().parents[1])
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        out = subprocess.run([sys.executable, "-m", "covshrink", "mp", "--c", "0.25",
+                              "--points", "5"], env=dict(os.environ, PYTHONPATH=path),
+                             capture_output=True, text=True, timeout=120)
+        assert (out.returncode, out.stderr) == (0, "")
+        assert out.stdout.splitlines()[0] == "x,density,cdf"
 
 
 class TestSeedResolution:
