@@ -39,14 +39,11 @@ from .estimators import (
 from .rmt import (
     MPModel,
     boundary_stieltjes,
-    empirical_stieltjes,
     identity_hilbert,
     mp_cdf,
     mp_density,
-    mp_equation_residual,
     mp_stieltjes,
     naive_hilbert,
-    quantile_index,
     quantile_map,
 )
 from .loss_risk import (
@@ -107,14 +104,11 @@ __all__ = [
     "tsai_estimator",
     "MPModel",
     "boundary_stieltjes",
-    "empirical_stieltjes",
     "identity_hilbert",
     "mp_cdf",
     "mp_density",
-    "mp_equation_residual",
     "mp_stieltjes",
     "naive_hilbert",
-    "quantile_index",
     "quantile_map",
     "RiskEstimate",
     "elog_chisq",

@@ -4,8 +4,9 @@ Every Monte Carlo replicate seeds its own generator from a stable 64-bit
 hash of (master seed, replicate index), so results are bit-identical no
 matter how replicates are scheduled across workers.  ``run_chunks`` is the
 one loop that draws replicates, stacked into chunks of a fixed byte budget,
-and scores them a chunk at a time; ``run_replicates`` scores each replicate
-of a chunk on its own.  ``check_failures`` is the one place the
+and scores them a chunk at a time on the calling thread, with the next
+chunks drawn ahead on any other threads; ``run_replicates`` scores each
+replicate of a chunk on its own.  ``check_failures`` is the one place the
 failed-replicate tolerance is enforced, and ``aggregate`` the one mean and
 standard error over the replicates that completed.
 """
@@ -63,17 +64,15 @@ def draw_chunk(seed: int, chol_factor: np.ndarray, n: int, start: int, stop: int
 
 
 def run_chunks(score_chunk, seed: int, chol_factor: np.ndarray, n: int, replicates: int,
-               threads: int = 1, mean=None, draw_ahead: bool = False) -> list:
+               threads: int = 1, mean=None) -> list:
     """Concatenated ``score_chunk(start, x)`` over the chunks, in replicate order.
 
     x is ``draw_chunk(seed, chol_factor, n, start, stop, mean)`` and
     ``score_chunk`` returns one outcome per slice.  The chunk size depends on
     (n, p) alone, so every outcome depends on (seed, r) alone, never on
-    ``threads``.  Above one thread, each worker draws and scores whole
-    chunks; with ``draw_ahead``, ``threads - 1`` workers draw the next
-    chunks while the calling thread scores the current one, for scorers
-    that hold the interpreter lock and so gain nothing from a second
-    scoring thread.  Errors raised by ``score_chunk`` propagate.
+    ``threads``.  Every chunk is scored on the calling thread, in order;
+    above one thread, ``threads - 1`` workers draw the next chunks
+    meanwhile.  Errors raised by ``score_chunk`` propagate.
     """
     step = chunk_replicates(n, chol_factor.shape[0])
     starts = range(0, replicates, step)
@@ -83,10 +82,7 @@ def run_chunks(score_chunk, seed: int, chol_factor: np.ndarray, n: int, replicat
 
     if threads <= 1:
         return [outcome for start in starts for outcome in score_chunk(start, draw(start))]
-    with ThreadPoolExecutor(max_workers=threads - 1 if draw_ahead else threads) as pool:
-        if not draw_ahead:
-            parts = pool.map(lambda start: score_chunk(start, draw(start)), starts)
-            return [outcome for part in parts for outcome in part]
+    with ThreadPoolExecutor(max_workers=threads - 1) as pool:
         # at most threads - 1 chunks wait in memory beyond the one being scored
         pending = deque(pool.submit(draw, start) for start in starts[:threads - 1])
         outcomes = []

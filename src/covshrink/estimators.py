@@ -12,6 +12,13 @@ The eigenvalue shrinker is the numerical heart of the package:
 with l descending.  The gap sum makes d_i wildly unstable when eigenvalues
 nearly collide, so denominators at or below the guard are a hard error and
 ``shrinkage_terms`` exposes the raw unguarded arithmetic for diagnostics.
+
+Each estimator's arithmetic is written once, as a kernel over a (k, p, p)
+stack of scatters and their degrees of freedom.  A kernel returns the k
+estimates and each one's refusal: the CovshrinkError that estimate earns,
+or None.  The public functions are the k = 1 case and raise that refusal;
+``STACKED_ESTIMATORS`` hands the kernels to the Monte Carlo loops, which
+score every estimator a chunk of replicates at a time.
 """
 
 from dataclasses import dataclass
@@ -19,23 +26,25 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import (
+    CovshrinkError,
     EigenvalueTieError,
     NotPositiveDefiniteError,
     ShrinkageSingularityError,
 )
-from .matrix_core import (
-    TIE_GAP,
-    SpectralDecomp,
-    cholesky,
-    cholesky_stack,
-    schur_pivots,
-    spectral_decompose,
-)
+from .matrix_core import TIE_GAP, cholesky_stack, eigh_stack, square_matrix, tie_gap
 
 DENOM_GUARD = 1e-10  # relative to n
 
 MODE_UNCENTERED = "uncentered_n"
 MODE_CENTERED = "centered_n_minus_1"
+
+# equivariance class -> divisors d_1 .. d_p of its best estimator from a
+# scatter with m degrees of freedom; integers, so reports list them exactly
+CLASS_DIVISORS = {
+    "ml": lambda m, p: np.full(p, m),
+    "stein": lambda m, p: m + p - 2 * np.arange(1, p + 1) + 1,
+    "dp": lambda m, p: m - np.arange(1, p + 1) + 1,
+}
 
 
 def as_data_matrix(x) -> np.ndarray:
@@ -82,6 +91,18 @@ def scatter_matrix(x, centered: bool = False) -> ScatterMatrix:
     return ScatterMatrix(matrix=a.T @ a, n=a.shape[0], centered=centered)
 
 
+def scatter_stack(x: np.ndarray) -> np.ndarray:
+    """Uncentered scatters x_j' x_j of a (k, n, p) stack of mean-zero samples.
+
+    Slice j is bit for bit ``scatter_matrix(x[j]).matrix``.
+    """
+    if x.shape[1] < 2:
+        raise ValueError(f"need at least 2 observations, got {x.shape[1]}")
+    if not np.isfinite(x).all():
+        raise ValueError("data contains non-finite entries")
+    return x.transpose(0, 2, 1) @ x
+
+
 @dataclass(frozen=True)
 class ShrinkageTable:
     """Paired sample and shrunk eigenvalues with the shrinkage denominators."""
@@ -120,6 +141,72 @@ class CovarianceEstimate:
     target: str = "sigma"
 
 
+def _only(matrices: np.ndarray, errors: list) -> np.ndarray:
+    """The one estimate of a kernel's k = 1 result, or its refusal raised."""
+    if errors[0] is not None:
+        raise errors[0]
+    return matrices[0]
+
+
+def _require_dof(dof: int, p: int) -> None:
+    if dof < p:
+        raise ValueError(f"need degrees of freedom >= dimension, got {dof} < {p}")
+
+
+def _sample(a: np.ndarray, dof: int) -> tuple[np.ndarray, list]:
+    """Kernel of the sample estimator: each scatter over dof, symmetrized; never refuses."""
+    s = a / dof
+    return (s + s.swapaxes(1, 2)) / 2.0, [None] * len(s)
+
+
+def _triangular(a: np.ndarray, dof: int) -> tuple[np.ndarray, list]:
+    """Kernel of the triangular estimator T diag(1/d) T', T the Cholesky factor."""
+    p = a.shape[1]
+    _require_dof(dof, p)
+    t, errors = cholesky_stack(a)
+    est = (t / CLASS_DIVISORS["stein"](dof, p)) @ t.swapaxes(1, 2)
+    return (est + est.swapaxes(1, 2)) / 2.0, errors
+
+
+def _pivot(a: np.ndarray, dof: int) -> tuple[np.ndarray, list]:
+    """Kernel of the pivot estimator diag(pivot_i / d_i), the pivots t_ii^2."""
+    p = a.shape[1]
+    _require_dof(dof, p)
+    t, errors = cholesky_stack(a)
+    est = np.zeros(t.shape)
+    idx = np.arange(p)
+    est[:, idx, idx] = np.diagonal(t, axis1=1, axis2=2) ** 2 / CLASS_DIVISORS["dp"](dof, p)
+    return est, errors
+
+
+def _tsai(s: np.ndarray, n: int) -> tuple[np.ndarray, list, list]:
+    """Kernel of the shrinker: U diag(psi) U' for a (k, p, p) stack of covariances.
+
+    Returns the estimates, each refusal and each ShrinkageTable (None when
+    refused).  psi is ``tsai_eigenvalues`` at sample count n, called once
+    per matrix, so its guards and their messages stay in one place.  A
+    refused matrix gets psi = 1, a finite placeholder estimate.
+    """
+    w, u, errors = eigh_stack(s)
+    tables = [None] * len(w)
+    psi = np.ones(w.shape)
+    for j, error in enumerate(errors):
+        if error is not None:
+            continue
+        if w[j, -1] <= 0.0:
+            errors[j] = NotPositiveDefiniteError(
+                f"smallest eigenvalue {w[j, -1]:.6e} is not positive", index=w.shape[1])
+            continue
+        try:
+            tables[j] = tsai_eigenvalues(w[j], n)
+        except CovshrinkError as exc:
+            errors[j] = exc
+        else:
+            psi[j] = tables[j].shrunk_eigenvalues
+    est = (u * psi[:, None, :]) @ u.swapaxes(1, 2)
+    return (est + est.swapaxes(1, 2)) / 2.0, errors, tables
+
+
 def sample_covariance(x, mode: str = MODE_CENTERED) -> CovarianceEstimate:
     """Sample covariance under the stated divisor convention.
 
@@ -130,18 +217,11 @@ def sample_covariance(x, mode: str = MODE_CENTERED) -> CovarianceEstimate:
     Never fails on finite input; a rank-deficient S is left for consumers
     that actually need to invert it.
     """
-    a = as_data_matrix(x)
-    n, p = a.shape
-    if mode == MODE_UNCENTERED:
-        s = a.T @ a / n
-        divisor = n
-    elif mode == MODE_CENTERED:
-        ac = a - a.mean(axis=0)
-        s = ac.T @ ac / (n - 1)
-        divisor = n - 1
-    else:
+    if mode not in (MODE_UNCENTERED, MODE_CENTERED):
         raise ValueError(f"unknown mode {mode!r}, expected {MODE_UNCENTERED!r} or {MODE_CENTERED!r}")
-    return CovarianceEstimate(matrix=(s + s.T) / 2.0, method="sample", n=n, p=p, divisor=divisor)
+    sc = scatter_matrix(x, centered=mode == MODE_CENTERED)
+    return CovarianceEstimate(matrix=_only(*_sample(sc.matrix[None], sc.dof)), method="sample",
+                              n=sc.n, p=sc.p, divisor=sc.dof)
 
 
 def stein_triangular(a: ScatterMatrix) -> CovarianceEstimate:
@@ -149,20 +229,12 @@ def stein_triangular(a: ScatterMatrix) -> CovarianceEstimate:
 
     T is the Cholesky factor of the scatter and m its degrees of freedom.
     """
-    p = a.p
-    m = a.dof
-    if m < p:
-        raise ValueError(f"need degrees of freedom >= dimension, got {m} < {p}")
-    t = cholesky(a.matrix)
-    i = np.arange(1, p + 1)
-    d = m + p - 2 * i + 1
-    est = (t / d) @ t.T
     return CovarianceEstimate(
-        matrix=(est + est.T) / 2.0,
+        matrix=_only(*_triangular(a.matrix[None], a.dof)),
         method="stein_triangular",
         n=a.n,
-        p=p,
-        divisor=d.tolist(),
+        p=a.p,
+        divisor=CLASS_DIVISORS["stein"](a.dof, a.p).tolist(),
     )
 
 
@@ -172,32 +244,24 @@ def dp_equivariant(a: ScatterMatrix) -> CovarianceEstimate:
     Estimates the Schur pivot diagonal of sigma (the target in the
     successively transformed coordinates), not sigma itself.
     """
-    p = a.p
-    m = a.dof
-    if m < p:
-        raise ValueError(f"need degrees of freedom >= dimension, got {m} < {p}")
-    pivots = schur_pivots(a.matrix)
-    i = np.arange(1, p + 1)
-    d = m - i + 1
     return CovarianceEstimate(
-        matrix=np.diag(pivots / d),
+        matrix=_only(*_pivot(a.matrix[None], a.dof)),
         method="dp_equivariant",
         n=a.n,
-        p=p,
-        divisor=d.tolist(),
+        p=a.p,
+        divisor=CLASS_DIVISORS["dp"](a.dof, a.p).tolist(),
         target="sigma_star",
     )
 
 
 def require_distinct_descending(lv: np.ndarray) -> None:
     """Reject eigenvalues that are not strictly descending or that tie within TIE_GAP."""
-    if lv.shape[0] < 2:
+    gap = tie_gap(lv)
+    if gap is None:
         return
-    gaps = lv[:-1] - lv[1:]
-    if np.min(gaps) <= 0.0:
+    if gap <= 0.0:
         raise ValueError("eigenvalues must be strictly descending")
-    if np.min(gaps) < TIE_GAP:
-        raise EigenvalueTieError(f"minimum eigenvalue gap {np.min(gaps):.3e} below {TIE_GAP:.0e}")
+    raise EigenvalueTieError(f"minimum eigenvalue gap {gap:.3e} below {TIE_GAP:.0e}")
 
 
 def gap_sums(lv: np.ndarray) -> np.ndarray:
@@ -291,22 +355,14 @@ def tsai_estimator(s, n: int | None = None) -> CovarianceEstimate:
         n_obs = n
         if n is None:
             raise ValueError("n is required when s is a bare matrix")
-    dec: SpectralDecomp = spectral_decompose(matrix)
-    if dec.eigenvalues[-1] <= 0.0:
-        raise NotPositiveDefiniteError(
-            f"smallest eigenvalue {dec.eigenvalues[-1]:.6e} is not positive",
-            index=dec.dim,
-        )
-    table = tsai_eigenvalues(dec.eigenvalues, n)
-    u = dec.eigenvectors
-    est = (u * table.shrunk_eigenvalues) @ u.T
+    est, errors, tables = _tsai(square_matrix(matrix)[None], n)
     return CovarianceEstimate(
-        matrix=(est + est.T) / 2.0,
+        matrix=_only(est, errors),
         method="tsai",
         n=int(n_obs),
-        p=dec.dim,
+        p=matrix.shape[0],
         divisor=int(n),
-        shrinkage=table,
+        shrinkage=tables[0],
     )
 
 
@@ -324,54 +380,12 @@ ESTIMATORS = {
 }
 
 
-class ScatterStack:
-    """Uncentered scatters x_j' x_j of a (k, n, p) stack of mean-zero samples.
-
-    Slice j of ``matrix`` is bit for bit ``scatter_matrix(x[j]).matrix``.
-    """
-
-    def __init__(self, x: np.ndarray):
-        _, self.n, self.p = x.shape
-        if self.n < 2:
-            raise ValueError(f"need at least 2 observations, got {self.n}")
-        if not np.isfinite(x).all():
-            raise ValueError("data contains non-finite entries")
-        self.matrix = x.transpose(0, 2, 1) @ x
-
-    def require_dof(self) -> None:
-        if self.n < self.p:
-            raise ValueError(f"need degrees of freedom >= dimension, got {self.n} < {self.p}")
-
-
-def _stacked_sample(a: ScatterStack) -> tuple[np.ndarray, list]:
-    s = a.matrix / a.n
-    return (s + s.swapaxes(1, 2)) / 2.0, [None] * len(s)
-
-
-def _stacked_triangular(a: ScatterStack) -> tuple[np.ndarray, list]:
-    a.require_dof()
-    t, errors = cholesky_stack(a.matrix)
-    d = a.n + a.p - 2 * np.arange(1, a.p + 1) + 1
-    est = (t / d) @ t.swapaxes(1, 2)
-    return (est + est.swapaxes(1, 2)) / 2.0, errors
-
-
-def _stacked_pivot(a: ScatterStack) -> tuple[np.ndarray, list]:
-    a.require_dof()
-    t, errors = cholesky_stack(a.matrix)
-    d = a.n - np.arange(1, a.p + 1) + 1
-    est = np.zeros(t.shape)
-    idx = np.arange(a.p)
-    est[:, idx, idx] = np.diagonal(t, axis1=1, axis2=2) ** 2 / d
-    return est, errors
-
-
-# method tag -> (estimate matrices, per-matrix refusals) for a whole
-# ScatterStack; slice j equals ESTIMATORS[tag](x[j], False).matrix bit for
-# bit, and its refusal is the CovshrinkError that estimator raises, or None.
-# Tags missing here are scored one replicate at a time.
+# method tag -> its kernel(scatters, dof); for a (k, n, p) stack x, slice j of
+# kernel(scatter_stack(x), n) is ESTIMATORS[tag](x[j], False).matrix bit for
+# bit, and its refusal is the CovshrinkError that estimator raises, or None
 STACKED_ESTIMATORS = {
-    "sample": _stacked_sample,
-    "stein_triangular": _stacked_triangular,
-    "dp_equivariant": _stacked_pivot,
+    "sample": _sample,
+    "stein_triangular": _triangular,
+    "dp_equivariant": _pivot,
+    "tsai": lambda a, dof: _tsai(_sample(a, dof)[0], dof)[:2],
 }

@@ -155,8 +155,9 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--seed", type=int, default=None,
                         help=f"master seed (default: ${ENV_SEED} or 0)")
     parser.add_argument("--threads", type=int, default=1,
-                        help="worker threads for replicate loops; the stacked risk "
-                             "estimators only draw ahead on them (results independent of this)")
+                        help="threads for replicate loops: the extra threads draw replicates "
+                             "ahead while the calling thread scores them (results independent "
+                             "of this)")
     parser.add_argument("--output", default=None, help="write the report here instead of stdout")
     parser.add_argument("--format", choices=("json", "csv"), default=None,
                         help="output format (csv only for the mp grid; default json)")

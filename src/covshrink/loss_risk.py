@@ -9,18 +9,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._rng import aggregate, check_failures, run_chunks, run_replicates
-from .errors import CovshrinkError
-from .estimators import ESTIMATORS, STACKED_ESTIMATORS, ScatterStack
+from ._rng import aggregate, check_failures, run_chunks
+from .estimators import CLASS_DIVISORS, STACKED_ESTIMATORS, scatter_stack
 from .matrix_core import cholesky, cholesky_stack, schur_pivots
 
-# risk kind -> divisors d_i(n, p, i) of the best estimator in that class
-RISK_DIVISORS = {
-    "ml": lambda n, p, i: np.full(p, float(n)),
-    "stein": lambda n, p, i: (n + p - 2 * i + 1).astype(float),
-    "dp": lambda n, p, i: (n - i + 1).astype(float),
-}
-RISK_KINDS = tuple(RISK_DIVISORS)
+RISK_KINDS = tuple(CLASS_DIVISORS)
 
 
 def stein_loss(phi, sigma) -> float:
@@ -84,11 +77,10 @@ def min_risk(kind: str, n: int, p: int) -> float:
     """
     if not 1 <= p <= n:
         raise ValueError(f"need n >= p >= 1, got n={n}, p={p}")
-    if kind not in RISK_DIVISORS:
+    if kind not in CLASS_DIVISORS:
         raise ValueError(f"unknown risk kind {kind!r}, expected one of {RISK_KINDS}")
-    i = np.arange(1, p + 1)
-    d = RISK_DIVISORS[kind](n, p, i)
-    return float(np.sum(np.log(d) - elog_chisq(n - i + 1)))
+    d = CLASS_DIVISORS[kind](n, p)
+    return float(np.sum(np.log(d) - elog_chisq(n - np.arange(1, p + 1) + 1)))
 
 
 @dataclass(frozen=True)
@@ -132,17 +124,17 @@ def replicate_losses(methods, sigma, n: int, replicates: int, seed: int,
 
     Each method makes its own pass over the replicates, and replicate r of
     every pass is drawn from ``replicate_rng(seed, r)``, so all methods see
-    the same data.  Methods in STACKED_ESTIMATORS are scored a chunk at a
-    time on the calling thread, with the next chunks drawn ahead on the
-    other threads; the others one replicate at a time, split across threads.
-    The losses are the same bits either way.
+    the same data.  Every method is scored by its STACKED_ESTIMATORS kernel
+    a chunk at a time, and its losses are the same bits as the per-replicate
+    estimator's.
     """
     if isinstance(methods, str):
         raise TypeError(f"methods must be a sequence of tags, got the string {methods!r}")
     methods = tuple(methods)
     for method in methods:
-        if method not in ESTIMATORS:
-            raise ValueError(f"unknown method {method!r}, expected one of {tuple(ESTIMATORS)}")
+        if method not in STACKED_ESTIMATORS:
+            raise ValueError(
+                f"unknown method {method!r}, expected one of {tuple(STACKED_ESTIMATORS)}")
     if not methods:
         return {}
     sig = np.asarray(sigma, dtype=float)
@@ -150,27 +142,16 @@ def replicate_losses(methods, sigma, n: int, replicates: int, seed: int,
     out = {}
     for method in methods:
         target, t_target = _target(method, sig, chol_sig)
-        estimate = ESTIMATORS[method]
-        stacked_estimate = STACKED_ESTIMATORS.get(method)
+        estimate = STACKED_ESTIMATORS[method]
 
-        def per_replicate(r: int, xj: np.ndarray):
-            try:
-                return _stein_loss(cholesky(estimate(xj, False).matrix), t_target)
-            except CovshrinkError:
-                return None
-
-        def stacked(start: int, x: np.ndarray) -> list:
-            est, est_errors = stacked_estimate(ScatterStack(x))
+        def score_chunk(start: int, x: np.ndarray) -> list:
+            est, est_errors = estimate(scatter_stack(x), n)
             t_phi, errors = cholesky_stack(est)
             losses = _stein_losses(t_phi, t_target)
             return [None if e1 is not None or e2 is not None else float(loss)
                     for loss, e1, e2 in zip(losses, est_errors, errors)]
 
-        if stacked_estimate is None:
-            losses = run_replicates(per_replicate, seed, chol_sig, n, replicates, threads)
-        else:
-            losses = run_chunks(stacked, seed, chol_sig, n, replicates, threads, draw_ahead=True)
-        out[method] = (losses, target)
+        out[method] = (run_chunks(score_chunk, seed, chol_sig, n, replicates, threads), target)
     return out
 
 

@@ -45,19 +45,31 @@ def _symmetrize(a: np.ndarray) -> tuple[np.ndarray, list]:
     return sym, errors
 
 
-def _square(m) -> np.ndarray:
+def square_matrix(m) -> np.ndarray:
+    """m as a float (p, p) array; AsymmetricInputError for any other shape."""
     a = np.asarray(m, dtype=float)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise AsymmetricInputError(f"expected a square matrix, got shape {a.shape}")
     return a
 
 
-def _as_symmetric(m) -> np.ndarray:
-    """Validate shape and symmetry, return the symmetrized copy (M + M.T)/2."""
-    sym, errors = _symmetrize(_square(m)[None])
-    if errors[0] is not None:
-        raise errors[0]
-    return sym[0]
+def _square_stack(m) -> np.ndarray:
+    a = np.asarray(m, dtype=float)
+    if a.ndim != 3 or a.shape[1] != a.shape[2]:
+        raise AsymmetricInputError(f"expected a stack of square matrices, got shape {a.shape}")
+    return a
+
+
+def tie_gap(values: np.ndarray):
+    """The smallest neighbour gap of a descending vector when it is below TIE_GAP, else None.
+
+    This is the one tie test.  A gap at or below zero, where the vector is
+    not strictly descending, counts as a tie too.
+    """
+    if values.shape[0] < 2:
+        return None
+    gap = np.min(values[:-1] - values[1:])
+    return gap if gap < TIE_GAP else None
 
 
 @dataclass(frozen=True)
@@ -94,6 +106,31 @@ def _canonical_signs(vectors: np.ndarray) -> np.ndarray:
     return v
 
 
+def eigh_stack(m) -> tuple[np.ndarray, np.ndarray, list]:
+    """Descending eigenvalues and their eigenvectors for a (k, p, p) stack, and each refusal.
+
+    ``w[j, i]`` pairs with column ``v[j, :, i]``.  ``errors[j]`` is the
+    AsymmetricInputError that matrix j earns, or None; a refused matrix is
+    decomposed as the identity, a placeholder.  One stacked ``eigh`` covers
+    the stack, so an eigenvalue iteration that fails raises
+    DecompositionError for all of it.
+    """
+    sym, errors = _symmetrize(_square_stack(m))
+    for j, error in enumerate(errors):
+        if error is not None:
+            sym[j] = np.eye(sym.shape[1])
+    try:
+        w, v = np.linalg.eigh(sym)
+    except np.linalg.LinAlgError as exc:
+        raise DecompositionError(
+            f"eigenvalue iteration failed for {sym.shape[1]}x{sym.shape[2]} matrix"
+        ) from exc
+    # eigh returns ascending; stable reversal keeps solver order within ties
+    order = np.argsort(-w, axis=1, kind="stable")
+    j = np.arange(len(w))[:, None]
+    return w[j, order], v[j[:, None], np.arange(w.shape[1])[:, None], order[:, None, :]], errors
+
+
 def spectral_decompose(m) -> SpectralDecomp:
     """Full symmetric eigendecomposition in descending eigenvalue order.
 
@@ -109,19 +146,11 @@ def spectral_decompose(m) -> SpectralDecomp:
         Descending eigenvalues, orthonormal sign-canonical eigenvectors, and
         a tie flag for gaps below 1e-12.
     """
-    a = _as_symmetric(m)
-    try:
-        w, v = np.linalg.eigh(a)
-    except np.linalg.LinAlgError as exc:
-        raise DecompositionError(
-            f"eigenvalue iteration failed for {a.shape[0]}x{a.shape[1]} matrix"
-        ) from exc
-    # eigh returns ascending; stable reversal keeps solver order within ties
-    order = np.argsort(-w, kind="stable")
-    w = w[order]
-    v = _canonical_signs(v[:, order])
-    tied = bool(w.size > 1 and np.min(w[:-1] - w[1:]) < TIE_GAP)
-    return SpectralDecomp(eigenvalues=w, eigenvectors=v, tied=tied)
+    w, v, errors = eigh_stack(square_matrix(m)[None])
+    if errors[0] is not None:
+        raise errors[0]
+    return SpectralDecomp(eigenvalues=w[0], eigenvectors=_canonical_signs(v[0]),
+                          tied=tie_gap(w[0]) is not None)
 
 
 def cholesky_stack(m) -> tuple[np.ndarray, list]:
@@ -136,11 +165,8 @@ def cholesky_stack(m) -> tuple[np.ndarray, list]:
     # scipy loads on first use, so `import covshrink` loads none of it
     from scipy.linalg import lapack
 
-    a = np.asarray(m, dtype=float)
-    if a.ndim != 3 or a.shape[1] != a.shape[2]:
-        raise AsymmetricInputError(f"expected a stack of square matrices, got shape {a.shape}")
-    sym, errors = _symmetrize(a)
-    p = a.shape[1]
+    sym, errors = _symmetrize(_square_stack(m))
+    p = sym.shape[1]
     # each sym[j] is exactly symmetric, so its transpose is the same matrix
     # in Fortran order, which dpotrf factors in place without a copy
     t = sym.swapaxes(1, 2)
@@ -163,7 +189,7 @@ def cholesky(m) -> np.ndarray:
     Raises NotPositiveDefiniteError naming the 1-based failing minor when m
     is not positive definite.
     """
-    t, errors = cholesky_stack(_square(m)[None])
+    t, errors = cholesky_stack(square_matrix(m)[None])
     if errors[0] is not None:
         raise errors[0]
     return t[0]

@@ -1,11 +1,10 @@
 """Random-matrix layer: Stieltjes transforms and the Marchenko-Pastur law.
 
-Covers the pieces the eigenvalue shrinker is built from: the empirical
-Stieltjes transform, the naive gap-sum estimate of the Hilbert transform,
-the MP density and its closed-form CDF for the identity population (both
-take scalars or arrays), the closed-form boundary transform, and the
-quantile map that carries a sample eigenvalue to its population
-counterpart.
+Covers the pieces the eigenvalue shrinker is built from: the naive gap-sum
+estimate of the Hilbert transform, the MP Stieltjes transform, the MP
+density and its closed-form CDF for the identity population (both take
+scalars or arrays), the closed-form boundary transform, and the quantile
+map that carries a sample eigenvalue to its population counterpart.
 """
 
 import math
@@ -37,18 +36,6 @@ class MPModel:
         r = math.sqrt(self.c)
         object.__setattr__(self, "lambda_minus", (1.0 - r) ** 2)
         object.__setattr__(self, "lambda_plus", (1.0 + r) ** 2)
-
-
-def empirical_stieltjes(eigvals, z: complex) -> complex:
-    """Stieltjes transform of the empirical spectral distribution.
-
-    m(z) = (1/p) * sum_i 1 / (l_i - z) for z in the upper half-plane.
-    """
-    z = complex(z)
-    if z.imag <= 0.0:
-        raise ValueError(f"Stieltjes argument must have positive imaginary part, got {z}")
-    l = np.asarray(eigvals, dtype=float)
-    return complex(np.mean(1.0 / (l - z)))
 
 
 def naive_hilbert(l, i: int) -> float:
@@ -157,17 +144,6 @@ def mp_stieltjes(z: complex, model: MPModel) -> complex:
     return m1 if m1.imag > 0.0 else m2
 
 
-def mp_equation_residual(z: complex, model: MPModel) -> float:
-    """Residual of the MP fixed-point equation at z for the point-mass population.
-
-    With H concentrated at 1 the equation reads m = 1 / (1 - c - c z m - z);
-    returns |lhs - rhs| for the closed-form m.
-    """
-    c = model.c
-    m = mp_stieltjes(z, model)
-    return abs(m - 1.0 / (1.0 - c - c * z * m - z))
-
-
 def quantile_map(l: float, c: float, hilbert_value: float) -> float:
     """Map a sample eigenvalue to its population counterpart.
 
@@ -181,14 +157,3 @@ def quantile_map(l: float, c: float, hilbert_value: float) -> float:
             f"quantile map denominator {den:.3e} at or below guard {QUANTILE_GUARD:.0e}")
     return l / den
 
-
-def quantile_index(p: int, alpha: float) -> int:
-    """Index of the upper-alpha spectral quantile: floor(p (1 - alpha)), clamped to [1, p].
-
-    The small additive guard absorbs binary rounding of decimal levels
-    (p=100, alpha=0.05 must give 95, not 94).
-    """
-    if not 0.0 < alpha < 1.0:
-        raise ValueError(f"alpha must lie in (0, 1), got {alpha}")
-    i = int(math.floor(p * (1.0 - alpha) + 1e-9))
-    return min(max(i, 1), p)

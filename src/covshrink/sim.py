@@ -25,7 +25,7 @@ from ._rng import aggregate, check_failures, gaussian_rows, replicate_rng, run_r
 from .errors import ConfigError, NumericError
 from .estimators import DENOM_GUARD, ESTIMATORS, shrinkage_terms
 from .loss_risk import RISK_KINDS, min_risk, replicate_losses
-from .matrix_core import TIE_GAP, cholesky, spectral_decompose
+from .matrix_core import cholesky, spectral_decompose, tie_gap
 from .rmt import MPModel, mp_cdf
 
 VARIANTS = ("identity", "spiked", "ar1", "explicit")
@@ -186,18 +186,17 @@ def eigenvalue_recovery_experiment(config: ExperimentConfig, threads: int = 1) -
     sigma = make_sigma(config.model)
     gamma = np.linalg.eigvalsh(sigma)[::-1]
     chol_sig = cholesky(sigma)
-    n, p = config.n, config.p
+    n = config.n
     guard = DENOM_GUARD * n
 
     def one(r: int, x: np.ndarray) -> dict:
         s = x.T @ x / n
         l = np.linalg.eigvalsh(s)[::-1]
         sample_mae = float(np.mean(np.abs(l - gamma)))
-        tied = bool(p > 1 and np.min(l[:-1] - l[1:]) < TIE_GAP)
         psi, d = shrinkage_terms(l, n)
         breaches = int(np.count_nonzero(d <= guard))
         raw_mae = float(np.mean(np.abs(psi - gamma)))
-        ok = breaches == 0 and not tied
+        ok = breaches == 0 and tie_gap(l) is None
         return {
             "replicate": r,
             "sample_mae": sample_mae,

@@ -4,8 +4,11 @@ from numpy.testing import assert_allclose
 
 from covshrink import (
     AsymmetricInputError,
+    CovshrinkError,
+    EigenvalueTieError,
     NotPositiveDefiniteError,
     NumericError,
+    ShrinkageSingularityError,
     elog_chisq,
     min_risk,
     monte_carlo_risk,
@@ -16,9 +19,10 @@ from covshrink._rng import aggregate, check_failures, gaussian_rows, replicate_r
 from covshrink.estimators import (
     ESTIMATORS,
     STACKED_ESTIMATORS,
-    ScatterStack,
     dp_equivariant,
     scatter_matrix,
+    scatter_stack,
+    tsai_estimator,
 )
 from covshrink.loss_risk import replicate_losses
 from covshrink.matrix_core import cholesky, cholesky_stack
@@ -249,7 +253,7 @@ def ar1(p, rho):
     return rho ** np.abs(idx[:, None] - idx[None, :])
 
 
-STACKED_TAGS = ("sample", "stein_triangular", "dp_equivariant")
+STACKED_TAGS = ("sample", "stein_triangular", "dp_equivariant", "tsai")
 
 
 class TestStackedEngine:
@@ -263,20 +267,23 @@ class TestStackedEngine:
             losses, target = out[tag]
             for r in range(reps):
                 x = gaussian_rows(replicate_rng(seed, r), chol, n)
-                assert losses[r] == stein_loss(ESTIMATORS[tag](x, False).matrix, target)
+                try:
+                    expected = stein_loss(ESTIMATORS[tag](x, False).matrix, target)
+                except CovshrinkError:
+                    expected = None
+                assert losses[r] == expected
 
     def test_losses_do_not_depend_on_chunk_size(self, monkeypatch):
         sigma = ar1(6, 0.5)
-        tags = STACKED_TAGS + ("tsai",)
-        default = replicate_losses(tags, sigma, 12, 150, 2)
+        default = replicate_losses(STACKED_TAGS, sigma, 12, 150, 2)
         monkeypatch.setattr(_rng, "CHUNK_BYTES", 1)
-        single = replicate_losses(tags, sigma, 12, 150, 2)
-        assert {t: default[t][0] for t in tags} == {t: single[t][0] for t in tags}
+        single = replicate_losses(STACKED_TAGS, sigma, 12, 150, 2)
+        assert {t: default[t][0] for t in STACKED_TAGS} == {t: single[t][0] for t in STACKED_TAGS}
         assert any(v is None for v in default["tsai"][0])
 
     def test_each_method_scored_alone_or_together_alike(self):
         sigma = ar1(4, 0.3)
-        tags = ("tsai",) + STACKED_TAGS
+        tags = STACKED_TAGS[::-1]
         together = replicate_losses(tags, sigma, 9, 120, 6, threads=2)
         for tag in tags:
             alone, _ = replicate_losses([tag], sigma, 9, 120, 6)[tag]
@@ -305,17 +312,53 @@ class TestStackedEngine:
         for j in (1, 2, 3):
             assert np.array_equal(t[j], np.eye(3))
 
+    def test_every_estimator_has_a_stacked_kernel(self):
+        assert list(STACKED_ESTIMATORS) == list(ESTIMATORS)
+
     def test_stacked_estimators_refuse_as_the_estimators_do(self):
         # replicate 1 has an all-zero column, so its scatter is singular at index 2
         x = np.random.default_rng(5).standard_normal((3, 8, 3))
         x[1, :, 1] = 0.0
-        scatter = ScatterStack(x)
-        assert np.array_equal(scatter.matrix[1], scatter_matrix(x[1]).matrix)
-        for tag in ("stein_triangular", "dp_equivariant"):
-            est, errors = STACKED_ESTIMATORS[tag](scatter)
+        scatter = scatter_stack(x)
+        assert np.array_equal(scatter[1], scatter_matrix(x[1]).matrix)
+        for tag in STACKED_TAGS[1:]:
+            est, errors = STACKED_ESTIMATORS[tag](scatter, 8)
             with pytest.raises(NotPositiveDefiniteError) as single:
                 ESTIMATORS[tag](x[1], False)
             assert (str(errors[1]), errors[1].index) == (str(single.value), single.value.index)
             for j in (0, 2):
                 assert errors[j] is None
                 assert np.array_equal(est[j], ESTIMATORS[tag](x[j], False).matrix)
+
+    @pytest.mark.parametrize("n, p", [(50, 10), (60, 4), (200, 20), (100, 50)])
+    def test_stacked_tsai_equals_tsai_estimator(self, n, p):
+        x = np.random.default_rng(n + p).standard_normal((40, n, p))
+        est, errors = STACKED_ESTIMATORS["tsai"](scatter_stack(x), n)
+        for j in range(40):
+            try:
+                single = ESTIMATORS["tsai"](x[j], False).matrix
+            except ShrinkageSingularityError as exc:
+                assert (type(errors[j]), str(errors[j])) == (type(exc), str(exc))
+            else:
+                assert errors[j] is None
+                assert np.array_equal(est[j], single)
+
+    def test_stacked_tsai_refuses_as_tsai_estimator_does(self):
+        # scatters at n = 10: a spectrum tied within TIE_GAP, a clustered
+        # pair that breaches the shrinkage guard, and a singular one
+        q, _ = np.linalg.qr(np.random.default_rng(8).standard_normal((3, 3)))
+        spectra = ([3.0, 2.0, 2.0 - 1e-13], [3.0, 2.0 + 1e-6, 2.0], [3.0, 2.0, 0.0],
+                   [3.0, 2.0, 1.0])
+        scatter = np.stack([10.0 * np.diag(l) for l in spectra])
+        scatter[3] = q @ scatter[3] @ q.T
+        est, errors = STACKED_ESTIMATORS["tsai"](scatter, 10)
+        for j, kind in enumerate((EigenvalueTieError, ShrinkageSingularityError,
+                                  NotPositiveDefiniteError)):
+            with pytest.raises(kind) as single:
+                tsai_estimator(scatter[j] / 10, n=10)
+            assert type(errors[j]) is kind
+            assert str(errors[j]) == str(single.value)
+            assert getattr(errors[j], "index", None) == getattr(single.value, "index", None)
+        assert errors[3] is None
+        assert np.array_equal(est[3], tsai_estimator(scatter[3] / 10, n=10).matrix)
+        assert np.isfinite(est).all()

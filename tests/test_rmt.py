@@ -9,14 +9,11 @@ from covshrink import (
     MPModel,
     NumericError,
     boundary_stieltjes,
-    empirical_stieltjes,
     identity_hilbert,
     mp_cdf,
     mp_density,
-    mp_equation_residual,
     mp_stieltjes,
     naive_hilbert,
-    quantile_index,
     quantile_map,
 )
 
@@ -36,36 +33,6 @@ class TestMPModel:
     def test_concentration_range(self, c):
         with pytest.raises(ValueError):
             MPModel(c=c)
-
-
-class TestEmpiricalStieltjes:
-    def test_single_eigenvalue(self):
-        # 1/(1 - i) = (1 + i)/2
-        assert_allclose(empirical_stieltjes([1.0], 1j), 0.5 + 0.5j)
-
-    def test_two_eigenvalues_hand_value(self):
-        got = empirical_stieltjes([3.0, 1.0], 2j)
-        expected = 0.5 * (1 / (3 - 2j) + 1 / (1 - 2j))
-        assert_allclose(got, expected)
-
-    def test_duplication_invariance(self):
-        z = 0.3 + 0.7j
-        assert_allclose(
-            empirical_stieltjes([1.0, 2.0], z),
-            empirical_stieltjes([1.0, 1.0, 2.0, 2.0], z),
-        )
-
-    def test_upper_half_plane_only(self):
-        with pytest.raises(ValueError):
-            empirical_stieltjes([1.0], 1.0 - 0.5j)
-        with pytest.raises(ValueError):
-            empirical_stieltjes([1.0], 2.0)
-
-    def test_imaginary_part_positive(self):
-        rng = np.random.default_rng(4)
-        l = rng.uniform(0.1, 3.0, 25)
-        for z in (0.5 + 0.1j, 2.0 + 1j, -1.0 + 0.01j):
-            assert empirical_stieltjes(l, z).imag > 0
 
 
 class TestNaiveHilbert:
@@ -218,10 +185,13 @@ class TestBoundaryStieltjes:
 
 class TestMPStieltjes:
     def test_equation_residual_on_grid(self):
+        # the point-mass population's fixed point m = 1 / (1 - c - c z m - z)
         m = MPModel(c=0.3)
         for re in (-1.0, 0.5, 1.0, 2.5):
             for im in (0.01, 0.1, 1.0):
-                assert mp_equation_residual(complex(re, im), m) < 1e-8
+                z = complex(re, im)
+                s = mp_stieltjes(z, m)
+                assert abs(s - 1.0 / (1.0 - m.c - m.c * z * s - z)) < 1e-8
 
     def test_upper_half_plane_image(self):
         m = MPModel(c=0.7)
@@ -252,7 +222,7 @@ class TestMPStieltjes:
         l = np.linalg.eigvalsh(x.T @ x / n)
         m = MPModel(c=p / n)
         for z in (1.0 + 0.5j, 0.5 + 0.2j, 2.0 + 1.0j):
-            assert abs(empirical_stieltjes(l, z) - mp_stieltjes(z, m)) < 0.05
+            assert abs(np.mean(1.0 / (l - z)) - mp_stieltjes(z, m)) < 0.05
 
 
 class TestQuantileMap:
@@ -280,24 +250,6 @@ class TestQuantileMap:
         # H chosen to zero the denominator exactly
         with pytest.raises(NumericError):
             quantile_map(4.0, 0.5, 0.25)
-
-
-class TestQuantileIndex:
-    def test_decimal_levels_unharmed_by_rounding(self):
-        # 100 * 0.95 is not exact in binary; must still give 95
-        assert quantile_index(100, 0.05) == 95
-        assert quantile_index(20, 0.05) == 19
-        assert quantile_index(10, 0.1) == 9
-
-    def test_clamping(self):
-        assert quantile_index(3, 0.9) == 1
-        assert quantile_index(5, 0.5) == 2
-
-    def test_alpha_range(self):
-        with pytest.raises(ValueError):
-            quantile_index(10, 0.0)
-        with pytest.raises(ValueError):
-            quantile_index(10, 1.0)
 
 
 def test_esd_tracks_mp_cdf():

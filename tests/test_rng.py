@@ -83,9 +83,17 @@ class TestReplicateCounts:
             seen.append((start, threading.get_ident()))
             return [float(np.sum(xj)) for xj in x]
 
+        def score(r, x):
+            seen.append((r, threading.get_ident()))
+            return float(np.sum(x))
+
         serial = run_chunks(score_chunk, 8, chol, 10, 100)
+        assert run_replicates(score, 8, chol, 10, 100) == serial
         seen.clear()
         for threads in (2, 3):
-            assert run_chunks(score_chunk, 8, chol, 10, 100, threads, draw_ahead=True) == serial
+            assert run_chunks(score_chunk, 8, chol, 10, 100, threads) == serial
             assert seen == [(start, threading.get_ident()) for start in range(0, 100, 7)]
+            seen.clear()
+            assert run_replicates(score, 8, chol, 10, 100, threads) == serial
+            assert seen == [(r, threading.get_ident()) for r in range(100)]
             seen.clear()
