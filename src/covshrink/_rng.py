@@ -3,12 +3,12 @@
 Every Monte Carlo replicate seeds its own generator from a stable 64-bit
 hash of (master seed, replicate index), so results are bit-identical no
 matter how replicates are scheduled across workers.  ``run_chunks`` is the
-one loop that draws replicates, stacked into chunks of a fixed byte budget,
-and scores them a chunk at a time on the calling thread, with the next
-chunks drawn ahead on any other threads; ``run_replicates`` scores each
-replicate of a chunk on its own.  ``check_failures`` is the one place the
-failed-replicate tolerance is enforced, and ``aggregate`` the one mean and
-standard error over the replicates that completed.
+one replicate loop: it draws replicates, stacked into chunks of a fixed
+byte budget, and hands each chunk whole to a stacked scorer on the calling
+thread, with the next chunks drawn ahead on any other threads.
+``check_failures`` is the one place the failed-replicate tolerance is
+enforced, and ``aggregate`` the one mean and standard error over the
+replicates that completed.
 """
 
 import hashlib
@@ -52,12 +52,19 @@ def draw_chunk(seed: int, chol_factor: np.ndarray, n: int, start: int, stop: int
 
     Slice j is bit for bit ``gaussian_rows(replicate_rng(seed, start + j),
     chol_factor, n, mean)``: each replicate keeps its own stream, and the
-    stacked product applies the same matrix product to every slice.
+    stacked product applies the same matrix product to every slice.  A
+    diagonal factor scales the columns instead, and the identity is
+    skipped: each entry of ``z @ L.T`` then has exactly one nonzero term,
+    so the product is that term, bit for bit.
     """
     z = np.empty((stop - start, n, chol_factor.shape[0]))
     for j in range(stop - start):
         replicate_rng(seed, start + j).standard_normal(out=z[j])
-    x = z @ chol_factor.T
+    scale = np.diagonal(chol_factor)
+    if np.count_nonzero(chol_factor) > np.count_nonzero(scale):
+        x = z @ chol_factor.T
+    else:
+        x = z if (scale == 1.0).all() else np.multiply(z, scale, out=z)
     if mean is not None:
         x += mean
     return x
@@ -92,20 +99,6 @@ def run_chunks(score_chunk, seed: int, chol_factor: np.ndarray, n: int, replicat
                 pending.append(pool.submit(draw, starts[k + threads - 1]))
             outcomes.extend(score_chunk(start, x))
         return outcomes
-
-
-def run_replicates(score, seed: int, chol_factor: np.ndarray, n: int, replicates: int,
-                   threads: int = 1, mean=None) -> list:
-    """``score(r, x_r)`` for r = 0 .. replicates - 1, in replicate order.
-
-    x_r is ``gaussian_rows(replicate_rng(seed, r), chol_factor, n, mean)``,
-    read as a slice of its chunk.  A scorer that tolerates a failed
-    replicate returns None for it instead of raising.
-    """
-    def score_chunk(start: int, x: np.ndarray) -> list:
-        return [score(start + j, xj) for j, xj in enumerate(x)]
-
-    return run_chunks(score_chunk, seed, chol_factor, n, replicates, threads, mean)
 
 
 def check_failures(outcomes, method: str, n: int, p: int) -> int:

@@ -179,15 +179,15 @@ def _pivot(a: np.ndarray, dof: int) -> tuple[np.ndarray, list]:
     return est, errors
 
 
-def _tsai(s: np.ndarray, n: int) -> tuple[np.ndarray, list, list]:
-    """Kernel of the shrinker: U diag(psi) U' for a (k, p, p) stack of covariances.
+def shrunk_spectra(w: np.ndarray, n: int, errors: list) -> tuple[np.ndarray, list]:
+    """psi for each descending spectrum of a (k, p) stack, and each ShrinkageTable.
 
-    Returns the estimates, each refusal and each ShrinkageTable (None when
-    refused).  psi is ``tsai_eigenvalues`` at sample count n, called once
-    per matrix, so its guards and their messages stay in one place.  A
-    refused matrix gets psi = 1, a finite placeholder estimate.
+    ``errors`` holds each spectrum's refusal so far: a refused spectrum is
+    skipped, and the refusal of one the shrinker turns down is written
+    there.  psi is ``tsai_eigenvalues`` at sample count n, called once per
+    spectrum, so its guards and their messages stay in one place.  A
+    refused spectrum gets psi = 1, a finite placeholder, and table None.
     """
-    w, u, errors = eigh_stack(s)
     tables = [None] * len(w)
     psi = np.ones(w.shape)
     for j, error in enumerate(errors):
@@ -203,6 +203,17 @@ def _tsai(s: np.ndarray, n: int) -> tuple[np.ndarray, list, list]:
             errors[j] = exc
         else:
             psi[j] = tables[j].shrunk_eigenvalues
+    return psi, tables
+
+
+def _tsai(s: np.ndarray, n: int) -> tuple[np.ndarray, list, list]:
+    """Kernel of the shrinker: U diag(psi) U' for a (k, p, p) stack of covariances.
+
+    Returns the estimates, each refusal and each ShrinkageTable (None when
+    refused); psi comes from ``shrunk_spectra``.
+    """
+    w, u, errors = eigh_stack(s)
+    psi, tables = shrunk_spectra(w, n, errors)
     est = (u * psi[:, None, :]) @ u.swapaxes(1, 2)
     return (est + est.swapaxes(1, 2)) / 2.0, errors, tables
 

@@ -5,17 +5,25 @@ sample covariance (classical test), the spectrally shrunk estimate
 (decomposite test), or the true covariance (oracle, for calibration).
 P-values always use the chi-square limit with p degrees of freedom; no
 finite-sample F calibration is attempted.
+
+Each statistic is written once, as a kernel over a (k, n, p) stack of
+samples that returns the k statistics and each one's refusal: the
+CovshrinkError that sample earns, or None.  The public tests are the k = 1
+case; they raise the refusal and add the p-value.  ``STACKED_MEAN_TESTS``
+hands the kernels to ``power_simulation``, which scores a chunk of
+replicates at a time.
 """
 
 import math
+from collections import Counter
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._rng import check_failures, run_replicates
+from ._rng import check_failures, run_chunks
 from .errors import CovshrinkError, NotPositiveDefiniteError
-from .estimators import as_data_matrix, sample_covariance, tsai_eigenvalues
-from .matrix_core import cholesky, spectral_decompose
+from .estimators import STACKED_ESTIMATORS, _only, as_data_matrix, scatter_stack, shrunk_spectra
+from .matrix_core import cholesky, cholesky_stack, eigh_stack
 
 RATES = ("hdim", "classical")
 
@@ -36,30 +44,41 @@ class TestResult:
             raise ValueError("p-value outside [0, 1]")
 
 
-def _mahalanobis_sq(xbar: np.ndarray, matrix: np.ndarray) -> float:
-    """xbar' matrix^-1 xbar through a Cholesky solve; raises on singular input."""
+def _mahalanobis_sq(t: np.ndarray, xbar: np.ndarray) -> np.ndarray:
+    """xbar_j' (t_j t_j')^-1 xbar_j for (k, p, p) lower factors and (k, p) vectors."""
     from scipy.linalg import solve_triangular  # on first use, not at import
 
-    t = cholesky(matrix)
-    w = solve_triangular(t, xbar, lower=True)
-    return float(w @ w)
+    w = solve_triangular(t, xbar[..., None], lower=True)
+    return (w.transpose(0, 2, 1) @ w)[:, 0, 0]
 
 
-def _require_nonsingular(s: np.ndarray, eigenvalues: np.ndarray) -> None:
-    """Refuse the centered S when its smallest eigenvalue is rounding noise.
+def _centered(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Sample means (k, p) and centered covariances (k, p, p) of a (k, n, p) stack."""
+    n, p = x.shape[1:]
+    if n < p + 1:
+        raise ValueError(f"need n >= p + 1 for an invertible centered covariance, got n={n}, p={p}")
+    xbar = x.mean(axis=1)
+    scatter = scatter_stack(x - xbar[:, None, :])
+    return xbar, STACKED_ESTIMATORS["sample"](scatter, n - 1)[0]
+
+
+def _refuse_singular(s: np.ndarray, eigenvalues: np.ndarray, errors: list) -> None:
+    """Refuse each centered S whose smallest eigenvalue is rounding noise.
 
     On exactly collinear data rounding can leave the smallest eigenvalue
     slightly positive instead of zero.  Eigenvalues are computed to about
     eps * ||S||, so anything at or below p * eps times the largest diagonal
-    entry of S is treated as zero.
+    entry of S is treated as zero.  Writes the refusal into ``errors`` for
+    each matrix not refused already.
     """
-    p = s.shape[0]
-    floor = p * np.finfo(float).eps * float(np.max(np.diag(s)))
-    smallest = float(np.min(eigenvalues))
-    if smallest <= floor:
-        raise NotPositiveDefiniteError(
-            f"centered covariance is singular: smallest eigenvalue {smallest:.3e} "
-            f"is at or below {floor:.3e}", index=p)
+    p = s.shape[1]
+    floors = (p * np.finfo(float).eps * np.diagonal(s, axis1=1, axis2=2).max(axis=1)).tolist()
+    smallest = eigenvalues.min(axis=1).tolist()
+    for j, (floor, low) in enumerate(zip(floors, smallest)):
+        if errors[j] is None and low <= floor:
+            errors[j] = NotPositiveDefiniteError(
+                f"centered covariance is singular: smallest eigenvalue {low:.3e} "
+                f"is at or below {floor:.3e}", index=p)
 
 
 def chisq_pvalue(statistic: float, p: int, noncentrality: float = 0.0) -> float:
@@ -81,17 +100,51 @@ def chisq_pvalue(statistic: float, p: int, noncentrality: float = 0.0) -> float:
     return min(max(1.0 - float(chndtr(statistic, p, noncentrality)), 0.0), 1.0)
 
 
+def _hotelling(x: np.ndarray) -> tuple[np.ndarray, list]:
+    """Kernel of the classical test n xbar' S^-1 xbar over a (k, n, p) stack."""
+    xbar, s = _centered(x)
+    errors = [None] * len(s)
+    _refuse_singular(s, np.linalg.eigvalsh(s), errors)
+    t, chol_errors = cholesky_stack(s)
+    errors = [e if e is not None else c for e, c in zip(errors, chol_errors)]
+    return x.shape[1] * _mahalanobis_sq(t, xbar), errors
+
+
+def _decomposite(x: np.ndarray) -> tuple[np.ndarray, list]:
+    """Kernel of the shrinkage test n sum_i (u_i' xbar)^2 / psi_i over a (k, n, p) stack."""
+    n = x.shape[1]
+    xbar, s = _centered(x)
+    w, v, errors = eigh_stack(s)
+    _refuse_singular(s, w, errors)
+    psi, _ = shrunk_spectra(w, n - 1, errors)
+    # squared projections, so the eigenvector signs need no canonical choice
+    proj = (v.transpose(0, 2, 1) @ xbar[..., None])[..., 0]
+    return n * np.sum(proj * proj / psi, axis=1), errors
+
+
+def _oracle(x: np.ndarray, sigma) -> tuple[np.ndarray, list]:
+    """Kernel of the oracle test n xbar' sigma^-1 xbar over a (k, n, p) stack.
+
+    A sigma that ``cholesky`` refuses refuses every slice.
+    """
+    k, n, p = x.shape
+    try:
+        t = cholesky(sigma)
+    except CovshrinkError as exc:
+        return np.zeros(k), [exc] * k
+    return n * _mahalanobis_sq(np.broadcast_to(t, (k, p, p)), x.mean(axis=1)), [None] * k
+
+
+def _result(stats: np.ndarray, errors: list, method: str, n: int, p: int) -> TestResult:
+    """The TestResult of a kernel's k = 1 output, or its refusal raised."""
+    stat = float(_only(stats, errors))
+    return TestResult(stat, p, chisq_pvalue(stat, p), method, n, p)
+
+
 def hotelling_t2(x) -> TestResult:
     """Classical one-sample statistic n xbar' S^-1 xbar with the centered S."""
     a = as_data_matrix(x)
-    n, p = a.shape
-    if n < p + 1:
-        raise ValueError(f"need n >= p + 1 for an invertible centered covariance, got n={n}, p={p}")
-    xbar = a.mean(axis=0)
-    s = sample_covariance(a, mode="centered_n_minus_1").matrix
-    _require_nonsingular(s, np.linalg.eigvalsh(s))
-    stat = n * _mahalanobis_sq(xbar, s)
-    return TestResult(stat, p, chisq_pvalue(stat, p), "hotelling", n, p)
+    return _result(*_hotelling(a[None]), "hotelling", *a.shape)
 
 
 def decomposite_t2(x) -> TestResult:
@@ -102,17 +155,7 @@ def decomposite_t2(x) -> TestResult:
     (p = 1, or n >> p).
     """
     a = as_data_matrix(x)
-    n, p = a.shape
-    if n < p + 1:
-        raise ValueError(f"need n >= p + 1 for an invertible centered covariance, got n={n}, p={p}")
-    xbar = a.mean(axis=0)
-    s = sample_covariance(a, mode="centered_n_minus_1").matrix
-    dec = spectral_decompose(s)
-    _require_nonsingular(s, dec.eigenvalues)
-    table = tsai_eigenvalues(dec.eigenvalues, n - 1)
-    proj = dec.eigenvectors.T @ xbar
-    stat = n * float(np.sum(proj * proj / table.shrunk_eigenvalues))
-    return TestResult(stat, p, chisq_pvalue(stat, p), "decomposite", n, p)
+    return _result(*_decomposite(a[None]), "decomposite", *a.shape)
 
 
 def oracle_t2(x, sigma) -> TestResult:
@@ -121,10 +164,7 @@ def oracle_t2(x, sigma) -> TestResult:
     Exactly chi-square with p dof under the null, for any n.
     """
     a = as_data_matrix(x)
-    n, p = a.shape
-    xbar = a.mean(axis=0)
-    stat = n * _mahalanobis_sq(xbar, np.asarray(sigma, dtype=float))
-    return TestResult(stat, p, chisq_pvalue(stat, p), "oracle", n, p)
+    return _result(*_oracle(a[None], sigma), "oracle", *a.shape)
 
 
 # test name -> statistic(x, sigma); only the oracle reads the true covariance
@@ -132,6 +172,16 @@ MEAN_TESTS = {
     "hotelling": lambda x, sigma: hotelling_t2(x),
     "decomposite": lambda x, sigma: decomposite_t2(x),
     "oracle": oracle_t2,
+}
+
+
+# test name -> its kernel(x, sigma); for a (k, n, p) stack x, entry j of the
+# statistics is MEAN_TESTS[name](x[j], sigma).statistic bit for bit, and its
+# refusal is the CovshrinkError that test raises, or None
+STACKED_MEAN_TESTS = {
+    "hotelling": lambda x, sigma: _hotelling(x),
+    "decomposite": lambda x, sigma: _decomposite(x),
+    "oracle": _oracle,
 }
 
 
@@ -161,13 +211,17 @@ def local_alternative(delta, n: int, sigma=None) -> LocalAlternative:
     if sigma is None:
         ncp = float(d @ d)
     else:
-        ncp = _mahalanobis_sq(d, np.asarray(sigma, dtype=float))
+        ncp = float(_mahalanobis_sq(cholesky(sigma)[None], d[None])[0])
     return LocalAlternative(delta=d, n=n, noncentrality=ncp)
 
 
 @dataclass(frozen=True)
 class PowerReport:
-    """Empirical rejection rate of a mean test at the chi-square critical value."""
+    """Empirical rejection rate of a mean test at the chi-square critical value.
+
+    ``failure_classes`` counts the failed replicates by the class name of
+    their refusal.
+    """
 
     rejection_rate: float
     std_error: float
@@ -180,6 +234,7 @@ class PowerReport:
     n: int
     p: int
     seed: int
+    failure_classes: dict = field(default_factory=dict)
 
 
 def power_simulation(n: int, p: int, sigma, delta, alpha: float = 0.05,
@@ -197,10 +252,12 @@ def power_simulation(n: int, p: int, sigma, delta, alpha: float = 0.05,
         delta.  "classical" drops the p^(1/4) factor, giving noncentrality
         exactly delta' sigma^-1 delta.
     method : {"hotelling", "decomposite", "oracle"}
-        A key of MEAN_TESTS.
+        A key of MEAN_TESTS.  Its STACKED_MEAN_TESTS kernel scores the
+        replicates a chunk at a time.
 
-    Failed replicates (singular shrinkage) are recorded; more than 1 percent
-    failures aborts, as in the risk runner.
+    Failed replicates (singular shrinkage) are recorded and counted by
+    refusal class; more than 1 percent failures aborts, as in the risk
+    runner.
     """
     from scipy.special import chdtri
 
@@ -212,23 +269,27 @@ def power_simulation(n: int, p: int, sigma, delta, alpha: float = 0.05,
         raise ValueError(f"unknown rate {rate!r}, expected one of {RATES}")
     if not 0.0 < alpha < 1.0:
         raise ValueError(f"alpha must lie in (0, 1), got {alpha}")
+    if n < 2:
+        raise ValueError(f"need at least 2 observations, got {n}")
     sig = np.asarray(sigma, dtype=float)
     d = np.asarray(delta, dtype=float)
     if d.shape != (p,):
         raise ValueError(f"delta must have length p={p}, got shape {d.shape}")
+    if not np.isfinite(d).all():
+        raise ValueError("delta must be finite")
     chol_sig = cholesky(sig)
     scale = p ** 0.25 if rate == "hdim" else 1.0
     mu = d * scale / math.sqrt(n)
     crit = float(chdtri(p, alpha))
-    statistic = MEAN_TESTS[method]
+    kernel = STACKED_MEAN_TESTS[method]
+    refusals = Counter()
 
-    def score(r: int, x: np.ndarray):
-        try:
-            return bool(statistic(x, sig).statistic > crit)
-        except CovshrinkError:
-            return None
+    def score_chunk(start: int, x: np.ndarray) -> list:
+        stats, errors = kernel(x, sig)
+        refusals.update(type(e).__name__ for e in errors if e is not None)
+        return [None if e is not None else stat > crit for stat, e in zip(stats.tolist(), errors)]
 
-    outcomes = run_replicates(score, seed, chol_sig, n, replicates, threads, mean=mu)
+    outcomes = run_chunks(score_chunk, seed, chol_sig, n, replicates, threads, mean=mu)
     failures = check_failures(outcomes, method, n, p)
     ok = [o for o in outcomes if o is not None]
     m = len(ok)
@@ -246,4 +307,5 @@ def power_simulation(n: int, p: int, sigma, delta, alpha: float = 0.05,
         n=n,
         p=p,
         seed=seed,
+        failure_classes=dict(sorted(refusals.items())),
     )

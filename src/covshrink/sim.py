@@ -21,9 +21,9 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from ._rng import aggregate, check_failures, gaussian_rows, replicate_rng, run_replicates
+from ._rng import aggregate, check_failures, gaussian_rows, replicate_rng, run_chunks
 from .errors import ConfigError, NumericError
-from .estimators import DENOM_GUARD, ESTIMATORS, shrinkage_terms
+from .estimators import DENOM_GUARD, ESTIMATORS, scatter_stack, shrinkage_terms
 from .loss_risk import RISK_KINDS, min_risk, replicate_losses
 from .matrix_core import cholesky, spectral_decompose, tie_gap
 from .rmt import MPModel, mp_cdf
@@ -189,9 +189,7 @@ def eigenvalue_recovery_experiment(config: ExperimentConfig, threads: int = 1) -
     n = config.n
     guard = DENOM_GUARD * n
 
-    def one(r: int, x: np.ndarray) -> dict:
-        s = x.T @ x / n
-        l = np.linalg.eigvalsh(s)[::-1]
+    def one(r: int, l: np.ndarray) -> dict:
         sample_mae = float(np.mean(np.abs(l - gamma)))
         psi, d = shrinkage_terms(l, n)
         breaches = int(np.count_nonzero(d <= guard))
@@ -207,7 +205,11 @@ def eigenvalue_recovery_experiment(config: ExperimentConfig, threads: int = 1) -
             "rel_frobenius": float(np.linalg.norm(psi - l) / np.linalg.norm(l)) if ok else None,
         }
 
-    rows = run_replicates(one, config.seed, chol_sig, n, config.replicates, threads)
+    def score_chunk(first: int, x: np.ndarray) -> list:
+        spectra = np.linalg.eigvalsh(scatter_stack(x) / n)[:, ::-1]
+        return [one(first + j, l) for j, l in enumerate(spectra)]
+
+    rows = run_chunks(score_chunk, config.seed, chol_sig, n, config.replicates, threads)
     failures = sum(1 for row in rows if row["shrunk_mae"] is None)
     metrics = {
         "sample_mae": aggregate(row["sample_mae"] for row in rows),
@@ -226,15 +228,15 @@ def esd_fit_experiment(config: ExperimentConfig, threads: int = 1) -> Experiment
     start = time.perf_counter()
     n, p = config.n, config.p
     model = MPModel(p / n)
+    i = np.arange(1, p + 1)
 
-    def one(r: int, x: np.ndarray) -> dict:
-        l = np.sort(np.linalg.eigvalsh(x.T @ x / n))
-        f = mp_cdf(l, model)
-        i = np.arange(1, p + 1)
-        ks = float(np.max(np.maximum(np.abs(f - i / p), np.abs(f - (i - 1) / p))))
-        return {"replicate": r, "ks": ks}
+    def score_chunk(first: int, x: np.ndarray) -> list:
+        # eigvalsh returns each spectrum ascending, the order the KS distance reads
+        f = mp_cdf(np.linalg.eigvalsh(scatter_stack(x) / n), model)
+        ks = np.max(np.maximum(np.abs(f - i / p), np.abs(f - (i - 1) / p)), axis=1)
+        return [{"replicate": first + j, "ks": value} for j, value in enumerate(ks.tolist())]
 
-    rows = run_replicates(one, config.seed, np.eye(p), n, config.replicates, threads)
+    rows = run_chunks(score_chunk, config.seed, np.eye(p), n, config.replicates, threads)
     metrics = {"ks": aggregate(row["ks"] for row in rows), "concentration": p / n}
     return _report(config, metrics, rows, 0, start)
 

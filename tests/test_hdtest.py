@@ -3,6 +3,7 @@ import math
 import os
 import subprocess
 import sys
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
@@ -12,7 +13,10 @@ from scipy.stats import chi2, ncx2
 
 import covshrink
 from covshrink import (
+    CovshrinkError,
     NotPositiveDefiniteError,
+    NumericError,
+    PowerReport,
     chisq_pvalue,
     decomposite_t2,
     hotelling_t2,
@@ -22,12 +26,81 @@ from covshrink import (
     sample_covariance,
     tsai_eigenvalues,
 )
-from covshrink.matrix_core import spectral_decompose
+from covshrink._rng import draw_chunk, gaussian_rows, replicate_rng
+from covshrink.hdtest import MEAN_TESTS, STACKED_MEAN_TESTS
+from covshrink.matrix_core import cholesky, spectral_decompose
 
 
 def random_spd(rng, p):
     g = rng.standard_normal((p, p))
     return g @ g.T + p * np.eye(p)
+
+
+def ar1(p, rho):
+    idx = np.arange(p)
+    return rho ** np.abs(idx[:, None] - idx[None, :])
+
+
+def statistic_or_refusal(test, x, sigma):
+    """(statistic, None) of MEAN_TESTS[test] on one sample, or (None, its refusal)."""
+    try:
+        return MEAN_TESTS[test](x, sigma).statistic, None
+    except CovshrinkError as exc:
+        return None, exc
+
+
+class TestStackedKernels:
+    @pytest.mark.parametrize("test", list(MEAN_TESTS))
+    @pytest.mark.parametrize("sigma", [np.eye(4), ar1(4, 0.6)], ids=["identity", "ar1"])
+    def test_slices_equal_the_public_test_bit_for_bit(self, test, sigma):
+        # n=8, p=4 makes the shrinker refuse some slices; slice 5 is collinear
+        x = draw_chunk(11, cholesky(sigma), 8, 0, 40, np.full(4, 0.3))
+        x[5, :, 3] = x[5, :, 2]
+        stats, errors = STACKED_MEAN_TESTS[test](x, sigma)
+        assert len(stats) == len(errors) == 40
+        classes = set()
+        for j in range(40):
+            statistic, error = statistic_or_refusal(test, x[j], sigma)
+            if error is None:
+                assert errors[j] is None
+                assert stats[j] == statistic
+            else:
+                assert type(errors[j]) is type(error)
+                assert str(errors[j]) == str(error)
+                classes.add(type(error).__name__)
+        expected = {"hotelling": {"NotPositiveDefiniteError"},
+                    "decomposite": {"NotPositiveDefiniteError", "ShrinkageSingularityError"},
+                    "oracle": set()}
+        assert classes == expected[test]
+
+    @pytest.mark.parametrize("sigma", [np.eye(5), ar1(5, 0.6)], ids=["identity", "ar1"])
+    def test_statistics_equal_the_per_sample_formulas_bit_for_bit(self, sigma):
+        # each statistic written out from the public pieces, one sample at a time
+        from scipy.linalg import solve_triangular
+
+        n = 40
+        x = draw_chunk(12, cholesky(sigma), n, 0, 60, np.full(5, 0.2))
+        stats = {test: STACKED_MEAN_TESTS[test](x, sigma) for test in MEAN_TESTS}
+        for j in range(60):
+            xbar = x[j].mean(axis=0)
+            s = sample_covariance(x[j], mode="centered_n_minus_1").matrix
+            w = solve_triangular(cholesky(s), xbar, lower=True)
+            assert stats["hotelling"][0][j] == n * float(w @ w)
+            w = solve_triangular(cholesky(sigma), xbar, lower=True)
+            assert stats["oracle"][0][j] == n * float(w @ w)
+            if stats["decomposite"][1][j] is None:
+                dec = spectral_decompose(s)
+                psi = tsai_eigenvalues(dec.eigenvalues, n - 1).shrunk_eigenvalues
+                proj = dec.eigenvectors.T @ xbar
+                assert stats["decomposite"][0][j] == n * float(np.sum(proj * proj / psi))
+
+    def test_oracle_refuses_every_slice_of_an_indefinite_sigma(self):
+        sigma = np.diag([1.0, -1.0, 2.0])
+        x = draw_chunk(3, np.eye(3), 10, 0, 4)
+        _, errors = STACKED_MEAN_TESTS["oracle"](x, sigma)
+        with pytest.raises(NotPositiveDefiniteError) as info:
+            oracle_t2(x[0], sigma)
+        assert [(type(e), str(e)) for e in errors] == [(type(info.value), str(info.value))] * 4
 
 
 class TestChisqPvalue:
@@ -251,6 +324,42 @@ class TestPowerSimulation:
                              replicates=300, seed=26, threads=4)
         assert a.rejection_rate == b.rejection_rate
 
+    @pytest.mark.parametrize("threads", [1, 2])
+    @pytest.mark.parametrize("test", list(MEAN_TESTS))
+    def test_equals_a_loop_over_the_public_test(self, test, threads):
+        # at n=40 the shrinker refuses 2 of 400 replicates, within the 1 % limit
+        n, p, sigma = 40, 4, ar1(4, 0.5)
+        delta = np.array([1.0, 0.5, 0.0, 0.0])
+        rep = power_simulation(n, p, sigma, delta, replicates=400, seed=1, method=test,
+                               threads=threads)
+        mu = delta * p ** 0.25 / math.sqrt(n)
+        rejections, classes = [], {}
+        for r in range(400):
+            x = gaussian_rows(replicate_rng(1, r), cholesky(sigma), n, mu)
+            statistic, error = statistic_or_refusal(test, x, sigma)
+            if error is None:
+                rejections.append(statistic > rep.critical_value)
+            else:
+                classes[type(error).__name__] = classes.get(type(error).__name__, 0) + 1
+        assert rep.rejection_rate == sum(rejections) / len(rejections)
+        assert rep.replicates == len(rejections)
+        assert rep.failures == 400 - len(rejections) == sum(classes.values())
+        assert rep.failure_classes == classes
+        if test == "decomposite":
+            assert classes == {"ShrinkageSingularityError": 2}
+
+    def test_refusals_above_the_limit_abort(self):
+        with pytest.raises(NumericError, match="8 of 400 replicates failed"):
+            power_simulation(20, 4, ar1(4, 0.5), np.array([1.0, 0.5, 0.0, 0.0]),
+                             replicates=400, seed=1, method="decomposite")
+
+    def test_report_without_failure_classes_still_loads(self):
+        rep = power_simulation(n=30, p=2, sigma=np.eye(2), delta=np.zeros(2),
+                               replicates=50, seed=5)
+        old = {k: v for k, v in asdict(rep).items() if k != "failure_classes"}
+        assert PowerReport(**old) == rep
+        assert rep.failure_classes == {}
+
     def test_critical_value_is_the_chi_square_quantile(self):
         for p in (1, 2, 5, 10):
             for alpha in (0.01, 0.05, 0.1):
@@ -267,6 +376,10 @@ class TestPowerSimulation:
             power_simulation(n=30, p=2, sigma=np.eye(2), delta=np.zeros(2), alpha=1.5)
         with pytest.raises(ValueError):
             power_simulation(n=30, p=2, sigma=np.eye(2), delta=np.zeros(3))
+        with pytest.raises(ValueError, match="finite"):
+            power_simulation(n=30, p=2, sigma=np.eye(2), delta=np.array([np.nan, 0.0]))
+        with pytest.raises(ValueError, match="at least 2 observations"):
+            power_simulation(n=1, p=1, sigma=np.eye(1), delta=np.zeros(1), method="oracle")
 
     def test_replicate_count_below_one_is_refused(self):
         for replicates in (0, -3):

@@ -10,7 +10,6 @@ from covshrink._rng import (
     gaussian_rows,
     replicate_rng,
     run_chunks,
-    run_replicates,
 )
 from covshrink.io_cli import run_cli
 from covshrink.matrix_core import cholesky
@@ -36,6 +35,15 @@ class TestChunking:
         for r, xr in enumerate(slices):
             assert np.array_equal(xr, gaussian_rows(replicate_rng(21, r), chol, 40, mean))
 
+    @pytest.mark.parametrize("sigma", [np.eye(6), np.diag([9.0, 4.0, 2.5, 1.0, 1.0, 1.0]),
+                                       ar1(6, 0.5)], ids=["identity", "spiked", "ar1"])
+    @pytest.mark.parametrize("mean", [None, np.linspace(-1.0, 2.0, 6)])
+    def test_draw_chunk_slices_equal_gaussian_rows_for_each_factor(self, sigma, mean):
+        chol = cholesky(sigma)
+        x = draw_chunk(9, chol, 25, 4, 30, mean)
+        for j in range(26):
+            assert np.array_equal(x[j], gaussian_rows(replicate_rng(9, 4 + j), chol, 25, mean))
+
     def test_draw_chunk_starts_mid_stream(self):
         chol = cholesky(ar1(3, 0.4))
         x = draw_chunk(5, chol, 12, 7, 10)
@@ -46,14 +54,14 @@ class TestChunking:
     def test_outcomes_do_not_depend_on_chunk_size_or_threads(self, monkeypatch):
         chol = cholesky(ar1(4, 0.3))
 
-        def score(r, x):
-            return (r, float(np.sum(x * x)))
+        def score_chunk(start, x):
+            return [(start + j, float(np.sum(xj * xj))) for j, xj in enumerate(x)]
 
-        default = run_replicates(score, 3, chol, 30, 250)
+        default = run_chunks(score_chunk, 3, chol, 30, 250)
         monkeypatch.setattr(_rng, "CHUNK_BYTES", 1)
         assert chunk_replicates(30, 4) == 1
-        assert run_replicates(score, 3, chol, 30, 250) == default
-        assert run_replicates(score, 3, chol, 30, 250, threads=3) == default
+        assert run_chunks(score_chunk, 3, chol, 30, 250) == default
+        assert run_chunks(score_chunk, 3, chol, 30, 250, threads=3) == default
         assert [r for r, _ in default] == list(range(250))
 
 
@@ -83,17 +91,10 @@ class TestReplicateCounts:
             seen.append((start, threading.get_ident()))
             return [float(np.sum(xj)) for xj in x]
 
-        def score(r, x):
-            seen.append((r, threading.get_ident()))
-            return float(np.sum(x))
-
         serial = run_chunks(score_chunk, 8, chol, 10, 100)
-        assert run_replicates(score, 8, chol, 10, 100) == serial
+        assert len(serial) == 100
         seen.clear()
         for threads in (2, 3):
             assert run_chunks(score_chunk, 8, chol, 10, 100, threads) == serial
             assert seen == [(start, threading.get_ident()) for start in range(0, 100, 7)]
-            seen.clear()
-            assert run_replicates(score, 8, chol, 10, 100, threads) == serial
-            assert seen == [(r, threading.get_ident()) for r in range(100)]
             seen.clear()

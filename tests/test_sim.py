@@ -12,6 +12,10 @@ from covshrink import (
     risk_comparison_experiment,
     sample_gaussian,
 )
+from covshrink._rng import gaussian_rows, replicate_rng
+from covshrink.estimators import shrinkage_terms
+from covshrink.matrix_core import cholesky
+from covshrink.rmt import MPModel, mp_cdf
 from covshrink.sim import EXPERIMENTS, aggregate
 
 
@@ -189,6 +193,36 @@ class TestRecoveryExperiment:
             a = experiment(config)
             b = experiment(config, threads=4)
             assert a.rows == b.rows, experiment.__name__
+
+
+@pytest.mark.parametrize("model", [PopulationModel(variant="spiked", p=6, spikes=(9.0, 4.0)),
+                                   PopulationModel(variant="ar1", p=6, rho=0.4)],
+                         ids=["spiked", "ar1"])
+def test_recovery_rows_equal_a_per_replicate_computation(model):
+    # 300 replicates at n=60, p=6 span several chunks
+    config = ExperimentConfig(model=model, n=60, replicates=300, seed=3)
+    rows = eigenvalue_recovery_experiment(config).rows
+    sigma = make_sigma(model)
+    gamma = np.linalg.eigvalsh(sigma)[::-1]
+    for r, row in enumerate(rows):
+        x = gaussian_rows(replicate_rng(3, r), cholesky(sigma), 60)
+        l = np.linalg.eigvalsh(x.T @ x / 60)[::-1]
+        psi, d = shrinkage_terms(l, 60)
+        assert row["replicate"] == r
+        assert row["sample_mae"] == float(np.mean(np.abs(l - gamma)))
+        assert row["shrunk_mae_raw"] == float(np.mean(np.abs(psi - gamma)))
+        assert row["min_denominator"] == float(d.min())
+
+
+def test_esd_rows_equal_a_per_replicate_computation():
+    rows = esd_fit_experiment(identity_config(p=20, n=80, replicates=200, seed=3)).rows
+    i = np.arange(1, 21)
+    for r, row in enumerate(rows):
+        x = gaussian_rows(replicate_rng(3, r), np.eye(20), 80)
+        f = mp_cdf(np.sort(np.linalg.eigvalsh(x.T @ x / 80)), MPModel(0.25))
+        assert row == {"replicate": r,
+                       "ks": float(np.max(np.maximum(np.abs(f - i / 20),
+                                                     np.abs(f - (i - 1) / 20))))}
 
 
 class TestEsdExperiment:
