@@ -46,9 +46,7 @@ class TestResult:
 
 def _mahalanobis_sq(t: np.ndarray, xbar: np.ndarray) -> np.ndarray:
     """xbar_j' (t_j t_j')^-1 xbar_j for (k, p, p) lower factors and (k, p) vectors."""
-    from scipy.linalg import solve_triangular  # on first use, not at import
-
-    w = solve_triangular(t, xbar[..., None], lower=True)
+    w = np.linalg.solve(t, xbar[..., None])
     return (w.transpose(0, 2, 1) @ w)[:, 0, 0]
 
 

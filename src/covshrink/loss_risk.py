@@ -19,40 +19,41 @@ RISK_KINDS = tuple(CLASS_DIVISORS)
 def stein_loss(phi, sigma) -> float:
     """Entropy loss tr(sigma^-1 phi) - logdet(sigma^-1 phi) - p.
 
-    Nonnegative, zero exactly at phi = sigma.  Computed from triangular
-    solves of the two Cholesky factors; determinants never materialize, so
-    p in the hundreds is safe.
+    Nonnegative, zero exactly at phi = sigma.  Computed from the two
+    Cholesky factors and the inverse of sigma's; determinants never
+    materialize, so p in the hundreds is safe.
     """
     a = np.asarray(phi, dtype=float)
     b = np.asarray(sigma, dtype=float)
     if a.shape != b.shape:
         raise ValueError(f"dimension mismatch: {a.shape} vs {b.shape}")
-    return _stein_loss(cholesky(a), cholesky(b))
+    t_phi, t_sig = cholesky(a), cholesky(b)
+    return float(_stein_losses(t_phi[None], t_sig, _inverse_factor(t_sig))[0])
 
 
-def _stein_loss(t_phi: np.ndarray, t_sig: np.ndarray) -> float:
-    """Stein loss from the lower Cholesky factors of phi and sigma; consumes t_phi."""
-    return float(_stein_losses(t_phi[None], t_sig)[0])
+def _inverse_factor(t_sig: np.ndarray) -> np.ndarray:
+    """t_sig^-1 for a lower Cholesky factor; lower triangular, as the exact inverse is."""
+    return np.tril(np.linalg.inv(t_sig))
 
 
-def _stein_losses(t_phi: np.ndarray, t_sig: np.ndarray) -> np.ndarray:
+def _stein_losses(t_phi: np.ndarray, t_sig: np.ndarray, inv_sig: np.ndarray) -> np.ndarray:
     """Stein losses of a (k, p, p) stack of lower factors against one sigma factor.
 
-    Consumes t_phi: the triangular solve overwrites it, which keeps the
-    peak memory at one stack of factors.
+    ``inv_sig`` is ``_inverse_factor(t_sig)``, computed once per sigma.
+    May overwrite t_phi, which keeps the peak memory at one stack of factors.
     """
-    from scipy.linalg import solve_triangular  # on first use, not at import
-
-    k, p, _ = t_phi.shape
+    p = t_phi.shape[1]
     logdet = 2.0 * (np.sum(np.log(np.diagonal(t_phi, axis1=1, axis2=2)), axis=1)
                     - np.sum(np.log(np.diag(t_sig))))
     # sigma^-1 phi = (t_sig^-T t_sig^-1)(t_phi t_phi^T); trace is the squared
-    # Frobenius norm of t_sig^-1 t_phi.  One solve covers every right-hand
-    # side, each factor a Fortran-ordered block of columns, so each w[j] is
-    # summed in the same column-major order as a lone factor would be.
-    w = solve_triangular(t_sig, t_phi.transpose(1, 0, 2).reshape(p, k * p), lower=True,
-                         overwrite_b=True)
-    w = w.reshape(p, k, p).transpose(1, 0, 2)
+    # Frobenius norm of t_sig^-1 t_phi, one matrix product per factor.  A
+    # diagonal inverse scales the rows instead: each entry of the product
+    # then has exactly one nonzero term, so the scaling is the same bits.
+    scale = np.diag(inv_sig)
+    if np.count_nonzero(inv_sig) > np.count_nonzero(scale):
+        w = inv_sig @ t_phi
+    else:
+        w = np.multiply(t_phi, scale[:, None], out=t_phi)
     w *= w
     return np.sum(w, axis=(1, 2)) - logdet - p
 
@@ -142,12 +143,13 @@ def replicate_losses(methods, sigma, n: int, replicates: int, seed: int,
     out = {}
     for method in methods:
         target, t_target = _target(method, sig, chol_sig)
+        inv_target = _inverse_factor(t_target)
         estimate = STACKED_ESTIMATORS[method]
 
         def score_chunk(start: int, x: np.ndarray) -> list:
             est, est_errors = estimate(scatter_stack(x), n)
             t_phi, errors = cholesky_stack(est)
-            losses = _stein_losses(t_phi, t_target)
+            losses = _stein_losses(t_phi, t_target, inv_target)
             return [None if e1 is not None or e2 is not None else float(loss)
                     for loss, e1, e2 in zip(losses, est_errors, errors)]
 

@@ -153,32 +153,50 @@ def spectral_decompose(m) -> SpectralDecomp:
                           tied=tie_gap(w[0]) is not None)
 
 
+def _first_failing_minor(a: np.ndarray) -> int:
+    """Order of the first leading minor that Cholesky refuses in a refused matrix a.
+
+    This is LAPACK's ``info``.  A leading block is refused exactly when one
+    of its own leading minors is, so bisection over the blocks finds the
+    first in log2(p) factorizations.
+    """
+    ok, bad = 0, a.shape[0]
+    while bad - ok > 1:
+        mid = (ok + bad) // 2
+        try:
+            np.linalg.cholesky(a[:mid, :mid])
+            ok = mid
+        except np.linalg.LinAlgError:
+            bad = mid
+    return bad
+
+
 def cholesky_stack(m) -> tuple[np.ndarray, list]:
     """Lower Cholesky factors of a (k, p, p) stack, and each matrix's refusal.
 
     ``errors[j]`` is the error ``cholesky`` raises for matrix j, or None;
     a refused matrix gets the identity as a placeholder factor so stacked
-    arithmetic on the factors stays finite.  Each factor is Fortran-ordered,
-    as LAPACK returns it, so downstream solves take the same path as on a
-    single factor.
+    arithmetic on the factors stays finite.  One stacked ``cholesky`` covers
+    the stack; only when it refuses is each matrix factored alone, to find
+    which ones failed and at which leading minor.
     """
-    # scipy loads on first use, so `import covshrink` loads none of it
-    from scipy.linalg import lapack
-
     sym, errors = _symmetrize(_square_stack(m))
     p = sym.shape[1]
-    # each sym[j] is exactly symmetric, so its transpose is the same matrix
-    # in Fortran order, which dpotrf factors in place without a copy
-    t = sym.swapaxes(1, 2)
     for j, error in enumerate(errors):
-        if error is None:
-            _, info = lapack.dpotrf(t[j], lower=1, clean=1, overwrite_a=1)
-            if info > 0:
-                errors[j] = NotPositiveDefiniteError(
-                    f"leading minor of order {info} is not positive definite", index=int(info))
-            elif info < 0:
-                errors[j] = DecompositionError(f"illegal value in argument {-info} of dpotrf")
-        if errors[j] is not None:
+        if error is not None:
+            sym[j] = np.eye(p)
+    try:
+        return np.linalg.cholesky(sym), errors
+    except np.linalg.LinAlgError:
+        pass  # some matrix is refused: factor each alone to find which, and where
+    t = np.empty_like(sym)
+    for j in range(len(sym)):
+        try:
+            t[j] = np.linalg.cholesky(sym[j])
+        except np.linalg.LinAlgError:
+            index = _first_failing_minor(sym[j])
+            errors[j] = NotPositiveDefiniteError(
+                f"leading minor of order {index} is not positive definite", index=index)
             t[j] = np.eye(p)
     return t, errors
 

@@ -76,17 +76,15 @@ class TestStackedKernels:
     @pytest.mark.parametrize("sigma", [np.eye(5), ar1(5, 0.6)], ids=["identity", "ar1"])
     def test_statistics_equal_the_per_sample_formulas_bit_for_bit(self, sigma):
         # each statistic written out from the public pieces, one sample at a time
-        from scipy.linalg import solve_triangular
-
         n = 40
         x = draw_chunk(12, cholesky(sigma), n, 0, 60, np.full(5, 0.2))
         stats = {test: STACKED_MEAN_TESTS[test](x, sigma) for test in MEAN_TESTS}
         for j in range(60):
             xbar = x[j].mean(axis=0)
             s = sample_covariance(x[j], mode="centered_n_minus_1").matrix
-            w = solve_triangular(cholesky(s), xbar, lower=True)
+            w = np.linalg.solve(cholesky(s), xbar)
             assert stats["hotelling"][0][j] == n * float(w @ w)
-            w = solve_triangular(cholesky(sigma), xbar, lower=True)
+            w = np.linalg.solve(cholesky(sigma), xbar)
             assert stats["oracle"][0][j] == n * float(w @ w)
             if stats["decomposite"][1][j] is None:
                 dec = spectral_decompose(s)
@@ -426,6 +424,9 @@ def test_scipy_loads_only_when_a_command_calls_it(tmp_path):
         ["mp", "--c", "0.25", "--points", "5"],
         ["simulate", "--experiment", "esd", "--n", "40", "--p", "8", "--replicates", "2"],
         ["estimate", "--input", str(data), "--method", "stein"],
+        ["simulate", "--experiment", "recovery", "--n", "40", "--p", "8", "--replicates", "2"],
+        ["risk", "--n", "20", "--p", "3", "--monte-carlo", "--replicates", "100"],
+        ["risk", "--n", "20", "--p", "3", "--closed-form"],
     ]
     src = str(Path(covshrink.__file__).resolve().parents[1])
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
@@ -433,7 +434,9 @@ def test_scipy_loads_only_when_a_command_calls_it(tmp_path):
                          env=dict(os.environ, PYTHONPATH=path), capture_output=True, text=True,
                          check=True, timeout=120)
     steps = json.loads(out.stdout)
-    assert steps[:5] == [[None, []], [0, []], [0, []], [0, []], [0, []]]
-    code, modules = steps[5]
+    # factors and solves go through numpy's LAPACK, so these load no scipy
+    assert steps[:8] == [[None, []]] + [[0, []]] * 7
+    code, modules = steps[8]
     assert code == 0
-    assert "scipy.linalg" in modules  # the Cholesky factor is where the cost moved
+    assert "scipy.special" in modules  # digamma, for the closed form
+    assert not [m for m in modules if m == "scipy.linalg" or m.startswith("scipy.linalg.")]

@@ -9,6 +9,7 @@ from covshrink import (
     schur_pivots,
     spectral_decompose,
 )
+from covshrink.matrix_core import cholesky_stack
 
 RT2 = np.sqrt(2.0)
 
@@ -106,6 +107,58 @@ class TestCholesky:
         with pytest.raises(NotPositiveDefiniteError) as exc:
             cholesky(-np.eye(3))
         assert exc.value.index == 1
+
+
+def indefinite(p, order, seed):
+    """Symmetric L D L' whose leading minors are positive definite below ``order`` only."""
+    rng = np.random.default_rng(seed)
+    l = np.tril(rng.standard_normal((p, p)), -1) + np.diag(rng.uniform(1.0, 2.0, p))
+    d = np.ones(p)
+    d[order - 1] = -0.5
+    m = (l * d) @ l.T
+    return (m + m.T) / 2.0
+
+
+def lapack_info(m):
+    # scipy's LAPACK is the reference for the failing minor, not a dependency of src/
+    from scipy.linalg import lapack
+
+    return lapack.dpotrf(m, lower=1)[1]
+
+
+REFUSAL_CASES = [(p, order) for p in (3, 10, 50) for order in (1, p // 2 + 1, p)]
+
+
+class TestCholeskyRefusalIndex:
+    @pytest.mark.parametrize("p,order", REFUSAL_CASES)
+    def test_index_is_lapack_info(self, p, order):
+        m = indefinite(p, order, seed=p + order)
+        assert lapack_info(m) == order
+        with pytest.raises(NotPositiveDefiniteError) as exc:
+            cholesky(m)
+        assert exc.value.index == order
+        assert str(exc.value) == f"leading minor of order {order} is not positive definite"
+
+    @pytest.mark.parametrize("p", (3, 10, 50))
+    def test_stacked_index_is_lapack_info(self, p):
+        rng = np.random.default_rng(p)
+        good = random_spd(rng, p)
+        nonfinite = good.copy()
+        nonfinite[-1, 0] = np.inf
+        asymmetric = good.copy()
+        asymmetric[0, -1] += 1e-3 * np.abs(good).max()
+        bad = [indefinite(p, order, seed=p + order) for order in (1, p // 2 + 1, p)]
+        stack = np.stack([good, bad[0], nonfinite, bad[1], asymmetric, bad[2], good])
+        t, errors = cholesky_stack(stack)
+        assert [type(e) for e in errors] == [
+            type(None), NotPositiveDefiniteError, AsymmetricInputError,
+            NotPositiveDefiniteError, AsymmetricInputError, NotPositiveDefiniteError,
+            type(None)]
+        assert [errors[j].index for j in (1, 3, 5)] == [lapack_info(m) for m in bad]
+        for j in (0, 6):
+            assert np.array_equal(t[j], cholesky(good))
+        for j in range(1, 6):
+            assert np.array_equal(t[j], np.eye(p))
 
 
 class TestSuccessiveDiagonalize:
