@@ -43,8 +43,6 @@ from .rmt import (
     mp_cdf,
     mp_density,
     mp_stieltjes,
-    naive_hilbert,
-    quantile_map,
 )
 from .loss_risk import (
     RiskEstimate,
@@ -54,13 +52,11 @@ from .loss_risk import (
     stein_loss,
 )
 from .hdtest import (
-    LocalAlternative,
     PowerReport,
     TestResult,
     chisq_pvalue,
     decomposite_t2,
     hotelling_t2,
-    local_alternative,
     oracle_t2,
     power_simulation,
 )
@@ -108,20 +104,16 @@ __all__ = [
     "mp_cdf",
     "mp_density",
     "mp_stieltjes",
-    "naive_hilbert",
-    "quantile_map",
     "RiskEstimate",
     "elog_chisq",
     "min_risk",
     "monte_carlo_risk",
     "stein_loss",
-    "LocalAlternative",
     "PowerReport",
     "TestResult",
     "chisq_pvalue",
     "decomposite_t2",
     "hotelling_t2",
-    "local_alternative",
     "oracle_t2",
     "power_simulation",
     "ExperimentConfig",

@@ -47,8 +47,7 @@ class ShrinkageSingularityError(CovshrinkError):
 class NumericError(CovshrinkError):
     """A numerical result is unusable.
 
-    Raised by ``check_failures`` when too many Monte Carlo replicates fail,
-    and by ``quantile_map`` when its denominator falls to the guard.
+    Raised by ``check_failures`` when too many Monte Carlo replicates fail.
     """
 
 

@@ -265,23 +265,6 @@ def dp_equivariant(a: ScatterMatrix) -> CovarianceEstimate:
     )
 
 
-def require_distinct_descending(lv: np.ndarray) -> None:
-    """Reject eigenvalues that are not strictly descending or that tie within TIE_GAP."""
-    gap = tie_gap(lv)
-    if gap is None:
-        return
-    if gap <= 0.0:
-        raise ValueError("eigenvalues must be strictly descending")
-    raise EigenvalueTieError(f"minimum eigenvalue gap {gap:.3e} below {TIE_GAP:.0e}")
-
-
-def gap_sums(lv: np.ndarray) -> np.ndarray:
-    """The vector of gap sums sum_{j != i} 1/(l_j - l_i), one per eigenvalue."""
-    diff = lv[None, :] - lv[:, None]  # diff[i, j] = l_j - l_i
-    np.fill_diagonal(diff, np.inf)
-    return (1.0 / diff).sum(axis=1)
-
-
 def shrinkage_terms(l, n: int) -> tuple[np.ndarray, np.ndarray]:
     """Raw shrinkage arithmetic without the positivity guard.
 
@@ -292,7 +275,9 @@ def shrinkage_terms(l, n: int) -> tuple[np.ndarray, np.ndarray]:
     """
     lv = np.asarray(l, dtype=float)
     p = lv.shape[0]
-    d = (n - p + 1) - lv * gap_sums(lv)
+    diff = lv[None, :] - lv[:, None]  # diff[i, j] = l_j - l_i
+    np.fill_diagonal(diff, np.inf)
+    d = (n - p + 1) - lv * (1.0 / diff).sum(axis=1)
     return n * lv / d, d
 
 
@@ -330,7 +315,11 @@ def tsai_eigenvalues(l, n: int) -> ShrinkageTable:
         raise ValueError(f"sample count {n} below dimension {p}")
     if lv[-1] <= 0.0:
         raise ValueError("eigenvalues must be positive")
-    require_distinct_descending(lv)
+    gap = tie_gap(lv)
+    if gap is not None:
+        if gap <= 0.0:
+            raise ValueError("eigenvalues must be strictly descending")
+        raise EigenvalueTieError(f"minimum eigenvalue gap {gap:.3e} below {TIE_GAP:.0e}")
     psi, d = shrinkage_terms(lv, n)
     guard = DENOM_GUARD * n
     bad = np.nonzero(d <= guard)[0]

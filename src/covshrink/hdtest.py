@@ -79,23 +79,17 @@ def _refuse_singular(s: np.ndarray, eigenvalues: np.ndarray, errors: list) -> No
                 f"is at or below {floor:.3e}", index=p)
 
 
-def chisq_pvalue(statistic: float, p: int, noncentrality: float = 0.0) -> float:
-    """Upper-tail probability of (non)central chi-square with p dof.
+def chisq_pvalue(statistic: float, p: int) -> float:
+    """Upper-tail probability of central chi-square with p dof.
 
-    Central case via the regularized upper incomplete gamma, which keeps its
-    relative accuracy deep in the tail.  Noncentral case as 1 - chndtr, which
-    is accurate to about 2e-15 absolute (not relative: tail values below that
-    round to 0) and has no ceiling on the noncentrality.
+    Computed as the regularized upper incomplete gamma, which keeps its
+    relative accuracy deep in the tail.
     """
-    from scipy.special import chndtr, gammaincc
+    from scipy.special import gammaincc
 
     if statistic < 0.0:
         raise ValueError(f"statistic must be nonnegative, got {statistic}")
-    if noncentrality < 0.0:
-        raise ValueError("noncentrality must be nonnegative")
-    if noncentrality == 0.0:
-        return float(gammaincc(p / 2.0, statistic / 2.0))
-    return min(max(1.0 - float(chndtr(statistic, p, noncentrality)), 0.0), 1.0)
+    return float(gammaincc(p / 2.0, statistic / 2.0))
 
 
 def _hotelling(x: np.ndarray) -> tuple[np.ndarray, list]:
@@ -181,36 +175,6 @@ STACKED_MEAN_TESTS = {
     "decomposite": lambda x, sigma: _decomposite(x),
     "oracle": _oracle,
 }
-
-
-@dataclass(frozen=True)
-class LocalAlternative:
-    """Mean-shift alternative mu = n^(-1/2) p^(1/4) delta with its noncentrality."""
-
-    delta: np.ndarray
-    n: int
-    mu: np.ndarray = field(init=False)
-    noncentrality: float
-
-    def __post_init__(self):
-        d = np.asarray(self.delta, dtype=float)
-        if not np.isfinite(d).all():
-            raise ValueError("delta must be finite")
-        if self.noncentrality < 0.0:
-            raise ValueError("noncentrality cannot be negative")
-        p = d.shape[0]
-        object.__setattr__(self, "delta", d)
-        object.__setattr__(self, "mu", d * (p ** 0.25) / math.sqrt(self.n))
-
-
-def local_alternative(delta, n: int, sigma=None) -> LocalAlternative:
-    """Bundle delta with its implied mean and noncentrality delta' sigma^-1 delta."""
-    d = np.asarray(delta, dtype=float)
-    if sigma is None:
-        ncp = float(d @ d)
-    else:
-        ncp = float(_mahalanobis_sq(cholesky(sigma)[None], d[None])[0])
-    return LocalAlternative(delta=d, n=n, noncentrality=ncp)
 
 
 @dataclass(frozen=True)

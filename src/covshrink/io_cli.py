@@ -131,6 +131,8 @@ def parse_model(text: str, p: int) -> PopulationModel:
     """Parse identity | ar1:RHO | spiked:V1,V2,... into a population model."""
     name, _, rest = text.partition(":")
     if name == "identity":
+        if text != name:
+            raise ConfigError(f"identity takes no parameters, got {text!r}")
         return PopulationModel(variant="identity", p=p)
     if name == "ar1":
         try:
@@ -145,6 +147,13 @@ def parse_model(text: str, p: int) -> PopulationModel:
             raise ConfigError(f"spiked needs numeric values, got {text!r}") from None
         return PopulationModel(variant="spiked", p=p, spikes=spikes)
     raise ConfigError(f"unknown population model {text!r}")
+
+
+def _delimiter(text: str) -> str:
+    """argparse type of --delimiter: the csv module takes exactly one character."""
+    if len(text) != 1:
+        raise argparse.ArgumentTypeError(f"must be exactly one character, got {text!r}")
+    return text
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -170,14 +179,14 @@ def build_parser() -> argparse.ArgumentParser:
                      default="tsai")
     est.add_argument("--n-convention", choices=("uncentered", "centered"), default="centered",
                      help="divisor convention: n on raw cross products, or n-1 after centering")
-    est.add_argument("--delimiter", default=",")
+    est.add_argument("--delimiter", type=_delimiter, default=",")
     est.add_argument("--header", action="store_true")
 
     tt = sub.add_parser("ttest", help="one-sample mean test")
     tt.add_argument("--input", required=True)
     tt.add_argument("--method", choices=tuple(m for m in MEAN_TESTS if m != "oracle"),
                     default="decomposite")
-    tt.add_argument("--delimiter", default=",")
+    tt.add_argument("--delimiter", type=_delimiter, default=",")
     tt.add_argument("--header", action="store_true")
 
     mp = sub.add_parser("mp", help="Marchenko-Pastur density/CDF grid")

@@ -136,6 +136,8 @@ def replicate_losses(methods, sigma, n: int, replicates: int, seed: int,
         if method not in STACKED_ESTIMATORS:
             raise ValueError(
                 f"unknown method {method!r}, expected one of {tuple(STACKED_ESTIMATORS)}")
+    if len(set(methods)) < len(methods):
+        raise ValueError(f"duplicate method tags in {list(methods)}")
     if not methods:
         return {}
     sig = np.asarray(sigma, dtype=float)

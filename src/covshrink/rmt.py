@@ -1,21 +1,15 @@
 """Random-matrix layer: Stieltjes transforms and the Marchenko-Pastur law.
 
-Covers the pieces the eigenvalue shrinker is built from: the naive gap-sum
-estimate of the Hilbert transform, the MP Stieltjes transform, the MP
-density and its closed-form CDF for the identity population (both take
-scalars or arrays), the closed-form boundary transform, and the quantile
-map that carries a sample eigenvalue to its population counterpart.
+Covers the MP Stieltjes transform, the MP density and its closed-form CDF
+for the identity population (both take scalars or arrays), and the
+closed-form Hilbert and boundary transforms.  A leaf module: it imports no
+other part of the package.
 """
 
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
-
-from .errors import NumericError
-from .estimators import gap_sums, require_distinct_descending
-
-QUANTILE_GUARD = 1e-10  # quantile_map's smallest accepted denominator
 
 
 @dataclass(frozen=True)
@@ -36,35 +30,6 @@ class MPModel:
         r = math.sqrt(self.c)
         object.__setattr__(self, "lambda_minus", (1.0 - r) ** 2)
         object.__setattr__(self, "lambda_plus", (1.0 + r) ** 2)
-
-
-def naive_hilbert(l, i: int) -> float:
-    """Gap-sum estimate of the Hilbert transform at the i-th eigenvalue.
-
-    Parameters
-    ----------
-    l : array_like
-        Strictly descending positive eigenvalues.
-    i : int
-        1-based index into ``l``.
-
-    Returns
-    -------
-    float
-        (1/p) * sum_{j != i} 1 / (l_j - l_i).  Zero for p = 1.
-
-    Notes
-    -----
-    This is the plug-in the eigenvalue shrinker uses.  It is noisy exactly
-    where neighboring eigenvalues nearly collide, which is why tied values
-    are rejected outright.
-    """
-    lv = np.asarray(l, dtype=float)
-    p = lv.shape[0]
-    if not 1 <= i <= p:
-        raise ValueError(f"index must lie in [1, {p}], got {i}")
-    require_distinct_descending(lv)
-    return float(gap_sums(lv)[i - 1] / p)
 
 
 def mp_density(x, model: MPModel):
@@ -142,18 +107,4 @@ def mp_stieltjes(z: complex, model: MPModel) -> complex:
     m1 = (b + root) / (2.0 * c * z)
     m2 = (b - root) / (2.0 * c * z)
     return m1 if m1.imag > 0.0 else m2
-
-
-def quantile_map(l: float, c: float, hilbert_value: float) -> float:
-    """Map a sample eigenvalue to its population counterpart.
-
-    gamma = l / (1 - c - c * l * H) where H is the Hilbert transform value at
-    l (closed form or plug-in, caller's choice).  Raises when the denominator
-    is at or below QUANTILE_GUARD.
-    """
-    den = 1.0 - c - c * l * hilbert_value
-    if den <= QUANTILE_GUARD:
-        raise NumericError(
-            f"quantile map denominator {den:.3e} at or below guard {QUANTILE_GUARD:.0e}")
-    return l / den
 

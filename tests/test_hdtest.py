@@ -20,7 +20,6 @@ from covshrink import (
     chisq_pvalue,
     decomposite_t2,
     hotelling_t2,
-    local_alternative,
     oracle_t2,
     power_simulation,
     sample_covariance,
@@ -115,32 +114,9 @@ class TestChisqPvalue:
             for x in (0.3, 2.0, 9.0, 40.0):
                 assert_allclose(chisq_pvalue(x, p), chi2.sf(x, p), rtol=1e-10)
 
-    def test_zero_noncentrality_is_central(self):
-        for x in (0.7, 3.0, 11.0):
-            assert chisq_pvalue(x, 4, noncentrality=0.0) == chisq_pvalue(x, 4)
-
-    def test_noncentral_matches_scipy(self):
-        for p in (1, 5, 10):
-            for ncp in (0.5, 4.0, 8.944271909999159):
-                for x in (1.0, 6.0, 15.0, 30.0):
-                    assert_allclose(
-                        chisq_pvalue(x, p, noncentrality=ncp),
-                        ncx2.sf(x, p, ncp),
-                        atol=1e-8,
-                    )
-
-    def test_noncentral_shifts_mass_right(self):
-        assert chisq_pvalue(10.0, 5, noncentrality=4.0) > chisq_pvalue(10.0, 5)
-
-    def test_large_noncentrality(self):
-        for x, ncp in ((1500.0, 1500.0), (3100.0, 3000.0)):
-            assert_allclose(chisq_pvalue(x, 5, noncentrality=ncp), ncx2.sf(x, 5, ncp), atol=1e-12)
-
     def test_domain(self):
         with pytest.raises(ValueError):
             chisq_pvalue(-1.0, 3)
-        with pytest.raises(ValueError):
-            chisq_pvalue(1.0, 3, noncentrality=-0.1)
 
 
 class TestHotelling:
@@ -248,24 +224,6 @@ class TestOracle:
         i = np.arange(1, reps + 1)
         ks = max(np.abs(grid - i / reps).max(), np.abs(grid - (i - 1) / reps).max())
         assert ks < 0.03
-
-
-class TestLocalAlternative:
-    def test_mu_scaling(self):
-        alt = local_alternative(np.array([2.0, 0.0, 0.0, 0.0]), n=100)
-        assert_allclose(alt.mu, np.array([2.0, 0.0, 0.0, 0.0]) * 4 ** 0.25 / 10.0)
-
-    def test_identity_noncentrality(self):
-        alt = local_alternative(np.array([3.0, 4.0]), n=50)
-        assert_allclose(alt.noncentrality, 25.0)
-
-    def test_sigma_weighted_noncentrality(self):
-        alt = local_alternative(np.array([2.0, 0.0]), n=50, sigma=np.diag([4.0, 1.0]))
-        assert_allclose(alt.noncentrality, 1.0)
-
-    def test_rejects_nonfinite(self):
-        with pytest.raises(ValueError):
-            local_alternative(np.array([np.nan, 1.0]), n=10)
 
 
 class TestPowerSimulation:

@@ -143,6 +143,9 @@ class TestParseModel:
             parse_model("toeplitz", 3)
         with pytest.raises(ConfigError):
             parse_model("ar1:fast", 3)
+        for text in ("identity:0.9", "identity:"):
+            with pytest.raises(ConfigError, match="identity takes no parameters"):
+                parse_model(text, 3)
 
 
 class TestEstimateCommand:
@@ -341,6 +344,24 @@ class TestExitCodes:
         assert run_cli(["risk", "--n", "50", "--p", "10", "--closed-form",
                         "--model", "bogus"]) == 2
         assert "unknown population model 'bogus'" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("delimiter", [",,", ""])
+    @pytest.mark.parametrize("command", ["estimate", "ttest"])
+    def test_delimiter_of_other_than_one_character_is_1(self, tmp_path, capsys, command,
+                                                         delimiter):
+        data = write(tmp_path, "d.csv", "1,2\n3,4\n5,7\n")
+        assert run_cli([command, "--input", data, f"--delimiter={delimiter}"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("usage:")
+        assert f"argument --delimiter: must be exactly one character, got {delimiter!r}" in err
+
+    @pytest.mark.parametrize("argv", [
+        ["risk", "--n", "20", "--p", "4", "--monte-carlo", "--replicates", "100"],
+        ["simulate", "--experiment", "risk", "--n", "20", "--p", "4", "--replicates", "5"],
+    ])
+    def test_duplicate_method_tags_are_2(self, capsys, argv):
+        assert run_cli(argv + ["--methods", "sample,tsai,sample"]) == 2
+        assert "duplicate method tags in ['sample', 'tsai', 'sample']" in capsys.readouterr().err
 
     @pytest.mark.parametrize("methods", [",", ""])
     def test_empty_method_list_is_2(self, capsys, methods):

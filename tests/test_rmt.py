@@ -5,16 +5,12 @@ import pytest
 from numpy.testing import assert_allclose
 
 from covshrink import (
-    EigenvalueTieError,
     MPModel,
-    NumericError,
     boundary_stieltjes,
     identity_hilbert,
     mp_cdf,
     mp_density,
     mp_stieltjes,
-    naive_hilbert,
-    quantile_map,
 )
 
 
@@ -33,36 +29,6 @@ class TestMPModel:
     def test_concentration_range(self, c):
         with pytest.raises(ValueError):
             MPModel(c=c)
-
-
-class TestNaiveHilbert:
-    def test_two_point_hand_values(self):
-        l = np.array([3.0, 1.0])
-        assert_allclose(naive_hilbert(l, 1), -0.25)
-        assert_allclose(naive_hilbert(l, 2), 0.25)
-
-    def test_single_eigenvalue_is_zero(self):
-        assert naive_hilbert(np.array([2.0]), 1) == 0.0
-
-    def test_inverse_scaling(self):
-        l = np.array([5.0, 3.0, 1.0])
-        for i in (1, 2, 3):
-            assert_allclose(naive_hilbert(4.0 * l, i), naive_hilbert(l, i) / 4.0)
-
-    def test_antisymmetry_sums_to_zero(self):
-        l = np.array([7.0, 4.0, 2.5, 1.0, 0.3])
-        total = sum(naive_hilbert(l, i) for i in range(1, 6))
-        assert abs(total) < 1e-12
-
-    def test_index_and_order_validation(self):
-        with pytest.raises(ValueError):
-            naive_hilbert(np.array([3.0, 1.0]), 0)
-        with pytest.raises(ValueError):
-            naive_hilbert(np.array([3.0, 1.0]), 3)
-        with pytest.raises(ValueError):
-            naive_hilbert(np.array([1.0, 3.0]), 1)
-        with pytest.raises(EigenvalueTieError):
-            naive_hilbert(np.array([1.0 + 1e-14, 1.0]), 1)
 
 
 class TestMPDensity:
@@ -223,33 +189,6 @@ class TestMPStieltjes:
         m = MPModel(c=p / n)
         for z in (1.0 + 0.5j, 0.5 + 0.2j, 2.0 + 1.0j):
             assert abs(np.mean(1.0 / (l - z)) - mp_stieltjes(z, m)) < 0.05
-
-
-class TestQuantileMap:
-    def test_identity_population_hand_value(self):
-        # c=1/2, l=1: H=-1/2, denominator 3/4, gamma = 4/3
-        m = MPModel(c=0.5)
-        h = identity_hilbert(1.0, m)
-        assert_allclose(quantile_map(1.0, 0.5, h), 4.0 / 3.0, rtol=1e-12)
-
-    def test_identity_population_closed_form(self):
-        # with the closed-form H the map collapses to 2l/(1 - c + l)
-        c = 0.25
-        m = MPModel(c=c)
-        for l in (0.3, 0.75, 1.0, 1.8, 2.2):
-            got = quantile_map(l, c, identity_hilbert(l, m))
-            assert_allclose(got, 2.0 * l / (1.0 - c + l), rtol=1e-12)
-        assert_allclose(quantile_map(1.0 - c, c, identity_hilbert(1.0 - c, m)), 1.0)
-
-    def test_small_concentration_is_near_identity(self):
-        c = 1e-8
-        got = quantile_map(1.7, c, -0.3)
-        assert_allclose(got, 1.7, rtol=1e-6)
-
-    def test_denominator_guard(self):
-        # H chosen to zero the denominator exactly
-        with pytest.raises(NumericError):
-            quantile_map(4.0, 0.5, 0.25)
 
 
 def test_esd_tracks_mp_cdf():
