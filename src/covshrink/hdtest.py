@@ -82,14 +82,32 @@ def _refuse_singular(s: np.ndarray, eigenvalues: np.ndarray, errors: list) -> No
 def chisq_pvalue(statistic: float, p: int) -> float:
     """Upper-tail probability of central chi-square with p dof.
 
-    Computed as the regularized upper incomplete gamma, which keeps its
-    relative accuracy deep in the tail.
+    This is the regularized upper incomplete gamma Q(p/2, y) at
+    y = statistic / 2, which for integer p is a finite sum of positive terms
+    (DLMF 8.4): e^-y sum_{k < p/2} y^k / k! for even p, and
+    erfc(sqrt y) + e^-y sum_{k=1}^{(p-1)/2} y^(k-1/2) / Gamma(k + 1/2) for
+    odd p.  No term cancels another, so the sum keeps its relative accuracy
+    deep in the tail: each term is exact to about eps * y.
     """
-    from scipy.special import gammaincc
-
     if statistic < 0.0:
         raise ValueError(f"statistic must be nonnegative, got {statistic}")
-    return float(gammaincc(p / 2.0, statistic / 2.0))
+    if p < 1 or p != int(p):
+        raise ValueError(f"degrees of freedom must be a positive integer, got {p}")
+    if statistic == 0.0:
+        return 1.0
+    y = statistic / 2.0
+    if y == math.inf:
+        return 0.0
+    log_y = math.log(y)
+    half = int(p) // 2
+    if p % 2:
+        terms = [math.erfc(math.sqrt(y))]
+        terms += [math.exp(-y + (k - 0.5) * log_y - math.lgamma(k + 0.5))
+                  for k in range(1, half + 1)]
+    else:
+        terms = [math.exp(-y + k * log_y - math.lgamma(k + 1)) for k in range(half)]
+    # the rounded terms can sum past 1 when y is tiny
+    return min(math.fsum(terms), 1.0)
 
 
 def _hotelling(x: np.ndarray) -> tuple[np.ndarray, list]:
@@ -205,6 +223,13 @@ def power_simulation(n: int, p: int, sigma, delta, alpha: float = 0.05,
                      threads: int = 1) -> PowerReport:
     """Monte Carlo rejection rate against the chi-square critical value.
 
+    The critical value c solves chisq_pvalue(c, p) = alpha, by Newton's
+    method on the log of that finite sum (its derivative is minus the
+    chi-square density over the sum), kept inside a bracket of the root and
+    bisecting it whenever a step would leave it.  For alpha up to 1/2 it is
+    exact to about 1e-14 relative; above that, 1 - alpha is resolved only
+    to the sum's absolute rounding near 1.
+
     Parameters
     ----------
     rate : {"hdim", "classical"}
@@ -221,8 +246,6 @@ def power_simulation(n: int, p: int, sigma, delta, alpha: float = 0.05,
     refusal class; more than 1 percent failures aborts, as in the risk
     runner.
     """
-    from scipy.special import chdtri
-
     if method not in MEAN_TESTS:
         raise ValueError(f"unknown method {method!r}, expected one of {tuple(MEAN_TESTS)}")
     if replicates < 1:
@@ -242,7 +265,27 @@ def power_simulation(n: int, p: int, sigma, delta, alpha: float = 0.05,
     chol_sig = cholesky(sig)
     scale = p ** 0.25 if rate == "hdim" else 1.0
     mu = d * scale / math.sqrt(n)
-    crit = float(chdtri(p, alpha))
+    # bracket the root by doubling; log Q is nearly linear in the tail, so
+    # Newton converges there too.  Once a step is below 1e-10 relative, the
+    # error after it is of order its square.
+    lo, hi = 0.0, float(p)
+    while chisq_pvalue(hi, p) > alpha:
+        lo, hi = hi, 2.0 * hi
+    log_norm = 0.5 * p * math.log(2.0) + math.lgamma(0.5 * p)
+    crit = hi
+    for _ in range(200):
+        q = chisq_pvalue(crit, p)
+        if q > alpha:
+            lo = crit
+        else:
+            hi = crit
+        density = math.exp((0.5 * p - 1.0) * math.log(crit) - 0.5 * crit - log_norm)
+        # no Newton step without q and the density: inf bisects
+        step = math.log(q / alpha) * q / density if q > 0.0 and density > 0.0 else math.inf
+        if abs(step) <= 1e-10 * crit:
+            crit += step
+            break
+        crit = crit + step if lo < crit + step < hi else 0.5 * (lo + hi)
     kernel = STACKED_MEAN_TESTS[method]
     refusals = Counter()
 

@@ -31,6 +31,8 @@ SCHEMA_VERSION = "1"
 ENV_SEED = "COVSHRINK_SEED"
 # estimate --method short names for two estimator tags; the others keep their tag
 METHOD_ALIASES = {"stein": "stein_triangular", "dp": "dp_equivariant"}
+# mp --points above this is refused before any grid is allocated
+_MP_MAX_POINTS = 1_000_000
 
 
 class _UsageError(Exception):
@@ -127,6 +129,29 @@ def matrix_payload(m: np.ndarray) -> dict:
     return {"rows": int(a.shape[0]), "cols": int(a.shape[1]), "data": a.ravel().tolist()}
 
 
+def _fields(text: str, what: str) -> list:
+    """The comma-separated fields of ``text``, ``what`` naming it in errors.
+
+    An empty field is refused, not dropped: a doubled comma is a typo, not
+    a shorter list.
+    """
+    parts = text.split(",")
+    for i, part in enumerate(parts, start=1):
+        if not part.strip():
+            raise ConfigError(f"{what} has an empty field at position {i}")
+    return parts
+
+
+def _methods(text: str) -> list:
+    """The estimator tags of a --methods value, each checked against ESTIMATORS."""
+    tags = text.split(",")
+    for i, tag in enumerate(tags, start=1):
+        if tag not in ESTIMATORS:
+            raise ConfigError(f"--methods {text!r} gives no estimator tag at position {i} "
+                              f"({tag!r}), expected some of {tuple(ESTIMATORS)}")
+    return tags
+
+
 def parse_model(text: str, p: int) -> PopulationModel:
     """Parse identity | ar1:RHO | spiked:V1,V2,... into a population model."""
     name, _, rest = text.partition(":")
@@ -142,7 +167,7 @@ def parse_model(text: str, p: int) -> PopulationModel:
         return PopulationModel(variant="ar1", p=p, rho=rho)
     if name == "spiked":
         try:
-            spikes = tuple(float(v) for v in rest.split(",") if v)
+            spikes = tuple(float(v) for v in _fields(rest, f"spiked model {text!r}"))
         except ValueError:
             raise ConfigError(f"spiked needs numeric values, got {text!r}") from None
         return PopulationModel(variant="spiked", p=p, spikes=spikes)
@@ -191,7 +216,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     mp = sub.add_parser("mp", help="Marchenko-Pastur density/CDF grid")
     mp.add_argument("--c", type=float, required=True, help="concentration ratio in (0, 1)")
-    mp.add_argument("--points", type=int, default=101, help="grid size across the support")
+    mp.add_argument("--points", type=int, default=101,
+                    help=f"grid size across the support, 2 to {_MP_MAX_POINTS}")
 
     rk = sub.add_parser("risk", help="closed-form and Monte Carlo Stein-loss risks")
     rk.add_argument("--n", type=int, required=True)
@@ -263,9 +289,9 @@ def _cmd_ttest(args, seed, threads):
 
 
 def _mp_table(args):
+    if not 2 <= args.points <= _MP_MAX_POINTS:
+        raise ConfigError(f"need 2 to {_MP_MAX_POINTS} grid points, got {args.points}")
     model = MPModel(args.c)
-    if args.points < 2:
-        raise ConfigError(f"need at least 2 grid points, got {args.points}")
     xs = np.linspace(model.lambda_minus, model.lambda_plus, args.points)
     columns = zip(xs, mp_density(xs, model), mp_cdf(xs, model))
     return model, [{"x": float(x), "density": float(d), "cdf": float(f)} for x, d, f in columns]
@@ -282,7 +308,7 @@ def _cmd_mp(args, seed, threads):
 def _cmd_risk(args, seed, threads):
     closed = args.closed_form or not args.monte_carlo
     model = parse_model(args.model, args.p)
-    methods = [m for m in args.methods.split(",") if m]
+    methods = _methods(args.methods)
     config = {"n": args.n, "p": args.p, "closed_form": closed,
               "monte_carlo": args.monte_carlo, "model": args.model,
               "replicates": args.replicates, "methods": methods}
@@ -290,9 +316,6 @@ def _cmd_risk(args, seed, threads):
     if closed:
         results["closed_form"] = {kind: min_risk(kind, args.n, args.p) for kind in RISK_KINDS}
     if args.monte_carlo:
-        if not methods:
-            raise ConfigError(f"--methods {args.methods!r} gives no estimator tag, "
-                              f"expected some of {tuple(ESTIMATORS)}")
         estimates = monte_carlo_risks(methods, make_sigma(model), args.n, args.replicates,
                                       seed, threads=threads)
         results["monte_carlo"] = {
@@ -309,7 +332,7 @@ def _cmd_simulate(args, seed, threads):
         n=args.n,
         replicates=args.replicates,
         seed=seed,
-        methods=tuple(m for m in args.methods.split(",") if m),
+        methods=tuple(_methods(args.methods)) if args.methods else (),
         keep_rows=not args.drop_rows,
     )
     report = EXPERIMENTS[args.experiment](config_obj, threads=threads)
@@ -318,7 +341,7 @@ def _cmd_simulate(args, seed, threads):
 
 
 def _cmd_power(args, seed, threads):
-    delta = np.array([float(v) for v in args.delta.split(",") if v], dtype=float)
+    delta = np.array([float(v) for v in _fields(args.delta, f"--delta {args.delta!r}")])
     if delta.shape[0] != args.p:
         raise ConfigError(f"delta has {delta.shape[0]} entries, expected p={args.p}")
     sigma = make_sigma(parse_model(args.model, args.p))

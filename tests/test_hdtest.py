@@ -117,6 +117,27 @@ class TestChisqPvalue:
     def test_domain(self):
         with pytest.raises(ValueError):
             chisq_pvalue(-1.0, 3)
+        for p in (0, 2.5):
+            with pytest.raises(ValueError, match="positive integer"):
+                chisq_pvalue(1.0, p)
+
+    def test_finite_sum_matches_scipy_into_the_far_tail(self):
+        # relative accuracy wherever scipy's Q is a normal double
+        for p in [*range(1, 61), 100, 399, 400, 999, 1000]:
+            xs = np.geomspace(1e-6 * p, 8 * p, 60)
+            ref = chi2.sf(xs, p)
+            keep = ref >= np.finfo(float).tiny
+            got = [chisq_pvalue(float(x), p) for x in xs[keep]]
+            assert_allclose(got, ref[keep], rtol=1e-12, atol=0, err_msg=f"p={p}")
+
+    def test_edges(self):
+        for p in (1, 2, 7, 400):
+            assert chisq_pvalue(0.0, p) == 1.0
+            assert chisq_pvalue(1e6 * p, p) == 0.0
+            assert chisq_pvalue(math.inf, p) == 0.0
+        for x in (1e-9, 0.3, 5.0, 80.0, 1400.0):
+            assert_allclose(chisq_pvalue(x, 1), math.erfc(math.sqrt(x / 2)), rtol=1e-15)
+            assert_allclose(chisq_pvalue(x, 2), math.exp(-x / 2), rtol=1e-15)
 
 
 class TestHotelling:
@@ -323,6 +344,15 @@ class TestPowerSimulation:
                                        alpha=alpha, replicates=5, seed=27)
                 assert_allclose(rep.critical_value, chi2.ppf(1.0 - alpha, p), rtol=1e-12)
 
+    def test_critical_value_matches_scipy_isf(self):
+        for p in [*range(1, 61), 100, 399, 400, 999, 1000]:
+            # fewer levels at large p, where each call factors a p x p sigma
+            for alpha in np.geomspace(1e-6, 0.5, 12 if p <= 100 else 4):
+                rep = power_simulation(n=2, p=p, sigma=np.eye(p), delta=np.zeros(p),
+                                       alpha=float(alpha), replicates=1)
+                assert_allclose(rep.critical_value, chi2.isf(alpha, p), rtol=1e-13, atol=0,
+                                err_msg=f"p={p}, alpha={alpha}")
+
     def test_argument_validation(self):
         with pytest.raises(ValueError):
             power_simulation(n=30, p=2, sigma=np.eye(2), delta=np.zeros(2), method="bartlett")
@@ -373,7 +403,7 @@ print(json.dumps(steps))
 """
 
 
-def test_scipy_loads_only_when_a_command_calls_it(tmp_path):
+def test_no_command_loads_any_scipy_module(tmp_path):
     data = tmp_path / "d.csv"
     data.write_text("1,2,0.5\n3,5,1\n4,4,-2\n2,7,3\n0,1,1\n6,2,2\n")
     argvs = [
@@ -385,16 +415,15 @@ def test_scipy_loads_only_when_a_command_calls_it(tmp_path):
         ["simulate", "--experiment", "recovery", "--n", "40", "--p", "8", "--replicates", "2"],
         ["risk", "--n", "20", "--p", "3", "--monte-carlo", "--replicates", "100"],
         ["risk", "--n", "20", "--p", "3", "--closed-form"],
+        ["ttest", "--input", str(data), "--method", "hotelling"],
+        ["ttest", "--input", str(data), "--method", "decomposite"],
+        ["power", "--n", "20", "--p", "2", "--delta", "1,0", "--replicates", "50"],
+        ["simulate", "--experiment", "risk", "--n", "20", "--p", "3", "--replicates", "5"],
     ]
     src = str(Path(covshrink.__file__).resolve().parents[1])
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     out = subprocess.run([sys.executable, "-c", SCIPY_PROBE, json.dumps(argvs)],
                          env=dict(os.environ, PYTHONPATH=path), capture_output=True, text=True,
                          check=True, timeout=120)
-    steps = json.loads(out.stdout)
-    # factors and solves go through numpy's LAPACK, so these load no scipy
-    assert steps[:8] == [[None, []]] + [[0, []]] * 7
-    code, modules = steps[8]
-    assert code == 0
-    assert "scipy.special" in modules  # digamma, for the closed form
-    assert not [m for m in modules if m == "scipy.linalg" or m.startswith("scipy.linalg.")]
+    # digamma, the chi-square tail and its quantile are closed forms on math
+    assert json.loads(out.stdout) == [[None, []]] + [[0, []]] * len(argvs)

@@ -147,6 +147,12 @@ class TestParseModel:
             with pytest.raises(ConfigError, match="identity takes no parameters"):
                 parse_model(text, 3)
 
+    def test_empty_spike_field_is_refused(self):
+        from covshrink import ConfigError
+
+        with pytest.raises(ConfigError, match="'spiked:5,,2' has an empty field at position 2"):
+            parse_model("spiked:5,,2", 4)
+
 
 class TestEstimateCommand:
     def test_tsai_on_two_scalars(self, tmp_path):
@@ -303,6 +309,10 @@ class TestPowerCommand:
         assert code == 2
         assert "delta" in capsys.readouterr().err
 
+    def test_empty_delta_field_is_2(self, capsys):
+        assert run_cli(["power", "--n", "30", "--p", "2", "--delta", "0,,0"]) == 2
+        assert "--delta '0,,0' has an empty field at position 2" in capsys.readouterr().err
+
     def test_replicate_count_below_one_is_2(self, capsys):
         for count in ("0", "-2"):
             code = run_cli(["power", "--n", "30", "--p", "2", "--delta", "0,0",
@@ -368,6 +378,22 @@ class TestExitCodes:
         assert run_cli(["risk", "--n", "20", "--p", "4", "--monte-carlo", "--replicates", "100",
                         "--methods", methods]) == 2
         assert "gives no estimator tag" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv", [
+        ["risk", "--n", "20", "--p", "4", "--closed-form"],
+        ["simulate", "--experiment", "recovery", "--n", "20", "--p", "4", "--replicates", "3"],
+        ["simulate", "--experiment", "esd", "--n", "20", "--p", "4", "--replicates", "3"],
+    ])
+    def test_unknown_method_tag_is_2_where_no_method_runs(self, capsys, argv):
+        assert run_cli(argv + ["--methods", "sample,bogus"]) == 2
+        err = capsys.readouterr().err
+        assert "--methods 'sample,bogus' gives no estimator tag at position 2 ('bogus')" in err
+        assert str(tuple(ESTIMATORS)) in err
+
+    def test_mp_points_above_a_million_are_2(self, capsys):
+        # refused before the grid is allocated: this many points would need 8 GB each
+        assert run_cli(["mp", "--c", "0.5", "--points", "1000000001"]) == 2
+        assert "need 2 to 1000000 grid points, got 1000000001" in capsys.readouterr().err
 
     def test_help_exits_zero(self, capsys):
         assert run_cli(["--help"]) == 0

@@ -112,6 +112,14 @@ class TestElogChisq:
         with pytest.raises(ValueError):
             elog_chisq(0)
 
+    def test_matches_scipy_digamma(self):
+        # scipy is the reference here only; the package computes digamma itself
+        from scipy.special import digamma
+
+        k = np.arange(1, 200_001)
+        assert_allclose(elog_chisq(k), np.log(2.0) + digamma(k / 2.0), rtol=1e-14, atol=0)
+        assert type(elog_chisq(7)) is float
+
 
 class TestMinRisk:
     def test_univariate_all_kinds_coincide(self):
