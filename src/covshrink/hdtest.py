@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ._rng import check_failures, run_chunks
-from .errors import CovshrinkError, NotPositiveDefiniteError
+from .errors import NotPositiveDefiniteError, NumericError
 from .estimators import STACKED_ESTIMATORS, _only, as_data_matrix, scatter_stack, shrunk_spectra
 from .matrix_core import cholesky, cholesky_stack, eigh_stack
 
@@ -132,17 +132,18 @@ def _decomposite(x: np.ndarray) -> tuple[np.ndarray, list]:
     return n * np.sum(proj * proj / psi, axis=1), errors
 
 
-def _oracle(x: np.ndarray, sigma) -> tuple[np.ndarray, list]:
+def _oracle(x: np.ndarray, t: np.ndarray) -> tuple[np.ndarray, list]:
     """Kernel of the oracle test n xbar' sigma^-1 xbar over a (k, n, p) stack.
 
-    A sigma that ``cholesky`` refuses refuses every slice.
+    t is sigma's lower Cholesky factor, factored once by the caller.  A
+    slice whose statistic is NaN (a sample mean that overflowed) is refused
+    with NumericError, since NaN would otherwise read as "not rejected".
     """
     k, n, p = x.shape
-    try:
-        t = cholesky(sigma)
-    except CovshrinkError as exc:
-        return np.zeros(k), [exc] * k
-    return n * _mahalanobis_sq(np.broadcast_to(t, (k, p, p)), x.mean(axis=1)), [None] * k
+    stats = n * _mahalanobis_sq(np.broadcast_to(t, (k, p, p)), x.mean(axis=1))
+    errors = [NumericError("oracle statistic is NaN: the sample mean overflowed")
+              if math.isnan(stat) else None for stat in stats.tolist()]
+    return stats, errors
 
 
 def _result(stats: np.ndarray, errors: list, method: str, n: int, p: int) -> TestResult:
@@ -174,7 +175,7 @@ def oracle_t2(x, sigma) -> TestResult:
     Exactly chi-square with p dof under the null, for any n.
     """
     a = as_data_matrix(x)
-    return _result(*_oracle(a[None], sigma), "oracle", *a.shape)
+    return _result(*_oracle(a[None], cholesky(sigma)), "oracle", *a.shape)
 
 
 # test name -> statistic(x, sigma); only the oracle reads the true covariance
@@ -185,12 +186,12 @@ MEAN_TESTS = {
 }
 
 
-# test name -> its kernel(x, sigma); for a (k, n, p) stack x, entry j of the
-# statistics is MEAN_TESTS[name](x[j], sigma).statistic bit for bit, and its
-# refusal is the CovshrinkError that test raises, or None
+# test name -> its kernel(x, t), t = cholesky(sigma); for a (k, n, p) stack x,
+# entry j of the statistics is MEAN_TESTS[name](x[j], sigma).statistic bit for
+# bit, and its refusal is the CovshrinkError that test raises, or None
 STACKED_MEAN_TESTS = {
-    "hotelling": lambda x, sigma: _hotelling(x),
-    "decomposite": lambda x, sigma: _decomposite(x),
+    "hotelling": lambda x, t: _hotelling(x),
+    "decomposite": lambda x, t: _decomposite(x),
     "oracle": _oracle,
 }
 
@@ -223,12 +224,12 @@ def power_simulation(n: int, p: int, sigma, delta, alpha: float = 0.05,
                      threads: int = 1) -> PowerReport:
     """Monte Carlo rejection rate against the chi-square critical value.
 
-    The critical value c solves chisq_pvalue(c, p) = alpha, by Newton's
-    method on the log of that finite sum (its derivative is minus the
-    chi-square density over the sum), kept inside a bracket of the root and
-    bisecting it whenever a step would leave it.  For alpha up to 1/2 it is
-    exact to about 1e-14 relative; above that, 1 - alpha is resolved only
-    to the sum's absolute rounding near 1.
+    The critical value is the least double c with chisq_pvalue(c, p) <=
+    alpha, found by doubling a bracket and then bisecting it down to two
+    adjacent doubles: at most about 120 evaluations of the sum.  For alpha
+    up to 1/2 it is exact to about 1e-14 relative; above that, 1 - alpha is
+    resolved only to the sum's absolute rounding near 1.  Sigma is factored
+    once, and the factor both draws the replicates and feeds the kernel.
 
     Parameters
     ----------
@@ -265,32 +266,21 @@ def power_simulation(n: int, p: int, sigma, delta, alpha: float = 0.05,
     chol_sig = cholesky(sig)
     scale = p ** 0.25 if rate == "hdim" else 1.0
     mu = d * scale / math.sqrt(n)
-    # bracket the root by doubling; log Q is nearly linear in the tail, so
-    # Newton converges there too.  Once a step is below 1e-10 relative, the
-    # error after it is of order its square.
-    lo, hi = 0.0, float(p)
-    while chisq_pvalue(hi, p) > alpha:
-        lo, hi = hi, 2.0 * hi
-    log_norm = 0.5 * p * math.log(2.0) + math.lgamma(0.5 * p)
-    crit = hi
-    for _ in range(200):
-        q = chisq_pvalue(crit, p)
-        if q > alpha:
-            lo = crit
+    # chisq_pvalue(lo) > alpha >= chisq_pvalue(crit) throughout
+    lo, crit = 0.0, float(p)
+    while chisq_pvalue(crit, p) > alpha:
+        lo, crit = crit, 2.0 * crit
+    while math.nextafter(lo, math.inf) < crit:
+        mid = 0.5 * (lo + crit)
+        if chisq_pvalue(mid, p) > alpha:
+            lo = mid
         else:
-            hi = crit
-        density = math.exp((0.5 * p - 1.0) * math.log(crit) - 0.5 * crit - log_norm)
-        # no Newton step without q and the density: inf bisects
-        step = math.log(q / alpha) * q / density if q > 0.0 and density > 0.0 else math.inf
-        if abs(step) <= 1e-10 * crit:
-            crit += step
-            break
-        crit = crit + step if lo < crit + step < hi else 0.5 * (lo + hi)
+            crit = mid
     kernel = STACKED_MEAN_TESTS[method]
     refusals = Counter()
 
     def score_chunk(start: int, x: np.ndarray) -> list:
-        stats, errors = kernel(x, sig)
+        stats, errors = kernel(x, chol_sig)
         refusals.update(type(e).__name__ for e in errors if e is not None)
         return [None if e is not None else stat > crit for stat, e in zip(stats.tolist(), errors)]
 

@@ -33,6 +33,8 @@ ENV_SEED = "COVSHRINK_SEED"
 METHOD_ALIASES = {"stein": "stein_triangular", "dp": "dp_equivariant"}
 # mp --points above this is refused before any grid is allocated
 _MP_MAX_POINTS = 1_000_000
+# --threads above this is refused before any thread starts; each holds a drawn chunk
+_MAX_THREADS = 64
 
 
 class _UsageError(Exception):
@@ -189,9 +191,11 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--seed", type=int, default=None,
                         help=f"master seed (default: ${ENV_SEED} or 0)")
     parser.add_argument("--threads", type=int, default=1,
-                        help="threads for replicate loops: the extra threads draw replicates "
-                             "ahead while the calling thread scores them (results independent "
-                             "of this)")
+                        help=f"threads for replicate loops, at most {_MAX_THREADS}: the extra "
+                             "threads draw replicates ahead while the calling thread scores "
+                             "them (results independent of this).  On 2 vCPUs two threads "
+                             "were slower than one in every measurement; the schedule stays "
+                             "only because perfbench's tests pin worker-thread draws")
     parser.add_argument("--output", default=None, help="write the report here instead of stdout")
     parser.add_argument("--format", choices=("json", "csv"), default=None,
                         help="output format (csv only for the mp grid; default json)")
@@ -388,6 +392,8 @@ def run_cli(argv) -> int:
     started = datetime.datetime.now(datetime.timezone.utc).isoformat()
     try:
         seed = _resolve_seed(args)
+        if args.threads > _MAX_THREADS:
+            raise ConfigError(f"need at most {_MAX_THREADS} threads, got {args.threads}")
         threads = max(1, args.threads)
         config, results = _COMMANDS[args.subcommand](args, seed, threads)
 

@@ -11,7 +11,7 @@ import numpy as np
 
 from ._rng import aggregate, check_failures, run_chunks
 from .estimators import CLASS_DIVISORS, STACKED_ESTIMATORS, scatter_stack
-from .matrix_core import cholesky, cholesky_stack, schur_pivots
+from .matrix_core import cholesky, cholesky_stack
 
 RISK_KINDS = tuple(CLASS_DIVISORS)
 
@@ -118,11 +118,12 @@ class RiskEstimate:
 
 
 def _target(method: str, sig: np.ndarray, chol_sig: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(target, its Cholesky factor): the Schur pivot diagonal of sigma for
-    the pivot estimator, sigma itself for every other method."""
+    """(target, its Cholesky factor): sigma itself for every method but the pivot
+    estimator, whose target is the Schur pivot diagonal diag(t^2), t the diagonal
+    of sigma's factor; its factor is diag(t) bit for bit, as sqrt(fl(t^2)) = t."""
     if method == "dp_equivariant":
-        target = np.diag(schur_pivots(sig))
-        return target, cholesky(target)
+        t = np.diag(np.diag(chol_sig))
+        return t * t, t
     return sig, chol_sig
 
 

@@ -25,7 +25,8 @@ def _symmetrize(a: np.ndarray) -> tuple[np.ndarray, list]:
 
     ``errors[j]`` is the AsymmetricInputError that matrix j earns (non-finite
     entries, or asymmetry above SYM_RTOL relative to its largest entry, which
-    is more than accumulation noise), or None.
+    is more than accumulation noise), or None.  A refused matrix's copy is the
+    identity, a placeholder that keeps stacked arithmetic on the copies finite.
     """
     at = a.swapaxes(1, 2)
     with np.errstate(invalid="ignore"):  # inf - inf in a matrix refused anyway
@@ -42,6 +43,7 @@ def _symmetrize(a: np.ndarray) -> tuple[np.ndarray, list]:
                 f"asymmetry {g:.3e} exceeds tolerance {SYM_RTOL:.0e} relative to scale {s:.3e}")
     sym = np.add(a, at, out=diff)  # reuse the buffer of the differences
     sym /= 2.0
+    sym[[e is not None for e in errors]] = np.eye(a.shape[1])
     return sym, errors
 
 
@@ -116,9 +118,6 @@ def eigh_stack(m) -> tuple[np.ndarray, np.ndarray, list]:
     DecompositionError for all of it.
     """
     sym, errors = _symmetrize(_square_stack(m))
-    for j, error in enumerate(errors):
-        if error is not None:
-            sym[j] = np.eye(sym.shape[1])
     try:
         w, v = np.linalg.eigh(sym)
     except np.linalg.LinAlgError as exc:
@@ -182,9 +181,6 @@ def cholesky_stack(m) -> tuple[np.ndarray, list]:
     """
     sym, errors = _symmetrize(_square_stack(m))
     p = sym.shape[1]
-    for j, error in enumerate(errors):
-        if error is not None:
-            sym[j] = np.eye(p)
     try:
         return np.linalg.cholesky(sym), errors
     except np.linalg.LinAlgError:

@@ -22,10 +22,10 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from ._rng import aggregate, check_failures, gaussian_rows, replicate_rng, run_chunks
-from .errors import ConfigError, NumericError
+from .errors import ConfigError, NotPositiveDefiniteError, NumericError
 from .estimators import DENOM_GUARD, ESTIMATORS, scatter_stack, shrinkage_terms
 from .loss_risk import RISK_KINDS, min_risk, replicate_losses
-from .matrix_core import cholesky, spectral_decompose, tie_gap
+from .matrix_core import cholesky, tie_gap
 from .rmt import MPModel, mp_cdf
 
 VARIANTS = ("identity", "spiked", "ar1", "explicit")
@@ -70,9 +70,10 @@ class PopulationModel:
             m = np.asarray(self.matrix, dtype=float)
             if m.shape != (self.p, self.p):
                 raise ConfigError(f"explicit matrix shape {m.shape} does not match p={self.p}")
-            dec = spectral_decompose(m)
-            if dec.eigenvalues[-1] <= 0.0:
-                raise ConfigError("explicit matrix is not positive definite")
+            try:
+                cholesky(m)
+            except NotPositiveDefiniteError:
+                raise ConfigError("explicit matrix is not positive definite") from None
             object.__setattr__(self, "matrix", m)
 
     def to_dict(self) -> dict:

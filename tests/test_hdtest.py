@@ -25,6 +25,7 @@ from covshrink import (
     sample_covariance,
     tsai_eigenvalues,
 )
+from covshrink import _rng, hdtest
 from covshrink._rng import draw_chunk, gaussian_rows, replicate_rng
 from covshrink.hdtest import MEAN_TESTS, STACKED_MEAN_TESTS
 from covshrink.matrix_core import cholesky, spectral_decompose
@@ -55,7 +56,7 @@ class TestStackedKernels:
         # n=8, p=4 makes the shrinker refuse some slices; slice 5 is collinear
         x = draw_chunk(11, cholesky(sigma), 8, 0, 40, np.full(4, 0.3))
         x[5, :, 3] = x[5, :, 2]
-        stats, errors = STACKED_MEAN_TESTS[test](x, sigma)
+        stats, errors = STACKED_MEAN_TESTS[test](x, cholesky(sigma))
         assert len(stats) == len(errors) == 40
         classes = set()
         for j in range(40):
@@ -77,7 +78,7 @@ class TestStackedKernels:
         # each statistic written out from the public pieces, one sample at a time
         n = 40
         x = draw_chunk(12, cholesky(sigma), n, 0, 60, np.full(5, 0.2))
-        stats = {test: STACKED_MEAN_TESTS[test](x, sigma) for test in MEAN_TESTS}
+        stats = {test: STACKED_MEAN_TESTS[test](x, cholesky(sigma)) for test in MEAN_TESTS}
         for j in range(60):
             xbar = x[j].mean(axis=0)
             s = sample_covariance(x[j], mode="centered_n_minus_1").matrix
@@ -91,13 +92,14 @@ class TestStackedKernels:
                 proj = dec.eigenvectors.T @ xbar
                 assert stats["decomposite"][0][j] == n * float(np.sum(proj * proj / psi))
 
-    def test_oracle_refuses_every_slice_of_an_indefinite_sigma(self):
+    def test_oracle_and_power_refuse_an_indefinite_sigma(self):
         sigma = np.diag([1.0, -1.0, 2.0])
-        x = draw_chunk(3, np.eye(3), 10, 0, 4)
-        _, errors = STACKED_MEAN_TESTS["oracle"](x, sigma)
-        with pytest.raises(NotPositiveDefiniteError) as info:
-            oracle_t2(x[0], sigma)
-        assert [(type(e), str(e)) for e in errors] == [(type(info.value), str(info.value))] * 4
+        x = draw_chunk(3, np.eye(3), 10, 0, 1)[0]
+        message = "leading minor of order 2 is not positive definite"
+        with pytest.raises(NotPositiveDefiniteError, match=message):
+            oracle_t2(x, sigma)
+        with pytest.raises(NotPositiveDefiniteError, match=message):
+            power_simulation(10, 3, sigma, np.zeros(3), replicates=4, method="oracle")
 
 
 class TestChisqPvalue:
@@ -325,6 +327,24 @@ class TestPowerSimulation:
         if test == "decomposite":
             assert classes == {"ShrinkageSingularityError": 2}
 
+    def test_nan_oracle_statistic_is_a_numeric_failure(self, monkeypatch):
+        # the mean's sum overflows to inf and the solve turns it into NaN; such
+        # a replicate is refused, not counted as "not rejected"
+        with pytest.raises(NumericError, match="NaN"):
+            oracle_t2(np.full((30, 2), 1e308), np.eye(2))
+        draw = _rng.draw_chunk
+
+        def overflow_first(*args, **kwargs):
+            x = draw(*args, **kwargs)
+            if args[3] == 0:
+                x[0, :, 0] = 1e308
+            return x
+
+        monkeypatch.setattr(_rng, "draw_chunk", overflow_first)
+        rep = power_simulation(30, 2, np.eye(2), np.zeros(2), replicates=400, seed=3)
+        assert (rep.failures, rep.replicates) == (1, 399)
+        assert rep.failure_classes == {"NumericError": 1}
+
     def test_refusals_above_the_limit_abort(self):
         with pytest.raises(NumericError, match="8 of 400 replicates failed"):
             power_simulation(20, 4, ar1(4, 0.5), np.array([1.0, 0.5, 0.0, 0.0]),
@@ -352,6 +372,23 @@ class TestPowerSimulation:
                                        alpha=float(alpha), replicates=1)
                 assert_allclose(rep.critical_value, chi2.isf(alpha, p), rtol=1e-13, atol=0,
                                 err_msg=f"p={p}, alpha={alpha}")
+
+    def test_critical_value_is_the_least_double_at_or_below_alpha(self, monkeypatch):
+        calls = []
+
+        def counted(statistic, p):
+            calls.append(statistic)
+            return chisq_pvalue(statistic, p)
+
+        monkeypatch.setattr(hdtest, "chisq_pvalue", counted)
+        for p in [*range(1, 61), 100, 399, 400, 999, 1000]:
+            for alpha in (1e-9, 1e-4, 0.05, 0.5, 0.9, 0.9999, 1.0 - 1e-9):
+                calls.clear()
+                crit = power_simulation(n=2, p=p, sigma=np.eye(p), delta=np.zeros(p),
+                                        alpha=alpha, replicates=1).critical_value
+                assert len(calls) <= 128, f"p={p}, alpha={alpha}"
+                assert (chisq_pvalue(crit, p) <= alpha
+                        < chisq_pvalue(math.nextafter(crit, 0.0), p)), f"p={p}, alpha={alpha}"
 
     def test_argument_validation(self):
         with pytest.raises(ValueError):

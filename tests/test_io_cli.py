@@ -313,6 +313,13 @@ class TestPowerCommand:
         assert run_cli(["power", "--n", "30", "--p", "2", "--delta", "0,,0"]) == 2
         assert "--delta '0,,0' has an empty field at position 2" in capsys.readouterr().err
 
+    def test_oracle_mean_overflow_is_2(self, tmp_path, capsys):
+        # the sample mean overflows, so every oracle statistic is NaN and refused
+        argv = ["power", "--n", "30", "--p", "2", "--method", "oracle", "--delta"]
+        assert run_cli(argv + ["1e308,0"]) == 2
+        assert "1000 of 1000 replicates failed for method 'oracle'" in capsys.readouterr().err
+        assert run_json(tmp_path, argv + ["1e307,0"]).results["rejection_rate"] == 1.0
+
     def test_replicate_count_below_one_is_2(self, capsys):
         for count in ("0", "-2"):
             code = run_cli(["power", "--n", "30", "--p", "2", "--delta", "0,0",
@@ -394,6 +401,16 @@ class TestExitCodes:
         # refused before the grid is allocated: this many points would need 8 GB each
         assert run_cli(["mp", "--c", "0.5", "--points", "1000000001"]) == 2
         assert "need 2 to 1000000 grid points, got 1000000001" in capsys.readouterr().err
+
+    def test_threads_above_the_bound_are_2(self, capsys, monkeypatch):
+        # refused before any pool exists: this call would start 999 threads
+        def no_pool(*args, **kwargs):
+            raise AssertionError("a thread pool was constructed")
+
+        monkeypatch.setattr(covshrink._rng, "ThreadPoolExecutor", no_pool)
+        assert run_cli(["--threads", "1000", "simulate", "--experiment", "esd", "--n", "1600",
+                        "--p", "400", "--replicates", "1000"]) == 2
+        assert "need at most 64 threads, got 1000" in capsys.readouterr().err
 
     def test_help_exits_zero(self, capsys):
         assert run_cli(["--help"]) == 0

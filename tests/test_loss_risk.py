@@ -24,8 +24,8 @@ from covshrink.estimators import (
     scatter_stack,
     tsai_estimator,
 )
-from covshrink.loss_risk import _inverse_factor, _stein_losses, replicate_losses
-from covshrink.matrix_core import cholesky, cholesky_stack
+from covshrink.loss_risk import _inverse_factor, _stein_losses, _target, replicate_losses
+from covshrink.matrix_core import cholesky, cholesky_stack, schur_pivots
 
 EULER_GAMMA = 0.5772156649015329
 
@@ -241,6 +241,18 @@ class TestReplicateLosses:
         x = gaussian_rows(replicate_rng(3, 2), cholesky(sigma), 10)
         est = dp_equivariant(scatter_matrix(x, centered=False))
         assert losses[2] == stein_loss(est.matrix, target)
+
+    @pytest.mark.parametrize("sigma", [
+        np.eye(6), np.diag([20.0, 10.0, 5.0, 1.0, 1.0, 1.0]),
+        0.5 ** np.abs(np.subtract.outer(np.arange(8), np.arange(8))),
+        0.99 ** np.abs(np.subtract.outer(np.arange(8), np.arange(8))),
+        random_spd(np.random.default_rng(50), 50),
+    ], ids=["identity", "spiked", "ar1-0.5", "ar1-0.99", "spd50"])
+    def test_pivot_target_is_the_schur_pivot_diagonal_bit_for_bit(self, sigma):
+        target, t_target = _target("dp_equivariant", sigma, cholesky(sigma))
+        expected = np.diag(schur_pivots(sigma))
+        assert np.array_equal(target, expected)
+        assert np.array_equal(t_target, cholesky(expected))
 
     def test_unknown_method_refused_before_any_replicate(self):
         with pytest.raises(ValueError, match="unknown method 'oas'"):

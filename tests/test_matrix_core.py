@@ -9,7 +9,7 @@ from covshrink import (
     schur_pivots,
     spectral_decompose,
 )
-from covshrink.matrix_core import cholesky_stack
+from covshrink.matrix_core import _canonical_signs, cholesky_stack, eigh_stack
 
 RT2 = np.sqrt(2.0)
 
@@ -159,6 +159,28 @@ class TestCholeskyRefusalIndex:
             assert np.array_equal(t[j], cholesky(good))
         for j in range(1, 6):
             assert np.array_equal(t[j], np.eye(p))
+
+
+class TestEighStack:
+    @pytest.mark.parametrize("p", (3, 10))
+    def test_refusals_and_slices_match_spectral_decompose(self, p):
+        rng = np.random.default_rng(40 + p)
+        stack = np.stack([random_spd(rng, p) for _ in range(6)])
+        stack[1, -1, 0] = np.nan
+        stack[4, 0, -1] += 1e-3 * np.abs(stack[4]).max()
+        w, v, errors = eigh_stack(stack)
+        assert [j for j, e in enumerate(errors) if e is not None] == [1, 4]
+        for j in range(6):
+            if errors[j] is not None:
+                with pytest.raises(AsymmetricInputError) as exc:
+                    spectral_decompose(stack[j])
+                assert type(errors[j]) is type(exc.value)
+                assert str(errors[j]) == str(exc.value)
+                assert np.array_equal(w[j], np.ones(p))
+            else:
+                dec = spectral_decompose(stack[j])
+                assert np.array_equal(w[j], dec.eigenvalues)
+                assert np.array_equal(_canonical_signs(v[j]), dec.eigenvectors)
 
 
 class TestSuccessiveDiagonalize:

@@ -77,6 +77,13 @@ class TestPopulationModel:
         with pytest.raises(ConfigError):
             PopulationModel(variant="explicit", p=2, matrix=np.array([[1.0, 2.0], [2.0, 1.0]]))
 
+    def test_explicit_matrix_that_cholesky_refuses_is_refused(self):
+        # rank 2 in three dimensions: its smallest computed eigenvalue can
+        # round to a positive value, but the sampler's Cholesky factor fails
+        a = np.array([[1.8, 1.32], [0.36, -1.21], [0.0, 0.66]])
+        with pytest.raises(ConfigError, match="explicit matrix is not positive definite"):
+            PopulationModel(variant="explicit", p=3, matrix=a @ a.T)
+
     @pytest.mark.parametrize("spike", [float("nan"), float("inf")])
     def test_non_finite_spike_named(self, spike):
         with pytest.raises(ConfigError, match=f"spike value {spike!r} is not finite"):
