@@ -11,9 +11,10 @@ enforced, and ``aggregate`` the one mean and standard error over the
 replicates that completed.
 """
 
+from __future__ import annotations
+
 import hashlib
 from collections import deque
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
@@ -89,6 +90,8 @@ def run_chunks(score_chunk, seed: int, chol_factor: np.ndarray, n: int, replicat
 
     if threads <= 1:
         return [outcome for start in starts for outcome in score_chunk(start, draw(start))]
+    from concurrent.futures import ThreadPoolExecutor  # off the import path
+
     with ThreadPoolExecutor(max_workers=threads - 1) as pool:
         # at most threads - 1 chunks wait in memory beyond the one being scored
         pending = deque(pool.submit(draw, start) for start in starts[:threads - 1])
@@ -101,19 +104,23 @@ def run_chunks(score_chunk, seed: int, chol_factor: np.ndarray, n: int, replicat
         return outcomes
 
 
-def check_failures(outcomes, method: str, n: int, p: int) -> int:
+def check_failures(outcomes, method: str, n: int, p: int, refusals=None) -> int:
     """Count the failed (None) outcomes; raise NumericError above the tolerance.
 
     More than MAX_FAILURE_FRACTION failures aborts the run, since a mean
     over a heavily censored sample is not the quantity being estimated.
+    ``refusals``, a {class name: count} histogram of the failures, is
+    appended to the message where the caller kept one.
     """
     total = len(outcomes)
     failures = sum(1 for o in outcomes if o is None)
     if failures > MAX_FAILURE_FRACTION * total:
-        raise NumericError(
-            f"{failures} of {total} replicates failed for method {method!r} "
-            f"at n={n}, p={p}; above the {MAX_FAILURE_FRACTION:.0%} tolerance"
-        )
+        message = (f"{failures} of {total} replicates failed for method {method!r} "
+                   f"at n={n}, p={p}; above the {MAX_FAILURE_FRACTION:.0%} tolerance")
+        if refusals:
+            message += "; refusals: " + ", ".join(f"{name} {count}"
+                                                  for name, count in sorted(refusals.items()))
+        raise NumericError(message)
     return failures
 
 

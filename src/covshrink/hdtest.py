@@ -285,7 +285,7 @@ def power_simulation(n: int, p: int, sigma, delta, alpha: float = 0.05,
         return [None if e is not None else stat > crit for stat, e in zip(stats.tolist(), errors)]
 
     outcomes = run_chunks(score_chunk, seed, chol_sig, n, replicates, threads, mean=mu)
-    failures = check_failures(outcomes, method, n, p)
+    failures = check_failures(outcomes, method, n, p, refusals)
     ok = [o for o in outcomes if o is not None]
     m = len(ok)
     rate_hat = sum(ok) / m

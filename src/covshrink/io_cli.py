@@ -11,7 +11,7 @@ from --seed, then the COVSHRINK_SEED environment variable, then 0.
 import argparse
 import csv
 import datetime
-import itertools
+import io
 import json
 import math
 import os
@@ -33,7 +33,7 @@ ENV_SEED = "COVSHRINK_SEED"
 METHOD_ALIASES = {"stein": "stein_triangular", "dp": "dp_equivariant"}
 # mp --points above this is refused before any grid is allocated
 _MP_MAX_POINTS = 1_000_000
-# --threads above this is refused before any thread starts; each holds a drawn chunk
+# --threads outside 1 .. this is refused before any thread starts; each holds a drawn chunk
 _MAX_THREADS = 64
 
 
@@ -45,61 +45,81 @@ def read_csv(path: str, delimiter: str = ",", header: bool = False) -> np.ndarra
     """Parse a rectangular numeric CSV into an (n, p) observation matrix.
 
     Rows are observations, columns variables.  Errors carry the 1-based
-    physical line (and column for a bad cell).  Fully empty lines are
-    skipped; a file without data rows is an error.
+    physical line (and column for a bad cell).  Lines whose every field is
+    whitespace are skipped; a file without data rows is an error.  A file
+    without quotes goes through NumPy's C reader, and whatever that reader
+    refuses goes through the csv module, which alone names the line and column.
     """
     try:
         with open(path, newline="") as fh:
-            raw = list(csv.reader(fh, delimiter=delimiter))
-    except OSError as exc:
+            text = fh.read()
+    except (OSError, UnicodeDecodeError) as exc:
         raise CsvFormatError(f"cannot read {path}: {exc}") from exc
-    numbered = [(i, row) for i, row in enumerate(raw, start=1) if row and any(c.strip() for c in row)]
+    data = _loadtxt(text, delimiter, header)
+    return _parse_csv(path, text, delimiter, header) if data is None else data
+
+
+def _loadtxt(text: str, delimiter: str, header: bool):
+    """``np.loadtxt`` of ``text``, or None where ``_parse_csv`` alone decides.
+
+    loadtxt runs only where the lines and cells are the csv module's: a
+    one-character delimiter other than a line ending, no quote character,
+    and no lone CR, which ends a csv line but not a line split at LF.  It
+    converts each cell with PyOS_string_to_double, the parser float() uses,
+    on a subset of the spellings float() accepts, so every value it returns
+    has float()'s bits.  A cell it refuses, a ragged row, a non-finite
+    value, and a file with no line left for it to read (loadtxt would warn)
+    go to ``_parse_csv``, which names the line and column.  The header is
+    the first line that is not blank by the csv path's rule.  loadtxt is
+    given the list of lines, which takes less memory than a StringIO's four
+    bytes per character.
+    """
+    if (len(delimiter) != 1 or delimiter in "\r\n" or '"' in text
+            or "\r" in text and text.count("\r") != text.count("\r\n")):
+        return None
+    lines = text.split("\n")
+    if header:
+        first = next((i for i, line in enumerate(lines) if line.replace(delimiter, "").strip()),
+                     len(lines))
+        lines = lines[first + 1:]
+    if not any(line.strip("\r") for line in lines):
+        return None
+    try:
+        data = np.loadtxt(lines, delimiter=delimiter, comments=None, ndmin=2)
+    except ValueError:
+        return None
+    return data if np.isfinite(data).all() else None
+
+
+def _parse_csv(path: str, text: str, delimiter: str, header: bool) -> np.ndarray:
+    """The csv module's parse of ``text``, the file at ``path``: read_csv's reference.
+
+    Raises for the first short or long row, or bad cell, in file order.
+    """
+    reader = csv.reader(io.StringIO(text, newline=""), delimiter=delimiter)
+    numbered = [(i, row) for i, row in enumerate(reader, start=1) if any(c.strip() for c in row)]
     if header and numbered:
         numbered = numbered[1:]
     if not numbered:
         raise CsvFormatError(f"{path}: no data rows")
-    rows = [row for _, row in numbered]
-    width = len(rows[0])
-    if all(len(row) == width for row in rows):
-        # one C-level pass, with the same float() per cell as _first_malformed
-        try:
-            data = np.fromiter(map(float, itertools.chain.from_iterable(rows)), float,
-                               count=len(rows) * width)
-        except ValueError:
-            pass
-        else:
-            if np.isfinite(data).all():
-                return data.reshape(len(rows), width)
-    raise _first_malformed(path, numbered, width)
-
-
-def _first_malformed(path: str, numbered: list, width: int) -> CsvFormatError:
-    """The error for the first short or long row, or bad cell, in file order.
-
-    Only called when some row or cell is malformed.
-    """
+    width = len(numbered[0][1])
+    values = []
     for lineno, row in numbered:
         if len(row) != width:
-            return CsvFormatError(
-                f"{path}: line {lineno} has {len(row)} fields, expected {width}",
-                line=lineno,
-            )
-        for j, cell in enumerate(row):
+            raise CsvFormatError(f"{path}: line {lineno} has {len(row)} fields, expected {width}",
+                                 line=lineno)
+        for j, cell in enumerate(row, start=1):
             try:
                 value = float(cell)
             except ValueError:
-                return CsvFormatError(
-                    f"{path}: non-numeric value {cell.strip()!r} at line {lineno}, column {j + 1}",
-                    line=lineno,
-                    column=j + 1,
-                )
+                raise CsvFormatError(
+                    f"{path}: non-numeric value {cell.strip()!r} at line {lineno}, column {j}",
+                    line=lineno, column=j) from None
             if not math.isfinite(value):
-                return CsvFormatError(
-                    f"{path}: non-finite value at line {lineno}, column {j + 1}",
-                    line=lineno,
-                    column=j + 1,
-                )
-    raise AssertionError(f"{path}: no malformed row or cell found")
+                raise CsvFormatError(f"{path}: non-finite value at line {lineno}, column {j}",
+                                     line=lineno, column=j)
+            values.append(value)
+    return np.array(values).reshape(len(numbered), width)
 
 
 @dataclass(frozen=True)
@@ -191,7 +211,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--seed", type=int, default=None,
                         help=f"master seed (default: ${ENV_SEED} or 0)")
     parser.add_argument("--threads", type=int, default=1,
-                        help=f"threads for replicate loops, at most {_MAX_THREADS}: the extra "
+                        help=f"threads for replicate loops, 1 to {_MAX_THREADS}: the extra "
                              "threads draw replicates ahead while the calling thread scores "
                              "them (results independent of this).  On 2 vCPUs two threads "
                              "were slower than one in every measurement; the schedule stays "
@@ -266,7 +286,7 @@ def _resolve_seed(args) -> int:
     return 0
 
 
-def _cmd_estimate(args, seed, threads):
+def _cmd_estimate(args, seed):
     data = read_csv(args.input, delimiter=args.delimiter, header=args.header)
     method = METHOD_ALIASES.get(args.method, args.method)
     est = ESTIMATORS[method](data, args.n_convention == "centered")
@@ -285,7 +305,7 @@ def _cmd_estimate(args, seed, threads):
     return config, results
 
 
-def _cmd_ttest(args, seed, threads):
+def _cmd_ttest(args, seed):
     data = read_csv(args.input, delimiter=args.delimiter, header=args.header)
     res = MEAN_TESTS[args.method](data, None)
     config = {"input": args.input, "method": args.method, "header": args.header}
@@ -301,7 +321,7 @@ def _mp_table(args):
     return model, [{"x": float(x), "density": float(d), "cdf": float(f)} for x, d, f in columns]
 
 
-def _cmd_mp(args, seed, threads):
+def _cmd_mp(args, seed):
     model, table = _mp_table(args)
     config = {"c": args.c, "points": args.points}
     results = {"lambda_minus": model.lambda_minus, "lambda_plus": model.lambda_plus,
@@ -309,7 +329,7 @@ def _cmd_mp(args, seed, threads):
     return config, results
 
 
-def _cmd_risk(args, seed, threads):
+def _cmd_risk(args, seed):
     closed = args.closed_form or not args.monte_carlo
     model = parse_model(args.model, args.p)
     methods = _methods(args.methods)
@@ -321,7 +341,7 @@ def _cmd_risk(args, seed, threads):
         results["closed_form"] = {kind: min_risk(kind, args.n, args.p) for kind in RISK_KINDS}
     if args.monte_carlo:
         estimates = monte_carlo_risks(methods, make_sigma(model), args.n, args.replicates,
-                                      seed, threads=threads)
+                                      seed, threads=args.threads)
         results["monte_carlo"] = {
             method: {"mean_loss": est.mean_loss, "std_error": est.std_error,
                      "replicates": est.replicates, "failures": est.failures}
@@ -329,7 +349,7 @@ def _cmd_risk(args, seed, threads):
     return config, results
 
 
-def _cmd_simulate(args, seed, threads):
+def _cmd_simulate(args, seed):
     model = parse_model(args.model, args.p)
     config_obj = ExperimentConfig(
         model=model,
@@ -339,19 +359,19 @@ def _cmd_simulate(args, seed, threads):
         methods=tuple(_methods(args.methods)) if args.methods else (),
         keep_rows=not args.drop_rows,
     )
-    report = EXPERIMENTS[args.experiment](config_obj, threads=threads)
+    report = EXPERIMENTS[args.experiment](config_obj, threads=args.threads)
     config = {"experiment": args.experiment, **config_obj.to_dict()}
     return config, report.to_dict()
 
 
-def _cmd_power(args, seed, threads):
+def _cmd_power(args, seed):
     delta = np.array([float(v) for v in _fields(args.delta, f"--delta {args.delta!r}")])
     if delta.shape[0] != args.p:
         raise ConfigError(f"delta has {delta.shape[0]} entries, expected p={args.p}")
     sigma = make_sigma(parse_model(args.model, args.p))
     rep = power_simulation(args.n, args.p, sigma, delta, alpha=args.alpha,
                            replicates=args.replicates, seed=seed,
-                           method=args.method, rate=args.rate, threads=threads)
+                           method=args.method, rate=args.rate, threads=args.threads)
     config = {"n": args.n, "p": args.p, "delta": delta.tolist(), "alpha": args.alpha,
               "replicates": args.replicates, "method": args.method, "rate": args.rate,
               "model": args.model}
@@ -392,10 +412,9 @@ def run_cli(argv) -> int:
     started = datetime.datetime.now(datetime.timezone.utc).isoformat()
     try:
         seed = _resolve_seed(args)
-        if args.threads > _MAX_THREADS:
-            raise ConfigError(f"need at most {_MAX_THREADS} threads, got {args.threads}")
-        threads = max(1, args.threads)
-        config, results = _COMMANDS[args.subcommand](args, seed, threads)
+        if not 1 <= args.threads <= _MAX_THREADS:
+            raise ConfigError(f"need 1 to {_MAX_THREADS} threads, got {args.threads}")
+        config, results = _COMMANDS[args.subcommand](args, seed)
 
         fmt = args.format or ("csv" if args.subcommand == "mp" else "json")
         if fmt == "csv":

@@ -1,6 +1,8 @@
+import concurrent.futures
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -10,7 +12,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 import covshrink
-from covshrink import CsvFormatError, min_risk
+from covshrink import CsvFormatError, io_cli, min_risk
 from covshrink.estimators import ESTIMATORS
 from covshrink.io_cli import (
     ReportDocument,
@@ -80,6 +82,12 @@ class TestReadCsv:
         with pytest.raises(CsvFormatError):
             read_csv(str(tmp_path / "nope.csv"))
 
+    def test_undecodable_byte_is_a_format_error_naming_the_file(self, tmp_path):
+        path = tmp_path / "bad.csv"
+        path.write_bytes(b"1,2\n3,\xff\n")
+        with pytest.raises(CsvFormatError, match=f"^cannot read {re.escape(str(path))}: "):
+            read_csv(str(path))
+
     def test_values_are_the_bits_of_float_per_cell(self, tmp_path):
         rows = [[" 2.5 ", "1_000", "-0.0"], ["1e-320", "0.1", "-7.25e300"]]
         path = write(tmp_path, "a.csv", "".join(",".join(row) + "\n" for row in rows))
@@ -109,6 +117,150 @@ class TestReadCsv:
             read_csv(path)
         assert (str(exc.value), exc.value.line, exc.value.column) == (
             f"{path}: non-finite value at line 3, column 2", 3, 2)
+
+
+def oneshot_csv(seed: int) -> str:
+    """The benchmark's oneshot input (perfbench/workloads.py): 10000 x 20 draws, repr cells."""
+    scale = np.sqrt(np.r_[8.0, 4.0, 2.0, np.ones(17)])
+    data = np.random.default_rng(seed).standard_normal((10_000, 20)) * scale
+    return "".join(",".join(map(repr, row)) + "\n" for row in data.tolist())
+
+
+# (text, delimiter, header): each file read_csv must parse as the csv module's path does
+CSV_CORPUS = [
+    # quoted cells
+    ('"1","2"\n3,4\n', ",", False),
+    ('"1,5",2\n3,4\n', ",", False),
+    ('"1\n",2\n3,4\n', ",", False),
+    ('x,"y"\n1,2\n', ",", True),
+    ('x,"y\n1,2\n3,4\n', ",", True),
+    # blank, whitespace-only and delimiter-only rows
+    ("1,2\n\n3,4\n\n", ",", False),
+    ("1,2\n   \n3,4\n", ",", False),
+    ("1,2\n \t\f\n3,4\n", ",", False),
+    ("1,2\n,\n3,4\n", ",", False),
+    ("1,2\n , \t\n3,4\n", ",", False),
+    ("\n\n1,2\n3,4", ",", False),
+    # headers: after blank lines, alone, and blank-only files with a header flag
+    ("\n\nx,y\n1,2\n3,4\n", ",", True),
+    (" , \n\t\nx,y\n1,2\n", ",", True),
+    (",,\n1,2\n3,4\n", ",", True),
+    ("\r\n\r\nx,y\r\n1,2\r\n", ",", True),
+    ("x,y\n", ",", True),
+    ("x,y\n\n\r\n", ",", True),
+    ("x,y", ",", True),
+    ("\n\n", ",", True),
+    ("x;y\n1;2\n", ";", True),
+    ("1,2\n3,4\n", ",", True),
+    # line endings
+    ("1,2\r\n3,4\r\n", ",", False),
+    ("1,2\r3,4\r", ",", False),
+    ("1,2\r\n3,4\r5,6\n", ",", False),
+    ("x\ry\n1,2\n", ",", True),
+    ("1,2\n3,4\r", ",", False),
+    # whitespace and spellings float() takes that loadtxt may not, or the reverse
+    ("\f1,2\n3,4\f\n", ",", False),
+    ("1,2\n\f\n3,4\n", ",", False),
+    ("\ufeff1,2\n3,4\n", ",", False),
+    ("1_000,2\n3,4\n", ",", False),
+    ("\u0661,2\n3,\u0663\u0664\n", ",", False),
+    ("\xa01,2\n\x853, 4\n", ",", False),
+    (" 1 , 2 \n+3,\t-4\t\n", ",", False),
+    ("1\x00,2\n", ",", False),
+    ("#1,2\n3,4\n", ",", False),
+    ("0x10,2\n", ",", False),
+    ("1,2\x0b3\n", ",", False),
+    ("+1,.5,5.,1E5,-0.0,0.1000000000000000055511151231257827021181583404541015625\n",
+     ",", False),
+    # non-finite values, overflow, subnormals
+    ("1,2\nnan,4\n", ",", False),
+    ("1,inf\n", ",", False),
+    ("-Infinity,1\n", ",", False),
+    ("1e400,2\n", ",", False),
+    ("4.9e-324,2.2250738585072009e-308\n1e-310,-5e-324\n", ",", False),
+    # a trailing delimiter, ragged rows, bad cells
+    ("1,2,\n3,4,\n", ",", False),
+    ("1,2\n3\n5,6\n", ",", False),
+    ("1,2\n3,four\n", ",", False),
+    ("1,2\n3,4,5\n", ",", False),
+    # tab, space and ; delimiters
+    ("1\t2\n3\t4\n", "\t", False),
+    ("1\t 2\n\t\n3 \t4\n", "\t", False),
+    ("1 2\n3 4\n", " ", False),
+    ("1  2\n3 4\n", " ", False),
+    (" 1 2\n", " ", False),
+    ("1;2\n3;4\n", ";", False),
+    ("1,5;2\n", ";", False),
+    # line endings as delimiters, which loadtxt refuses
+    ("1\n2\n", "\n", False),
+    ("1\r\n2\r\n", "\r", False),
+    # one row, one column, one cell, no data
+    ("1,2,3\n", ",", False),
+    ("1\n2\n3\n", ",", False),
+    ("5", ",", False),
+    ("", ",", False),
+    ("", ",", True),
+    ("\n\r\n", ",", False),
+    ("   ", ",", False),
+]
+
+
+def parse_both(path: str, delimiter: str, header: bool) -> tuple:
+    """read_csv's outcome and the csv path's, each an array or a CsvFormatError."""
+    with open(path, newline="") as fh:
+        text = fh.read()
+    outcomes = []
+    for parse in (lambda: read_csv(path, delimiter, header),
+                  lambda: io_cli._parse_csv(path, text, delimiter, header)):
+        try:
+            outcomes.append(parse())
+        except CsvFormatError as exc:
+            outcomes.append(exc)
+    return tuple(outcomes)
+
+
+def same_outcome(got, want) -> bool:
+    if isinstance(want, CsvFormatError):
+        return (isinstance(got, CsvFormatError)
+                and (str(got), got.line, got.column) == (str(want), want.line, want.column))
+    return (isinstance(got, np.ndarray) and got.dtype == want.dtype
+            and got.shape == want.shape and got.tobytes() == want.tobytes())
+
+
+@pytest.mark.filterwarnings("error")
+class TestReadCsvMatchesTheCsvPath:
+    @pytest.mark.parametrize("text, delimiter, header", CSV_CORPUS)
+    def test_corpus_file(self, tmp_path, capfd, text, delimiter, header):
+        path = tmp_path / "a.csv"
+        with open(path, "w", newline="") as fh:
+            fh.write(text)
+        got, want = parse_both(str(path), delimiter, header)
+        assert same_outcome(got, want), (got, want)
+        assert capfd.readouterr().err == ""
+
+    @pytest.mark.parametrize("delimiter", [",,", ""])
+    def test_delimiter_of_other_than_one_character_is_the_csv_modules_error(self, tmp_path,
+                                                                             delimiter):
+        path = write(tmp_path, "a.csv", "1,2\n3,4\n")
+        with pytest.raises(TypeError, match="1-character string"):
+            read_csv(path, delimiter)
+
+    @pytest.mark.parametrize("seed", range(1, 21))
+    def test_oneshot_csv_takes_numpys_reader(self, seed):
+        # read_csv returns _loadtxt's array wherever that is not None
+        text = oneshot_csv(seed)
+        got = io_cli._loadtxt(text, ",", False)
+        assert got is not None and got.shape == (10_000, 20)
+        assert same_outcome(got, io_cli._parse_csv("oneshot.csv", text, ",", False))
+
+    @pytest.mark.parametrize("text, delimiter, header", [
+        ("1,2\r\n3,4\r\n", ",", False),
+        ("\n x , y \n\n1,2\n", ",", True),
+        ("1\t2\n\n3\t4", "\t", False),
+        ("5\n", ";", False),
+    ])
+    def test_unquoted_files_take_numpys_reader(self, text, delimiter, header):
+        assert io_cli._loadtxt(text, delimiter, header) is not None
 
 
 class TestReportDocument:
@@ -317,7 +469,9 @@ class TestPowerCommand:
         # the sample mean overflows, so every oracle statistic is NaN and refused
         argv = ["power", "--n", "30", "--p", "2", "--method", "oracle", "--delta"]
         assert run_cli(argv + ["1e308,0"]) == 2
-        assert "1000 of 1000 replicates failed for method 'oracle'" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "1000 of 1000 replicates failed for method 'oracle'" in err
+        assert err.endswith("above the 1% tolerance; refusals: NumericError 1000\n")
         assert run_json(tmp_path, argv + ["1e307,0"]).results["rejection_rate"] == 1.0
 
     def test_replicate_count_below_one_is_2(self, capsys):
@@ -407,10 +561,22 @@ class TestExitCodes:
         def no_pool(*args, **kwargs):
             raise AssertionError("a thread pool was constructed")
 
-        monkeypatch.setattr(covshrink._rng, "ThreadPoolExecutor", no_pool)
+        monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", no_pool)
         assert run_cli(["--threads", "1000", "simulate", "--experiment", "esd", "--n", "1600",
                         "--p", "400", "--replicates", "1000"]) == 2
-        assert "need at most 64 threads, got 1000" in capsys.readouterr().err
+        assert "need 1 to 64 threads, got 1000" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("threads", ["0", "-3"])
+    def test_threads_below_one_are_2(self, capsys, threads):
+        assert run_cli(["--threads", threads, "power", "--n", "30", "--p", "2", "--delta", "0,0",
+                        "--replicates", "10"]) == 2
+        assert f"need 1 to 64 threads, got {threads}" in capsys.readouterr().err
+
+    def test_undecodable_input_is_2_and_names_the_file(self, tmp_path, capsys):
+        data = tmp_path / "bad.csv"
+        data.write_bytes(b"1,2\n3,\xff\n")
+        assert run_cli(["estimate", "--input", str(data)]) == 2
+        assert f"error: cannot read {data}: " in capsys.readouterr().err
 
     def test_help_exits_zero(self, capsys):
         assert run_cli(["--help"]) == 0
@@ -503,3 +669,41 @@ class TestDeterminism:
         doc1 = run_json(tmp_path, ["--seed", "1"] + argv)
         doc2 = run_json(tmp_path, ["--seed", "2"] + argv)
         assert doc1.results["metrics"] != doc2.results["metrics"]
+
+
+# Imports covshrink in a fresh interpreter, runs each argv through run_cli,
+# and prints, as JSON, the thread-pool and numpy.random modules loaded after
+# the import and after each call.
+LAZY_MODULE_PROBE = """
+import contextlib, io, json, sys
+import covshrink
+from covshrink.io_cli import run_cli
+
+def loaded():
+    return sorted(m for m in sys.modules
+                  if m.split(".")[0] == "concurrent" or m.startswith("numpy.random"))
+
+steps = [[None, loaded()]]
+for argv in json.loads(sys.argv[1]):
+    with contextlib.redirect_stdout(io.StringIO()):
+        code = run_cli(argv)
+    steps.append([code, loaded()])
+print(json.dumps(steps))
+"""
+
+
+def test_one_shot_commands_load_no_thread_pool_or_numpy_random(tmp_path):
+    data = tmp_path / "d.csv"
+    data.write_text("1,2,0.5\n3,5,1\n4,4,-2\n2,7,3\n0,1,1\n6,2,2\n")
+    argvs = [["estimate", "--input", str(data), "--method", method]
+             for method in ("sample", "stein", "dp", "tsai")]
+    argvs += [["ttest", "--input", str(data), "--method", method]
+              for method in ("hotelling", "decomposite")]
+    argvs += [["mp", "--c", "0.25", "--points", "5"],
+              ["risk", "--n", "50", "--p", "10", "--closed-form"]]
+    src = str(Path(covshrink.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    out = subprocess.run([sys.executable, "-c", LAZY_MODULE_PROBE, json.dumps(argvs)],
+                         env=dict(os.environ, PYTHONPATH=path), capture_output=True, text=True,
+                         check=True, timeout=120)
+    assert json.loads(out.stdout) == [[None, []]] + [[0, []]] * len(argvs)

@@ -203,6 +203,17 @@ class TestMonteCarloRisk:
         with pytest.raises(NumericError, match="3 of 200 replicates failed"):
             check_failures(ok[:-1] + [None] * 3, "sample", n=10, p=2)
 
+    def test_abort_message_names_the_refusal_classes(self):
+        outcomes = [0.5] * 197 + [None] * 3
+        with pytest.raises(NumericError) as exc:
+            check_failures(outcomes, "tsai", n=10, p=2,
+                           refusals={"ShrinkageSingularityError": 2, "EigenvalueTieError": 1})
+        assert str(exc.value) == (
+            "3 of 200 replicates failed for method 'tsai' at n=10, p=2; above the 1% tolerance; "
+            "refusals: EigenvalueTieError 1, ShrinkageSingularityError 2")
+        with pytest.raises(NumericError, match="tolerance$"):
+            check_failures(outcomes, "tsai", n=10, p=2, refusals={})
+
     def test_replicate_floor(self):
         with pytest.raises(ValueError):
             monte_carlo_risk("sample", np.eye(2), n=10, replicates=50, seed=1)
