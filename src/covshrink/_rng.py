@@ -29,7 +29,8 @@ CHUNK_BYTES = 256 * 1024
 def replicate_rng(seed: int, index: int) -> np.random.Generator:
     """Generator for replicate ``index`` of an experiment with master ``seed``."""
     digest = hashlib.blake2b(f"{seed}:{index}".encode("ascii"), digest_size=8).digest()
-    return np.random.default_rng(int.from_bytes(digest, "little"))
+    # default_rng(seed) for an integer seed, without its argument dispatch
+    return np.random.Generator(np.random.PCG64(int.from_bytes(digest, "little")))
 
 
 def gaussian_rows(rng: np.random.Generator, chol_factor: np.ndarray, n: int,

@@ -116,10 +116,6 @@ class ShrinkageTable:
         if self.shrunk_eigenvalues.shape[0] != p or self.denominators.shape[0] != p:
             raise ValueError("shrinkage table vectors must share one length")
 
-    @property
-    def p(self) -> int:
-        return self.sample_eigenvalues.shape[0]
-
 
 @dataclass(frozen=True)
 class CovarianceEstimate:
@@ -179,43 +175,47 @@ def _pivot(a: np.ndarray, dof: int) -> tuple[np.ndarray, list]:
     return est, errors
 
 
-def shrunk_spectra(w: np.ndarray, n: int, errors: list) -> tuple[np.ndarray, list]:
-    """psi for each descending spectrum of a (k, p) stack, and each ShrinkageTable.
+def _declined(l: np.ndarray, d: np.ndarray, n: int) -> np.ndarray:
+    """Which descending spectra l (k, p), with denominators d, the shrinker's guard turns down.
 
-    ``errors`` holds each spectrum's refusal so far: a refused spectrum is
-    skipped, and the refusal of one the shrinker turns down is written
-    there.  psi is ``tsai_eigenvalues`` at sample count n, called once per
-    spectrum, so its guards and their messages stay in one place.  A
-    refused spectrum gets psi = 1, a finite placeholder, and table None.
+    Those with a non-positive l_p, a neighbour gap below TIE_GAP or some d_i
+    at or below DENOM_GUARD * n; all of them when n < p, a usage error.
     """
-    tables = [None] * len(w)
-    psi = np.ones(w.shape)
-    for j, error in enumerate(errors):
-        if error is not None:
-            continue
-        if w[j, -1] <= 0.0:
+    bad = (l[:, -1] <= 0.0) | (np.diff(l, axis=1) > -TIE_GAP).any(axis=1)
+    return bad | (d <= DENOM_GUARD * n).any(axis=1) | (n < l.shape[1])
+
+
+def shrunk_spectra(w: np.ndarray, n: int, errors: list) -> tuple[np.ndarray, np.ndarray]:
+    """psi and the denominators d of each descending spectrum of a (k, p) stack.
+
+    ``errors`` holds each spectrum's refusal so far; each other spectrum the
+    guard turns down gets the refusal ``tsai_eigenvalues`` raises for it,
+    called for those alone, so its messages stay in one place.  A refused
+    spectrum gets psi = 1, a finite placeholder.
+    """
+    psi, d = shrinkage_terms(w, n)
+    for j in np.flatnonzero(_declined(w, d, n)).tolist():
+        if errors[j] is None and w[j, -1] <= 0.0:
             errors[j] = NotPositiveDefiniteError(
                 f"smallest eigenvalue {w[j, -1]:.6e} is not positive", index=w.shape[1])
-            continue
-        try:
-            tables[j] = tsai_eigenvalues(w[j], n)
-        except CovshrinkError as exc:
-            errors[j] = exc
-        else:
-            psi[j] = tables[j].shrunk_eigenvalues
-    return psi, tables
+        elif errors[j] is None:
+            try:
+                tsai_eigenvalues(w[j], n)
+            except CovshrinkError as exc:
+                errors[j] = exc
+    psi[[e is not None for e in errors]] = 1.0
+    return psi, d
 
 
-def _tsai(s: np.ndarray, n: int) -> tuple[np.ndarray, list, list]:
-    """Kernel of the shrinker: U diag(psi) U' for a (k, p, p) stack of covariances.
+def _tsai(s: np.ndarray, n: int) -> tuple:
+    """Kernel of the shrinker U diag(psi) U' over a (k, p, p) stack of covariances.
 
-    Returns the estimates, each refusal and each ShrinkageTable (None when
-    refused); psi comes from ``shrunk_spectra``.
+    Returns the estimates, each refusal, and the spectra w, psi and d.
     """
     w, u, errors = eigh_stack(s)
-    psi, tables = shrunk_spectra(w, n, errors)
+    psi, d = shrunk_spectra(w, n, errors)
     est = (u * psi[:, None, :]) @ u.swapaxes(1, 2)
-    return (est + est.swapaxes(1, 2)) / 2.0, errors, tables
+    return (est + est.swapaxes(1, 2)) / 2.0, errors, w, psi, d
 
 
 def sample_covariance(x, mode: str = MODE_CENTERED) -> CovarianceEstimate:
@@ -265,19 +265,20 @@ def dp_equivariant(a: ScatterMatrix) -> CovarianceEstimate:
     )
 
 
+@np.errstate(divide="ignore", invalid="ignore")  # a tie divides by zero
 def shrinkage_terms(l, n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Raw shrinkage arithmetic without the positivity guard.
+    """Raw shrinkage arithmetic without the positivity guard, along the last axis of l.
 
     Returns (psi, d) with d_i = n - p + 1 - l_i * sum_{j != i} 1/(l_j - l_i)
     and psi_i = n l_i / d_i.  Denominators can be arbitrarily small or
-    negative for clustered eigenvalues; use tsai_eigenvalues for the guarded
-    contract.  Intended for experiments that need to observe the breakdown.
+    negative for clustered eigenvalues, not finite for tied ones; use
+    tsai_eigenvalues for the guarded contract, and this to observe the breakdown.
     """
     lv = np.asarray(l, dtype=float)
-    p = lv.shape[0]
-    diff = lv[None, :] - lv[:, None]  # diff[i, j] = l_j - l_i
-    np.fill_diagonal(diff, np.inf)
-    d = (n - p + 1) - lv * (1.0 / diff).sum(axis=1)
+    p = lv.shape[-1]
+    diff = lv[..., None, :] - lv[..., :, None]  # diff[..., i, j] = l_j - l_i
+    diff[..., range(p), range(p)] = np.inf
+    d = (n - p + 1) - lv * (1.0 / diff).sum(axis=-1)
     return n * lv / d, d
 
 
@@ -287,7 +288,7 @@ def tsai_eigenvalues(l, n: int) -> ShrinkageTable:
     Parameters
     ----------
     l : array_like
-        Strictly descending positive sample eigenvalues, length p <= n.
+        Descending positive sample eigenvalues, length p <= n.
     n : int
         Sample count behind those eigenvalues (use the effective count n - 1
         when the covariance was centered).
@@ -300,8 +301,10 @@ def tsai_eigenvalues(l, n: int) -> ShrinkageTable:
 
     Raises
     ------
+    ValueError
+        When p > n, or l is not positive and descending.
     EigenvalueTieError
-        When two eigenvalues coincide within 1e-12.
+        When two neighbouring eigenvalues are equal or within 1e-12.
     ShrinkageSingularityError
         When some denominator is at or below 1e-10 * n.  This signals
         clustered eigenvalues; the shrinkage value would be a negative or
@@ -317,8 +320,8 @@ def tsai_eigenvalues(l, n: int) -> ShrinkageTable:
         raise ValueError("eigenvalues must be positive")
     gap = tie_gap(lv)
     if gap is not None:
-        if gap <= 0.0:
-            raise ValueError("eigenvalues must be strictly descending")
+        if gap < 0.0:
+            raise ValueError("eigenvalues must be in descending order")
         raise EigenvalueTieError(f"minimum eigenvalue gap {gap:.3e} below {TIE_GAP:.0e}")
     psi, d = shrinkage_terms(lv, n)
     guard = DENOM_GUARD * n
@@ -355,14 +358,14 @@ def tsai_estimator(s, n: int | None = None) -> CovarianceEstimate:
         n_obs = n
         if n is None:
             raise ValueError("n is required when s is a bare matrix")
-    est, errors, tables = _tsai(square_matrix(matrix)[None], n)
+    est, errors, w, psi, d = _tsai(square_matrix(matrix)[None], n)
     return CovarianceEstimate(
         matrix=_only(est, errors),
         method="tsai",
         n=int(n_obs),
         p=matrix.shape[0],
         divisor=int(n),
-        shrinkage=tables[0],
+        shrinkage=ShrinkageTable(w[0], psi[0], d[0]),
     )
 
 

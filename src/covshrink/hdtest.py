@@ -11,7 +11,8 @@ samples that returns the k statistics and each one's refusal: the
 CovshrinkError that sample earns, or None.  The public tests are the k = 1
 case; they raise the refusal and add the p-value.  ``STACKED_MEAN_TESTS``
 hands the kernels to ``power_simulation``, which scores a chunk of
-replicates at a time.
+replicates at a time.  A slice whose mean or statistic overflows is refused,
+so the kernels keep numpy's overflow and invalid-value warnings quiet.
 """
 
 import math
@@ -50,14 +51,23 @@ def _mahalanobis_sq(t: np.ndarray, xbar: np.ndarray) -> np.ndarray:
     return (w.transpose(0, 2, 1) @ w)[:, 0, 0]
 
 
-def _centered(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Sample means (k, p) and centered covariances (k, p, p) of a (k, n, p) stack."""
+def _centered(x: np.ndarray) -> tuple[np.ndarray, np.ndarray, list]:
+    """Sample means (k, p), centered covariances (k, p, p) and each refusal for a (k, n, p) stack.
+
+    A slice whose mean or centered data overflowed is refused with
+    NumericError, and its mean and centered data are zeros, a placeholder.
+    """
     n, p = x.shape[1:]
     if n < p + 1:
         raise ValueError(f"need n >= p + 1 for an invertible centered covariance, got n={n}, p={p}")
     xbar = x.mean(axis=1)
-    scatter = scatter_stack(x - xbar[:, None, :])
-    return xbar, STACKED_ESTIMATORS["sample"](scatter, n - 1)[0]
+    c = x - xbar[:, None, :]
+    bad = ~np.isfinite(c).all(axis=(1, 2))
+    xbar[bad] = 0.0
+    c[bad] = 0.0
+    errors = [NumericError("the sample mean or the centered data overflowed")
+              if b else None for b in bad.tolist()]
+    return xbar, STACKED_ESTIMATORS["sample"](scatter_stack(c), n - 1)[0], errors
 
 
 def _refuse_singular(s: np.ndarray, eigenvalues: np.ndarray, errors: list) -> None:
@@ -110,21 +120,23 @@ def chisq_pvalue(statistic: float, p: int) -> float:
     return min(math.fsum(terms), 1.0)
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def _hotelling(x: np.ndarray) -> tuple[np.ndarray, list]:
     """Kernel of the classical test n xbar' S^-1 xbar over a (k, n, p) stack."""
-    xbar, s = _centered(x)
-    errors = [None] * len(s)
+    xbar, s, errors = _centered(x)
     _refuse_singular(s, np.linalg.eigvalsh(s), errors)
     t, chol_errors = cholesky_stack(s)
     errors = [e if e is not None else c for e, c in zip(errors, chol_errors)]
     return x.shape[1] * _mahalanobis_sq(t, xbar), errors
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def _decomposite(x: np.ndarray) -> tuple[np.ndarray, list]:
     """Kernel of the shrinkage test n sum_i (u_i' xbar)^2 / psi_i over a (k, n, p) stack."""
     n = x.shape[1]
-    xbar, s = _centered(x)
-    w, v, errors = eigh_stack(s)
+    xbar, s, errors = _centered(x)
+    w, v, eigh_errors = eigh_stack(s)
+    errors = [e if e is not None else f for e, f in zip(errors, eigh_errors)]
     _refuse_singular(s, w, errors)
     psi, _ = shrunk_spectra(w, n - 1, errors)
     # squared projections, so the eigenvector signs need no canonical choice
@@ -132,6 +144,7 @@ def _decomposite(x: np.ndarray) -> tuple[np.ndarray, list]:
     return n * np.sum(proj * proj / psi, axis=1), errors
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def _oracle(x: np.ndarray, t: np.ndarray) -> tuple[np.ndarray, list]:
     """Kernel of the oracle test n xbar' sigma^-1 xbar over a (k, n, p) stack.
 

@@ -97,7 +97,12 @@ def _parse_csv(path: str, text: str, delimiter: str, header: bool) -> np.ndarray
     Raises for the first short or long row, or bad cell, in file order.
     """
     reader = csv.reader(io.StringIO(text, newline=""), delimiter=delimiter)
-    numbered = [(i, row) for i, row in enumerate(reader, start=1) if any(c.strip() for c in row)]
+    try:
+        numbered = [(i, row) for i, row in enumerate(reader, start=1)
+                    if any(c.strip() for c in row)]
+    except csv.Error as exc:
+        raise CsvFormatError(f"{path}: line {reader.line_num}: {exc}",
+                             line=reader.line_num) from None
     if header and numbered:
         numbered = numbered[1:]
     if not numbered:

@@ -14,7 +14,14 @@ from covshrink import (
     tsai_eigenvalues,
     tsai_estimator,
 )
-from covshrink.estimators import MODE_CENTERED, MODE_UNCENTERED, as_data_matrix
+from covshrink import estimators
+from covshrink.estimators import (
+    MODE_CENTERED,
+    MODE_UNCENTERED,
+    STACKED_ESTIMATORS,
+    as_data_matrix,
+    scatter_stack,
+)
 
 
 def random_spd(rng, p):
@@ -164,6 +171,9 @@ class TestTsaiEigenvalues:
             tsai_eigenvalues(np.array([3.0, 1.0]), n=1)  # n < p
         with pytest.raises(EigenvalueTieError):
             tsai_eigenvalues(np.array([1.0 + 1e-13, 1.0]), n=10)
+        # an exact tie is a tie too, not an ordering error
+        with pytest.raises(EigenvalueTieError, match=r"gap 0\.000e\+00 below 1e-12"):
+            tsai_eigenvalues(np.array([2.0, 1.0, 1.0]), n=10)
 
     def test_singularity_reported_with_index(self):
         # near-tied pair drives the second denominator far negative
@@ -179,6 +189,44 @@ class TestTsaiEigenvalues:
             devs.append(np.max(np.abs(psi / l - 1.0)))
             assert devs[-1] < 2 * len(l) / n
         assert devs[1] < devs[0]
+
+
+class TestShrunkSpectra:
+    def test_shrinkage_terms_of_a_stack_equal_each_row_bit_for_bit(self):
+        rng = np.random.default_rng(31)
+        spectra = -np.sort(-rng.uniform(0.2, 5.0, (2, 3, 7)), axis=-1)
+        psi, d = shrinkage_terms(spectra, 30)
+        for row in np.ndindex(2, 3):
+            one_psi, one_d = shrinkage_terms(spectra[row], 30)
+            assert psi[row].tobytes() == one_psi.tobytes()
+            assert d[row].tobytes() == one_d.tobytes()
+
+    def test_an_exactly_tied_spectrum_is_refused_alone(self):
+        # slice 1 is a scatter with two equal eigenvalues, an exact tie
+        x = np.random.default_rng(32).standard_normal((4, 20, 3))
+        scatter = scatter_stack(x)
+        scatter[1] = 20.0 * np.diag([3.0, 2.0, 2.0])
+        est, errors = STACKED_ESTIMATORS["tsai"](scatter, 20)
+        assert type(errors[1]) is EigenvalueTieError
+        assert str(errors[1]) == "minimum eigenvalue gap 0.000e+00 below 1e-12"
+        for j in (0, 2, 3):
+            assert errors[j] is None
+            assert np.array_equal(est[j], tsai_estimator(scatter[j] / 20, n=20).matrix)
+
+    def test_tsai_eigenvalues_runs_only_for_the_spectra_the_guard_turns_down(self, monkeypatch):
+        # at n = 8, p = 4 the guard turns down some spectra and accepts most
+        calls = []
+
+        def counted(l, n):
+            calls.append(l)
+            return tsai_eigenvalues(l, n)
+
+        monkeypatch.setattr(estimators, "tsai_eigenvalues", counted)
+        x = np.random.default_rng(33).standard_normal((200, 8, 4))
+        _, errors = STACKED_ESTIMATORS["tsai"](scatter_stack(x), 8)
+        refused = sum(e is not None for e in errors)
+        assert 0 < refused < 200
+        assert len(calls) == refused
 
 
 class TestTsaiEstimator:

@@ -92,6 +92,18 @@ class TestStackedKernels:
                 proj = dec.eigenvectors.T @ xbar
                 assert stats["decomposite"][0][j] == n * float(np.sum(proj * proj / psi))
 
+    @pytest.mark.parametrize("test", list(MEAN_TESTS))
+    def test_an_overflowing_slice_is_refused_alone(self, test):
+        # slice 2's sample mean overflows; the other slices keep their bits
+        t = cholesky(ar1(3, 0.5))
+        x = draw_chunk(13, t, 30, 0, 6, np.full(3, 0.2))
+        want_stats, want_errors = STACKED_MEAN_TESTS[test](np.delete(x, 2, axis=0), t)
+        x[2] = 1e308
+        stats, errors = STACKED_MEAN_TESTS[test](x, t)
+        assert type(errors[2]) is NumericError
+        assert errors[:2] + errors[3:] == want_errors
+        assert np.delete(stats, 2).tobytes() == want_stats.tobytes()
+
     def test_oracle_and_power_refuse_an_indefinite_sigma(self):
         sigma = np.diag([1.0, -1.0, 2.0])
         x = draw_chunk(3, np.eye(3), 10, 0, 1)[0]

@@ -82,6 +82,13 @@ class TestReadCsv:
         with pytest.raises(CsvFormatError):
             read_csv(str(tmp_path / "nope.csv"))
 
+    def test_field_above_the_csv_modules_limit_is_a_format_error(self, tmp_path):
+        path = write(tmp_path, "a.csv", '1,2\n"' + "1" * 200_000 + '",2\n')
+        with pytest.raises(CsvFormatError) as exc:
+            read_csv(path)
+        assert str(exc.value) == f"{path}: line 2: field larger than field limit (131072)"
+        assert exc.value.line == 2
+
     def test_undecodable_byte_is_a_format_error_naming_the_file(self, tmp_path):
         path = tmp_path / "bad.csv"
         path.write_bytes(b"1,2\n3,\xff\n")
@@ -202,6 +209,8 @@ CSV_CORPUS = [
     ("", ",", True),
     ("\n\r\n", ",", False),
     ("   ", ",", False),
+    # a quoted cell above the csv module's field limit
+    pytest.param('"' + "1" * 200_000 + '"\n', ",", False, id="cell-above-the-field-limit"),
 ]
 
 
@@ -474,6 +483,16 @@ class TestPowerCommand:
         assert err.endswith("above the 1% tolerance; refusals: NumericError 1000\n")
         assert run_json(tmp_path, argv + ["1e307,0"]).results["rejection_rate"] == 1.0
 
+    @pytest.mark.parametrize("method", ["hotelling", "decomposite", "oracle"])
+    def test_overflowing_replicates_are_refusals(self, method, capsys):
+        # every sample mean overflows: each replicate is a NumericError refusal,
+        # and the abort message is the only line on stderr
+        assert run_cli(["power", "--n", "30", "--p", "2", "--method", method, "--delta",
+                        "1e308,0", "--replicates", "200", "--rate", "classical"]) == 2
+        assert capsys.readouterr().err == (
+            f"error: 200 of 200 replicates failed for method {method!r} at n=30, p=2; "
+            "above the 1% tolerance; refusals: NumericError 200\n")
+
     def test_replicate_count_below_one_is_2(self, capsys):
         for count in ("0", "-2"):
             code = run_cli(["power", "--n", "30", "--p", "2", "--delta", "0,0",
@@ -498,6 +517,14 @@ class TestExitCodes:
         assert run_cli(["mp", "--c", "1.5"]) == 2
         assert run_cli(["estimate", "--input", str(tmp_path / "absent.csv")]) == 2
         capsys.readouterr()
+
+    @pytest.mark.parametrize("command", [["ttest", "--method", "decomposite"],
+                                         ["estimate", "--method", "tsai"]])
+    def test_exactly_tied_eigenvalues_are_a_tie_refusal(self, tmp_path, capsys, command):
+        # the mean is zero and S = 4/3 I: two exactly equal eigenvalues
+        data = write(tmp_path, "d.csv", "1,1\n1,-1\n-1,1\n-1,-1\n")
+        assert run_cli(command + ["--input", data]) == 2
+        assert capsys.readouterr().err == "error: minimum eigenvalue gap 0.000e+00 below 1e-12\n"
 
     def test_singular_ttest_is_2(self, tmp_path, capsys):
         # n = p: the centered covariance cannot be inverted

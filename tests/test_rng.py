@@ -1,3 +1,4 @@
+import hashlib
 import threading
 
 import numpy as np
@@ -18,6 +19,13 @@ from covshrink.matrix_core import cholesky
 def ar1(p, rho):
     idx = np.arange(p)
     return rho ** np.abs(idx[:, None] - idx[None, :])
+
+
+@pytest.mark.parametrize("seed, index", [(0, 0), (7, 3), (2 ** 63, 12345)])
+def test_replicate_stream_is_default_rng_of_the_blake2b_seed(seed, index):
+    digest = hashlib.blake2b(f"{seed}:{index}".encode("ascii"), digest_size=8).digest()
+    want = np.random.default_rng(int.from_bytes(digest, "little")).standard_normal(50)
+    assert replicate_rng(seed, index).standard_normal(50).tobytes() == want.tobytes()
 
 
 class TestChunking:
