@@ -47,7 +47,8 @@ class ShrinkageSingularityError(CovshrinkError):
 class NumericError(CovshrinkError):
     """A numerical result is unusable.
 
-    Raised by ``check_failures`` when too many Monte Carlo replicates fail.
+    Raised by ``check_failures`` when too many Monte Carlo replicates fail,
+    and for data whose scatter or sample mean overflows the float64 range.
     """
 
 

@@ -29,6 +29,7 @@ from .errors import (
     CovshrinkError,
     EigenvalueTieError,
     NotPositiveDefiniteError,
+    NumericError,
     ShrinkageSingularityError,
 )
 from .matrix_core import TIE_GAP, cholesky_stack, eigh_stack, square_matrix, tie_gap
@@ -84,11 +85,20 @@ class ScatterMatrix:
 
 
 def scatter_matrix(x, centered: bool = False) -> ScatterMatrix:
-    """Sum of outer products of the rows, optionally after mean subtraction."""
+    """Sum of outer products of the rows, optionally after mean subtraction.
+
+    Finite data whose mean or cross products overflow is refused with
+    NumericError, and numpy prints no warning for it.
+    """
     a = as_data_matrix(x)
-    if centered:
-        a = a - a.mean(axis=0)
-    return ScatterMatrix(matrix=a.T @ a, n=a.shape[0], centered=centered)
+    with np.errstate(over="ignore", invalid="ignore"):
+        if centered:
+            a = a - a.mean(axis=0)
+        m = a.T @ a
+    if not np.isfinite(m).all():
+        raise NumericError("the scatter matrix overflowed: the data's cross products "
+                           "exceed the float64 range")
+    return ScatterMatrix(matrix=m, n=a.shape[0], centered=centered)
 
 
 def scatter_stack(x: np.ndarray) -> np.ndarray:

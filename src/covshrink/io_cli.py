@@ -1,8 +1,8 @@
 """CSV ingestion, JSON report documents, and the command-line surface.
 
 Exit codes: 0 success, 1 usage error (bad flags, unknown subcommand),
-2 numeric or model error (singular input, breached guard, bad config) or an
-unreadable input or unwritable output file.
+2 numeric or model error (singular input, breached guard, bad config), an
+unreadable input or unwritable output file, or an array too large to allocate.
 Reports are JSON documents with schema_version "1"; the Marchenko-Pastur
 grid can also be emitted as CSV for external plotting.  The seed resolves
 from --seed, then the COVSHRINK_SEED environment variable, then 0.
@@ -24,6 +24,7 @@ from .errors import ConfigError, CovshrinkError, CsvFormatError
 from .estimators import ESTIMATORS
 from .hdtest import MEAN_TESTS, power_simulation
 from .loss_risk import RISK_KINDS, min_risk, monte_carlo_risks
+from .matrix_core import _one_blas_thread
 from .rmt import MPModel, mp_cdf, mp_density
 from .sim import EXPERIMENTS, ExperimentConfig, PopulationModel, make_sigma
 
@@ -35,6 +36,9 @@ METHOD_ALIASES = {"stein": "stein_triangular", "dp": "dp_equivariant"}
 _MP_MAX_POINTS = 1_000_000
 # --threads outside 1 .. this is refused before any thread starts; each holds a drawn chunk
 _MAX_THREADS = 64
+# --n and --p above this are refused: the formulas take both into float64
+# arithmetic, which represents every integer up to 2**53 and not all above
+_MAX_SIZE = 2**53
 
 
 class _UsageError(Exception):
@@ -143,7 +147,8 @@ class ReportDocument:
         return {f.name: getattr(self, f.name) for f in fields(self)}
 
     def to_json(self) -> str:
-        return json.dumps(self.to_dict(), indent=2) + "\n"
+        """The report as JSON text; ValueError for a NaN or an infinity, which JSON lacks."""
+        return json.dumps(self.to_dict(), indent=2, allow_nan=False) + "\n"
 
     @classmethod
     def from_json(cls, text: str) -> "ReportDocument":
@@ -218,9 +223,10 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--threads", type=int, default=1,
                         help=f"threads for replicate loops, 1 to {_MAX_THREADS}: the extra "
                              "threads draw replicates ahead while the calling thread scores "
-                             "them (results independent of this).  On 2 vCPUs two threads "
-                             "were slower than one in every measurement; the schedule stays "
-                             "only because perfbench's tests pin worker-thread draws")
+                             "them (results independent of this).  It sizes only these "
+                             "workers; BLAS and LAPACK run on one thread whatever its value.  "
+                             "On 2 vCPUs two threads were slower than one at p=10 and "
+                             "faster at p=400")
     parser.add_argument("--output", default=None, help="write the report here instead of stdout")
     parser.add_argument("--format", choices=("json", "csv"), default=None,
                         help="output format (csv only for the mp grid; default json)")
@@ -419,6 +425,11 @@ def run_cli(argv) -> int:
         seed = _resolve_seed(args)
         if not 1 <= args.threads <= _MAX_THREADS:
             raise ConfigError(f"need 1 to {_MAX_THREADS} threads, got {args.threads}")
+        for flag in ("n", "p"):
+            size = getattr(args, flag, 0)
+            if size > _MAX_SIZE:
+                raise ConfigError(f"--{flag} above 2**53 = {_MAX_SIZE} is not exact in float64, "
+                                  f"got {size}")
         config, results = _COMMANDS[args.subcommand](args, seed)
 
         fmt = args.format or ("csv" if args.subcommand == "mp" else "json")
@@ -440,7 +451,7 @@ def run_cli(argv) -> int:
     except _UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 1
-    except (CovshrinkError, ValueError, np.linalg.LinAlgError) as exc:
+    except (CovshrinkError, ValueError, np.linalg.LinAlgError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 
@@ -457,6 +468,12 @@ def run_cli(argv) -> int:
 
 
 def main() -> None:
+    """The covshrink command: run_cli on one BLAS thread, so reports match on any core count.
+
+    The pin is made here, in the process the command owns, and not in
+    run_cli, which leaves a library caller's BLAS pool as it finds it.
+    """
+    _one_blas_thread()
     sys.exit(run_cli(sys.argv[1:]))
 
 

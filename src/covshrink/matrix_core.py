@@ -19,6 +19,34 @@ SYM_RTOL = 1e-12
 TIE_GAP = 1e-12
 SIGN_EPS = 1e-12
 
+# OpenBLAS's thread-count setters, in the spellings of its builds: NumPy's
+# wheels (scipy-openblas, 64-bit and 32-bit integers), then plain OpenBLAS
+_BLAS_THREAD_SETTERS = ("scipy_openblas_set_num_threads64_", "scipy_openblas_set_num_threads",
+                        "openblas_set_num_threads64_", "openblas_set_num_threads")
+
+
+def _one_blas_thread() -> None:
+    """Run the BLAS and LAPACK that NumPy's linalg calls on one thread from now on.
+
+    OpenBLAS splits a product or a factorization across its pool, and the
+    split changes the order of the sums, so at p >= 200 the last bits of a
+    result depend on the pool's size, which defaults to the core count.  On
+    one thread they depend on the arguments alone.  The setter is looked up
+    through ``_umath_linalg``, the extension that calls LAPACK, so it is the
+    one library NumPy actually uses.  A BLAS with none of the setters (MKL,
+    Accelerate, a reference BLAS) is left as it is.
+    """
+    import ctypes
+
+    lib = ctypes.CDLL(np.linalg._umath_linalg.__file__)
+    for symbol in _BLAS_THREAD_SETTERS:
+        setter = getattr(lib, symbol, None)
+        if setter is not None:
+            setter.argtypes = [ctypes.c_int]
+            setter.restype = None
+            setter(1)
+            return
+
 
 def _symmetrize(a: np.ndarray) -> tuple[np.ndarray, list]:
     """Symmetrized copies (M + M.T)/2 of a (k, p, p) stack, and each matrix's refusal.

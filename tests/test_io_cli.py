@@ -1,4 +1,5 @@
 import concurrent.futures
+import ctypes
 import json
 import math
 import os
@@ -21,12 +22,20 @@ from covshrink.io_cli import (
     read_csv,
     run_cli,
 )
+from covshrink.matrix_core import _one_blas_thread
 
 
 def write(tmp_path, name, text):
     path = tmp_path / name
     path.write_text(text)
     return str(path)
+
+
+def child_env(**extra):
+    """This process's environment plus ``extra``, with covshrink's source on PYTHONPATH."""
+    src = str(Path(covshrink.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    return dict(os.environ, PYTHONPATH=path, **extra)
 
 
 def run_json(tmp_path, argv):
@@ -283,6 +292,12 @@ class TestReportDocument:
             timestamps={"started": "t0", "finished": "t1"},
         )
         assert ReportDocument.from_json(doc.to_json()) == doc
+
+    def test_non_finite_values_are_refused(self):
+        doc = ReportDocument(schema_version="1", command=[], config={},
+                             results={"mean": math.inf}, seed=0, timestamps={})
+        with pytest.raises(ValueError, match="not JSON compliant"):
+            doc.to_json()
 
     def test_matrix_payload_row_major(self):
         payload = matrix_payload(np.array([[1.0, 2.0], [3.0, 4.0]]))
@@ -578,6 +593,55 @@ class TestExitCodes:
         assert "--methods 'sample,bogus' gives no estimator tag at position 2 ('bogus')" in err
         assert str(tuple(ESTIMATORS)) in err
 
+    @pytest.mark.parametrize("method", ["sample", "stein", "dp", "tsai"])
+    def test_overflowing_scatter_is_2(self, tmp_path, capsys, method):
+        # finite cells whose squares overflow: the scatter holds 4e400
+        data = write(tmp_path, "d.csv", "1e200,1\n-1e200,2\n1e200,3\n-1e200,5\n")
+        assert run_cli(["estimate", "--input", data, "--method", method]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == ("error: the scatter matrix overflowed: the data's cross products "
+                       "exceed the float64 range\n")
+
+    def test_non_finite_report_is_2(self, capsys, monkeypatch):
+        monkeypatch.setitem(io_cli._COMMANDS, "mp", lambda args, seed: ({}, {"x": math.inf}))
+        assert run_cli(["--format", "json", "mp", "--c", "0.5"]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == "error: Out of range float values are not JSON compliant: inf\n"
+
+    @pytest.mark.parametrize("value", [str(2**53 + 1), str(2**63 - 1), str(10**20)])
+    @pytest.mark.parametrize("flag", ["--n", "--p"])
+    @pytest.mark.parametrize("argv", [
+        ["risk", "--closed-form"],
+        ["risk", "--monte-carlo", "--replicates", "100"],
+        ["simulate", "--experiment", "recovery"],
+        ["simulate", "--experiment", "esd"],
+        ["simulate", "--experiment", "risk"],
+        ["power", "--delta", "0"],
+    ])
+    def test_sizes_above_2_to_the_53_are_2(self, capsys, argv, flag, value):
+        sizes = {"--n": "50", "--p": "1", flag: value}
+        assert run_cli(argv + [arg for kv in sizes.items() for arg in kv]) == 2
+        assert capsys.readouterr().err == (
+            f"error: {flag} above 2**53 = {2**53} is not exact in float64, got {value}\n")
+
+    def test_size_of_2_to_the_53_is_accepted(self, tmp_path):
+        doc = run_json(tmp_path, ["risk", "--n", str(2**53), "--p", "3", "--closed-form"])
+        assert all(math.isfinite(v) for v in doc.results["closed_form"].values())
+
+    @pytest.mark.parametrize("argv", [
+        ["simulate", "--experiment", "recovery"],
+        ["power", "--delta", "0,0,0"],
+    ])
+    def test_unallocatable_sample_is_2(self, capsys, argv):
+        # one replicate of 2**53 x 3 doubles is 192 PiB, beyond a 57-bit address space,
+        # so the allocation fails before any memory is touched
+        assert run_cli(argv + ["--n", str(2**53), "--p", "3"]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("error: Unable to allocate ") and err.count("\n") == 1
+
     def test_mp_points_above_a_million_are_2(self, capsys):
         # refused before the grid is allocated: this many points would need 8 GB each
         assert run_cli(["mp", "--c", "0.5", "--points", "1000000001"]) == 2
@@ -610,10 +674,8 @@ class TestExitCodes:
         capsys.readouterr()
 
     def test_python_dash_m_runs_the_cli(self):
-        src = str(Path(covshrink.__file__).resolve().parents[1])
-        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
         out = subprocess.run([sys.executable, "-m", "covshrink", "mp", "--c", "0.25",
-                              "--points", "5"], env=dict(os.environ, PYTHONPATH=path),
+                              "--points", "5"], env=child_env(),
                              capture_output=True, text=True, timeout=120)
         assert (out.returncode, out.stderr) == (0, "")
         assert out.stdout.splitlines()[0] == "x,density,cdf"
@@ -690,6 +752,19 @@ class TestDeterminism:
         doc4 = ReportDocument.from_json(out4.read_text())
         assert strip_volatile(doc1) == strip_volatile(doc4)
 
+    def test_blas_pool_size_invisible_in_command_reports(self, tmp_path):
+        # at p = 200 a multi-threaded pool changes last bits; the command runs on one thread
+        argv = ["--seed", "3", "simulate", "--experiment", "risk", "--n", "800", "--p", "200",
+                "--replicates", "4", "--methods", "sample,stein_triangular,dp_equivariant"]
+        docs = []
+        for threads in ("1", "2"):
+            out = tmp_path / f"blas{threads}.json"
+            subprocess.run([sys.executable, "-c", CLI_MAIN, "--output", str(out)] + argv,
+                           env=child_env(OPENBLAS_NUM_THREADS=threads),
+                           check=True, timeout=120)
+            docs.append(strip_volatile(ReportDocument.from_json(out.read_text())))
+        assert docs[0] == docs[1]
+
     def test_seed_changes_results(self, tmp_path):
         argv = ["simulate", "--experiment", "recovery", "--n", "30", "--p", "3",
                 "--replicates", "5"]
@@ -697,6 +772,34 @@ class TestDeterminism:
         doc2 = run_json(tmp_path, ["--seed", "2"] + argv)
         assert doc1.results["metrics"] != doc2.results["metrics"]
 
+
+class TestOneBlasThread:
+    def test_a_blas_without_a_setter_is_left_alone(self, monkeypatch):
+        opened = []
+
+        class NoSetters:
+            def __init__(self, name):
+                opened.append(name)
+
+        monkeypatch.setattr(ctypes, "CDLL", NoSetters)
+        assert _one_blas_thread() is None
+        assert opened == [np.linalg._umath_linalg.__file__]
+
+    def test_the_first_setter_found_is_called_with_one(self, monkeypatch):
+        calls = []
+
+        class PlainOpenBlas:
+            def __init__(self, name):
+                for symbol in ("openblas_set_num_threads64_", "openblas_set_num_threads"):
+                    setattr(self, symbol, lambda n, symbol=symbol: calls.append((symbol, n)))
+
+        monkeypatch.setattr(ctypes, "CDLL", PlainOpenBlas)
+        _one_blas_thread()
+        assert calls == [("openblas_set_num_threads64_", 1)]
+
+
+# the console script's body, as `python -c` runs it
+CLI_MAIN = "import sys; from covshrink.io_cli import main; sys.exit(main())"
 
 # Imports covshrink in a fresh interpreter, runs each argv through run_cli,
 # and prints, as JSON, the thread-pool and numpy.random modules loaded after
@@ -728,9 +831,7 @@ def test_one_shot_commands_load_no_thread_pool_or_numpy_random(tmp_path):
               for method in ("hotelling", "decomposite")]
     argvs += [["mp", "--c", "0.25", "--points", "5"],
               ["risk", "--n", "50", "--p", "10", "--closed-form"]]
-    src = str(Path(covshrink.__file__).resolve().parents[1])
-    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     out = subprocess.run([sys.executable, "-c", LAZY_MODULE_PROBE, json.dumps(argvs)],
-                         env=dict(os.environ, PYTHONPATH=path), capture_output=True, text=True,
+                         env=child_env(), capture_output=True, text=True,
                          check=True, timeout=120)
     assert json.loads(out.stdout) == [[None, []]] + [[0, []]] * len(argvs)
