@@ -68,7 +68,6 @@ from .sim import (
     esd_fit_experiment,
     make_sigma,
     risk_comparison_experiment,
-    sample_gaussian,
 )
 from .io_cli import ReportDocument, read_csv, run_cli
 
@@ -123,7 +122,6 @@ __all__ = [
     "esd_fit_experiment",
     "make_sigma",
     "risk_comparison_experiment",
-    "sample_gaussian",
     "ReportDocument",
     "read_csv",
     "run_cli",

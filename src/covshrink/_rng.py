@@ -126,9 +126,16 @@ def check_failures(outcomes, method: str, n: int, p: int, refusals=None) -> int:
 
 
 def aggregate(values) -> dict:
-    """Mean, standard error, and count; None aggregates for empty input."""
+    """Mean, standard error, and count; None aggregates for empty input.
+
+    Both are taken on the values scaled by a power of two, exactly, into
+    [-1, 1], where no sum or square overflows, and scaled back: the same
+    bits as the unscaled formulas outside the subnormal range.
+    """
     v = np.array([x for x in values if x is not None], dtype=float)
     if v.size == 0:
         return {"mean": None, "se": None, "count": 0}
-    se = float(v.std(ddof=1) / np.sqrt(v.size)) if v.size > 1 else None
-    return {"mean": float(v.mean()), "se": se, "count": int(v.size)}
+    e = int(np.frexp(np.abs(v).max())[1])
+    u = np.ldexp(v, -e)
+    se = float(np.ldexp(u.std(ddof=1), e) / np.sqrt(v.size)) if v.size > 1 else None
+    return {"mean": float(np.ldexp(u.mean(), e)), "se": se, "count": int(v.size)}

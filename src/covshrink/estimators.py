@@ -5,6 +5,10 @@ stein_triangular      T D^-1 T' from the Cholesky factor of the scatter
 dp_equivariant        pivot diagonal over n-i+1, estimates the pivot target
 tsai_estimator        rotation-equivariant eigenvalue shrinkage U psi(L) U'
 
+The first three start from the data's scatter x'x and take (x, centered):
+centered subtracts the sample mean and counts n - 1 degrees of freedom,
+otherwise the scatter has n.  The shrinker starts from a covariance S.
+
 The eigenvalue shrinker is the numerical heart of the package:
 
     psi_i = n l_i / d_i,   d_i = n - p + 1 - l_i * sum_{j != i} 1/(l_j - l_i)
@@ -35,9 +39,6 @@ from .errors import (
 from .matrix_core import TIE_GAP, cholesky_stack, eigh_stack, square_matrix, tie_gap
 
 DENOM_GUARD = 1e-10  # relative to n
-
-MODE_UNCENTERED = "uncentered_n"
-MODE_CENTERED = "centered_n_minus_1"
 
 # equivariance class -> divisors d_1 .. d_p of its best estimator from a
 # scatter with m degrees of freedom; integers, so reports list them exactly
@@ -91,26 +92,28 @@ def scatter_matrix(x, centered: bool = False) -> ScatterMatrix:
     NumericError, and numpy prints no warning for it.
     """
     a = as_data_matrix(x)
-    with np.errstate(over="ignore", invalid="ignore"):
-        if centered:
+    if centered:
+        with np.errstate(over="ignore", invalid="ignore"):
             a = a - a.mean(axis=0)
-        m = a.T @ a
-    if not np.isfinite(m).all():
-        raise NumericError("the scatter matrix overflowed: the data's cross products "
-                           "exceed the float64 range")
-    return ScatterMatrix(matrix=m, n=a.shape[0], centered=centered)
+    return ScatterMatrix(matrix=_unrefused(*scatter_stack(a[None]))[0], n=a.shape[0],
+                         centered=centered)
 
 
-def scatter_stack(x: np.ndarray) -> np.ndarray:
-    """Uncentered scatters x_j' x_j of a (k, n, p) stack of mean-zero samples.
+def scatter_stack(x: np.ndarray) -> tuple[np.ndarray, list]:
+    """Uncentered scatters x_j' x_j of a (k, n, p) stack of samples, and each one's refusal.
 
-    Slice j is bit for bit ``scatter_matrix(x[j]).matrix``.
+    A scatter that is not finite, because the data's cross products exceed
+    the float64 range, is refused with NumericError and replaced by the
+    identity, a placeholder.  ``scatter_matrix`` is the k = 1 case.
     """
     if x.shape[1] < 2:
         raise ValueError(f"need at least 2 observations, got {x.shape[1]}")
-    if not np.isfinite(x).all():
-        raise ValueError("data contains non-finite entries")
-    return x.transpose(0, 2, 1) @ x
+    with np.errstate(over="ignore", invalid="ignore"):
+        a = x.transpose(0, 2, 1) @ x
+    bad = ~np.isfinite(a).all(axis=(1, 2))
+    a[bad] = np.eye(a.shape[1])
+    return a, [NumericError("the scatter matrix overflowed: the data's cross products exceed "
+                            "the float64 range") if b else None for b in bad.tolist()]
 
 
 @dataclass(frozen=True)
@@ -147,11 +150,12 @@ class CovarianceEstimate:
     target: str = "sigma"
 
 
-def _only(matrices: np.ndarray, errors: list) -> np.ndarray:
-    """The one estimate of a kernel's k = 1 result, or its refusal raised."""
-    if errors[0] is not None:
-        raise errors[0]
-    return matrices[0]
+def _unrefused(values: np.ndarray, errors: list) -> np.ndarray:
+    """A kernel's k values when none was refused, else the first refusal raised."""
+    for error in errors:
+        if error is not None:
+            raise error
+    return values
 
 
 def _require_dof(dof: int, p: int) -> None:
@@ -228,51 +232,45 @@ def _tsai(s: np.ndarray, n: int) -> tuple:
     return (est + est.swapaxes(1, 2)) / 2.0, errors, w, psi, d
 
 
-def sample_covariance(x, mode: str = MODE_CENTERED) -> CovarianceEstimate:
-    """Sample covariance under the stated divisor convention.
+def sample_covariance(x, centered: bool = True) -> CovarianceEstimate:
+    """Sample covariance of an (n, p) data matrix: its scatter over the degrees of freedom.
 
-    mode "uncentered_n": S = (1/n) sum x_i x_i', the mean-zero maximum
-    likelihood estimator.  mode "centered_n_minus_1": subtract the sample
-    mean and divide by n - 1, the unbiased estimator.
+    centered subtracts the sample mean and divides by n - 1, the unbiased
+    estimator; uncentered, S = (1/n) sum x_i x_i', the mean-zero maximum
+    likelihood estimator.
 
-    Never fails on finite input; a rank-deficient S is left for consumers
-    that actually need to invert it.
+    Never fails on finite input whose scatter is finite; a rank-deficient S
+    is left for consumers that actually need to invert it.
     """
-    if mode not in (MODE_UNCENTERED, MODE_CENTERED):
-        raise ValueError(f"unknown mode {mode!r}, expected {MODE_UNCENTERED!r} or {MODE_CENTERED!r}")
-    sc = scatter_matrix(x, centered=mode == MODE_CENTERED)
-    return CovarianceEstimate(matrix=_only(*_sample(sc.matrix[None], sc.dof)), method="sample",
-                              n=sc.n, p=sc.p, divisor=sc.dof)
+    sc = scatter_matrix(x, centered)
+    return CovarianceEstimate(matrix=_unrefused(*_sample(sc.matrix[None], sc.dof))[0],
+                              method="sample", n=sc.n, p=sc.p, divisor=sc.dof)
 
 
-def stein_triangular(a: ScatterMatrix) -> CovarianceEstimate:
+def stein_triangular(x, centered: bool = True) -> CovarianceEstimate:
     """Triangular-group equivariant estimator T diag(1/d) T' with d_i = m + p - 2i + 1.
 
-    T is the Cholesky factor of the scatter and m its degrees of freedom.
+    T is the Cholesky factor of the data's scatter and m its degrees of
+    freedom.
     """
-    return CovarianceEstimate(
-        matrix=_only(*_triangular(a.matrix[None], a.dof)),
-        method="stein_triangular",
-        n=a.n,
-        p=a.p,
-        divisor=CLASS_DIVISORS["stein"](a.dof, a.p).tolist(),
-    )
+    sc = scatter_matrix(x, centered)
+    return CovarianceEstimate(matrix=_unrefused(*_triangular(sc.matrix[None], sc.dof))[0],
+                              method="stein_triangular", n=sc.n, p=sc.p,
+                              divisor=CLASS_DIVISORS["stein"](sc.dof, sc.p).tolist())
 
 
-def dp_equivariant(a: ScatterMatrix) -> CovarianceEstimate:
+def dp_equivariant(x, centered: bool = True) -> CovarianceEstimate:
     """Diagonal-group equivariant estimator diag(pivot_i / (m - i + 1)).
 
+    The pivots are those of the data's scatter, m its degrees of freedom.
     Estimates the Schur pivot diagonal of sigma (the target in the
     successively transformed coordinates), not sigma itself.
     """
-    return CovarianceEstimate(
-        matrix=_only(*_pivot(a.matrix[None], a.dof)),
-        method="dp_equivariant",
-        n=a.n,
-        p=a.p,
-        divisor=CLASS_DIVISORS["dp"](a.dof, a.p).tolist(),
-        target="sigma_star",
-    )
+    sc = scatter_matrix(x, centered)
+    return CovarianceEstimate(matrix=_unrefused(*_pivot(sc.matrix[None], sc.dof))[0],
+                              method="dp_equivariant", n=sc.n, p=sc.p,
+                              divisor=CLASS_DIVISORS["dp"](sc.dof, sc.p).tolist(),
+                              target="sigma_star")
 
 
 @np.errstate(divide="ignore", invalid="ignore")  # a tie divides by zero
@@ -370,7 +368,7 @@ def tsai_estimator(s, n: int | None = None) -> CovarianceEstimate:
             raise ValueError("n is required when s is a bare matrix")
     est, errors, w, psi, d = _tsai(square_matrix(matrix)[None], n)
     return CovarianceEstimate(
-        matrix=_only(est, errors),
+        matrix=_unrefused(est, errors)[0],
         method="tsai",
         n=int(n_obs),
         p=matrix.shape[0],
@@ -379,22 +377,18 @@ def tsai_estimator(s, n: int | None = None) -> CovarianceEstimate:
     )
 
 
-def _mode(centered: bool) -> str:
-    return MODE_CENTERED if centered else MODE_UNCENTERED
-
-
 # method tag -> estimator(x, centered) on an (n, p) data matrix; centered
 # subtracts the sample mean and counts n - 1 degrees of freedom, else n
 ESTIMATORS = {
-    "sample": lambda x, centered: sample_covariance(x, mode=_mode(centered)),
-    "stein_triangular": lambda x, centered: stein_triangular(scatter_matrix(x, centered=centered)),
-    "dp_equivariant": lambda x, centered: dp_equivariant(scatter_matrix(x, centered=centered)),
-    "tsai": lambda x, centered: tsai_estimator(sample_covariance(x, mode=_mode(centered))),
+    "sample": sample_covariance,
+    "stein_triangular": stein_triangular,
+    "dp_equivariant": dp_equivariant,
+    "tsai": lambda x, centered: tsai_estimator(sample_covariance(x, centered)),
 }
 
 
 # method tag -> its kernel(scatters, dof); for a (k, n, p) stack x, slice j of
-# kernel(scatter_stack(x), n) is ESTIMATORS[tag](x[j], False).matrix bit for
+# kernel(scatter_stack(x)[0], n) is ESTIMATORS[tag](x[j], False).matrix bit for
 # bit, and its refusal is the CovshrinkError that estimator raises, or None
 STACKED_ESTIMATORS = {
     "sample": _sample,

@@ -23,7 +23,8 @@ import numpy as np
 
 from ._rng import check_failures, run_chunks
 from .errors import NotPositiveDefiniteError, NumericError
-from .estimators import STACKED_ESTIMATORS, _only, as_data_matrix, scatter_stack, shrunk_spectra
+from .estimators import (STACKED_ESTIMATORS, _unrefused, as_data_matrix, scatter_stack,
+                         shrunk_spectra)
 from .matrix_core import cholesky, cholesky_stack, eigh_stack
 
 RATES = ("hdim", "classical")
@@ -54,20 +55,15 @@ def _mahalanobis_sq(t: np.ndarray, xbar: np.ndarray) -> np.ndarray:
 def _centered(x: np.ndarray) -> tuple[np.ndarray, np.ndarray, list]:
     """Sample means (k, p), centered covariances (k, p, p) and each refusal for a (k, n, p) stack.
 
-    A slice whose mean or centered data overflowed is refused with
-    NumericError, and its mean and centered data are zeros, a placeholder.
+    A slice whose mean, centered data or scatter overflowed has a scatter
+    that is not finite, which ``scatter_stack`` refuses with NumericError.
     """
     n, p = x.shape[1:]
     if n < p + 1:
         raise ValueError(f"need n >= p + 1 for an invertible centered covariance, got n={n}, p={p}")
     xbar = x.mean(axis=1)
-    c = x - xbar[:, None, :]
-    bad = ~np.isfinite(c).all(axis=(1, 2))
-    xbar[bad] = 0.0
-    c[bad] = 0.0
-    errors = [NumericError("the sample mean or the centered data overflowed")
-              if b else None for b in bad.tolist()]
-    return xbar, STACKED_ESTIMATORS["sample"](scatter_stack(c), n - 1)[0], errors
+    scatters, errors = scatter_stack(x - xbar[:, None, :])
+    return xbar, STACKED_ESTIMATORS["sample"](scatters, n - 1)[0], errors
 
 
 def _refuse_singular(s: np.ndarray, eigenvalues: np.ndarray, errors: list) -> None:
@@ -161,7 +157,7 @@ def _oracle(x: np.ndarray, t: np.ndarray) -> tuple[np.ndarray, list]:
 
 def _result(stats: np.ndarray, errors: list, method: str, n: int, p: int) -> TestResult:
     """The TestResult of a kernel's k = 1 output, or its refusal raised."""
-    stat = float(_only(stats, errors))
+    stat = float(_unrefused(stats, errors)[0])
     return TestResult(stat, p, chisq_pvalue(stat, p), method, n, p)
 
 

@@ -39,10 +39,10 @@ _MAX_THREADS = 64
 # --n and --p above this are refused: the formulas take both into float64
 # arithmetic, which represents every integer up to 2**53 and not all above
 _MAX_SIZE = 2**53
-
-
-class _UsageError(Exception):
-    """Flag combinations argparse cannot catch; mapped to exit code 1."""
+# --replicates above this is refused before any replicate is drawn: every
+# replicate's outcome is held until the run ends, and simulate keeps a report
+# row of several hundred bytes for each, so a million rows is about a gigabyte
+_MAX_REPLICATES = 1_000_000
 
 
 def read_csv(path: str, delimiter: str = ",", header: bool = False) -> np.ndarray:
@@ -401,15 +401,6 @@ _COMMANDS = {
 }
 
 
-def _render_csv(args, results) -> str:
-    if args.subcommand != "mp":
-        raise _UsageError("csv output is only available for the mp grid")
-    lines = ["x,density,cdf"]
-    for row in results["table"]:
-        lines.append(f"{row['x']!r},{row['density']!r},{row['cdf']!r}")
-    return "\n".join(lines) + "\n"
-
-
 def run_cli(argv) -> int:
     """Parse argv, run the subcommand, write the report. Returns the exit code."""
     parser = build_parser()
@@ -419,6 +410,9 @@ def run_cli(argv) -> int:
         code = exc.code if isinstance(exc.code, int) else 1
         # argparse signals usage problems with 2; the contract here is 1
         return 1 if code == 2 else code
+    if args.format == "csv" and args.subcommand != "mp":
+        print("usage error: csv output is only available for the mp grid", file=sys.stderr)
+        return 1
 
     started = datetime.datetime.now(datetime.timezone.utc).isoformat()
     try:
@@ -430,11 +424,14 @@ def run_cli(argv) -> int:
             if size > _MAX_SIZE:
                 raise ConfigError(f"--{flag} above 2**53 = {_MAX_SIZE} is not exact in float64, "
                                   f"got {size}")
+        if getattr(args, "replicates", 0) > _MAX_REPLICATES:
+            raise ConfigError(f"need at most {_MAX_REPLICATES} replicates, got {args.replicates}")
         config, results = _COMMANDS[args.subcommand](args, seed)
 
         fmt = args.format or ("csv" if args.subcommand == "mp" else "json")
         if fmt == "csv":
-            text = _render_csv(args, results)
+            rows = (f"{r['x']!r},{r['density']!r},{r['cdf']!r}" for r in results["table"])
+            text = "\n".join(["x,density,cdf", *rows]) + "\n"
         else:
             doc = ReportDocument(
                 schema_version=SCHEMA_VERSION,
@@ -448,9 +445,6 @@ def run_cli(argv) -> int:
                 },
             )
             text = doc.to_json()
-    except _UsageError as exc:
-        print(f"usage error: {exc}", file=sys.stderr)
-        return 1
     except (CovshrinkError, ValueError, np.linalg.LinAlgError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

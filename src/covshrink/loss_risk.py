@@ -5,6 +5,7 @@ E[log chi2_k]; the Monte Carlo runner exists to confirm an implementation
 against those closed forms and to measure estimators that lack one.
 """
 
+from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
@@ -131,11 +132,12 @@ def replicate_losses(methods, sigma, n: int, replicates: int, seed: int,
                      threads: int = 1) -> dict:
     """Per-replicate Stein losses of several methods on the same replicate draws.
 
-    Returns {method: (losses, target)} for a mean-zero Gaussian population;
-    a failed replicate is recorded as None.  The pivot estimator is scored
-    against the Schur pivot diagonal of sigma, its own target; every other
-    method against sigma itself.  Targets are validated and factored once,
-    not per replicate, and every estimator runs uncentered.
+    Returns {method: (losses, target, refusals)} for a mean-zero Gaussian
+    population; a failed replicate is recorded as None, and ``refusals``
+    counts the failures by the class name of their refusal.  The pivot
+    estimator is scored against the Schur pivot diagonal of sigma, its own
+    target; every other method against sigma itself.  Targets are validated
+    and factored once, not per replicate, and every estimator runs uncentered.
 
     Each method makes its own pass over the replicates, and replicate r of
     every pass is drawn from ``replicate_rng(seed, r)``, so all methods see
@@ -161,15 +163,20 @@ def replicate_losses(methods, sigma, n: int, replicates: int, seed: int,
         target, t_target = _target(method, sig, chol_sig)
         inv_target = _inverse_factor(t_target)
         estimate = STACKED_ESTIMATORS[method]
+        refusals = Counter()
 
         def score_chunk(start: int, x: np.ndarray) -> list:
-            est, est_errors = estimate(scatter_stack(x), n)
-            t_phi, errors = cholesky_stack(est)
+            scatters, errors = scatter_stack(x)
+            est, est_errors = estimate(scatters, n)
+            t_phi, chol_errors = cholesky_stack(est)
             losses = _stein_losses(t_phi, t_target, inv_target)
-            return [None if e1 is not None or e2 is not None else float(loss)
-                    for loss, e1, e2 in zip(losses, est_errors, errors)]
+            # each replicate's first refusal; an exception is truthy, None is not
+            errors = [e or f or g for e, f, g in zip(errors, est_errors, chol_errors)]
+            refusals.update(type(e).__name__ for e in errors if e is not None)
+            return [None if e is not None else loss for loss, e in zip(losses.tolist(), errors)]
 
-        out[method] = (run_chunks(score_chunk, seed, chol_sig, n, replicates, threads), target)
+        losses = run_chunks(score_chunk, seed, chol_sig, n, replicates, threads)
+        out[method] = (losses, target, dict(sorted(refusals.items())))
     return out
 
 
@@ -189,9 +196,9 @@ def monte_carlo_risks(methods, sigma, n: int, replicates: int, seed: int,
     if n < p:
         raise ValueError(f"sample count {n} below dimension {p}")
     out = {}
-    for method, (losses, _) in replicate_losses(methods, sigma, n, replicates, seed,
-                                              threads=threads).items():
-        failures = check_failures(losses, method, n, p)
+    for method, (losses, _, refusals) in replicate_losses(methods, sigma, n, replicates, seed,
+                                                        threads=threads).items():
+        failures = check_failures(losses, method, n, p, refusals)
         agg = aggregate(losses)
         out[method] = RiskEstimate(
             mean_loss=agg["mean"],

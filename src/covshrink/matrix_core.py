@@ -55,9 +55,11 @@ def _symmetrize(a: np.ndarray) -> tuple[np.ndarray, list]:
     entries, or asymmetry above SYM_RTOL relative to its largest entry, which
     is more than accumulation noise), or None.  A refused matrix's copy is the
     identity, a placeholder that keeps stacked arithmetic on the copies finite.
+    The halves are summed, M/2 + M.T/2: the same bits as (M + M.T)/2 outside
+    the subnormal range, and finite wherever M is.
     """
     at = a.swapaxes(1, 2)
-    with np.errstate(invalid="ignore"):  # inf - inf in a matrix refused anyway
+    with np.errstate(over="ignore", invalid="ignore"):  # in a matrix refused anyway
         finite = np.isfinite(a).all(axis=(1, 2)).tolist()
         scale = np.abs(a).max(axis=(1, 2)).tolist()
         diff = a - at
@@ -69,8 +71,8 @@ def _symmetrize(a: np.ndarray) -> tuple[np.ndarray, list]:
         elif g > SYM_RTOL * max(s, 1.0):
             errors[j] = AsymmetricInputError(
                 f"asymmetry {g:.3e} exceeds tolerance {SYM_RTOL:.0e} relative to scale {s:.3e}")
-    sym = np.add(a, at, out=diff)  # reuse the buffer of the differences
-    sym /= 2.0
+    half = a * 0.5
+    sym = np.add(half, half.swapaxes(1, 2), out=diff)  # reuse the buffer of the differences
     sym[[e is not None for e in errors]] = np.eye(a.shape[1])
     return sym, errors
 
@@ -93,8 +95,9 @@ def _square_stack(m) -> np.ndarray:
 def tie_gap(values: np.ndarray):
     """The smallest neighbour gap of a descending vector when it is below TIE_GAP, else None.
 
-    This is the one tie test.  A gap at or below zero, where the vector is
-    not strictly descending, counts as a tie too.
+    A gap at or below zero, where the vector is not strictly descending,
+    counts as a tie too.  ``estimators._declined`` applies the same
+    predicate to each spectrum of a stack.
     """
     if values.shape[0] < 2:
         return None

@@ -1,4 +1,4 @@
-"""Population models, Gaussian sampling, and the desk-scale experiments.
+"""Population models and the desk-scale experiments.
 
 Three experiments probe the estimator claims at sizes a laptop can check:
 
@@ -21,9 +21,10 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from ._rng import aggregate, check_failures, gaussian_rows, replicate_rng, run_chunks
+from ._rng import aggregate, check_failures, run_chunks
 from .errors import ConfigError, NotPositiveDefiniteError, NumericError
-from .estimators import DENOM_GUARD, ESTIMATORS, _declined, scatter_stack, shrinkage_terms
+from .estimators import (DENOM_GUARD, ESTIMATORS, _declined, _unrefused, scatter_stack,
+                         shrinkage_terms)
 from .loss_risk import RISK_KINDS, min_risk, replicate_losses
 from .matrix_core import cholesky
 from .rmt import MPModel, mp_cdf
@@ -102,14 +103,6 @@ def make_sigma(model: PopulationModel) -> np.ndarray:
     return np.array(model.matrix, dtype=float, copy=True)
 
 
-def sample_gaussian(sigma, n: int, seed: int) -> np.ndarray:
-    """n mean-zero Gaussian rows with covariance sigma, deterministic in seed."""
-    if n < 1:
-        raise ValueError(f"need n >= 1, got {n}")
-    sig = np.asarray(sigma, dtype=float)
-    return gaussian_rows(replicate_rng(seed, 0), cholesky(sig), n)
-
-
 @dataclass(frozen=True)
 class ExperimentConfig:
     """Shared experiment settings; n > p keeps every covariance invertible."""
@@ -181,7 +174,10 @@ def eigenvalue_recovery_experiment(config: ExperimentConfig, threads: int = 1) -
     estimator would have refused to produce psi) but kept under
     ``shrunk_mae_raw`` so the breakdown is still visible in the report.
     ``rel_frobenius`` is the relative Frobenius distance between the shrunk
-    estimate and S, which in the shared eigenbasis is |psi - l| / |l|.
+    estimate and S, which in the shared eigenbasis is |psi - l| / |l|; both
+    norms are taken after scaling by the power of two that brings l_1 into
+    [0.5, 1), which keeps their squares finite and their ratio's bits.  A
+    replicate whose scatter overflows aborts the run with NumericError.
     """
     start = time.perf_counter()
     sigma = make_sigma(config.model)
@@ -190,7 +186,8 @@ def eigenvalue_recovery_experiment(config: ExperimentConfig, threads: int = 1) -
     n = config.n
 
     def score_chunk(first: int, x: np.ndarray) -> list:
-        spectra = np.linalg.eigvalsh(scatter_stack(x) / n)[:, ::-1]
+        spectra = np.linalg.eigvalsh(_unrefused(*scatter_stack(x)) / n)[:, ::-1]
+        scale = np.ldexp(1.0, -np.frexp(spectra[:, 0])[1]).tolist()
         psi, d = shrinkage_terms(spectra, n)
         accepted = (~_declined(spectra, d, n)).tolist()
         sample_mae = np.mean(np.abs(spectra - gamma), axis=1).tolist()
@@ -204,8 +201,9 @@ def eigenvalue_recovery_experiment(config: ExperimentConfig, threads: int = 1) -
             "shrunk_mae_raw": raw_mae[j],
             "denominator_breaches": breaches[j],
             "min_denominator": min_d[j],
-            "rel_frobenius": float(np.linalg.norm(psi[j] - l) / np.linalg.norm(l)) if ok else None,
-        } for j, (l, ok) in enumerate(zip(spectra, accepted))]
+            "rel_frobenius": float(np.linalg.norm(s * (psi[j] - l)) / np.linalg.norm(s * l))
+                             if ok else None,
+        } for j, (l, ok, s) in enumerate(zip(spectra, accepted, scale))]
 
     rows = run_chunks(score_chunk, config.seed, chol_sig, n, config.replicates, threads)
     failures = sum(1 for row in rows if row["shrunk_mae"] is None)
@@ -230,7 +228,7 @@ def esd_fit_experiment(config: ExperimentConfig, threads: int = 1) -> Experiment
 
     def score_chunk(first: int, x: np.ndarray) -> list:
         # eigvalsh returns each spectrum ascending, the order the KS distance reads
-        f = mp_cdf(np.linalg.eigvalsh(scatter_stack(x) / n), model)
+        f = mp_cdf(np.linalg.eigvalsh(_unrefused(*scatter_stack(x)) / n), model)
         ks = np.max(np.maximum(np.abs(f - i / p), np.abs(f - (i - 1) / p)), axis=1)
         return [{"replicate": first + j, "ks": value} for j, value in enumerate(ks.tolist())]
 

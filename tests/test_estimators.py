@@ -1,3 +1,5 @@
+import inspect
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -16,8 +18,7 @@ from covshrink import (
 )
 from covshrink import estimators
 from covshrink.estimators import (
-    MODE_CENTERED,
-    MODE_UNCENTERED,
+    ESTIMATORS,
     STACKED_ESTIMATORS,
     as_data_matrix,
     scatter_stack,
@@ -31,30 +32,38 @@ def random_spd(rng, p):
 
 class TestSampleCovariance:
     def test_centered_two_points(self):
-        est = sample_covariance(np.array([[1.0], [3.0]]), mode=MODE_CENTERED)
+        est = sample_covariance(np.array([[1.0], [3.0]]), centered=True)
         assert_allclose(est.matrix, [[2.0]])
         assert est.divisor == 1
         assert est.n == 2
 
     def test_uncentered_two_points(self):
-        est = sample_covariance(np.array([[1.0], [-1.0]]), mode=MODE_UNCENTERED)
+        est = sample_covariance(np.array([[1.0], [-1.0]]), centered=False)
         assert_allclose(est.matrix, [[1.0]])
         assert est.divisor == 2
 
     def test_constant_rows_give_zero(self):
-        est = sample_covariance(np.ones((5, 3)), mode=MODE_CENTERED)
+        est = sample_covariance(np.ones((5, 3)), centered=True)
         assert_allclose(est.matrix, np.zeros((3, 3)))
 
     def test_matches_direct_formula(self):
         rng = np.random.default_rng(3)
         x = rng.standard_normal((40, 6))
         xc = x - x.mean(axis=0)
-        assert_allclose(sample_covariance(x, mode=MODE_CENTERED).matrix, xc.T @ xc / 39)
-        assert_allclose(sample_covariance(x, mode=MODE_UNCENTERED).matrix, x.T @ x / 40)
+        assert_allclose(sample_covariance(x, centered=True).matrix, xc.T @ xc / 39)
+        assert_allclose(sample_covariance(x, centered=False).matrix, x.T @ x / 40)
 
-    def test_unknown_mode_rejected(self):
-        with pytest.raises(ValueError):
-            sample_covariance(np.ones((3, 2)), mode="bessel")
+    def test_one_calling_convention(self):
+        # each data estimator is its own table entry and takes (x, centered=True) alone
+        for tag, estimator in [("sample", sample_covariance),
+                               ("stein_triangular", stein_triangular),
+                               ("dp_equivariant", dp_equivariant)]:
+            assert ESTIMATORS[tag] is estimator
+            params = inspect.signature(estimator).parameters
+            assert list(params) == ["x", "centered"]
+            assert params["centered"].default is True
+            with pytest.raises(TypeError):
+                estimator(np.ones((3, 2)), convention="centered_n_minus_1")
 
     def test_input_validation(self):
         with pytest.raises(ValueError):
@@ -74,7 +83,7 @@ class TestScatterMatrix:
     def test_scatter_is_n_times_uncentered_cov(self):
         x = np.random.default_rng(1).standard_normal((12, 3))
         sc = scatter_matrix(x, centered=False)
-        est = sample_covariance(x, mode=MODE_UNCENTERED)
+        est = sample_covariance(x, centered=False)
         assert_allclose(sc.matrix, 12 * est.matrix)
 
 
@@ -82,14 +91,14 @@ class TestSteinTriangular:
     def test_diagonal_hand_case(self):
         # scatter diag(8,3) from n=4 uncentered rows: divisors n+p-2i+1 = (5,3)
         x = np.array([[2.0, 0.0], [2.0, 0.0], [0.0, np.sqrt(3)], [0.0, 0.0]])
-        est = stein_triangular(scatter_matrix(x))
+        est = stein_triangular(x, centered=False)
         assert_allclose(est.matrix, np.diag([8 / 5, 1.0]))
         assert est.method == "stein_triangular"
         assert est.divisor == [5, 3]
 
     def test_univariate_reduces_to_ml(self):
         x = np.array([[1.0], [-1.0], [2.0], [-2.0]])
-        est = stein_triangular(scatter_matrix(x))
+        est = stein_triangular(x, centered=False)
         assert_allclose(est.matrix, [[10.0 / 4.0]])
 
     def test_divisors_n10_p3(self):
@@ -97,7 +106,7 @@ class TestSteinTriangular:
         x = rng.standard_normal((10, 3))
         t = np.linalg.cholesky(x.T @ x)
         expected = (t / np.array([12.0, 10.0, 8.0])) @ t.T
-        assert_allclose(stein_triangular(scatter_matrix(x)).matrix, expected, rtol=1e-12)
+        assert_allclose(stein_triangular(x, centered=False).matrix, expected, rtol=1e-12)
 
     def test_centered_loses_one_dof(self):
         rng = np.random.default_rng(12)
@@ -106,32 +115,32 @@ class TestSteinTriangular:
         t = np.linalg.cholesky(xc.T @ xc)
         expected = (t / np.array([11.0, 9.0, 7.0])) @ t.T
         assert_allclose(
-            stein_triangular(scatter_matrix(x, centered=True)).matrix, expected, rtol=1e-12
+            stein_triangular(x).matrix, expected, rtol=1e-12
         )
 
     def test_dof_below_dimension_rejected(self):
         x = np.random.default_rng(13).standard_normal((3, 3))
         with pytest.raises(ValueError):
-            stein_triangular(scatter_matrix(x, centered=True))
+            stein_triangular(x)
 
 
 class TestDpEquivariant:
     def test_diagonal_hand_case(self):
         # pivots (8,3) with n=4: divisors n-i+1 = (4,3)
         x = np.array([[2.0, 0.0], [2.0, 0.0], [0.0, np.sqrt(3)], [0.0, 0.0]])
-        est = dp_equivariant(scatter_matrix(x))
+        est = dp_equivariant(x, centered=False)
         assert_allclose(est.matrix, np.diag([2.0, 1.0]))
         assert est.target == "sigma_star"
         assert est.divisor == [4, 3]
 
     def test_univariate_reduces_to_ml(self):
-        est = dp_equivariant(scatter_matrix(np.array([[3.0], [1.0]])))
+        est = dp_equivariant(np.array([[3.0], [1.0]]), centered=False)
         assert_allclose(est.matrix, [[5.0]])
 
     def test_estimate_is_diagonal(self):
         rng = np.random.default_rng(21)
         x = rng.standard_normal((15, 4))
-        m = dp_equivariant(scatter_matrix(x)).matrix
+        m = dp_equivariant(x, centered=False).matrix
         assert_allclose(m, np.diag(np.diag(m)))
 
 
@@ -204,7 +213,7 @@ class TestShrunkSpectra:
     def test_an_exactly_tied_spectrum_is_refused_alone(self):
         # slice 1 is a scatter with two equal eigenvalues, an exact tie
         x = np.random.default_rng(32).standard_normal((4, 20, 3))
-        scatter = scatter_stack(x)
+        scatter, _ = scatter_stack(x)
         scatter[1] = 20.0 * np.diag([3.0, 2.0, 2.0])
         est, errors = STACKED_ESTIMATORS["tsai"](scatter, 20)
         assert type(errors[1]) is EigenvalueTieError
@@ -223,7 +232,7 @@ class TestShrunkSpectra:
 
         monkeypatch.setattr(estimators, "tsai_eigenvalues", counted)
         x = np.random.default_rng(33).standard_normal((200, 8, 4))
-        _, errors = STACKED_ESTIMATORS["tsai"](scatter_stack(x), 8)
+        _, errors = STACKED_ESTIMATORS["tsai"](scatter_stack(x)[0], 8)
         refused = sum(e is not None for e in errors)
         assert 0 < refused < 200
         assert len(calls) == refused
@@ -294,7 +303,7 @@ def test_ordering_preserved_on_wishart_draws():
         p = int(rng.integers(2, 13))
         n = int(rng.integers(4 * p, 10 * p))
         x = rng.standard_normal((n, p))
-        s = sample_covariance(x, mode=MODE_UNCENTERED)
+        s = sample_covariance(x, centered=False)
         try:
             est = tsai_estimator(s)
         except ShrinkageSingularityError:

@@ -81,7 +81,7 @@ class TestStackedKernels:
         stats = {test: STACKED_MEAN_TESTS[test](x, cholesky(sigma)) for test in MEAN_TESTS}
         for j in range(60):
             xbar = x[j].mean(axis=0)
-            s = sample_covariance(x[j], mode="centered_n_minus_1").matrix
+            s = sample_covariance(x[j], centered=True).matrix
             w = np.linalg.solve(cholesky(s), xbar)
             assert stats["hotelling"][0][j] == n * float(w @ w)
             w = np.linalg.solve(cholesky(sigma), xbar)
@@ -195,7 +195,7 @@ class TestDecomposite:
         x = rng.standard_normal((40, 3)) + 0.3
         n = x.shape[0]
         res = decomposite_t2(x)
-        s = sample_covariance(x, mode="centered_n_minus_1")
+        s = sample_covariance(x, centered=True)
         dec = spectral_decompose(s.matrix)
         psi = tsai_eigenvalues(dec.eigenvalues, n - 1).shrunk_eigenvalues
         inv = (dec.eigenvectors / psi) @ dec.eigenvectors.T

@@ -6,6 +6,7 @@ import os
 import re
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -13,7 +14,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 import covshrink
-from covshrink import CsvFormatError, io_cli, min_risk
+from covshrink import CsvFormatError, _rng, io_cli, min_risk
 from covshrink.estimators import ESTIMATORS
 from covshrink.io_cli import (
     ReportDocument,
@@ -528,6 +529,33 @@ class TestExitCodes:
         assert run_cli(["--format", "csv", "estimate", "--input", data]) == 1
         assert "usage error" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", [["risk", "--monte-carlo"],
+                                         ["power", "--delta", "0,0,0"],
+                                         ["simulate", "--experiment", "esd"]])
+    def test_csv_format_is_refused_before_any_replicate(self, capsys, monkeypatch, command):
+        def no_draws(*args, **kwargs):
+            raise AssertionError("a replicate was drawn")
+
+        monkeypatch.setattr(_rng, "draw_chunk", no_draws)
+        argv = ["--format", "csv"] + command + ["--n", "50", "--p", "3", "--replicates", "20000"]
+        assert run_cli(argv) == 1
+        assert capsys.readouterr().err == (
+            "usage error: csv output is only available for the mp grid\n")
+
+    @pytest.mark.parametrize("command", [["risk", "--monte-carlo"],
+                                         ["power", "--delta", "0,0,0"],
+                                         ["simulate", "--experiment", "esd"]])
+    def test_replicates_above_the_bound_are_2_before_any_replicate(self, capsys, monkeypatch,
+                                                                   command):
+        def no_draws(*args, **kwargs):
+            raise AssertionError("a replicate was drawn")
+
+        monkeypatch.setattr(_rng, "draw_chunk", no_draws)
+        argv = command + ["--n", "50", "--p", "3", "--replicates", str(10**20)]
+        assert run_cli(argv) == 2
+        assert capsys.readouterr().err == (
+            f"error: need at most 1000000 replicates, got {10**20}\n")
+
     def test_model_errors_are_2(self, tmp_path, capsys):
         assert run_cli(["mp", "--c", "1.5"]) == 2
         assert run_cli(["estimate", "--input", str(tmp_path / "absent.csv")]) == 2
@@ -679,6 +707,60 @@ class TestExitCodes:
                              capture_output=True, text=True, timeout=120)
         assert (out.returncode, out.stderr) == (0, "")
         assert out.stdout.splitlines()[0] == "x,density,cdf"
+
+
+def strict_json(text: str):
+    """json.loads that refuses NaN and Infinity, which JSON does not have."""
+    def refuse(constant):
+        raise ValueError(f"{constant} in the report")
+
+    return json.loads(text, parse_constant=refuse)
+
+
+_MC = ["--n", "50", "--p", "2", "--replicates", "100"]
+# the replicate commands on populations whose spike is near the float64 limit
+FLOAT_EDGE_CALLS = {
+    "risk-1e307": ["risk", "--monte-carlo", "--model", "spiked:1e307"] + _MC,
+    "risk-1e308": ["risk", "--monte-carlo", "--model", "spiked:1e308"] + _MC,
+    "hotelling-1e307": ["power", "--delta", "0,0", "--method", "hotelling",
+                        "--model", "spiked:1e307"] + _MC,
+    "decomposite-1e307": ["power", "--delta", "0,0", "--method", "decomposite",
+                          "--model", "spiked:1e307"] + _MC,
+    "oracle-1e307": ["power", "--delta", "0,0", "--method", "oracle",
+                     "--model", "spiked:1e307"] + _MC,
+    "hotelling-1e308": ["power", "--delta", "0,0", "--method", "hotelling",
+                        "--model", "spiked:1e308"] + _MC,
+    "oracle-1e308": ["power", "--delta", "0,0", "--method", "oracle",
+                     "--model", "spiked:1e308"] + _MC,
+    "recovery-1e307": ["simulate", "--experiment", "recovery", "--n", "50", "--p", "2",
+                       "--model", "spiked:1e307", "--replicates", "5"],
+    "recovery-1e308": ["simulate", "--experiment", "recovery", "--n", "50", "--p", "2",
+                       "--model", "spiked:1e308", "--replicates", "5"],
+    "recovery-1e300": ["simulate", "--experiment", "recovery", "--n", "50", "--p", "3",
+                       "--model", "spiked:1e300", "--replicates", "5"],
+    "simulate-risk-1e307": ["simulate", "--experiment", "risk", "--n", "50", "--p", "2",
+                            "--model", "spiked:1e307", "--replicates", "5"],
+}
+
+
+@pytest.mark.parametrize("threads", ["1", "2"])
+@pytest.mark.parametrize("call", list(FLOAT_EDGE_CALLS))
+def test_float_edge_populations_leave_stderr_clean(capsys, call, threads):
+    # a finite report on stdout, or exit 2 with one error line; no numpy warning either way
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code = run_cli(["--threads", threads] + FLOAT_EDGE_CALLS[call])
+    out, err = capsys.readouterr()
+    assert [str(w.message) for w in caught] == []
+    if code == 0:
+        assert err == ""
+        strict_json(out)
+    else:
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+        # a refusal counted by class, NumericError, or the overflow named
+        assert "NumericError" in err or "overflowed" in err
 
 
 class TestSeedResolution:

@@ -225,8 +225,8 @@ class TestMonteCarloRisk:
     def test_mean_and_se_are_the_aggregate_of_the_losses(self):
         sigma = np.array([[4.0, 2.0], [2.0, 5.0]])
         est = monte_carlo_risk("stein_triangular", sigma, n=10, replicates=150, seed=4)
-        losses, _ = replicate_losses(["stein_triangular"], sigma, n=10, replicates=150,
-                                     seed=4)["stein_triangular"]
+        losses, _, _ = replicate_losses(["stein_triangular"], sigma, n=10, replicates=150,
+                                        seed=4)["stein_triangular"]
         agg = aggregate(losses)
         assert (est.mean_loss, est.std_error, est.replicates) == (
             agg["mean"], agg["se"], agg["count"])
@@ -235,22 +235,22 @@ class TestMonteCarloRisk:
 class TestReplicateLosses:
     def test_pivot_method_scored_against_pivot_diagonal(self):
         sigma = np.array([[4.0, 2.0], [2.0, 5.0]])
-        _, target = replicate_losses(["dp_equivariant"], sigma, n=10, replicates=2,
-                                     seed=0)["dp_equivariant"]
+        _, target, _ = replicate_losses(["dp_equivariant"], sigma, n=10, replicates=2,
+                                        seed=0)["dp_equivariant"]
         assert_allclose(target, np.diag([4.0, 4.0]))
 
     def test_other_methods_scored_against_sigma(self):
         sigma = np.array([[4.0, 2.0], [2.0, 5.0]])
-        _, target = replicate_losses(["sample"], sigma, n=10, replicates=2, seed=0)["sample"]
+        _, target, _ = replicate_losses(["sample"], sigma, n=10, replicates=2, seed=0)["sample"]
         assert_allclose(target, sigma)
 
     def test_losses_equal_public_stein_loss(self):
         # the per-replicate loss reuses the target's factor; the value must not move
         sigma = np.array([[4.0, 2.0], [2.0, 5.0]])
-        losses, target = replicate_losses(["dp_equivariant"], sigma, n=10, replicates=4,
-                                          seed=3)["dp_equivariant"]
+        losses, target, _ = replicate_losses(["dp_equivariant"], sigma, n=10, replicates=4,
+                                             seed=3)["dp_equivariant"]
         x = gaussian_rows(replicate_rng(3, 2), cholesky(sigma), 10)
-        est = dp_equivariant(scatter_matrix(x, centered=False))
+        est = dp_equivariant(x, centered=False)
         assert losses[2] == stein_loss(est.matrix, target)
 
     @pytest.mark.parametrize("sigma", [
@@ -270,7 +270,7 @@ class TestReplicateLosses:
             replicate_losses(["sample", "oas"], np.eye(2), n=10, replicates=0, seed=0)
 
     def test_failures_recorded_as_none(self):
-        losses, _ = replicate_losses(["tsai"], np.eye(20), n=40, replicates=20, seed=5)["tsai"]
+        losses, _, _ = replicate_losses(["tsai"], np.eye(20), n=40, replicates=20, seed=5)["tsai"]
         assert any(v is None for v in losses)
         assert len(losses) == 20
 
@@ -295,7 +295,7 @@ class TestStackedEngine:
         out = replicate_losses(STACKED_TAGS, sigma, n, reps, seed)
         chol = cholesky(sigma)
         for tag in STACKED_TAGS:
-            losses, target = out[tag]
+            losses, target, _ = out[tag]
             for r in range(reps):
                 x = gaussian_rows(replicate_rng(seed, r), chol, n)
                 try:
@@ -317,7 +317,7 @@ class TestStackedEngine:
         tags = STACKED_TAGS[::-1]
         together = replicate_losses(tags, sigma, 9, 120, 6, threads=2)
         for tag in tags:
-            alone, _ = replicate_losses([tag], sigma, 9, 120, 6)[tag]
+            alone, _, _ = replicate_losses([tag], sigma, 9, 120, 6)[tag]
             assert together[tag][0] == alone
 
     def test_stacked_cholesky_refuses_as_cholesky_does(self):
@@ -359,7 +359,7 @@ class TestStackedEngine:
         bound = 2.0 * np.linalg.cond(t_sig) * np.finfo(float).eps
         x = _rng.draw_chunk(4, t_sig, n, 0, k)
         for tag in ("sample", "stein_triangular", "tsai"):
-            est, est_errors = STACKED_ESTIMATORS[tag](scatter_stack(x), n)
+            est, est_errors = STACKED_ESTIMATORS[tag](scatter_stack(x)[0], n)
             t_phi, errors = cholesky_stack(est)
             losses = _stein_losses(t_phi.copy(), t_sig, _inverse_factor(t_sig))
             for j in range(k):
@@ -378,7 +378,7 @@ class TestStackedEngine:
         # replicate 1 has an all-zero column, so its scatter is singular at index 2
         x = np.random.default_rng(5).standard_normal((3, 8, 3))
         x[1, :, 1] = 0.0
-        scatter = scatter_stack(x)
+        scatter, _ = scatter_stack(x)
         assert np.array_equal(scatter[1], scatter_matrix(x[1]).matrix)
         for tag in STACKED_TAGS[1:]:
             est, errors = STACKED_ESTIMATORS[tag](scatter, 8)
@@ -392,7 +392,7 @@ class TestStackedEngine:
     @pytest.mark.parametrize("n, p", [(50, 10), (60, 4), (200, 20), (100, 50)])
     def test_stacked_tsai_equals_tsai_estimator(self, n, p):
         x = np.random.default_rng(n + p).standard_normal((40, n, p))
-        est, errors = STACKED_ESTIMATORS["tsai"](scatter_stack(x), n)
+        est, errors = STACKED_ESTIMATORS["tsai"](scatter_stack(x)[0], n)
         for j in range(40):
             try:
                 single = ESTIMATORS["tsai"](x[j], False).matrix

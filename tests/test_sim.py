@@ -10,7 +10,6 @@ from covshrink import (
     esd_fit_experiment,
     make_sigma,
     risk_comparison_experiment,
-    sample_gaussian,
 )
 from covshrink._rng import gaussian_rows, replicate_rng
 from covshrink.estimators import shrinkage_terms
@@ -98,25 +97,21 @@ class TestPopulationModel:
 
 class TestSampleGaussian:
     def test_shape_and_determinism(self):
-        x = sample_gaussian(np.eye(3), n=20, seed=42)
+        x = gaussian_rows(replicate_rng(42, 0), cholesky(np.eye(3)), 20)
         assert x.shape == (20, 3)
-        assert np.array_equal(x, sample_gaussian(np.eye(3), n=20, seed=42))
-        assert not np.array_equal(x, sample_gaussian(np.eye(3), n=20, seed=43))
+        assert np.array_equal(x, gaussian_rows(replicate_rng(42, 0), cholesky(np.eye(3)), 20))
+        assert not np.array_equal(x, gaussian_rows(replicate_rng(43, 0), cholesky(np.eye(3)), 20))
 
     def test_law_of_large_numbers_identity(self):
-        x = sample_gaussian(np.eye(1), n=1_000_000, seed=7)
+        x = gaussian_rows(replicate_rng(7, 0), cholesky(np.eye(1)), 1_000_000)
         assert abs(x.var() - 1.0) < 0.01
         assert abs(x.mean()) < 0.01
 
     def test_law_of_large_numbers_correlated(self):
         sigma = np.array([[4.0, 1.0], [1.0, 1.0]])
-        x = sample_gaussian(sigma, n=100_000, seed=8)
+        x = gaussian_rows(replicate_rng(8, 0), cholesky(sigma), 100_000)
         s = x.T @ x / x.shape[0]
         assert np.abs(s - sigma).max() < 0.05 * 4
-
-    def test_domain(self):
-        with pytest.raises(ValueError):
-            sample_gaussian(np.eye(2), n=0, seed=1)
 
 
 class TestExperimentConfig:
