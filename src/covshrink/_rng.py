@@ -5,16 +5,16 @@ hash of (master seed, replicate index), so results are bit-identical no
 matter how replicates are scheduled across workers.  ``run_chunks`` is the
 one replicate loop: it draws replicates, stacked into chunks of a fixed
 byte budget, and hands each chunk whole to a stacked scorer on the calling
-thread, with the next chunks drawn ahead on any other threads.
-``check_failures`` is the one place the failed-replicate tolerance is
-enforced, and ``aggregate`` the one mean and standard error over the
-replicates that completed.
+thread, with the next chunks drawn ahead on any other threads, and
+counts the refused replicates by class.  ``check_failures`` is the one
+place the failed-replicate tolerance is enforced, and ``aggregate`` the one
+mean and standard error over the replicates that completed.
 """
 
 from __future__ import annotations
 
 import hashlib
-from collections import deque
+from collections import Counter, deque
 
 import numpy as np
 
@@ -73,55 +73,58 @@ def draw_chunk(seed: int, chol_factor: np.ndarray, n: int, start: int, stop: int
 
 
 def run_chunks(score_chunk, seed: int, chol_factor: np.ndarray, n: int, replicates: int,
-               threads: int = 1, mean=None) -> list:
-    """Concatenated ``score_chunk(start, x)`` over the chunks, in replicate order.
+               threads: int = 1, mean=None) -> tuple[list, dict]:
+    """Each replicate's outcome, in replicate order, and the refusals as {class name: count}.
 
-    x is ``draw_chunk(seed, chol_factor, n, start, stop, mean)`` and
-    ``score_chunk`` returns one outcome per slice.  The chunk size depends on
-    (n, p) alone, so every outcome depends on (seed, r) alone, never on
-    ``threads``.  Every chunk is scored on the calling thread, in order;
-    above one thread, ``threads - 1`` workers draw the next chunks
+    ``score_chunk(start, x)``, x = ``draw_chunk(seed, chol_factor, n, start,
+    stop, mean)``, returns a value and a refusal (a CovshrinkError, or None)
+    per slice; a refused replicate's outcome is None.  The chunk size
+    depends on (n, p) alone, so every outcome depends on (seed, r) alone,
+    never on ``threads``.  Every chunk is scored on the calling thread, in
+    order; above one thread, ``threads - 1`` workers draw the next chunks
     meanwhile.  Errors raised by ``score_chunk`` propagate.
     """
     step = chunk_replicates(n, chol_factor.shape[0])
     starts = range(0, replicates, step)
+    outcomes, refusals = [], Counter()
 
     def draw(start: int) -> np.ndarray:
         return draw_chunk(seed, chol_factor, n, start, min(start + step, replicates), mean)
 
+    def score(start: int, x: np.ndarray) -> None:
+        values, errors = score_chunk(start, x)
+        outcomes.extend(None if e is not None else v for v, e in zip(values, errors))
+        refusals.update(type(e).__name__ for e in errors if e is not None)
+
     if threads <= 1:
-        return [outcome for start in starts for outcome in score_chunk(start, draw(start))]
-    from concurrent.futures import ThreadPoolExecutor  # off the import path
+        for start in starts:
+            score(start, draw(start))
+    else:
+        from concurrent.futures import ThreadPoolExecutor  # off the import path
 
-    with ThreadPoolExecutor(max_workers=threads - 1) as pool:
-        # at most threads - 1 chunks wait in memory beyond the one being scored
-        pending = deque(pool.submit(draw, start) for start in starts[:threads - 1])
-        outcomes = []
-        for k, start in enumerate(starts):
-            x = pending.popleft().result()
-            if k + threads - 1 < len(starts):
-                pending.append(pool.submit(draw, starts[k + threads - 1]))
-            outcomes.extend(score_chunk(start, x))
-        return outcomes
+        with ThreadPoolExecutor(max_workers=threads - 1) as pool:
+            # at most threads - 1 chunks wait in memory beyond the one being scored
+            pending = deque(pool.submit(draw, start) for start in starts[:threads - 1])
+            for k, start in enumerate(starts):
+                x = pending.popleft().result()
+                if k + threads - 1 < len(starts):
+                    pending.append(pool.submit(draw, starts[k + threads - 1]))
+                score(start, x)
+    return outcomes, dict(sorted(refusals.items()))
 
 
-def check_failures(outcomes, method: str, n: int, p: int, refusals=None) -> int:
-    """Count the failed (None) outcomes; raise NumericError above the tolerance.
+def check_failures(refusals: dict, total: int, method: str, n: int, p: int) -> int:
+    """Failures in ``run_chunks``' tally of ``total`` replicates; NumericError above the tolerance.
 
-    More than MAX_FAILURE_FRACTION failures aborts the run, since a mean
-    over a heavily censored sample is not the quantity being estimated.
-    ``refusals``, a {class name: count} histogram of the failures, is
-    appended to the message where the caller kept one.
+    More than MAX_FAILURE_FRACTION failures aborts the run, since a mean over
+    a heavily censored sample is not the quantity being estimated.
     """
-    total = len(outcomes)
-    failures = sum(1 for o in outcomes if o is None)
+    failures = sum(refusals.values())
     if failures > MAX_FAILURE_FRACTION * total:
-        message = (f"{failures} of {total} replicates failed for method {method!r} "
-                   f"at n={n}, p={p}; above the {MAX_FAILURE_FRACTION:.0%} tolerance")
-        if refusals:
-            message += "; refusals: " + ", ".join(f"{name} {count}"
-                                                  for name, count in sorted(refusals.items()))
-        raise NumericError(message)
+        raise NumericError(
+            f"{failures} of {total} replicates failed for method {method!r} at n={n}, p={p}; "
+            f"above the {MAX_FAILURE_FRACTION:.0%} tolerance; refusals: "
+            + ", ".join(f"{name} {count}" for name, count in sorted(refusals.items())))
     return failures
 
 

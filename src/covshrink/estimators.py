@@ -36,7 +36,8 @@ from .errors import (
     NumericError,
     ShrinkageSingularityError,
 )
-from .matrix_core import TIE_GAP, cholesky_stack, eigh_stack, square_matrix, tie_gap
+from .matrix_core import (TIE_GAP, cholesky_stack, eigh_stack, square_matrix, symmetric_part,
+                          tie_gap, unrefused)
 
 DENOM_GUARD = 1e-10  # relative to n
 
@@ -95,7 +96,7 @@ def scatter_matrix(x, centered: bool = False) -> ScatterMatrix:
     if centered:
         with np.errstate(over="ignore", invalid="ignore"):
             a = a - a.mean(axis=0)
-    return ScatterMatrix(matrix=_unrefused(*scatter_stack(a[None]))[0], n=a.shape[0],
+    return ScatterMatrix(matrix=unrefused(*scatter_stack(a[None]))[0], n=a.shape[0],
                          centered=centered)
 
 
@@ -150,14 +151,6 @@ class CovarianceEstimate:
     target: str = "sigma"
 
 
-def _unrefused(values: np.ndarray, errors: list) -> np.ndarray:
-    """A kernel's k values when none was refused, else the first refusal raised."""
-    for error in errors:
-        if error is not None:
-            raise error
-    return values
-
-
 def _require_dof(dof: int, p: int) -> None:
     if dof < p:
         raise ValueError(f"need degrees of freedom >= dimension, got {dof} < {p}")
@@ -165,8 +158,7 @@ def _require_dof(dof: int, p: int) -> None:
 
 def _sample(a: np.ndarray, dof: int) -> tuple[np.ndarray, list]:
     """Kernel of the sample estimator: each scatter over dof, symmetrized; never refuses."""
-    s = a / dof
-    return (s + s.swapaxes(1, 2)) / 2.0, [None] * len(s)
+    return symmetric_part(a / dof), [None] * len(a)
 
 
 def _triangular(a: np.ndarray, dof: int) -> tuple[np.ndarray, list]:
@@ -174,8 +166,7 @@ def _triangular(a: np.ndarray, dof: int) -> tuple[np.ndarray, list]:
     p = a.shape[1]
     _require_dof(dof, p)
     t, errors = cholesky_stack(a)
-    est = (t / CLASS_DIVISORS["stein"](dof, p)) @ t.swapaxes(1, 2)
-    return (est + est.swapaxes(1, 2)) / 2.0, errors
+    return symmetric_part((t / CLASS_DIVISORS["stein"](dof, p)) @ t.swapaxes(1, 2)), errors
 
 
 def _pivot(a: np.ndarray, dof: int) -> tuple[np.ndarray, list]:
@@ -208,15 +199,11 @@ def shrunk_spectra(w: np.ndarray, n: int, errors: list) -> tuple[np.ndarray, np.
     spectrum gets psi = 1, a finite placeholder.
     """
     psi, d = shrinkage_terms(w, n)
-    for j in np.flatnonzero(_declined(w, d, n)).tolist():
-        if errors[j] is None and w[j, -1] <= 0.0:
-            errors[j] = NotPositiveDefiniteError(
-                f"smallest eigenvalue {w[j, -1]:.6e} is not positive", index=w.shape[1])
-        elif errors[j] is None:
-            try:
-                tsai_eigenvalues(w[j], n)
-            except CovshrinkError as exc:
-                errors[j] = exc
+    for j in np.flatnonzero(_declined(w, d, n) & [e is None for e in errors]).tolist():
+        try:
+            tsai_eigenvalues(w[j], n)
+        except CovshrinkError as exc:
+            errors[j] = exc
     psi[[e is not None for e in errors]] = 1.0
     return psi, d
 
@@ -228,8 +215,7 @@ def _tsai(s: np.ndarray, n: int) -> tuple:
     """
     w, u, errors = eigh_stack(s)
     psi, d = shrunk_spectra(w, n, errors)
-    est = (u * psi[:, None, :]) @ u.swapaxes(1, 2)
-    return (est + est.swapaxes(1, 2)) / 2.0, errors, w, psi, d
+    return symmetric_part((u * psi[:, None, :]) @ u.swapaxes(1, 2)), errors, w, psi, d
 
 
 def sample_covariance(x, centered: bool = True) -> CovarianceEstimate:
@@ -243,7 +229,7 @@ def sample_covariance(x, centered: bool = True) -> CovarianceEstimate:
     is left for consumers that actually need to invert it.
     """
     sc = scatter_matrix(x, centered)
-    return CovarianceEstimate(matrix=_unrefused(*_sample(sc.matrix[None], sc.dof))[0],
+    return CovarianceEstimate(matrix=unrefused(*_sample(sc.matrix[None], sc.dof))[0],
                               method="sample", n=sc.n, p=sc.p, divisor=sc.dof)
 
 
@@ -254,7 +240,7 @@ def stein_triangular(x, centered: bool = True) -> CovarianceEstimate:
     freedom.
     """
     sc = scatter_matrix(x, centered)
-    return CovarianceEstimate(matrix=_unrefused(*_triangular(sc.matrix[None], sc.dof))[0],
+    return CovarianceEstimate(matrix=unrefused(*_triangular(sc.matrix[None], sc.dof))[0],
                               method="stein_triangular", n=sc.n, p=sc.p,
                               divisor=CLASS_DIVISORS["stein"](sc.dof, sc.p).tolist())
 
@@ -267,7 +253,7 @@ def dp_equivariant(x, centered: bool = True) -> CovarianceEstimate:
     successively transformed coordinates), not sigma itself.
     """
     sc = scatter_matrix(x, centered)
-    return CovarianceEstimate(matrix=_unrefused(*_pivot(sc.matrix[None], sc.dof))[0],
+    return CovarianceEstimate(matrix=unrefused(*_pivot(sc.matrix[None], sc.dof))[0],
                               method="dp_equivariant", n=sc.n, p=sc.p,
                               divisor=CLASS_DIVISORS["dp"](sc.dof, sc.p).tolist(),
                               target="sigma_star")
@@ -309,8 +295,10 @@ def tsai_eigenvalues(l, n: int) -> ShrinkageTable:
 
     Raises
     ------
+    NotPositiveDefiniteError
+        When the smallest eigenvalue l_p is not positive; ``index`` is p.
     ValueError
-        When p > n, or l is not positive and descending.
+        When p > n, or l is not descending.
     EigenvalueTieError
         When two neighbouring eigenvalues are equal or within 1e-12.
     ShrinkageSingularityError
@@ -322,10 +310,11 @@ def tsai_eigenvalues(l, n: int) -> ShrinkageTable:
     if lv.ndim != 1 or lv.shape[0] < 1:
         raise ValueError("eigenvalues must form a nonempty vector")
     p = lv.shape[0]
+    if lv[-1] <= 0.0:
+        raise NotPositiveDefiniteError(f"smallest eigenvalue {lv[-1]:.6e} is not positive",
+                                       index=p)
     if n < p:
         raise ValueError(f"sample count {n} below dimension {p}")
-    if lv[-1] <= 0.0:
-        raise ValueError("eigenvalues must be positive")
     gap = tie_gap(lv)
     if gap is not None:
         if gap < 0.0:
@@ -368,7 +357,7 @@ def tsai_estimator(s, n: int | None = None) -> CovarianceEstimate:
             raise ValueError("n is required when s is a bare matrix")
     est, errors, w, psi, d = _tsai(square_matrix(matrix)[None], n)
     return CovarianceEstimate(
-        matrix=_unrefused(est, errors)[0],
+        matrix=unrefused(est, errors)[0],
         method="tsai",
         n=int(n_obs),
         p=matrix.shape[0],

@@ -9,23 +9,22 @@ finite-sample F calibration is attempted.
 Each statistic is written once, as a kernel over a (k, n, p) stack of
 samples that returns the k statistics and each one's refusal: the
 CovshrinkError that sample earns, or None.  The public tests are the k = 1
-case; they raise the refusal and add the p-value.  ``STACKED_MEAN_TESTS``
-hands the kernels to ``power_simulation``, which scores a chunk of
-replicates at a time.  A slice whose mean or statistic overflows is refused,
-so the kernels keep numpy's overflow and invalid-value warnings quiet.
+case through ``mean_test``, which raises the refusal and adds the p-value.
+``MEAN_TESTS`` maps each name to its kernel, which ``power_simulation``
+hands a chunk of replicates at a time.  A slice whose mean or statistic
+overflows is refused, so the kernels keep numpy's overflow and
+invalid-value warnings quiet.
 """
 
 import math
-from collections import Counter
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from ._rng import check_failures, run_chunks
 from .errors import NotPositiveDefiniteError, NumericError
-from .estimators import (STACKED_ESTIMATORS, _unrefused, as_data_matrix, scatter_stack,
-                         shrunk_spectra)
-from .matrix_core import cholesky, cholesky_stack, eigh_stack
+from .estimators import STACKED_ESTIMATORS, as_data_matrix, scatter_stack, shrunk_spectra
+from .matrix_core import cholesky, cholesky_stack, eigh_stack, first_refusals, unrefused
 
 RATES = ("hdim", "classical")
 
@@ -117,22 +116,34 @@ def chisq_pvalue(statistic: float, p: int) -> float:
 
 
 @np.errstate(over="ignore", invalid="ignore")
-def _hotelling(x: np.ndarray) -> tuple[np.ndarray, list]:
-    """Kernel of the classical test n xbar' S^-1 xbar over a (k, n, p) stack."""
+def _hotelling(x: np.ndarray, t=None) -> tuple[np.ndarray, list]:
+    """Kernel of the classical test n xbar' S^-1 xbar over a (k, n, p) stack; t is unused.
+
+    The statistic ignores the scale of each coordinate, so S is judged
+    singular on the correlation scale D^-1/2 S D^-1/2, D = diag(S), where a
+    column with zero variance gets a zero row: one whose S_ii is zero, or
+    whose values are all equal and S_ii holds only the mean's rounding.
+    """
     xbar, s, errors = _centered(x)
-    _refuse_singular(s, np.linalg.eigvalsh(s), errors)
-    t, chol_errors = cholesky_stack(s)
-    errors = [e if e is not None else c for e, c in zip(errors, chol_errors)]
-    return x.shape[1] * _mahalanobis_sq(t, xbar), errors
+    diag = np.diagonal(s, axis1=1, axis2=2)
+    scale = np.divide(1.0, np.sqrt(diag), out=np.zeros_like(diag),
+                      where=(x != x[:, :1]).any(axis=1) & (diag > 0.0))
+    r = s * scale[:, :, None] * scale[:, None, :]
+    _refuse_singular(r, np.linalg.eigvalsh(r), errors)
+    chol, chol_errors = cholesky_stack(s)
+    return x.shape[1] * _mahalanobis_sq(chol, xbar), first_refusals(errors, chol_errors)
 
 
 @np.errstate(over="ignore", invalid="ignore")
-def _decomposite(x: np.ndarray) -> tuple[np.ndarray, list]:
-    """Kernel of the shrinkage test n sum_i (u_i' xbar)^2 / psi_i over a (k, n, p) stack."""
+def _decomposite(x: np.ndarray, t=None) -> tuple[np.ndarray, list]:
+    """Kernel of the shrinkage test n sum_i (u_i' xbar)^2 / psi_i over a (k, n, p) stack.
+
+    t is unused.  S is judged singular on the scale the shrinker reads, its own.
+    """
     n = x.shape[1]
     xbar, s, errors = _centered(x)
     w, v, eigh_errors = eigh_stack(s)
-    errors = [e if e is not None else f for e, f in zip(errors, eigh_errors)]
+    errors = first_refusals(errors, eigh_errors)
     _refuse_singular(s, w, errors)
     psi, _ = shrunk_spectra(w, n - 1, errors)
     # squared projections, so the eigenvector signs need no canonical choice
@@ -155,16 +166,23 @@ def _oracle(x: np.ndarray, t: np.ndarray) -> tuple[np.ndarray, list]:
     return stats, errors
 
 
-def _result(stats: np.ndarray, errors: list, method: str, n: int, p: int) -> TestResult:
-    """The TestResult of a kernel's k = 1 output, or its refusal raised."""
-    stat = float(_unrefused(stats, errors)[0])
-    return TestResult(stat, p, chisq_pvalue(stat, p), method, n, p)
+# test name -> its kernel(x, t), t = cholesky(sigma); entry j of the statistics
+# is mean_test(name, x[j], t).statistic bit for bit, and its refusal is the
+# CovshrinkError that test raises, or None
+MEAN_TESTS = {"hotelling": _hotelling, "decomposite": _decomposite, "oracle": _oracle}
+
+
+def mean_test(name: str, x, t=None) -> TestResult:
+    """Test ``name`` on an (n, p) sample, its kernel's k = 1 case; t = cholesky(sigma) or None."""
+    a = as_data_matrix(x)
+    n, p = a.shape
+    stat = float(unrefused(*MEAN_TESTS[name](a[None], t))[0])
+    return TestResult(stat, p, chisq_pvalue(stat, p), name, n, p)
 
 
 def hotelling_t2(x) -> TestResult:
     """Classical one-sample statistic n xbar' S^-1 xbar with the centered S."""
-    a = as_data_matrix(x)
-    return _result(*_hotelling(a[None]), "hotelling", *a.shape)
+    return mean_test("hotelling", x)
 
 
 def decomposite_t2(x) -> TestResult:
@@ -174,8 +192,7 @@ def decomposite_t2(x) -> TestResult:
     eigenvalue shrinker.  Equals the classical statistic whenever psi = l
     (p = 1, or n >> p).
     """
-    a = as_data_matrix(x)
-    return _result(*_decomposite(a[None]), "decomposite", *a.shape)
+    return mean_test("decomposite", x)
 
 
 def oracle_t2(x, sigma) -> TestResult:
@@ -184,25 +201,7 @@ def oracle_t2(x, sigma) -> TestResult:
     Exactly chi-square with p dof under the null, for any n.
     """
     a = as_data_matrix(x)
-    return _result(*_oracle(a[None], cholesky(sigma)), "oracle", *a.shape)
-
-
-# test name -> statistic(x, sigma); only the oracle reads the true covariance
-MEAN_TESTS = {
-    "hotelling": lambda x, sigma: hotelling_t2(x),
-    "decomposite": lambda x, sigma: decomposite_t2(x),
-    "oracle": oracle_t2,
-}
-
-
-# test name -> its kernel(x, t), t = cholesky(sigma); for a (k, n, p) stack x,
-# entry j of the statistics is MEAN_TESTS[name](x[j], sigma).statistic bit for
-# bit, and its refusal is the CovshrinkError that test raises, or None
-STACKED_MEAN_TESTS = {
-    "hotelling": lambda x, t: _hotelling(x),
-    "decomposite": lambda x, t: _decomposite(x),
-    "oracle": _oracle,
-}
+    return mean_test("oracle", a, cholesky(sigma))
 
 
 @dataclass(frozen=True)
@@ -249,8 +248,8 @@ def power_simulation(n: int, p: int, sigma, delta, alpha: float = 0.05,
         delta.  "classical" drops the p^(1/4) factor, giving noncentrality
         exactly delta' sigma^-1 delta.
     method : {"hotelling", "decomposite", "oracle"}
-        A key of MEAN_TESTS.  Its STACKED_MEAN_TESTS kernel scores the
-        replicates a chunk at a time.
+        A key of MEAN_TESTS, whose kernel scores the replicates a chunk at
+        a time.
 
     Failed replicates (singular shrinkage) are recorded and counted by
     refusal class; more than 1 percent failures aborts, as in the risk
@@ -285,16 +284,14 @@ def power_simulation(n: int, p: int, sigma, delta, alpha: float = 0.05,
             lo = mid
         else:
             crit = mid
-    kernel = STACKED_MEAN_TESTS[method]
-    refusals = Counter()
+    kernel = MEAN_TESTS[method]
 
-    def score_chunk(start: int, x: np.ndarray) -> list:
+    def score_chunk(start: int, x: np.ndarray) -> tuple[list, list]:
         stats, errors = kernel(x, chol_sig)
-        refusals.update(type(e).__name__ for e in errors if e is not None)
-        return [None if e is not None else stat > crit for stat, e in zip(stats.tolist(), errors)]
+        return [stat > crit for stat in stats.tolist()], errors
 
-    outcomes = run_chunks(score_chunk, seed, chol_sig, n, replicates, threads, mean=mu)
-    failures = check_failures(outcomes, method, n, p, refusals)
+    outcomes, refusals = run_chunks(score_chunk, seed, chol_sig, n, replicates, threads, mean=mu)
+    failures = check_failures(refusals, replicates, method, n, p)
     ok = [o for o in outcomes if o is not None]
     m = len(ok)
     rate_hat = sum(ok) / m
@@ -311,5 +308,5 @@ def power_simulation(n: int, p: int, sigma, delta, alpha: float = 0.05,
         n=n,
         p=p,
         seed=seed,
-        failure_classes=dict(sorted(refusals.items())),
+        failure_classes=refusals,
     )

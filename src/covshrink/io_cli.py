@@ -22,7 +22,7 @@ import numpy as np
 
 from .errors import ConfigError, CovshrinkError, CsvFormatError
 from .estimators import ESTIMATORS
-from .hdtest import MEAN_TESTS, power_simulation
+from .hdtest import MEAN_TESTS, mean_test, power_simulation
 from .loss_risk import RISK_KINDS, min_risk, monte_carlo_risks
 from .matrix_core import _one_blas_thread
 from .rmt import MPModel, mp_cdf, mp_density
@@ -318,7 +318,7 @@ def _cmd_estimate(args, seed):
 
 def _cmd_ttest(args, seed):
     data = read_csv(args.input, delimiter=args.delimiter, header=args.header)
-    res = MEAN_TESTS[args.method](data, None)
+    res = mean_test(args.method, data)
     config = {"input": args.input, "method": args.method, "header": args.header}
     return config, asdict(res)
 

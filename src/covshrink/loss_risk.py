@@ -5,14 +5,13 @@ E[log chi2_k]; the Monte Carlo runner exists to confirm an implementation
 against those closed forms and to measure estimators that lack one.
 """
 
-from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
 
 from ._rng import aggregate, check_failures, run_chunks
 from .estimators import CLASS_DIVISORS, STACKED_ESTIMATORS, scatter_stack
-from .matrix_core import cholesky, cholesky_stack
+from .matrix_core import cholesky, cholesky_stack, first_refusals
 
 RISK_KINDS = tuple(CLASS_DIVISORS)
 
@@ -163,20 +162,16 @@ def replicate_losses(methods, sigma, n: int, replicates: int, seed: int,
         target, t_target = _target(method, sig, chol_sig)
         inv_target = _inverse_factor(t_target)
         estimate = STACKED_ESTIMATORS[method]
-        refusals = Counter()
 
-        def score_chunk(start: int, x: np.ndarray) -> list:
+        def score_chunk(start: int, x: np.ndarray) -> tuple[list, list]:
             scatters, errors = scatter_stack(x)
             est, est_errors = estimate(scatters, n)
             t_phi, chol_errors = cholesky_stack(est)
             losses = _stein_losses(t_phi, t_target, inv_target)
-            # each replicate's first refusal; an exception is truthy, None is not
-            errors = [e or f or g for e, f, g in zip(errors, est_errors, chol_errors)]
-            refusals.update(type(e).__name__ for e in errors if e is not None)
-            return [None if e is not None else loss for loss, e in zip(losses.tolist(), errors)]
+            return losses.tolist(), first_refusals(errors, est_errors, chol_errors)
 
-        losses = run_chunks(score_chunk, seed, chol_sig, n, replicates, threads)
-        out[method] = (losses, target, dict(sorted(refusals.items())))
+        losses, refusals = run_chunks(score_chunk, seed, chol_sig, n, replicates, threads)
+        out[method] = (losses, target, refusals)
     return out
 
 
@@ -198,7 +193,7 @@ def monte_carlo_risks(methods, sigma, n: int, replicates: int, seed: int,
     out = {}
     for method, (losses, _, refusals) in replicate_losses(methods, sigma, n, replicates, seed,
                                                         threads=threads).items():
-        failures = check_failures(losses, method, n, p, refusals)
+        failures = check_failures(refusals, replicates, method, n, p)
         agg = aggregate(losses)
         out[method] = RiskEstimate(
             mean_loss=agg["mean"],

@@ -48,15 +48,36 @@ def _one_blas_thread() -> None:
             return
 
 
+def symmetric_part(a: np.ndarray, out=None) -> np.ndarray:
+    """(M + M.T)/2 of each matrix M of a (k, p, p) stack, into ``out`` when given.
+
+    Summed in halves, M/2 + M.T/2: the same bits outside the subnormal range,
+    and finite wherever M is.
+    """
+    half = a * 0.5
+    return np.add(half, half.swapaxes(1, 2), out=out)
+
+
+def unrefused(values, errors: list):
+    """A kernel's k values when none was refused, else the first refusal raised."""
+    for error in errors:
+        if error is not None:
+            raise error
+    return values
+
+
+def first_refusals(*errors: list) -> list:
+    """Each item's first refusal across several kernels' refusal lists, or None."""
+    return [next((e for e in row if e is not None), None) for row in zip(*errors)]
+
+
 def _symmetrize(a: np.ndarray) -> tuple[np.ndarray, list]:
-    """Symmetrized copies (M + M.T)/2 of a (k, p, p) stack, and each matrix's refusal.
+    """Symmetric parts of a (k, p, p) stack, and each matrix's refusal.
 
     ``errors[j]`` is the AsymmetricInputError that matrix j earns (non-finite
     entries, or asymmetry above SYM_RTOL relative to its largest entry, which
     is more than accumulation noise), or None.  A refused matrix's copy is the
     identity, a placeholder that keeps stacked arithmetic on the copies finite.
-    The halves are summed, M/2 + M.T/2: the same bits as (M + M.T)/2 outside
-    the subnormal range, and finite wherever M is.
     """
     at = a.swapaxes(1, 2)
     with np.errstate(over="ignore", invalid="ignore"):  # in a matrix refused anyway
@@ -71,8 +92,7 @@ def _symmetrize(a: np.ndarray) -> tuple[np.ndarray, list]:
         elif g > SYM_RTOL * max(s, 1.0):
             errors[j] = AsymmetricInputError(
                 f"asymmetry {g:.3e} exceeds tolerance {SYM_RTOL:.0e} relative to scale {s:.3e}")
-    half = a * 0.5
-    sym = np.add(half, half.swapaxes(1, 2), out=diff)  # reuse the buffer of the differences
+    sym = symmetric_part(a, out=diff)  # reuse the buffer of the differences
     sym[[e is not None for e in errors]] = np.eye(a.shape[1])
     return sym, errors
 
@@ -177,8 +197,7 @@ def spectral_decompose(m) -> SpectralDecomp:
         a tie flag for gaps below 1e-12.
     """
     w, v, errors = eigh_stack(square_matrix(m)[None])
-    if errors[0] is not None:
-        raise errors[0]
+    unrefused(w, errors)
     return SpectralDecomp(eigenvalues=w[0], eigenvectors=_canonical_signs(v[0]),
                           tied=tie_gap(w[0]) is not None)
 
@@ -234,10 +253,7 @@ def cholesky(m) -> np.ndarray:
     Raises NotPositiveDefiniteError naming the 1-based failing minor when m
     is not positive definite.
     """
-    t, errors = cholesky_stack(square_matrix(m)[None])
-    if errors[0] is not None:
-        raise errors[0]
-    return t[0]
+    return unrefused(*cholesky_stack(square_matrix(m)[None]))[0]
 
 
 def schur_pivots(m) -> np.ndarray:

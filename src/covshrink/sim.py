@@ -23,10 +23,9 @@ import numpy as np
 
 from ._rng import aggregate, check_failures, run_chunks
 from .errors import ConfigError, NotPositiveDefiniteError, NumericError
-from .estimators import (DENOM_GUARD, ESTIMATORS, _declined, _unrefused, scatter_stack,
-                         shrinkage_terms)
+from .estimators import DENOM_GUARD, ESTIMATORS, _declined, scatter_stack, shrinkage_terms
 from .loss_risk import RISK_KINDS, min_risk, replicate_losses
-from .matrix_core import cholesky
+from .matrix_core import cholesky, unrefused
 from .rmt import MPModel, mp_cdf
 
 VARIANTS = ("identity", "spiked", "ar1", "explicit")
@@ -185,8 +184,8 @@ def eigenvalue_recovery_experiment(config: ExperimentConfig, threads: int = 1) -
     chol_sig = cholesky(sigma)
     n = config.n
 
-    def score_chunk(first: int, x: np.ndarray) -> list:
-        spectra = np.linalg.eigvalsh(_unrefused(*scatter_stack(x)) / n)[:, ::-1]
+    def score_chunk(first: int, x: np.ndarray) -> tuple[list, list]:
+        spectra = np.linalg.eigvalsh(unrefused(*scatter_stack(x)) / n)[:, ::-1]
         scale = np.ldexp(1.0, -np.frexp(spectra[:, 0])[1]).tolist()
         psi, d = shrinkage_terms(spectra, n)
         accepted = (~_declined(spectra, d, n)).tolist()
@@ -203,9 +202,9 @@ def eigenvalue_recovery_experiment(config: ExperimentConfig, threads: int = 1) -
             "min_denominator": min_d[j],
             "rel_frobenius": float(np.linalg.norm(s * (psi[j] - l)) / np.linalg.norm(s * l))
                              if ok else None,
-        } for j, (l, ok, s) in enumerate(zip(spectra, accepted, scale))]
+        } for j, (l, ok, s) in enumerate(zip(spectra, accepted, scale))], [None] * len(x)
 
-    rows = run_chunks(score_chunk, config.seed, chol_sig, n, config.replicates, threads)
+    rows, _ = run_chunks(score_chunk, config.seed, chol_sig, n, config.replicates, threads)
     failures = sum(1 for row in rows if row["shrunk_mae"] is None)
     metrics = {
         "sample_mae": aggregate(row["sample_mae"] for row in rows),
@@ -226,13 +225,13 @@ def esd_fit_experiment(config: ExperimentConfig, threads: int = 1) -> Experiment
     model = MPModel(p / n)
     i = np.arange(1, p + 1)
 
-    def score_chunk(first: int, x: np.ndarray) -> list:
+    def score_chunk(first: int, x: np.ndarray) -> tuple[list, list]:
         # eigvalsh returns each spectrum ascending, the order the KS distance reads
-        f = mp_cdf(np.linalg.eigvalsh(_unrefused(*scatter_stack(x)) / n), model)
-        ks = np.max(np.maximum(np.abs(f - i / p), np.abs(f - (i - 1) / p)), axis=1)
-        return [{"replicate": first + j, "ks": value} for j, value in enumerate(ks.tolist())]
+        f = mp_cdf(np.linalg.eigvalsh(unrefused(*scatter_stack(x)) / n), model)
+        ks = np.max(np.maximum(np.abs(f - i / p), np.abs(f - (i - 1) / p)), axis=1).tolist()
+        return [{"replicate": first + j, "ks": v} for j, v in enumerate(ks)], [None] * len(ks)
 
-    rows = run_chunks(score_chunk, config.seed, np.eye(p), n, config.replicates, threads)
+    rows, _ = run_chunks(score_chunk, config.seed, np.eye(p), n, config.replicates, threads)
     metrics = {"ks": aggregate(row["ks"] for row in rows), "concentration": p / n}
     return _report(config, metrics, rows, 0, start)
 
@@ -255,11 +254,11 @@ def risk_comparison_experiment(config: ExperimentConfig, threads: int = 1) -> Ex
     per_method = {}
     total_failures = 0
     for method in methods:
-        values = losses[method][0]
-        failures = sum(1 for v in values if v is None)
+        values, _, refusals = losses[method]
+        failures = sum(refusals.values())
         total_failures += failures
         try:
-            check_failures(values, method, n, p)
+            check_failures(refusals, len(values), method, n, p)
         except NumericError as exc:
             # a censored mean is not the risk; keep the other methods' results
             per_method[method] = {"mean": None, "se": None, "count": len(values) - failures,

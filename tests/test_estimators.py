@@ -6,6 +6,7 @@ from numpy.testing import assert_allclose
 
 from covshrink import (
     EigenvalueTieError,
+    NotPositiveDefiniteError,
     ShrinkageSingularityError,
     dp_equivariant,
     sample_covariance,
@@ -174,8 +175,10 @@ class TestTsaiEigenvalues:
     def test_validation(self):
         with pytest.raises(ValueError):
             tsai_eigenvalues(np.array([1.0, 3.0]), n=10)  # not descending
-        with pytest.raises(ValueError):
+        with pytest.raises(NotPositiveDefiniteError,
+                           match=r"smallest eigenvalue -1\.000000e\+00 is not positive") as exc:
             tsai_eigenvalues(np.array([3.0, -1.0]), n=10)
+        assert exc.value.index == 2
         with pytest.raises(ValueError):
             tsai_eigenvalues(np.array([3.0, 1.0]), n=1)  # n < p
         with pytest.raises(EigenvalueTieError):

@@ -27,7 +27,7 @@ from covshrink import (
 )
 from covshrink import _rng, hdtest
 from covshrink._rng import draw_chunk, gaussian_rows, replicate_rng
-from covshrink.hdtest import MEAN_TESTS, STACKED_MEAN_TESTS
+from covshrink.hdtest import MEAN_TESTS, mean_test
 from covshrink.matrix_core import cholesky, spectral_decompose
 
 
@@ -42,9 +42,9 @@ def ar1(p, rho):
 
 
 def statistic_or_refusal(test, x, sigma):
-    """(statistic, None) of MEAN_TESTS[test] on one sample, or (None, its refusal)."""
+    """(statistic, None) of the mean test on one sample, or (None, its refusal)."""
     try:
-        return MEAN_TESTS[test](x, sigma).statistic, None
+        return mean_test(test, x, cholesky(sigma)).statistic, None
     except CovshrinkError as exc:
         return None, exc
 
@@ -56,7 +56,7 @@ class TestStackedKernels:
         # n=8, p=4 makes the shrinker refuse some slices; slice 5 is collinear
         x = draw_chunk(11, cholesky(sigma), 8, 0, 40, np.full(4, 0.3))
         x[5, :, 3] = x[5, :, 2]
-        stats, errors = STACKED_MEAN_TESTS[test](x, cholesky(sigma))
+        stats, errors = MEAN_TESTS[test](x, cholesky(sigma))
         assert len(stats) == len(errors) == 40
         classes = set()
         for j in range(40):
@@ -78,7 +78,7 @@ class TestStackedKernels:
         # each statistic written out from the public pieces, one sample at a time
         n = 40
         x = draw_chunk(12, cholesky(sigma), n, 0, 60, np.full(5, 0.2))
-        stats = {test: STACKED_MEAN_TESTS[test](x, cholesky(sigma)) for test in MEAN_TESTS}
+        stats = {test: MEAN_TESTS[test](x, cholesky(sigma)) for test in MEAN_TESTS}
         for j in range(60):
             xbar = x[j].mean(axis=0)
             s = sample_covariance(x[j], centered=True).matrix
@@ -97,9 +97,9 @@ class TestStackedKernels:
         # slice 2's sample mean overflows; the other slices keep their bits
         t = cholesky(ar1(3, 0.5))
         x = draw_chunk(13, t, 30, 0, 6, np.full(3, 0.2))
-        want_stats, want_errors = STACKED_MEAN_TESTS[test](np.delete(x, 2, axis=0), t)
+        want_stats, want_errors = MEAN_TESTS[test](np.delete(x, 2, axis=0), t)
         x[2] = 1e308
-        stats, errors = STACKED_MEAN_TESTS[test](x, t)
+        stats, errors = MEAN_TESTS[test](x, t)
         assert type(errors[2]) is NumericError
         assert errors[:2] + errors[3:] == want_errors
         assert np.delete(stats, 2).tobytes() == want_stats.tobytes()
@@ -228,6 +228,30 @@ def test_collinear_data_is_refused(test, seed):
     x[:, 3] = x[:, 2]
     with pytest.raises(NotPositiveDefiniteError):
         test(x)
+
+
+@pytest.mark.parametrize("value", [0.0, 0.1, -3.7])
+@pytest.mark.parametrize("test", [hotelling_t2, decomposite_t2])
+def test_a_constant_column_is_refused(test, value):
+    # a constant column has zero variance; at 0.1 or -3.7 the computed S_ii
+    # is the square of the mean's rounding, about 1e-34, not zero
+    x = np.random.default_rng(4).standard_normal((20, 3))
+    x[:, 1] = value
+    with pytest.raises(NotPositiveDefiniteError, match="centered covariance is singular"):
+        test(x)
+
+
+class TestHotellingScale:
+    def test_statistic_ignores_a_huge_coordinate_scale(self):
+        x = np.random.default_rng(5).standard_normal((50, 3))
+        base = hotelling_t2(x).statistic
+        for scale in (1e8, 1e16, 1e150):
+            assert_allclose(hotelling_t2(x * [scale, 1.0, 1.0]).statistic, base, rtol=1e-9)
+
+    def test_power_completes_on_a_population_spiked_at_1e16(self):
+        rep = power_simulation(50, 3, np.diag([1e16, 1.0, 1.0]), np.zeros(3), replicates=100,
+                               seed=0, method="hotelling")
+        assert (rep.failures, rep.replicates) == (0, 100)
 
 
 class TestOracle:

@@ -763,6 +763,34 @@ def test_float_edge_populations_leave_stderr_clean(capsys, call, threads):
         assert "NumericError" in err or "overflowed" in err
 
 
+# centered, the one-column CSV 1.5e154 / 0 has S = 1.125e308, finite, though
+# S + S' is not; uncentered, its scatter 2.25e308 overflows
+FLOAT_EDGE_CSV_CALLS = {
+    **{f"estimate-{method}-{convention}": ["estimate", "--method", method,
+                                           "--n-convention", convention]
+       for method in ("sample", "stein", "dp", "tsai")
+       for convention in ("centered", "uncentered")},
+    **{f"ttest-{method}": ["ttest", "--method", method] for method in ("hotelling", "decomposite")},
+}
+
+
+@pytest.mark.parametrize("call", list(FLOAT_EDGE_CSV_CALLS))
+def test_float_edge_csv_leaves_stderr_clean(tmp_path, capsys, call):
+    data = write(tmp_path, "edge.csv", "1.5e154\n0\n")
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code = run_cli(FLOAT_EDGE_CSV_CALLS[call] + ["--input", data])
+    out, err = capsys.readouterr()
+    assert [str(w.message) for w in caught] == []
+    if call.endswith("-uncentered"):
+        assert (code, out) == (2, "")
+        assert err == ("error: the scatter matrix overflowed: the data's cross products "
+                       "exceed the float64 range\n")
+    else:
+        assert (code, err) == (0, "")
+        strict_json(out)
+
+
 class TestSeedResolution:
     def test_env_fallback(self, tmp_path, monkeypatch):
         monkeypatch.setenv("COVSHRINK_SEED", "42")
@@ -815,7 +843,7 @@ class TestDeterminism:
         assert mc["tsai"] == {
             "mean": None, "se": None, "count": 296, "failures": 4,
             "error": "4 of 300 replicates failed for method 'tsai' at n=60, p=4; "
-                     "above the 1% tolerance"}
+                     "above the 1% tolerance; refusals: ShrinkageSingularityError 4"}
         assert {m: mc[m] for m in stacked} == alone.results["metrics"]["monte_carlo"]
         assert all("error" not in mc[m] for m in stacked)
         assert doc.results["failures"] == 4

@@ -198,21 +198,18 @@ class TestMonteCarloRisk:
 
     def test_failure_fraction_boundary(self):
         # exactly 1 % failed is tolerated, one more failure is not
-        ok = [0.5] * 198
-        assert check_failures(ok + [None] * 2, "sample", n=10, p=2) == 2
+        assert check_failures({"NumericError": 2}, 200, "sample", n=10, p=2) == 2
         with pytest.raises(NumericError, match="3 of 200 replicates failed"):
-            check_failures(ok[:-1] + [None] * 3, "sample", n=10, p=2)
+            check_failures({"NumericError": 3}, 200, "sample", n=10, p=2)
+        assert check_failures({}, 200, "sample", n=10, p=2) == 0
 
     def test_abort_message_names_the_refusal_classes(self):
-        outcomes = [0.5] * 197 + [None] * 3
         with pytest.raises(NumericError) as exc:
-            check_failures(outcomes, "tsai", n=10, p=2,
-                           refusals={"ShrinkageSingularityError": 2, "EigenvalueTieError": 1})
+            check_failures({"ShrinkageSingularityError": 2, "EigenvalueTieError": 1}, 200, "tsai",
+                           n=10, p=2)
         assert str(exc.value) == (
             "3 of 200 replicates failed for method 'tsai' at n=10, p=2; above the 1% tolerance; "
             "refusals: EigenvalueTieError 1, ShrinkageSingularityError 2")
-        with pytest.raises(NumericError, match="tolerance$"):
-            check_failures(outcomes, "tsai", n=10, p=2, refusals={})
 
     def test_replicate_floor(self):
         with pytest.raises(ValueError):

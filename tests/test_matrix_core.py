@@ -9,7 +9,8 @@ from covshrink import (
     schur_pivots,
     spectral_decompose,
 )
-from covshrink.matrix_core import _canonical_signs, cholesky_stack, eigh_stack
+from covshrink.matrix_core import (_canonical_signs, cholesky_stack, eigh_stack, first_refusals,
+                                   symmetric_part, unrefused)
 
 RT2 = np.sqrt(2.0)
 
@@ -181,6 +182,33 @@ class TestEighStack:
                 dec = spectral_decompose(stack[j])
                 assert np.array_equal(w[j], dec.eigenvalues)
                 assert np.array_equal(_canonical_signs(v[j]), dec.eigenvectors)
+
+
+class TestKernelRules:
+    def test_symmetric_part_is_the_half_sum_bit_for_bit(self):
+        rng = np.random.default_rng(8)
+        for p in (1, 4, 30):
+            m = rng.standard_normal((5, p, p)) * 10.0 ** rng.integers(-150, 150, (5, 1, 1))
+            want = (m + m.swapaxes(1, 2)) / 2
+            assert symmetric_part(m).tobytes() == want.tobytes()
+            out = np.empty_like(m)
+            assert symmetric_part(m, out=out) is out
+            assert out.tobytes() == want.tobytes()
+
+    def test_symmetric_part_stays_finite_near_the_float64_limit(self):
+        m = np.array([[[1.7e308, 1.6e308], [1.5e308, 1.7e308]]])
+        with np.errstate(over="raise"):
+            sym = symmetric_part(m)
+        assert sym.tolist() == [[[1.7e308, 1.55e308], [1.55e308, 1.7e308]]]
+
+    def test_the_first_refusal_wins(self):
+        a, b, c = (NotPositiveDefiniteError("a"), AsymmetricInputError("b"),
+                   NotPositiveDefiniteError("c"))
+        assert first_refusals([None, a, None, None], [b, c, None, c]) == [b, a, None, c]
+        values = np.arange(3.0)
+        assert unrefused(values, [None] * 3) is values
+        with pytest.raises(AsymmetricInputError, match="^b$"):
+            unrefused(values, [None, b, a])
 
 
 class TestSuccessiveDiagonalize:

@@ -4,7 +4,7 @@ import threading
 import numpy as np
 import pytest
 
-from covshrink import _rng
+from covshrink import EigenvalueTieError, NumericError, _rng
 from covshrink._rng import (
     chunk_replicates,
     draw_chunk,
@@ -38,8 +38,9 @@ class TestChunking:
     def test_chunk_slices_equal_single_replicate_draws(self, mean):
         # n=40, p=5: 163 replicates per chunk, so 400 replicates span three chunks
         chol = cholesky(ar1(5, 0.7))
-        slices = run_chunks(lambda start, x: list(x), 21, chol, 40, 400, mean=mean)
-        assert len(slices) == 400
+        slices, refusals = run_chunks(lambda start, x: (list(x), [None] * len(x)), 21, chol, 40,
+                                      400, mean=mean)
+        assert (len(slices), refusals) == (400, {})
         for r, xr in enumerate(slices):
             assert np.array_equal(xr, gaussian_rows(replicate_rng(21, r), chol, 40, mean))
 
@@ -63,14 +64,22 @@ class TestChunking:
         chol = cholesky(ar1(4, 0.3))
 
         def score_chunk(start, x):
-            return [(start + j, float(np.sum(xj * xj))) for j, xj in enumerate(x)]
+            values = [(start + j, float(np.sum(xj * xj))) for j, xj in enumerate(x)]
+            errors = [NumericError() if r % 7 == 0 else EigenvalueTieError() if v > 140 else None
+                      for r, v in values]
+            return values, errors
 
         default = run_chunks(score_chunk, 3, chol, 30, 250)
-        monkeypatch.setattr(_rng, "CHUNK_BYTES", 1)
-        assert chunk_replicates(30, 4) == 1
-        assert run_chunks(score_chunk, 3, chol, 30, 250) == default
-        assert run_chunks(score_chunk, 3, chol, 30, 250, threads=3) == default
-        assert [r for r, _ in default] == list(range(250))
+        values, errors = score_chunk(0, draw_chunk(3, chol, 30, 0, 250))
+        assert default[0] == [None if e is not None else v for v, e in zip(values, errors)]
+        assert list(default[1]) == ["EigenvalueTieError", "NumericError"]
+        assert default[1]["NumericError"] == 36
+        assert sum(default[1].values()) == sum(e is not None for e in errors)
+        for step in (1, 2, 7, 64, 250):
+            monkeypatch.setattr(_rng, "CHUNK_BYTES", 8 * 30 * 4 * step)
+            assert chunk_replicates(30, 4) == step
+            for threads in (1, 3):
+                assert run_chunks(score_chunk, 3, chol, 30, 250, threads) == default
 
 
 class TestReplicateCounts:
@@ -97,10 +106,10 @@ class TestReplicateCounts:
 
         def score_chunk(start, x):
             seen.append((start, threading.get_ident()))
-            return [float(np.sum(xj)) for xj in x]
+            return [float(np.sum(xj)) for xj in x], [None] * len(x)
 
         serial = run_chunks(score_chunk, 8, chol, 10, 100)
-        assert len(serial) == 100
+        assert len(serial[0]) == 100
         seen.clear()
         for threads in (2, 3):
             assert run_chunks(score_chunk, 8, chol, 10, 100, threads) == serial
