@@ -6,14 +6,17 @@ matter how replicates are scheduled across workers.  ``run_chunks`` is the
 one replicate loop: it draws replicates, stacked into chunks of a fixed
 byte budget, and hands each chunk whole to a stacked scorer on the calling
 thread, with the next chunks drawn ahead on any other threads, and
-counts the refused replicates by class.  ``check_failures`` is the one
-place the failed-replicate tolerance is enforced, and ``aggregate`` the one
-mean and standard error over the replicates that completed.
+counts the refused replicates by class.  ``replicate_threads`` chooses
+that thread count from the size of one replicate's draw unless the caller
+gives it.  ``check_failures`` is the one place the failed-replicate
+tolerance is enforced, and ``aggregate`` the one mean and standard error
+over the replicates that completed.
 """
 
 from __future__ import annotations
 
 import hashlib
+import os
 from collections import Counter, deque
 
 import numpy as np
@@ -24,6 +27,12 @@ MAX_FAILURE_FRACTION = 0.01
 # draws per chunk: about 256 KiB of float64, so a chunk adds little to the
 # peak memory at any (n, p) while amortizing the per-call overhead at small p
 CHUNK_BYTES = 256 * 1024
+# float64 values in one replicate's draw (2 MiB) from which a second thread
+# drawing ahead pays.  On 2 vCPUs, in alternating fresh calls at one and two
+# threads, `simulate --experiment risk` tied at n*p = 160,000 and won from
+# 262,144 on, and `esd` tied up to 262,144 and won from 360,000 on.  At p = 5
+# and 10 two threads lose: the interpreter lock serializes the seeding.
+DRAW_AHEAD_VALUES = 2 ** 18
 
 
 def replicate_rng(seed: int, index: int) -> np.random.Generator:
@@ -72,8 +81,28 @@ def draw_chunk(seed: int, chol_factor: np.ndarray, n: int, start: int, stop: int
     return x
 
 
+def _usable_cpus() -> int:
+    """CPUs this process may run on: its affinity mask, else the machine's count."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        return os.cpu_count() or 1
+
+
+def replicate_threads(threads: int | None, n: int, p: int) -> int:
+    """Threads of a replicate loop over (n, p) draws: ``threads`` itself unless it is None.
+
+    None gives two, one drawing ahead, when one replicate's draw holds at
+    least DRAW_AHEAD_VALUES float64 values and the process may run on two
+    CPUs; one otherwise.
+    """
+    if threads is not None:
+        return threads
+    return 2 if n * p >= DRAW_AHEAD_VALUES and _usable_cpus() >= 2 else 1
+
+
 def run_chunks(score_chunk, seed: int, chol_factor: np.ndarray, n: int, replicates: int,
-               threads: int = 1, mean=None) -> tuple[list, dict]:
+               threads: int | None = None, mean=None) -> tuple[list, dict]:
     """Each replicate's outcome, in replicate order, and the refusals as {class name: count}.
 
     ``score_chunk(start, x)``, x = ``draw_chunk(seed, chol_factor, n, start,
@@ -82,9 +111,12 @@ def run_chunks(score_chunk, seed: int, chol_factor: np.ndarray, n: int, replicat
     depends on (n, p) alone, so every outcome depends on (seed, r) alone,
     never on ``threads``.  Every chunk is scored on the calling thread, in
     order; above one thread, ``threads - 1`` workers draw the next chunks
-    meanwhile.  Errors raised by ``score_chunk`` propagate.
+    meanwhile.  None chooses the count by ``replicate_threads``.  Errors
+    raised by ``score_chunk`` propagate.
     """
-    step = chunk_replicates(n, chol_factor.shape[0])
+    p = chol_factor.shape[0]
+    threads = replicate_threads(threads, n, p)
+    step = chunk_replicates(n, p)
     starts = range(0, replicates, step)
     outcomes, refusals = [], Counter()
 

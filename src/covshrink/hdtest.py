@@ -229,7 +229,7 @@ class PowerReport:
 def power_simulation(n: int, p: int, sigma, delta, alpha: float = 0.05,
                      replicates: int = 1000, seed: int = 0,
                      method: str = "oracle", rate: str = "hdim",
-                     threads: int = 1) -> PowerReport:
+                     threads: int | None = None) -> PowerReport:
     """Monte Carlo rejection rate against the chi-square critical value.
 
     The critical value is the least double c with chisq_pvalue(c, p) <=
@@ -250,6 +250,11 @@ def power_simulation(n: int, p: int, sigma, delta, alpha: float = 0.05,
     method : {"hotelling", "decomposite", "oracle"}
         A key of MEAN_TESTS, whose kernel scores the replicates a chunk at
         a time.
+
+    threads : int or None
+        Thread count of the replicate loop; None, the default, chooses it
+        from the size of one replicate's draw (``_rng.replicate_threads``).
+        No result depends on it.
 
     Failed replicates (singular shrinkage) are recorded and counted by
     refusal class; more than 1 percent failures aborts, as in the risk

@@ -20,6 +20,7 @@ from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 
+from ._rng import replicate_threads
 from .errors import ConfigError, CovshrinkError, CsvFormatError
 from .estimators import ESTIMATORS
 from .hdtest import MEAN_TESTS, mean_test, power_simulation
@@ -220,13 +221,14 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--seed", type=int, default=None,
                         help=f"master seed (default: ${ENV_SEED} or 0)")
-    parser.add_argument("--threads", type=int, default=1,
+    parser.add_argument("--threads", type=int, default=None,
                         help=f"threads for replicate loops, 1 to {_MAX_THREADS}: the extra "
                              "threads draw replicates ahead while the calling thread scores "
                              "them (results independent of this).  It sizes only these "
                              "workers; BLAS and LAPACK run on one thread whatever its value.  "
-                             "On 2 vCPUs two threads were slower than one at p=10 and "
-                             "faster at p=400")
+                             "Default: 2 when one replicate's draw holds n*p >= 2**18 values "
+                             "and 2 CPUs are usable, else 1; on 2 vCPUs two threads won "
+                             "above that size and lost at p = 5 and 10")
     parser.add_argument("--output", default=None, help="write the report here instead of stdout")
     parser.add_argument("--format", choices=("json", "csv"), default=None,
                         help="output format (csv only for the mp grid; default json)")
@@ -391,6 +393,13 @@ def _cmd_power(args, seed):
     return config, results
 
 
+def _loop_threads(args) -> dict:
+    """{"replicate_threads": the count run_chunks resolves} for a command with a replicate loop."""
+    if args.subcommand in ("simulate", "power") or args.subcommand == "risk" and args.monte_carlo:
+        return {"replicate_threads": replicate_threads(args.threads, args.n, args.p)}
+    return {}
+
+
 _COMMANDS = {
     "estimate": _cmd_estimate,
     "ttest": _cmd_ttest,
@@ -417,7 +426,7 @@ def run_cli(argv) -> int:
     started = datetime.datetime.now(datetime.timezone.utc).isoformat()
     try:
         seed = _resolve_seed(args)
-        if not 1 <= args.threads <= _MAX_THREADS:
+        if args.threads is not None and not 1 <= args.threads <= _MAX_THREADS:
             raise ConfigError(f"need 1 to {_MAX_THREADS} threads, got {args.threads}")
         for flag in ("n", "p"):
             size = getattr(args, flag, 0)
@@ -442,6 +451,7 @@ def run_cli(argv) -> int:
                 timestamps={
                     "started": started,
                     "finished": datetime.datetime.now(datetime.timezone.utc).isoformat(),
+                    **_loop_threads(args),
                 },
             )
             text = doc.to_json()

@@ -58,27 +58,37 @@ def _stein_losses(t_phi: np.ndarray, t_sig: np.ndarray, inv_sig: np.ndarray) -> 
     return np.sum(w, axis=(1, 2)) - logdet - p
 
 
-def elog_chisq(k) -> float:
-    """E[log chi2_k] = log 2 + digamma(k / 2) for k >= 1, elementwise.
+def _digamma_minus_log(x: np.ndarray) -> np.ndarray:
+    """digamma(x) - log(x) for x >= 1/2, elementwise, without forming either term.
 
-    The recurrence digamma(x) = digamma(x + 1) - 1/x (DLMF 5.5.2) lifts x to
-    16 or more, where the asymptotic series (DLMF 5.11.2)
-    digamma(x) = log x - 1/(2x) - sum_k B_2k / (2k x^2k), taken through
-    x^-10, is accurate to rounding: the first omitted term is below 1e-16.
+    The recurrence digamma(x) = digamma(x + 1) - 1/x (DLMF 5.5.2) lifts x
+    by m steps to y = x + m >= 16, where the asymptotic series (DLMF 5.11.2)
+    digamma(y) = log y - 1/(2y) - sum_k B_2k / (2k y^2k), taken through
+    y^-10, is accurate to rounding: the first omitted term is below 1e-16.
+    The lift's log(y) - log(x) is log1p(m / x), zero for x >= 16.  So at
+    large x the result, about -1/(2x), keeps its relative precision, which
+    subtracting log(x) from digamma(x) would lose to cancellation.
     """
-    kv = np.asarray(k, dtype=float)
-    if np.any(kv < 1):
-        raise ValueError(f"degrees of freedom must be >= 1, got {k}")
-    x = kv / 2.0
     # m steps of the recurrence, their terms summed smallest first
     m = np.maximum(np.ceil(16.0 - x), 0.0)
     lifted = np.zeros_like(x)
     for j in range(int(m.max(initial=0.0)) - 1, -1, -1):
         lifted -= np.where(j < m, 1.0 / (x + j), 0.0)
-    x = x + m
-    r = 1.0 / (x * x)
+    y = x + m
+    r = 1.0 / (y * y)
     series = r * (1 / 12 - r * (1 / 120 - r * (1 / 252 - r * (1 / 240 - r / 132))))
-    out = np.log(2.0) + (np.log(x) - 0.5 / x - series + lifted)
+    return np.log1p(m / x) - 0.5 / y - series + lifted
+
+
+def elog_chisq(k) -> float:
+    """E[log chi2_k] = log 2 + digamma(k / 2) = log k + (digamma(k/2) - log(k/2)) for k >= 1.
+
+    Elementwise; the bracket is ``_digamma_minus_log``.
+    """
+    kv = np.asarray(k, dtype=float)
+    if np.any(kv < 1):
+        raise ValueError(f"degrees of freedom must be >= 1, got {k}")
+    out = np.log(kv) + _digamma_minus_log(kv / 2.0)
     return float(out) if np.ndim(k) == 0 else out
 
 
@@ -88,13 +98,18 @@ def min_risk(kind: str, n: int, p: int) -> float:
     kind "ml":    sum_i log n - E[log chi2_{n-i+1}]        (scaled scatter)
     kind "stein": sum_i log(n+p-2i+1) - E[log chi2_{n-i+1}] (triangular class)
     kind "dp":    sum_i log(n-i+1) - E[log chi2_{n-i+1}]    (pivot class)
+
+    Both terms are near log n and differ by about p/n, so each summand is
+    taken as log1p((d_i - k_i) / k_i) - (digamma(k_i/2) - log(k_i/2)),
+    k_i = n - i + 1: two nonnegative parts, neither of which cancels.
     """
     if not 1 <= p <= n:
         raise ValueError(f"need n >= p >= 1, got n={n}, p={p}")
     if kind not in CLASS_DIVISORS:
         raise ValueError(f"unknown risk kind {kind!r}, expected one of {RISK_KINDS}")
+    k = n - np.arange(1, p + 1) + 1
     d = CLASS_DIVISORS[kind](n, p)
-    return float(np.sum(np.log(d) - elog_chisq(n - np.arange(1, p + 1) + 1)))
+    return float(np.sum(np.log1p((d - k) / k) - _digamma_minus_log(k / 2.0)))
 
 
 @dataclass(frozen=True)
@@ -128,7 +143,7 @@ def _target(method: str, sig: np.ndarray, chol_sig: np.ndarray) -> tuple[np.ndar
 
 
 def replicate_losses(methods, sigma, n: int, replicates: int, seed: int,
-                     threads: int = 1) -> dict:
+                     threads: int | None = None) -> dict:
     """Per-replicate Stein losses of several methods on the same replicate draws.
 
     Returns {method: (losses, target, refusals)} for a mean-zero Gaussian
@@ -142,7 +157,9 @@ def replicate_losses(methods, sigma, n: int, replicates: int, seed: int,
     every pass is drawn from ``replicate_rng(seed, r)``, so all methods see
     the same data.  Every method is scored by its STACKED_ESTIMATORS kernel
     a chunk at a time, and its losses are the same bits as the per-replicate
-    estimator's.
+    estimator's.  ``threads`` sizes each pass's replicate loop; None, the
+    default, chooses it from the size of one replicate's draw
+    (``_rng.replicate_threads``), and no loss depends on it.
     """
     if isinstance(methods, str):
         raise TypeError(f"methods must be a sequence of tags, got the string {methods!r}")
@@ -176,11 +193,12 @@ def replicate_losses(methods, sigma, n: int, replicates: int, seed: int,
 
 
 def monte_carlo_risks(methods, sigma, n: int, replicates: int, seed: int,
-                      threads: int = 1) -> dict:
+                      threads: int | None = None) -> dict:
     """{method: RiskEstimate}, every method scored on the same replicate draws.
 
     Mean and standard error of the Stein loss over Wishart-data replicates,
-    deterministic given ``seed`` regardless of ``threads``.  Individual
+    deterministic given ``seed`` regardless of ``threads`` (None, the
+    default, chooses the count as ``replicate_losses`` does).  Individual
     replicate failures (singular shrinkage and the like) are tolerated up to
     1 percent of the run; beyond that the whole call aborts, since a mean
     over a heavily censored sample is not the risk.
@@ -209,6 +227,6 @@ def monte_carlo_risks(methods, sigma, n: int, replicates: int, seed: int,
 
 
 def monte_carlo_risk(method: str, sigma, n: int, replicates: int, seed: int,
-                     threads: int = 1) -> RiskEstimate:
+                     threads: int | None = None) -> RiskEstimate:
     """Mean and standard error of one method's Stein loss; see ``monte_carlo_risks``."""
     return monte_carlo_risks((method,), sigma, n, replicates, seed, threads)[method]

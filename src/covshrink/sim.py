@@ -13,6 +13,10 @@ esd_fit_experiment
 risk_comparison_experiment
     Monte Carlo Stein-loss risks of all four estimators next to the three
     closed-form minima.
+
+Each takes ``threads``, the thread count of its replicate loop; None, the
+default, chooses it from the size of one replicate's draw
+(``_rng.replicate_threads``).  No result depends on it.
 """
 
 import math
@@ -161,7 +165,8 @@ def _report(config: ExperimentConfig, metrics: dict, rows: list, failures: int,
                             failures=failures, wall_clock=time.perf_counter() - start)
 
 
-def eigenvalue_recovery_experiment(config: ExperimentConfig, threads: int = 1) -> ExperimentReport:
+def eigenvalue_recovery_experiment(config: ExperimentConfig,
+                                   threads: int | None = None) -> ExperimentReport:
     """Compare shrunk and raw spectra against the true population eigenvalues.
 
     Per replicate: draw mean-zero Gaussian data, form the uncentered S, and
@@ -216,7 +221,7 @@ def eigenvalue_recovery_experiment(config: ExperimentConfig, threads: int = 1) -
     return _report(config, metrics, rows, failures, start)
 
 
-def esd_fit_experiment(config: ExperimentConfig, threads: int = 1) -> ExperimentReport:
+def esd_fit_experiment(config: ExperimentConfig, threads: int | None = None) -> ExperimentReport:
     """Kolmogorov-Smirnov fit of the sample spectrum to the MP law at c = p/n."""
     if config.model.variant != "identity":
         raise ConfigError("the spectral-fit experiment is defined for the identity population")
@@ -236,7 +241,8 @@ def esd_fit_experiment(config: ExperimentConfig, threads: int = 1) -> Experiment
     return _report(config, metrics, rows, 0, start)
 
 
-def risk_comparison_experiment(config: ExperimentConfig, threads: int = 1) -> ExperimentReport:
+def risk_comparison_experiment(config: ExperimentConfig,
+                               threads: int | None = None) -> ExperimentReport:
     """Monte Carlo risks for the chosen estimators plus the closed-form minima.
 
     Every method is scored on the same replicate draws.  The pivot

@@ -883,6 +883,48 @@ class TestDeterminism:
         assert doc1.results["metrics"] != doc2.results["metrics"]
 
 
+class TestDefaultThreads:
+    # one replicate's draw holds 1024 * 256 = 2**18 values, where the default draws ahead
+    ESD = ["--seed", "5", "simulate", "--experiment", "esd", "--n", "1024", "--p", "256",
+           "--replicates", "3"]
+
+    def test_default_gives_the_one_thread_report(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(_rng, "_usable_cpus", lambda: 2)
+        default = run_json(tmp_path, self.ESD)
+        one = run_json(tmp_path, ["--threads", "1"] + self.ESD)
+        assert strip_volatile(default) == strip_volatile(one)
+        assert default.timestamps["replicate_threads"] == 2
+        assert one.timestamps["replicate_threads"] == 1
+
+    @pytest.mark.parametrize("argv, threads", [
+        (["risk", "--n", "50", "--p", "10", "--monte-carlo", "--replicates", "100"], 1),
+        (["--threads", "3", "risk", "--n", "50", "--p", "10", "--monte-carlo",
+          "--replicates", "100"], 3),
+        (["power", "--n", "400", "--p", "5", "--delta", "2,0,0,0,0", "--replicates", "50"], 1),
+        (["simulate", "--experiment", "recovery", "--n", "40", "--p", "8",
+          "--replicates", "5"], 1),
+        (["risk", "--n", "50", "--p", "10", "--closed-form"], None),
+        (["--format", "json", "mp", "--c", "0.5"], None),
+    ], ids=["risk", "risk-t3", "power", "simulate", "closed-form", "mp"])
+    def test_reports_carry_the_replicate_loops_thread_count(self, tmp_path, monkeypatch, argv,
+                                                            threads):
+        monkeypatch.setattr(_rng, "_usable_cpus", lambda: 2)
+        doc = run_json(tmp_path, argv)
+        assert doc.timestamps.get("replicate_threads") == threads
+        assert set(doc.timestamps) - {"replicate_threads"} == {"started", "finished"}
+
+    @pytest.mark.parametrize("threads", ["0", "-3", "1000"])
+    def test_a_count_out_of_range_is_2_before_any_thread_starts(self, capsys, monkeypatch,
+                                                                threads):
+        def no_pool(*args, **kwargs):
+            raise AssertionError("a thread pool was constructed")
+
+        monkeypatch.setattr(_rng, "_usable_cpus", lambda: 2)
+        monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", no_pool)
+        assert run_cli(["--threads", threads] + self.ESD) == 2
+        assert f"need 1 to 64 threads, got {threads}" in capsys.readouterr().err
+
+
 class TestOneBlasThread:
     def test_a_blas_without_a_setter_is_left_alone(self, monkeypatch):
         opened = []

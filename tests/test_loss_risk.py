@@ -146,6 +146,21 @@ class TestMinRisk:
         expected = float(np.sum(np.log([12.0, 10.0, 8.0]) - elog_chisq(10 - i + 1)))
         assert_allclose(min_risk("stein", 10, 3), expected, rtol=1e-12)
 
+    @pytest.mark.parametrize("n", [50, 10 ** 6, 10 ** 9, 10 ** 12])
+    @pytest.mark.parametrize("kind", ["ml", "stein", "dp"])
+    def test_matches_a_50_digit_reference_at_any_n(self, kind, n):
+        # each summand log d_i - E[log chi2_{n-i+1}] is about p/n, a difference
+        # of two numbers near log n; the bound is 9 eps relative to the sum
+        mpmath = pytest.importorskip("mpmath")
+        p = 10
+        with mpmath.workdps(50):
+            ref = mpmath.fsum(
+                mpmath.log({"ml": n, "stein": n + p - 2 * i + 1, "dp": n - i + 1}[kind])
+                - mpmath.log(2) - mpmath.digamma(mpmath.mpf(n - i + 1) / 2)
+                for i in range(1, p + 1))
+            err = abs((mpmath.mpf(min_risk(kind, n, p)) - ref) / ref)
+        assert err <= 2e-15
+
     def test_domain_and_kind(self):
         with pytest.raises(ValueError):
             min_risk("ml", 3, 4)

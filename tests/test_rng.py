@@ -115,3 +115,49 @@ class TestReplicateCounts:
             assert run_chunks(score_chunk, 8, chol, 10, 100, threads) == serial
             assert seen == [(start, threading.get_ident()) for start in range(0, 100, 7)]
             seen.clear()
+
+
+class TestDefaultThreadCount:
+    """threads=None draws ahead on a worker exactly when n*p >= 2**18 and 2 CPUs are usable."""
+
+    @staticmethod
+    def drawing_threads(monkeypatch, cpus, n, p, threads=None):
+        """(outcomes, refusals) of a three-replicate loop, and the threads that drew its chunks."""
+        monkeypatch.setattr(_rng, "_usable_cpus", lambda: cpus)
+        drawn_on, draw = [], _rng.draw_chunk
+
+        def recorded(*args):
+            drawn_on.append(threading.get_ident())
+            return draw(*args)
+
+        monkeypatch.setattr(_rng, "draw_chunk", recorded)
+        out = run_chunks(lambda start, x: (x.sum(axis=(1, 2)).tolist(), [None] * len(x)),
+                         12, np.eye(p), n, 3, threads)
+        return out, set(drawn_on)
+
+    @pytest.mark.parametrize("n, p", [(1023, 256), (2 ** 18 - 1, 1), (1024, 256), (2 ** 18, 1)])
+    @pytest.mark.parametrize("cpus", [1, 2])
+    def test_a_worker_draws_from_two_mib_on_two_cpus(self, monkeypatch, cpus, n, p):
+        assert chunk_replicates(n, p) == 1
+        serial, on = self.drawing_threads(monkeypatch, cpus, n, p, threads=1)
+        assert on == {threading.get_ident()}
+        default, on = self.drawing_threads(monkeypatch, cpus, n, p)
+        ahead = n * p >= 2 ** 18 and cpus >= 2
+        assert _rng.replicate_threads(None, n, p) == (2 if ahead else 1)
+        assert (threading.get_ident() not in on) == ahead and len(on) == 1
+        assert default == serial and len(serial[0]) == 3
+
+    def test_an_explicit_count_is_kept_above_the_threshold(self, monkeypatch):
+        _, on = self.drawing_threads(monkeypatch, 2, 1024, 256, threads=1)
+        assert on == {threading.get_ident()}
+        assert _rng.replicate_threads(1, 1024, 256) == 1
+        assert _rng.replicate_threads(3, 10, 5) == 3
+
+    def test_usable_cpus_falls_back_to_the_machines_count(self, monkeypatch):
+        monkeypatch.setattr(_rng.os, "sched_getaffinity", lambda pid: {0, 3, 5}, raising=False)
+        assert _rng._usable_cpus() == 3
+        monkeypatch.delattr(_rng.os, "sched_getaffinity")
+        monkeypatch.setattr(_rng.os, "cpu_count", lambda: 4)
+        assert _rng._usable_cpus() == 4
+        monkeypatch.setattr(_rng.os, "cpu_count", lambda: None)
+        assert _rng._usable_cpus() == 1
