@@ -26,7 +26,6 @@ from .matrix_core import (
 )
 from .estimators import (
     CovarianceEstimate,
-    ScatterMatrix,
     ShrinkageTable,
     dp_equivariant,
     sample_covariance,
@@ -88,7 +87,6 @@ __all__ = [
     "schur_pivots",
     "spectral_decompose",
     "CovarianceEstimate",
-    "ScatterMatrix",
     "ShrinkageTable",
     "dp_equivariant",
     "sample_covariance",

@@ -47,8 +47,8 @@ class ShrinkageSingularityError(CovshrinkError):
 class NumericError(CovshrinkError):
     """A numerical result is unusable.
 
-    Raised by ``check_failures`` when too many Monte Carlo replicates fail,
-    and for data whose scatter or sample mean overflows the float64 range.
+    Raised when too many Monte Carlo replicates fail, and for a scatter,
+    mean, estimate or shrinkage denominator beyond the float64 range.
     """
 
 

@@ -22,7 +22,8 @@ stack of scatters and their degrees of freedom.  A kernel returns the k
 estimates and each one's refusal: the CovshrinkError that estimate earns,
 or None.  The public functions are the k = 1 case and raise that refusal;
 ``STACKED_ESTIMATORS`` hands the kernels to the Monte Carlo loops, which
-score every estimator a chunk of replicates at a time.
+score every estimator a chunk of replicates at a time, and ``centered_stack``
+centers a stack once for the estimators and the mean tests alike.
 """
 
 from dataclasses import dataclass
@@ -65,39 +66,14 @@ def as_data_matrix(x) -> np.ndarray:
     return a
 
 
-@dataclass(frozen=True)
-class ScatterMatrix:
-    """Cross-product matrix A with its sample count and centering flag.
-
-    ``dof`` is the Wishart degrees of freedom: n for raw cross products,
-    n - 1 once the sample mean has been subtracted.
-    """
-
-    matrix: np.ndarray
-    n: int
-    centered: bool
-
-    @property
-    def p(self) -> int:
-        return self.matrix.shape[0]
-
-    @property
-    def dof(self) -> int:
-        return self.n - 1 if self.centered else self.n
-
-
-def scatter_matrix(x, centered: bool = False) -> ScatterMatrix:
-    """Sum of outer products of the rows, optionally after mean subtraction.
+def scatter_matrix(x, centered: bool = False) -> np.ndarray:
+    """The (p, p) sum of outer products of the rows, after mean subtraction when centered.
 
     Finite data whose mean or cross products overflow is refused with
     NumericError, and numpy prints no warning for it.
     """
-    a = as_data_matrix(x)
-    if centered:
-        with np.errstate(over="ignore", invalid="ignore"):
-            a = a - a.mean(axis=0)
-    return ScatterMatrix(matrix=unrefused(*scatter_stack(a[None]))[0], n=a.shape[0],
-                         centered=centered)
+    a = as_data_matrix(x)[None]
+    return unrefused(*(centered_stack(a)[1:] if centered else scatter_stack(a)))[0]
 
 
 def scatter_stack(x: np.ndarray) -> tuple[np.ndarray, list]:
@@ -105,7 +81,7 @@ def scatter_stack(x: np.ndarray) -> tuple[np.ndarray, list]:
 
     A scatter that is not finite, because the data's cross products exceed
     the float64 range, is refused with NumericError and replaced by the
-    identity, a placeholder.  ``scatter_matrix`` is the k = 1 case.
+    identity, a placeholder.
     """
     if x.shape[1] < 2:
         raise ValueError(f"need at least 2 observations, got {x.shape[1]}")
@@ -117,6 +93,17 @@ def scatter_stack(x: np.ndarray) -> tuple[np.ndarray, list]:
                             "the float64 range") if b else None for b in bad.tolist()]
 
 
+def centered_stack(x: np.ndarray) -> tuple[np.ndarray, np.ndarray, list]:
+    """Sample means (k, p) and centered scatters (k, p, p) of a (k, n, p) stack, and each refusal.
+
+    A slice whose mean, centered data or scatter overflowed has a scatter
+    that is not finite, which ``scatter_stack`` refuses.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):
+        xbar = x.mean(axis=1)
+        return (xbar, *scatter_stack(x - xbar[:, None, :]))
+
+
 @dataclass(frozen=True)
 class ShrinkageTable:
     """Paired sample and shrunk eigenvalues with the shrinkage denominators."""
@@ -124,11 +111,6 @@ class ShrinkageTable:
     sample_eigenvalues: np.ndarray
     shrunk_eigenvalues: np.ndarray
     denominators: np.ndarray
-
-    def __post_init__(self):
-        p = self.sample_eigenvalues.shape[0]
-        if self.shrunk_eigenvalues.shape[0] != p or self.denominators.shape[0] != p:
-            raise ValueError("shrinkage table vectors must share one length")
 
 
 @dataclass(frozen=True)
@@ -151,9 +133,11 @@ class CovarianceEstimate:
     target: str = "sigma"
 
 
-def _require_dof(dof: int, p: int) -> None:
-    if dof < p:
-        raise ValueError(f"need degrees of freedom >= dimension, got {dof} < {p}")
+def _factors(a: np.ndarray, dof: int) -> tuple[np.ndarray, list]:
+    """Cholesky factors of a (k, p, p) stack of scatters with dof >= p, and each refusal."""
+    if dof < a.shape[1]:
+        raise ValueError(f"need degrees of freedom >= dimension, got {dof} < {a.shape[1]}")
+    return cholesky_stack(a)
 
 
 def _sample(a: np.ndarray, dof: int) -> tuple[np.ndarray, list]:
@@ -163,31 +147,39 @@ def _sample(a: np.ndarray, dof: int) -> tuple[np.ndarray, list]:
 
 def _triangular(a: np.ndarray, dof: int) -> tuple[np.ndarray, list]:
     """Kernel of the triangular estimator T diag(1/d) T', T the Cholesky factor."""
-    p = a.shape[1]
-    _require_dof(dof, p)
-    t, errors = cholesky_stack(a)
-    return symmetric_part((t / CLASS_DIVISORS["stein"](dof, p)) @ t.swapaxes(1, 2)), errors
+    t, errors = _factors(a, dof)
+    return symmetric_part((t / CLASS_DIVISORS["stein"](dof, a.shape[1])) @ t.swapaxes(1, 2)), errors
 
 
 def _pivot(a: np.ndarray, dof: int) -> tuple[np.ndarray, list]:
     """Kernel of the pivot estimator diag(pivot_i / d_i), the pivots t_ii^2."""
-    p = a.shape[1]
-    _require_dof(dof, p)
-    t, errors = cholesky_stack(a)
+    t, errors = _factors(a, dof)
     est = np.zeros(t.shape)
-    idx = np.arange(p)
-    est[:, idx, idx] = np.diagonal(t, axis1=1, axis2=2) ** 2 / CLASS_DIVISORS["dp"](dof, p)
+    idx = np.arange(a.shape[1])
+    est[:, idx, idx] = np.diagonal(t, axis1=1, axis2=2) ** 2 / CLASS_DIVISORS["dp"](dof, len(idx))
     return est, errors
+
+
+def _target(method: str, sig: np.ndarray, chol_sig: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(target, its Cholesky factor) of estimator ``method`` for sigma with factor chol_sig:
+    sigma itself for every kernel but ``_pivot``, whose target is the Schur pivot diagonal
+    diag(t^2), t the diagonal of sigma's factor; its factor is diag(t) bit for bit, as
+    sqrt(fl(t^2)) = t."""
+    if STACKED_ESTIMATORS[method] is not _pivot:
+        return sig, chol_sig
+    t = np.diag(np.diag(chol_sig))
+    return t * t, t
 
 
 def _declined(l: np.ndarray, d: np.ndarray, n: int) -> np.ndarray:
     """Which descending spectra l (k, p), with denominators d, the shrinker's guard turns down.
 
-    Those with a non-positive l_p, a neighbour gap below TIE_GAP or some d_i
-    at or below DENOM_GUARD * n; all of them when n < p, a usage error.
+    Those with a non-positive l_p, a tie (``tie_gap`` below TIE_GAP), or
+    some d_i not finite or at or below DENOM_GUARD * n; all of them when
+    n < p, a usage error.
     """
-    bad = (l[:, -1] <= 0.0) | (np.diff(l, axis=1) > -TIE_GAP).any(axis=1)
-    return bad | (d <= DENOM_GUARD * n).any(axis=1) | (n < l.shape[1])
+    bad = (l[:, -1] <= 0.0) | (tie_gap(l) < TIE_GAP) | (n < l.shape[1])
+    return bad | (~np.isfinite(d) | (d <= DENOM_GUARD * n)).any(axis=1)
 
 
 def shrunk_spectra(w: np.ndarray, n: int, errors: list) -> tuple[np.ndarray, np.ndarray]:
@@ -218,6 +210,46 @@ def _tsai(s: np.ndarray, n: int) -> tuple:
     return symmetric_part((u * psi[:, None, :]) @ u.swapaxes(1, 2)), errors, w, psi, d
 
 
+def _headroom(a: np.ndarray, power: int, terms: int) -> int:
+    """The least e >= 0 with terms * (2**-e max|a|)**power below 2**1022; 0 for a not finite.
+
+    So a times 2**-e keeps a sum of ``terms`` such powers of its entries
+    finite, and a is not scaled at all unless that sum could overflow.
+    """
+    top = int(np.frexp(np.abs(a).max())[1])
+    return max(0, top - (1022 - int(terms).bit_length()) // power)
+
+
+def _scaled_back(e: int, *arrays: np.ndarray) -> list:
+    """Each array times 2**e; NumericError when some entry leaves the float64 range."""
+    with np.errstate(over="ignore"):
+        out = [np.ldexp(a, e) for a in arrays]
+    if not all(np.isfinite(a).all() for a in out):
+        raise NumericError("the estimate overflowed: its entries exceed the float64 range")
+    return out
+
+
+def _from_data(method: str, x, centered: bool, divisors: str | None = None) -> CovarianceEstimate:
+    """Estimator ``method`` on an (n, p) sample, the k = 1 case of its STACKED_ESTIMATORS kernel.
+
+    Every estimator is homogeneous of degree one in the scatter, so where
+    that of x could overflow it is formed from x times a power of two 2**-e,
+    and the estimate scaled back by 2**2e: outside the subnormal range, the
+    unscaled bits.  ``divisors`` names the CLASS_DIVISORS entry the report
+    lists; the degrees of freedom when None.
+    """
+    a = as_data_matrix(x)
+    n, p = a.shape
+    e = _headroom(a, 2, 4 * n)  # a centered entry is at most 2 max|x|
+    dof = n - 1 if centered else n
+    kernel = STACKED_ESTIMATORS[method]
+    est = unrefused(*kernel(scatter_matrix(np.ldexp(a, -e), centered)[None], dof))
+    return CovarianceEstimate(
+        matrix=_scaled_back(2 * e, est[0])[0], method=method, n=n, p=p,
+        divisor=dof if divisors is None else CLASS_DIVISORS[divisors](dof, p).tolist(),
+        target="sigma_star" if kernel is _pivot else "sigma")
+
+
 def sample_covariance(x, centered: bool = True) -> CovarianceEstimate:
     """Sample covariance of an (n, p) data matrix: its scatter over the degrees of freedom.
 
@@ -225,12 +257,10 @@ def sample_covariance(x, centered: bool = True) -> CovarianceEstimate:
     estimator; uncentered, S = (1/n) sum x_i x_i', the mean-zero maximum
     likelihood estimator.
 
-    Never fails on finite input whose scatter is finite; a rank-deficient S
-    is left for consumers that actually need to invert it.
+    Never fails on finite input whose S is finite; a rank-deficient S is
+    left for consumers that actually need to invert it.
     """
-    sc = scatter_matrix(x, centered)
-    return CovarianceEstimate(matrix=unrefused(*_sample(sc.matrix[None], sc.dof))[0],
-                              method="sample", n=sc.n, p=sc.p, divisor=sc.dof)
+    return _from_data("sample", x, centered)
 
 
 def stein_triangular(x, centered: bool = True) -> CovarianceEstimate:
@@ -239,10 +269,7 @@ def stein_triangular(x, centered: bool = True) -> CovarianceEstimate:
     T is the Cholesky factor of the data's scatter and m its degrees of
     freedom.
     """
-    sc = scatter_matrix(x, centered)
-    return CovarianceEstimate(matrix=unrefused(*_triangular(sc.matrix[None], sc.dof))[0],
-                              method="stein_triangular", n=sc.n, p=sc.p,
-                              divisor=CLASS_DIVISORS["stein"](sc.dof, sc.p).tolist())
+    return _from_data("stein_triangular", x, centered, "stein")
 
 
 def dp_equivariant(x, centered: bool = True) -> CovarianceEstimate:
@@ -252,20 +279,16 @@ def dp_equivariant(x, centered: bool = True) -> CovarianceEstimate:
     Estimates the Schur pivot diagonal of sigma (the target in the
     successively transformed coordinates), not sigma itself.
     """
-    sc = scatter_matrix(x, centered)
-    return CovarianceEstimate(matrix=unrefused(*_pivot(sc.matrix[None], sc.dof))[0],
-                              method="dp_equivariant", n=sc.n, p=sc.p,
-                              divisor=CLASS_DIVISORS["dp"](sc.dof, sc.p).tolist(),
-                              target="sigma_star")
+    return _from_data("dp_equivariant", x, centered, "dp")
 
 
-@np.errstate(divide="ignore", invalid="ignore")  # a tie divides by zero
+@np.errstate(divide="ignore", over="ignore", invalid="ignore")  # a tie divides by zero
 def shrinkage_terms(l, n: int) -> tuple[np.ndarray, np.ndarray]:
     """Raw shrinkage arithmetic without the positivity guard, along the last axis of l.
 
     Returns (psi, d) with d_i = n - p + 1 - l_i * sum_{j != i} 1/(l_j - l_i)
     and psi_i = n l_i / d_i.  Denominators can be arbitrarily small or
-    negative for clustered eigenvalues, not finite for tied ones; use
+    negative for clustered eigenvalues, not finite for tied or tiny ones; use
     tsai_eigenvalues for the guarded contract, and this to observe the breakdown.
     """
     lv = np.asarray(l, dtype=float)
@@ -300,7 +323,9 @@ def tsai_eigenvalues(l, n: int) -> ShrinkageTable:
     ValueError
         When p > n, or l is not descending.
     EigenvalueTieError
-        When two neighbouring eigenvalues are equal or within 1e-12.
+        When two neighbouring eigenvalues are within 1e-12 of the largest.
+    NumericError
+        When some denominator is not finite: the gaps' reciprocals overflow.
     ShrinkageSingularityError
         When some denominator is at or below 1e-10 * n.  This signals
         clustered eigenvalues; the shrinkage value would be a negative or
@@ -316,11 +341,14 @@ def tsai_eigenvalues(l, n: int) -> ShrinkageTable:
     if n < p:
         raise ValueError(f"sample count {n} below dimension {p}")
     gap = tie_gap(lv)
-    if gap is not None:
-        if gap < 0.0:
-            raise ValueError("eigenvalues must be in descending order")
-        raise EigenvalueTieError(f"minimum eigenvalue gap {gap:.3e} below {TIE_GAP:.0e}")
+    if gap < 0.0:
+        raise ValueError("eigenvalues must be in descending order")
+    if gap < TIE_GAP:
+        raise EigenvalueTieError(f"minimum relative eigenvalue gap {gap:.3e} below {TIE_GAP:.0e}")
     psi, d = shrinkage_terms(lv, n)
+    if not np.isfinite(d).all():
+        raise NumericError("the shrinkage denominators are not finite: the reciprocals of the "
+                           "eigenvalue gaps overflow")
     guard = DENOM_GUARD * n
     bad = np.nonzero(d <= guard)[0]
     if bad.size:
@@ -344,26 +372,23 @@ def tsai_estimator(s, n: int | None = None) -> CovarianceEstimate:
         Effective sample count for the shrinkage.  Defaults to the divisor
         recorded on ``s`` (n for the uncentered convention, n - 1 for the
         centered one); required when ``s`` is a bare matrix.
+
+    The estimate is homogeneous of degree one in S, so where n psi_i could
+    overflow it is taken from S times a power of two and scaled back, as
+    ``_from_data`` does with the data.  An estimate beyond the float64 range
+    is refused with NumericError.
     """
+    n_obs = n
     if isinstance(s, CovarianceEstimate):
-        matrix = s.matrix
-        n_obs = s.n
-        if n is None:
-            n = int(s.divisor)
-    else:
-        matrix = np.asarray(s, dtype=float)
-        n_obs = n
-        if n is None:
-            raise ValueError("n is required when s is a bare matrix")
-    est, errors, w, psi, d = _tsai(square_matrix(matrix)[None], n)
-    return CovarianceEstimate(
-        matrix=unrefused(est, errors)[0],
-        method="tsai",
-        n=int(n_obs),
-        p=matrix.shape[0],
-        divisor=int(n),
-        shrinkage=ShrinkageTable(w[0], psi[0], d[0]),
-    )
+        s, n_obs, n = s.matrix, s.n, int(s.divisor) if n is None else n
+    elif n is None:
+        raise ValueError("n is required when s is a bare matrix")
+    m = square_matrix(s)
+    e = _headroom(m, 1, n * m.shape[0])  # n l_i, with l_i up to p max|S|
+    est, errors, w, psi, d = _tsai(np.ldexp(m, -e)[None], n)
+    est, w, psi = _scaled_back(e, unrefused(est, errors)[0], w[0], psi[0])
+    return CovarianceEstimate(matrix=est, method="tsai", n=int(n_obs), p=m.shape[0],
+                              divisor=int(n), shrinkage=ShrinkageTable(w, psi, d[0]))
 
 
 # method tag -> estimator(x, centered) on an (n, p) data matrix; centered
@@ -378,7 +403,8 @@ ESTIMATORS = {
 
 # method tag -> its kernel(scatters, dof); for a (k, n, p) stack x, slice j of
 # kernel(scatter_stack(x)[0], n) is ESTIMATORS[tag](x[j], False).matrix bit for
-# bit, and its refusal is the CovshrinkError that estimator raises, or None
+# bit, and its refusal is the CovshrinkError that estimator raises, or None;
+# where the scatter overflows, the estimator alone scales it into range
 STACKED_ESTIMATORS = {
     "sample": _sample,
     "stein_triangular": _triangular,

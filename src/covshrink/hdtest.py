@@ -23,7 +23,7 @@ import numpy as np
 
 from ._rng import check_failures, run_chunks
 from .errors import NotPositiveDefiniteError, NumericError
-from .estimators import STACKED_ESTIMATORS, as_data_matrix, scatter_stack, shrunk_spectra
+from .estimators import STACKED_ESTIMATORS, as_data_matrix, centered_stack, shrunk_spectra
 from .matrix_core import cholesky, cholesky_stack, eigh_stack, first_refusals, unrefused
 
 RATES = ("hdim", "classical")
@@ -52,16 +52,11 @@ def _mahalanobis_sq(t: np.ndarray, xbar: np.ndarray) -> np.ndarray:
 
 
 def _centered(x: np.ndarray) -> tuple[np.ndarray, np.ndarray, list]:
-    """Sample means (k, p), centered covariances (k, p, p) and each refusal for a (k, n, p) stack.
-
-    A slice whose mean, centered data or scatter overflowed has a scatter
-    that is not finite, which ``scatter_stack`` refuses with NumericError.
-    """
+    """Sample means (k, p), centered covariances (k, p, p) and ``centered_stack``'s refusals."""
     n, p = x.shape[1:]
     if n < p + 1:
         raise ValueError(f"need n >= p + 1 for an invertible centered covariance, got n={n}, p={p}")
-    xbar = x.mean(axis=1)
-    scatters, errors = scatter_stack(x - xbar[:, None, :])
+    xbar, scatters, errors = centered_stack(x)
     return xbar, STACKED_ESTIMATORS["sample"](scatters, n - 1)[0], errors
 
 

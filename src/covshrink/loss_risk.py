@@ -10,7 +10,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._rng import aggregate, check_failures, run_chunks
-from .estimators import CLASS_DIVISORS, STACKED_ESTIMATORS, scatter_stack
+from .estimators import CLASS_DIVISORS, STACKED_ESTIMATORS, _target, scatter_stack
 from .matrix_core import cholesky, cholesky_stack, first_refusals
 
 RISK_KINDS = tuple(CLASS_DIVISORS)
@@ -130,16 +130,6 @@ class RiskEstimate:
             raise ValueError("risk estimates need at least 2 completed replicates")
         if self.std_error < 0.0:
             raise ValueError("standard error cannot be negative")
-
-
-def _target(method: str, sig: np.ndarray, chol_sig: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(target, its Cholesky factor): sigma itself for every method but the pivot
-    estimator, whose target is the Schur pivot diagonal diag(t^2), t the diagonal
-    of sigma's factor; its factor is diag(t) bit for bit, as sqrt(fl(t^2)) = t."""
-    if method == "dp_equivariant":
-        t = np.diag(np.diag(chol_sig))
-        return t * t, t
-    return sig, chol_sig
 
 
 def replicate_losses(methods, sigma, n: int, replicates: int, seed: int,

@@ -16,7 +16,7 @@ from .errors import (
 )
 
 SYM_RTOL = 1e-12
-TIE_GAP = 1e-12
+TIE_GAP = 1e-12  # relative to the spectrum's largest magnitude
 SIGN_EPS = 1e-12
 
 # OpenBLAS's thread-count setters, in the spellings of its builds: NumPy's
@@ -105,24 +105,14 @@ def square_matrix(m) -> np.ndarray:
     return a
 
 
-def _square_stack(m) -> np.ndarray:
-    a = np.asarray(m, dtype=float)
-    if a.ndim != 3 or a.shape[1] != a.shape[2]:
-        raise AsymmetricInputError(f"expected a stack of square matrices, got shape {a.shape}")
-    return a
+def tie_gap(values: np.ndarray) -> np.ndarray:
+    """Smallest neighbour gap of each descending vector (last axis) over its largest magnitude.
 
-
-def tie_gap(values: np.ndarray):
-    """The smallest neighbour gap of a descending vector when it is below TIE_GAP, else None.
-
-    A gap at or below zero, where the vector is not strictly descending,
-    counts as a tie too.  ``estimators._declined`` applies the same
-    predicate to each spectrum of a stack.
+    Scale-free, and inf for a single value.  A vector is tied where it is
+    below TIE_GAP, and not strictly descending where it is at or below zero.
     """
-    if values.shape[0] < 2:
-        return None
-    gap = np.min(values[:-1] - values[1:])
-    return gap if gap < TIE_GAP else None
+    scale = np.maximum(np.abs(values).max(axis=-1), np.finfo(float).tiny)
+    return np.min(values[..., :-1] - values[..., 1:], axis=-1, initial=np.inf) / scale
 
 
 @dataclass(frozen=True)
@@ -130,9 +120,9 @@ class SpectralDecomp:
     """Eigenvalues in descending order with sign-canonical eigenvectors.
 
     ``eigenvalues[i]`` pairs with column ``eigenvectors[:, i]``.  ``tied`` is
-    set when some eigenvalue gap is below TIE_GAP; gap-dividing consumers
-    (the eigenvalue shrinker) must treat that as a hard error, everything
-    else can ignore it.
+    set when ``tie_gap`` is below TIE_GAP; gap-dividing consumers (the
+    eigenvalue shrinker) must treat that as a hard error, everything else
+    can ignore it.
     """
 
     eigenvalues: np.ndarray
@@ -159,8 +149,8 @@ def _canonical_signs(vectors: np.ndarray) -> np.ndarray:
     return v
 
 
-def eigh_stack(m) -> tuple[np.ndarray, np.ndarray, list]:
-    """Descending eigenvalues and their eigenvectors for a (k, p, p) stack, and each refusal.
+def eigh_stack(m: np.ndarray) -> tuple[np.ndarray, np.ndarray, list]:
+    """Descending eigenvalues and their eigenvectors for a (k, p, p) float stack, and each refusal.
 
     ``w[j, i]`` pairs with column ``v[j, :, i]``.  ``errors[j]`` is the
     AsymmetricInputError that matrix j earns, or None; a refused matrix is
@@ -168,7 +158,7 @@ def eigh_stack(m) -> tuple[np.ndarray, np.ndarray, list]:
     the stack, so an eigenvalue iteration that fails raises
     DecompositionError for all of it.
     """
-    sym, errors = _symmetrize(_square_stack(m))
+    sym, errors = _symmetrize(m)
     try:
         w, v = np.linalg.eigh(sym)
     except np.linalg.LinAlgError as exc:
@@ -194,12 +184,12 @@ def spectral_decompose(m) -> SpectralDecomp:
     -------
     SpectralDecomp
         Descending eigenvalues, orthonormal sign-canonical eigenvectors, and
-        a tie flag for gaps below 1e-12.
+        a tie flag for gaps below 1e-12 relative to the largest magnitude.
     """
     w, v, errors = eigh_stack(square_matrix(m)[None])
     unrefused(w, errors)
     return SpectralDecomp(eigenvalues=w[0], eigenvectors=_canonical_signs(v[0]),
-                          tied=tie_gap(w[0]) is not None)
+                          tied=bool(tie_gap(w[0]) < TIE_GAP))
 
 
 def _first_failing_minor(a: np.ndarray) -> int:
@@ -220,8 +210,8 @@ def _first_failing_minor(a: np.ndarray) -> int:
     return bad
 
 
-def cholesky_stack(m) -> tuple[np.ndarray, list]:
-    """Lower Cholesky factors of a (k, p, p) stack, and each matrix's refusal.
+def cholesky_stack(m: np.ndarray) -> tuple[np.ndarray, list]:
+    """Lower Cholesky factors of a (k, p, p) float stack, and each matrix's refusal.
 
     ``errors[j]`` is the error ``cholesky`` raises for matrix j, or None;
     a refused matrix gets the identity as a placeholder factor so stacked
@@ -229,7 +219,7 @@ def cholesky_stack(m) -> tuple[np.ndarray, list]:
     the stack; only when it refuses is each matrix factored alone, to find
     which ones failed and at which leading minor.
     """
-    sym, errors = _symmetrize(_square_stack(m))
+    sym, errors = _symmetrize(m)
     p = sym.shape[1]
     try:
         return np.linalg.cholesky(sym), errors

@@ -7,6 +7,7 @@ from numpy.testing import assert_allclose
 from covshrink import (
     EigenvalueTieError,
     NotPositiveDefiniteError,
+    NumericError,
     ShrinkageSingularityError,
     dp_equivariant,
     sample_covariance,
@@ -77,15 +78,17 @@ class TestSampleCovariance:
 
 class TestScatterMatrix:
     def test_dof_convention(self):
+        # the centered scatter is S times n - 1, the uncentered one S times n
         x = np.random.default_rng(0).standard_normal((10, 2))
-        assert scatter_matrix(x, centered=True).dof == 9
-        assert scatter_matrix(x, centered=False).dof == 10
+        assert_allclose(scatter_matrix(x, centered=True), 9 * sample_covariance(x, True).matrix)
+        assert_allclose(scatter_matrix(x, centered=False), 10 * sample_covariance(x, False).matrix)
 
     def test_scatter_is_n_times_uncentered_cov(self):
         x = np.random.default_rng(1).standard_normal((12, 3))
         sc = scatter_matrix(x, centered=False)
         est = sample_covariance(x, centered=False)
-        assert_allclose(sc.matrix, 12 * est.matrix)
+        assert sc.shape == (3, 3)
+        assert_allclose(sc, 12 * est.matrix)
 
 
 class TestSteinTriangular:
@@ -220,7 +223,7 @@ class TestShrunkSpectra:
         scatter[1] = 20.0 * np.diag([3.0, 2.0, 2.0])
         est, errors = STACKED_ESTIMATORS["tsai"](scatter, 20)
         assert type(errors[1]) is EigenvalueTieError
-        assert str(errors[1]) == "minimum eigenvalue gap 0.000e+00 below 1e-12"
+        assert str(errors[1]) == "minimum relative eigenvalue gap 0.000e+00 below 1e-12"
         for j in (0, 2, 3):
             assert errors[j] is None
             assert np.array_equal(est[j], tsai_estimator(scatter[j] / 20, n=20).matrix)
@@ -295,6 +298,57 @@ class TestTsaiEstimator:
         assert_allclose(
             np.linalg.norm(est.matrix - s, "fro"), np.linalg.norm(psi - l), rtol=1e-9
         )
+
+
+# the README's sample: spikes 3, 2 over three unit variances
+README_X = np.random.default_rng(0).standard_normal((200, 5)) @ np.diag([3, 2, 1, 1, 1]) ** 0.5
+
+
+@pytest.mark.parametrize("k", [-40, -20, 20, 60])
+@pytest.mark.parametrize("centered", [True, False])
+@pytest.mark.parametrize("tag", list(ESTIMATORS))
+def test_power_of_two_scaling_scales_every_estimate_exactly(tag, centered, k):
+    # x 2**k gives S 2**2k, and each estimate and spectrum that many times the
+    # unit-scale bits; the denominators do not move
+    unit = ESTIMATORS[tag](README_X, centered)
+    scaled = ESTIMATORS[tag](np.ldexp(README_X, k), centered)
+    assert np.array_equal(scaled.matrix, np.ldexp(unit.matrix, 2 * k))
+    if tag == "tsai":
+        assert np.array_equal(scaled.shrinkage.sample_eigenvalues,
+                              np.ldexp(unit.shrinkage.sample_eigenvalues, 2 * k))
+        assert np.array_equal(scaled.shrinkage.shrunk_eigenvalues,
+                              np.ldexp(unit.shrinkage.shrunk_eigenvalues, 2 * k))
+        assert np.array_equal(scaled.shrinkage.denominators, unit.shrinkage.denominators)
+
+
+class TestFloatRange:
+    @pytest.mark.parametrize("centered", [True, False])
+    @pytest.mark.parametrize("tag", list(ESTIMATORS))
+    def test_an_overflowing_estimate_is_refused(self, tag, centered):
+        # S = 2.25e308 under both conventions; S = 1.125e308 from 1.5e154 / 0
+        # is kept (test_io_cli's float-edge CSV calls)
+        with pytest.raises(NumericError, match="the estimate overflowed"):
+            ESTIMATORS[tag](np.array([[1.5e154], [-1.5e154]]), centered)
+
+    def test_the_tie_guard_is_relative(self):
+        # well separated at any scale; tied within 1e-12 of the largest at any scale
+        for scale in (1e-20, 1.0, 1e20):
+            table = tsai_eigenvalues(np.array([2.0, 1.0]) * scale, n=10)
+            assert np.array_equal(table.denominators, tsai_eigenvalues([2.0, 1.0], 10).denominators)
+            with pytest.raises(EigenvalueTieError, match="relative eigenvalue gap 5"):
+                tsai_eigenvalues(np.array([2.0, 2.0 - 1e-12]) * scale, n=10)
+
+    def test_denominators_that_are_not_finite_are_refused(self):
+        # subnormal eigenvalues: the reciprocals of their gaps overflow
+        l = np.array([3e-310, 1e-310])
+        psi, d = shrinkage_terms(l, 10)
+        assert not np.isfinite(d).all()
+        with pytest.raises(NumericError, match="denominators are not finite"):
+            tsai_eigenvalues(l, 10)
+        scatter = np.stack([np.diag([3.0, 1.0]), np.diag(l)])
+        est, errors = STACKED_ESTIMATORS["tsai"](scatter, 10)
+        assert errors[0] is None and type(errors[1]) is NumericError
+        assert np.isfinite(est).all()
 
 
 def test_ordering_preserved_on_wishart_draws():

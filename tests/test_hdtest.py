@@ -218,6 +218,12 @@ class TestDecomposite:
         with pytest.raises(ValueError):
             decomposite_t2(np.random.default_rng(1).standard_normal((3, 3)))
 
+    @pytest.mark.parametrize("k", [-40, -20, 20, 60])
+    def test_power_of_two_scaling_leaves_the_statistic_bit_for_bit(self, k):
+        # the README's sample; its relative eigenvalue gaps do not change with units
+        x = np.random.default_rng(0).standard_normal((200, 5)) @ np.diag([3, 2, 1, 1, 1]) ** 0.5
+        assert decomposite_t2(np.ldexp(x, k)).statistic == decomposite_t2(x).statistic
+
 
 @pytest.mark.parametrize("seed", range(5))
 @pytest.mark.parametrize("test", [hotelling_t2, decomposite_t2])

@@ -567,7 +567,8 @@ class TestExitCodes:
         # the mean is zero and S = 4/3 I: two exactly equal eigenvalues
         data = write(tmp_path, "d.csv", "1,1\n1,-1\n-1,1\n-1,-1\n")
         assert run_cli(command + ["--input", data]) == 2
-        assert capsys.readouterr().err == "error: minimum eigenvalue gap 0.000e+00 below 1e-12\n"
+        assert capsys.readouterr().err == (
+            "error: minimum relative eigenvalue gap 0.000e+00 below 1e-12\n")
 
     def test_singular_ttest_is_2(self, tmp_path, capsys):
         # n = p: the centered covariance cannot be inverted
@@ -623,13 +624,12 @@ class TestExitCodes:
 
     @pytest.mark.parametrize("method", ["sample", "stein", "dp", "tsai"])
     def test_overflowing_scatter_is_2(self, tmp_path, capsys, method):
-        # finite cells whose squares overflow: the scatter holds 4e400
+        # finite cells whose squares overflow: the scatter holds 4e400, S 4e400 / 3
         data = write(tmp_path, "d.csv", "1e200,1\n-1e200,2\n1e200,3\n-1e200,5\n")
         assert run_cli(["estimate", "--input", data, "--method", method]) == 2
         out, err = capsys.readouterr()
         assert out == ""
-        assert err == ("error: the scatter matrix overflowed: the data's cross products "
-                       "exceed the float64 range\n")
+        assert err == "error: the estimate overflowed: its entries exceed the float64 range\n"
 
     def test_non_finite_report_is_2(self, capsys, monkeypatch):
         monkeypatch.setitem(io_cli._COMMANDS, "mp", lambda args, seed: ({}, {"x": math.inf}))
@@ -763,8 +763,8 @@ def test_float_edge_populations_leave_stderr_clean(capsys, call, threads):
         assert "NumericError" in err or "overflowed" in err
 
 
-# centered, the one-column CSV 1.5e154 / 0 has S = 1.125e308, finite, though
-# S + S' is not; uncentered, its scatter 2.25e308 overflows
+# the one-column CSV 1.5e154 / 0 has S = 1.125e308 under both conventions,
+# finite, though S + S' and the uncentered scatter 2.25e308 are not
 FLOAT_EDGE_CSV_CALLS = {
     **{f"estimate-{method}-{convention}": ["estimate", "--method", method,
                                            "--n-convention", convention]
@@ -782,13 +782,56 @@ def test_float_edge_csv_leaves_stderr_clean(tmp_path, capsys, call):
         code = run_cli(FLOAT_EDGE_CSV_CALLS[call] + ["--input", data])
     out, err = capsys.readouterr()
     assert [str(w.message) for w in caught] == []
-    if call.endswith("-uncentered"):
-        assert (code, out) == (2, "")
-        assert err == ("error: the scatter matrix overflowed: the data's cross products "
-                       "exceed the float64 range\n")
-    else:
-        assert (code, err) == (0, "")
+    assert (code, err) == (0, "")
+    results = strict_json(out)["results"]
+    if call.startswith("estimate"):
+        assert_allclose(results["matrix"]["data"], [1.125e308], rtol=1e-15)
+
+
+# every command on extreme finite inputs: CSV cells near the square root of
+# the float64 range and beyond it, both ways, and columns of mixed magnitude;
+# concentrations at the ends of (0, 1) and past it; huge --n; huge and tiny spikes
+SWEEP_SCALES = {"1e155": (1e155,) * 3, "1e-155": (1e-155,) * 3, "1e200": (1e200,) * 3,
+                "1e-200": (1e-200,) * 3, "mixed": (1e200, 1.0, 1e-200)}
+SWEEP_CALLS = {}
+for _scale in SWEEP_SCALES:
+    for _method in ("sample", "stein", "dp", "tsai"):
+        for _convention in ("centered", "uncentered"):
+            SWEEP_CALLS[f"estimate-{_method}-{_convention}-{_scale}"] = (
+                ["estimate", "--method", _method, "--n-convention", _convention], _scale)
+    for _method in ("hotelling", "decomposite"):
+        SWEEP_CALLS[f"ttest-{_method}-{_scale}"] = (["ttest", "--method", _method], _scale)
+for _c in ("1e-300", "0.999999999999", "1e300"):
+    SWEEP_CALLS[f"mp-{_c}"] = (["--format", "json", "mp", "--c", _c, "--points", "11"], None)
+for _n in (10**12, 2**53):
+    SWEEP_CALLS[f"closed-form-{_n}"] = (["risk", "--closed-form", "--n", str(_n), "--p", "10"],
+                                        None)
+for _spike in ("1e300", "1e-300", "1e155"):
+    _model = ["--model", f"spiked:{_spike}", "--n", "20", "--p", "2", "--replicates", "100"]
+    SWEEP_CALLS[f"risk-{_spike}"] = (["risk", "--monte-carlo"] + _model, None)
+    SWEEP_CALLS[f"power-{_spike}"] = (["power", "--delta", "0,0", "--method", "decomposite"]
+                                      + _model, None)
+    SWEEP_CALLS[f"simulate-{_spike}"] = (["simulate", "--experiment", "risk"] + _model, None)
+
+
+@pytest.mark.parametrize("call", list(SWEEP_CALLS))
+def test_extreme_finite_inputs_give_a_report_or_one_error_line(tmp_path, capsys, call):
+    argv, scale = SWEEP_CALLS[call]
+    if scale is not None:
+        x = np.random.default_rng(5).standard_normal((8, 3)) * SWEEP_SCALES[scale]
+        text = "".join(",".join(map(repr, row)) + "\n" for row in x.tolist())
+        argv = argv + ["--input", write(tmp_path, "x.csv", text)]
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code = run_cli(argv)
+    out, err = capsys.readouterr()
+    assert [str(w.message) for w in caught] == []
+    if code == 0:
+        assert err == ""
         strict_json(out)
+    else:
+        assert (code, out) == (2, "")
+        assert err.startswith("error: ") and err.count("\n") == 1
 
 
 class TestSeedResolution:

@@ -19,12 +19,13 @@ from covshrink._rng import aggregate, check_failures, gaussian_rows, replicate_r
 from covshrink.estimators import (
     ESTIMATORS,
     STACKED_ESTIMATORS,
+    _target,
     dp_equivariant,
     scatter_matrix,
     scatter_stack,
     tsai_estimator,
 )
-from covshrink.loss_risk import _inverse_factor, _stein_losses, _target, replicate_losses
+from covshrink.loss_risk import _inverse_factor, _stein_losses, replicate_losses
 from covshrink.matrix_core import cholesky, cholesky_stack, schur_pivots
 
 EULER_GAMMA = 0.5772156649015329
@@ -383,6 +384,25 @@ class TestStackedEngine:
                 assert abs(losses[j] - (trace - logdet - p)) <= bound * trace
                 assert losses[j] == stein_loss(est[j], sigma)
 
+    @pytest.mark.parametrize("sigma", [
+        ar1(10, 0.5), ar1(10, 0.95), np.diag(np.r_[50.0, 20.0, 5.0, np.ones(7)]),
+    ], ids=["ar1-0.5", "ar1-0.95", "spiked"])
+    def test_triangular_equivariance_oracle(self, sigma):
+        # With X = Z L', sigma = L L', the three estimators' Stein losses against
+        # their own targets depend on Z alone (James & Stein 1961; Dey &
+        # Srinivasan 1985), so each replicate's loss is the identity
+        # population's up to rounding, which L's condition amplifies.
+        # Measured: |difference| <= 1.54 kappa(L) eps (|loss| + p) over seeds 7
+        # and 8 (kappa 2.8, 18 and 7.1 here), so the bound is 4.
+        n, p, reps, seed = 50, 10, 2000, 7
+        tags = ("sample", "stein_triangular", "dp_equivariant")
+        bound = 4.0 * np.linalg.cond(cholesky(sigma)) * np.finfo(float).eps
+        at_identity = replicate_losses(tags, np.eye(p), n, reps, seed)
+        at_sigma = replicate_losses(tags, sigma, n, reps, seed)
+        for tag in tags:
+            base, losses = np.array(at_identity[tag][0]), np.array(at_sigma[tag][0])
+            assert np.all(np.abs(losses - base) <= bound * (np.abs(base) + p)), tag
+
     def test_every_estimator_has_a_stacked_kernel(self):
         assert list(STACKED_ESTIMATORS) == list(ESTIMATORS)
 
@@ -391,7 +411,7 @@ class TestStackedEngine:
         x = np.random.default_rng(5).standard_normal((3, 8, 3))
         x[1, :, 1] = 0.0
         scatter, _ = scatter_stack(x)
-        assert np.array_equal(scatter[1], scatter_matrix(x[1]).matrix)
+        assert np.array_equal(scatter[1], scatter_matrix(x[1]))
         for tag in STACKED_TAGS[1:]:
             est, errors = STACKED_ESTIMATORS[tag](scatter, 8)
             with pytest.raises(NotPositiveDefiniteError) as single:
