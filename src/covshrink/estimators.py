@@ -37,8 +37,8 @@ from .errors import (
     NumericError,
     ShrinkageSingularityError,
 )
-from .matrix_core import (TIE_GAP, cholesky_stack, eigh_stack, square_matrix, symmetric_part,
-                          tie_gap, unrefused)
+from .matrix_core import (TIE_GAP, cholesky_stack, eigh_stack, finite_slices, square_matrix,
+                          symmetric_matrix, symmetric_part, tie_gap, unrefused)
 
 DENOM_GUARD = 1e-10  # relative to n
 
@@ -87,10 +87,8 @@ def scatter_stack(x: np.ndarray) -> tuple[np.ndarray, list]:
         raise ValueError(f"need at least 2 observations, got {x.shape[1]}")
     with np.errstate(over="ignore", invalid="ignore"):
         a = x.transpose(0, 2, 1) @ x
-    bad = ~np.isfinite(a).all(axis=(1, 2))
-    a[bad] = np.eye(a.shape[1])
-    return a, [NumericError("the scatter matrix overflowed: the data's cross products exceed "
-                            "the float64 range") if b else None for b in bad.tolist()]
+    return finite_slices(a, NumericError, "the scatter matrix overflowed: the data's cross "
+                                          "products exceed the float64 range")
 
 
 def centered_stack(x: np.ndarray) -> tuple[np.ndarray, np.ndarray, list]:
@@ -385,7 +383,7 @@ def tsai_estimator(s, n: int | None = None) -> CovarianceEstimate:
         raise ValueError("n is required when s is a bare matrix")
     m = square_matrix(s)
     e = _headroom(m, 1, n * m.shape[0])  # n l_i, with l_i up to p max|S|
-    est, errors, w, psi, d = _tsai(np.ldexp(m, -e)[None], n)
+    est, errors, w, psi, d = _tsai(symmetric_matrix(np.ldexp(m, -e))[None], n)
     est, w, psi = _scaled_back(e, unrefused(est, errors)[0], w[0], psi[0])
     return CovarianceEstimate(matrix=est, method="tsai", n=int(n_obs), p=m.shape[0],
                               divisor=int(n), shrinkage=ShrinkageTable(w, psi, d[0]))
@@ -404,7 +402,8 @@ ESTIMATORS = {
 # method tag -> its kernel(scatters, dof); for a (k, n, p) stack x, slice j of
 # kernel(scatter_stack(x)[0], n) is ESTIMATORS[tag](x[j], False).matrix bit for
 # bit, and its refusal is the CovshrinkError that estimator raises, or None;
-# where the scatter overflows, the estimator alone scales it into range
+# where the scatter overflows, the estimator alone scales it into range.  The
+# scatters are trusted to be exactly symmetric, and so are the estimates
 STACKED_ESTIMATORS = {
     "sample": _sample,
     "stein_triangular": _triangular,

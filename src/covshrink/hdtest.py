@@ -137,8 +137,7 @@ def _decomposite(x: np.ndarray, t=None) -> tuple[np.ndarray, list]:
     """
     n = x.shape[1]
     xbar, s, errors = _centered(x)
-    w, v, eigh_errors = eigh_stack(s)
-    errors = first_refusals(errors, eigh_errors)
+    w, v, _ = eigh_stack(s)  # s is finite, so eigh_stack refuses none of it
     _refuse_singular(s, w, errors)
     psi, _ = shrunk_spectra(w, n - 1, errors)
     # squared projections, so the eigenvector signs need no canonical choice
@@ -163,14 +162,24 @@ def _oracle(x: np.ndarray, t: np.ndarray) -> tuple[np.ndarray, list]:
 
 # test name -> its kernel(x, t), t = cholesky(sigma); entry j of the statistics
 # is mean_test(name, x[j], t).statistic bit for bit, and its refusal is the
-# CovshrinkError that test raises, or None
+# CovshrinkError that test raises, or None; S, exactly symmetric, is factored unchecked
 MEAN_TESTS = {"hotelling": _hotelling, "decomposite": _decomposite, "oracle": _oracle}
 
 
 def mean_test(name: str, x, t=None) -> TestResult:
-    """Test ``name`` on an (n, p) sample, its kernel's k = 1 case; t = cholesky(sigma) or None."""
+    """Test ``name`` on an (n, p) sample, its kernel's k = 1 case; t = cholesky(sigma) or None.
+
+    hotelling and decomposite do not depend on the data's scale.  Where
+    max|x| lies outside about 2**-256 to 2**256, its scatter could overflow
+    or go subnormal, so they take x times the power of two that brings
+    max|x| into [1/2, 1): the same statistic, bit for bit.  Other data is
+    not scaled, and keeps the bits of its refusal messages too.
+    """
     a = as_data_matrix(x)
     n, p = a.shape
+    e = int(np.frexp(np.abs(a).max())[1])
+    if name != "oracle" and abs(e) > 256:  # the oracle's sigma is on the data's scale
+        a = np.ldexp(a, -e)
     stat = float(unrefused(*MEAN_TESTS[name](a[None], t))[0])
     return TestResult(stat, p, chisq_pvalue(stat, p), name, n, p)
 
@@ -195,8 +204,7 @@ def oracle_t2(x, sigma) -> TestResult:
 
     Exactly chi-square with p dof under the null, for any n.
     """
-    a = as_data_matrix(x)
-    return mean_test("oracle", a, cholesky(sigma))
+    return mean_test("oracle", x, cholesky(sigma))
 
 
 @dataclass(frozen=True)
@@ -265,13 +273,12 @@ def power_simulation(n: int, p: int, sigma, delta, alpha: float = 0.05,
         raise ValueError(f"alpha must lie in (0, 1), got {alpha}")
     if n < 2:
         raise ValueError(f"need at least 2 observations, got {n}")
-    sig = np.asarray(sigma, dtype=float)
     d = np.asarray(delta, dtype=float)
     if d.shape != (p,):
         raise ValueError(f"delta must have length p={p}, got shape {d.shape}")
     if not np.isfinite(d).all():
         raise ValueError("delta must be finite")
-    chol_sig = cholesky(sig)
+    chol_sig = cholesky(sigma)
     scale = p ** 0.25 if rate == "hdim" else 1.0
     mu = d * scale / math.sqrt(n)
     # chisq_pvalue(lo) > alpha >= chisq_pvalue(crit) throughout

@@ -357,7 +357,8 @@ def _cmd_risk(args, seed):
                                       seed, threads=args.threads)
         results["monte_carlo"] = {
             method: {"mean_loss": est.mean_loss, "std_error": est.std_error,
-                     "replicates": est.replicates, "failures": est.failures}
+                     "replicates": est.replicates, "failures": est.failures,
+                     "failure_classes": est.failure_classes}
             for method, est in estimates.items()}
     return config, results
 

@@ -5,7 +5,7 @@ E[log chi2_k]; the Monte Carlo runner exists to confirm an implementation
 against those closed forms and to measure estimators that lack one.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -23,11 +23,9 @@ def stein_loss(phi, sigma) -> float:
     Cholesky factors and the inverse of sigma's; determinants never
     materialize, so p in the hundreds is safe.
     """
-    a = np.asarray(phi, dtype=float)
-    b = np.asarray(sigma, dtype=float)
-    if a.shape != b.shape:
-        raise ValueError(f"dimension mismatch: {a.shape} vs {b.shape}")
-    t_phi, t_sig = cholesky(a), cholesky(b)
+    t_phi, t_sig = cholesky(phi), cholesky(sigma)
+    if t_phi.shape != t_sig.shape:
+        raise ValueError(f"dimension mismatch: {t_phi.shape} vs {t_sig.shape}")
     return float(_stein_losses(t_phi[None], t_sig, _inverse_factor(t_sig))[0])
 
 
@@ -114,7 +112,11 @@ def min_risk(kind: str, n: int, p: int) -> float:
 
 @dataclass(frozen=True)
 class RiskEstimate:
-    """Monte Carlo mean Stein loss with its standard error."""
+    """Monte Carlo mean Stein loss with its standard error.
+
+    ``failure_classes`` counts the failed replicates by the class name of
+    their refusal.
+    """
 
     mean_loss: float
     std_error: float
@@ -124,6 +126,7 @@ class RiskEstimate:
     p: int
     seed: int
     failures: int = 0
+    failure_classes: dict = field(default_factory=dict)
 
     def __post_init__(self):
         if self.replicates < 2:
@@ -212,6 +215,7 @@ def monte_carlo_risks(methods, sigma, n: int, replicates: int, seed: int,
             p=p,
             seed=seed,
             failures=int(failures),
+            failure_classes=refusals,
         )
     return out
 

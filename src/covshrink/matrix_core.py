@@ -2,7 +2,11 @@
 
 All downstream shrinkage and risk formulas index eigenvalues in descending
 order and assume a deterministic eigenvector sign, so those conventions are
-enforced here once and nowhere else.
+enforced here once and nowhere else.  A matrix from outside the package is
+validated once, where it enters: ``cholesky``, ``spectral_decompose`` and
+``tsai_estimator`` pass it through ``symmetric_matrix``.  ``cholesky_stack``
+and ``eigh_stack`` trust the exactly symmetric stacks the package builds,
+and refuse only a slice that is not finite.
 """
 
 from dataclasses import dataclass
@@ -71,38 +75,43 @@ def first_refusals(*errors: list) -> list:
     return [next((e for e in row if e is not None), None) for row in zip(*errors)]
 
 
-def _symmetrize(a: np.ndarray) -> tuple[np.ndarray, list]:
-    """Symmetric parts of a (k, p, p) stack, and each matrix's refusal.
-
-    ``errors[j]`` is the AsymmetricInputError that matrix j earns (non-finite
-    entries, or asymmetry above SYM_RTOL relative to its largest entry, which
-    is more than accumulation noise), or None.  A refused matrix's copy is the
-    identity, a placeholder that keeps stacked arithmetic on the copies finite.
-    """
-    at = a.swapaxes(1, 2)
-    with np.errstate(over="ignore", invalid="ignore"):  # in a matrix refused anyway
-        finite = np.isfinite(a).all(axis=(1, 2)).tolist()
-        scale = np.abs(a).max(axis=(1, 2)).tolist()
-        diff = a - at
-        gap = np.abs(diff, out=diff).max(axis=(1, 2)).tolist()
-    errors = [None] * a.shape[0]
-    for j, (ok, s, g) in enumerate(zip(finite, scale, gap)):
-        if not ok:
-            errors[j] = AsymmetricInputError("matrix has non-finite entries")
-        elif g > SYM_RTOL * max(s, 1.0):
-            errors[j] = AsymmetricInputError(
-                f"asymmetry {g:.3e} exceeds tolerance {SYM_RTOL:.0e} relative to scale {s:.3e}")
-    sym = symmetric_part(a, out=diff)  # reuse the buffer of the differences
-    sym[[e is not None for e in errors]] = np.eye(a.shape[1])
-    return sym, errors
-
-
 def square_matrix(m) -> np.ndarray:
     """m as a float (p, p) array; AsymmetricInputError for any other shape."""
     a = np.asarray(m, dtype=float)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise AsymmetricInputError(f"expected a square matrix, got shape {a.shape}")
     return a
+
+
+def symmetric_matrix(m) -> np.ndarray:
+    """The symmetric part of a square matrix from outside the package, where it is checked.
+
+    AsymmetricInputError for a non-square or non-finite m, or for asymmetry above
+    SYM_RTOL relative to its largest entry, which is more than accumulation noise.
+    """
+    a = unrefused(*finite_slices(square_matrix(m)[None]))[0]
+    scale = float(np.abs(a).max())
+    with np.errstate(over="ignore"):  # a difference past the float64 range is refused
+        gap = float(np.abs(a - a.T).max())
+    if gap > SYM_RTOL * max(scale, 1.0):
+        raise AsymmetricInputError(
+            f"asymmetry {gap:.3e} exceeds tolerance {SYM_RTOL:.0e} relative to scale {scale:.3e}")
+    return symmetric_part(a[None])[0]
+
+
+def finite_slices(a: np.ndarray, error=AsymmetricInputError,
+                  message: str = "matrix has non-finite entries") -> tuple[np.ndarray, list]:
+    """A (k, p, p) stack whose non-finite slices become the identity, and each one's refusal.
+
+    The refusal is ``error(message)``, or None for a finite slice.  The
+    identity is a placeholder that keeps stacked arithmetic finite, in a
+    copy of a made only when some slice is refused.
+    """
+    bad = ~np.isfinite(a).all(axis=(1, 2))
+    if not bad.any():
+        return a, [None] * len(a)
+    a = np.where(bad[:, None, None], np.eye(a.shape[1]), a)
+    return a, [error(message) if b else None for b in bad.tolist()]
 
 
 def tie_gap(values: np.ndarray) -> np.ndarray:
@@ -152,18 +161,19 @@ def _canonical_signs(vectors: np.ndarray) -> np.ndarray:
 def eigh_stack(m: np.ndarray) -> tuple[np.ndarray, np.ndarray, list]:
     """Descending eigenvalues and their eigenvectors for a (k, p, p) float stack, and each refusal.
 
-    ``w[j, i]`` pairs with column ``v[j, :, i]``.  ``errors[j]`` is the
-    AsymmetricInputError that matrix j earns, or None; a refused matrix is
-    decomposed as the identity, a placeholder.  One stacked ``eigh`` covers
-    the stack, so an eigenvalue iteration that fails raises
-    DecompositionError for all of it.
+    The stack is trusted to be symmetric, as every stack the package builds
+    is, and LAPACK reads its lower triangle alone.  ``w[j, i]`` pairs with
+    column ``v[j, :, i]``.  ``errors[j]`` is ``finite_slices``' refusal of
+    matrix j, which is then decomposed as the identity, or None.  One
+    stacked ``eigh`` covers the stack, so an eigenvalue iteration that fails
+    raises DecompositionError for all of it.
     """
-    sym, errors = _symmetrize(m)
+    m, errors = finite_slices(m)
     try:
-        w, v = np.linalg.eigh(sym)
+        w, v = np.linalg.eigh(m)
     except np.linalg.LinAlgError as exc:
         raise DecompositionError(
-            f"eigenvalue iteration failed for {sym.shape[1]}x{sym.shape[2]} matrix"
+            f"eigenvalue iteration failed for {m.shape[1]}x{m.shape[2]} matrix"
         ) from exc
     # eigh returns ascending; stable reversal keeps solver order within ties
     order = np.argsort(-w, axis=1, kind="stable")
@@ -186,8 +196,7 @@ def spectral_decompose(m) -> SpectralDecomp:
         Descending eigenvalues, orthonormal sign-canonical eigenvectors, and
         a tie flag for gaps below 1e-12 relative to the largest magnitude.
     """
-    w, v, errors = eigh_stack(square_matrix(m)[None])
-    unrefused(w, errors)
+    w, v, _ = eigh_stack(symmetric_matrix(m)[None])
     return SpectralDecomp(eigenvalues=w[0], eigenvectors=_canonical_signs(v[0]),
                           tied=bool(tie_gap(w[0]) < TIE_GAP))
 
@@ -213,27 +222,27 @@ def _first_failing_minor(a: np.ndarray) -> int:
 def cholesky_stack(m: np.ndarray) -> tuple[np.ndarray, list]:
     """Lower Cholesky factors of a (k, p, p) float stack, and each matrix's refusal.
 
-    ``errors[j]`` is the error ``cholesky`` raises for matrix j, or None;
-    a refused matrix gets the identity as a placeholder factor so stacked
+    The stack is trusted to be symmetric, as in ``eigh_stack``.
+    ``errors[j]`` is the error ``cholesky`` raises for matrix j, or None; a
+    refused matrix gets the identity as a placeholder factor so stacked
     arithmetic on the factors stays finite.  One stacked ``cholesky`` covers
     the stack; only when it refuses is each matrix factored alone, to find
     which ones failed and at which leading minor.
     """
-    sym, errors = _symmetrize(m)
-    p = sym.shape[1]
+    m, errors = finite_slices(m)
     try:
-        return np.linalg.cholesky(sym), errors
+        return np.linalg.cholesky(m), errors
     except np.linalg.LinAlgError:
         pass  # some matrix is refused: factor each alone to find which, and where
-    t = np.empty_like(sym)
-    for j in range(len(sym)):
+    t = np.empty_like(m)
+    for j in range(len(m)):
         try:
-            t[j] = np.linalg.cholesky(sym[j])
+            t[j] = np.linalg.cholesky(m[j])
         except np.linalg.LinAlgError:
-            index = _first_failing_minor(sym[j])
+            index = _first_failing_minor(m[j])
             errors[j] = NotPositiveDefiniteError(
                 f"leading minor of order {index} is not positive definite", index=index)
-            t[j] = np.eye(p)
+            t[j] = np.eye(m.shape[1])
     return t, errors
 
 
@@ -243,7 +252,7 @@ def cholesky(m) -> np.ndarray:
     Raises NotPositiveDefiniteError naming the 1-based failing minor when m
     is not positive definite.
     """
-    return unrefused(*cholesky_stack(square_matrix(m)[None]))[0]
+    return unrefused(*cholesky_stack(symmetric_matrix(m)[None]))[0]
 
 
 def schur_pivots(m) -> np.ndarray:

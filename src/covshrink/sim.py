@@ -268,9 +268,11 @@ def risk_comparison_experiment(config: ExperimentConfig,
         except NumericError as exc:
             # a censored mean is not the risk; keep the other methods' results
             per_method[method] = {"mean": None, "se": None, "count": len(values) - failures,
-                                  "failures": failures, "error": str(exc)}
+                                  "failures": failures, "failure_classes": refusals,
+                                  "error": str(exc)}
         else:
-            per_method[method] = {**aggregate(values), "failures": failures}
+            per_method[method] = {**aggregate(values), "failures": failures,
+                                  "failure_classes": refusals}
     rows = [
         {"replicate": r, "losses": {m: losses[m][0][r] for m in methods}}
         for r in range(config.replicates)

@@ -225,6 +225,17 @@ class TestDecomposite:
         assert decomposite_t2(np.ldexp(x, k)).statistic == decomposite_t2(x).statistic
 
 
+@pytest.mark.parametrize("test", [hotelling_t2, decomposite_t2])
+def test_the_scale_free_tests_take_any_power_of_two_bit_for_bit(test):
+    # mean_test brings max|x| into [1/2, 1) by a power of two where the scatter
+    # on the data's own scale could overflow (k = 520, 1000) or go subnormal
+    # (k = -520, -1000), so the statistic at x * 2**k is that at x
+    x = np.random.default_rng(0).standard_normal((200, 5)) @ np.diag([3, 2, 1, 1, 1]) ** 0.5
+    want = test(x).statistic
+    for k in (-1000, -520, -40, 40, 520, 1000):
+        assert test(np.ldexp(x, k)).statistic == want, k
+
+
 @pytest.mark.parametrize("seed", range(5))
 @pytest.mark.parametrize("test", [hotelling_t2, decomposite_t2])
 def test_collinear_data_is_refused(test, seed):

@@ -16,6 +16,8 @@ from numpy.testing import assert_allclose
 import covshrink
 from covshrink import CsvFormatError, _rng, io_cli, min_risk
 from covshrink.estimators import ESTIMATORS
+from covshrink.hdtest import mean_test
+from covshrink.loss_risk import RiskEstimate
 from covshrink.io_cli import (
     ReportDocument,
     matrix_payload,
@@ -450,6 +452,25 @@ class TestRiskCommand:
         assert mc["replicates"] == 150
         assert abs(mc["mean_loss"] - min_risk("ml", 8, 2)) < 5 * mc["std_error"]
 
+    def test_failures_are_counted_by_class(self, tmp_path):
+        # at a spike of 5e306 one replicate's scatter overflows, for every method
+        model = ["--model", "spiked:5e306", "--n", "20", "--p", "2", "--replicates", "100"]
+        risk = run_json(tmp_path, ["risk", "--monte-carlo"] + model).results["monte_carlo"]
+        sim = run_json(tmp_path, ["simulate", "--experiment", "risk", "--drop-rows"] + model)
+        for entry in [*risk.values(), *sim.results["metrics"]["monte_carlo"].values()]:
+            assert (entry["failures"], entry["failure_classes"]) == (1, {"NumericError": 1})
+
+    def test_a_report_without_failure_classes_still_loads(self, tmp_path):
+        doc = run_json(tmp_path, ["--seed", "3", "risk", "--n", "8", "--p", "2", "--monte-carlo",
+                                  "--methods", "sample", "--replicates", "150"])
+        entry = doc.results["monte_carlo"]["sample"]
+        del entry["failure_classes"]
+        assert ReportDocument.from_json(doc.to_json()) == doc
+        estimate = RiskEstimate(mean_loss=entry["mean_loss"], std_error=entry["std_error"],
+                                replicates=entry["replicates"], method="sample", n=8, p=2,
+                                seed=3, failures=entry["failures"])
+        assert estimate.failure_classes == {}
+
 
 class TestSimulateCommand:
     def test_recovery_report_shape(self, tmp_path):
@@ -834,6 +855,20 @@ def test_extreme_finite_inputs_give_a_report_or_one_error_line(tmp_path, capsys,
         assert err.startswith("error: ") and err.count("\n") == 1
 
 
+@pytest.mark.parametrize("scale", ["1e155", "1e-155", "1e200", "1e-200"])
+@pytest.mark.parametrize("method", ["hotelling", "decomposite"])
+def test_ttest_at_the_ends_of_the_float64_range(tmp_path, capsys, method, scale):
+    # the sweep's samples: each statistic is the unit-scale sample's up to the
+    # rounding of the cells, measured at most 1.7e-15 relative
+    x = np.random.default_rng(5).standard_normal((8, 3))
+    text = "".join(",".join(map(repr, row)) + "\n" for row in (x * SWEEP_SCALES[scale]).tolist())
+    code = run_cli(["ttest", "--method", method, "--input", write(tmp_path, "x.csv", text)])
+    out, err = capsys.readouterr()
+    assert (code, err) == (0, "")
+    assert_allclose(strict_json(out)["results"]["statistic"], mean_test(method, x).statistic,
+                    rtol=1e-14)
+
+
 class TestSeedResolution:
     def test_env_fallback(self, tmp_path, monkeypatch):
         monkeypatch.setenv("COVSHRINK_SEED", "42")
@@ -885,6 +920,7 @@ class TestDeterminism:
         mc = doc.results["metrics"]["monte_carlo"]
         assert mc["tsai"] == {
             "mean": None, "se": None, "count": 296, "failures": 4,
+            "failure_classes": {"ShrinkageSingularityError": 4},
             "error": "4 of 300 replicates failed for method 'tsai' at n=60, p=4; "
                      "above the 1% tolerance; refusals: ShrinkageSingularityError 4"}
         assert {m: mc[m] for m in stacked} == alone.results["metrics"]["monte_carlo"]

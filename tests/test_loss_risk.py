@@ -338,23 +338,25 @@ class TestStackedEngine:
         indefinite = np.array([[1.0, 0.0, 0.0], [0.0, 2.0, 3.0], [0.0, 3.0, 1.0]])
         nonfinite = good.copy()
         nonfinite[2, 1] = np.nan
-        asymmetric = good.copy()
-        asymmetric[0, 2] = 1e-3
-        stack = np.stack([good, indefinite, nonfinite, asymmetric, good])
+        stack = np.stack([good, indefinite, nonfinite, good])
         t, errors = cholesky_stack(stack)
-        assert errors[0] is None and errors[4] is None
+        assert errors[0] is None and errors[3] is None
         assert np.array_equal(t[0], cholesky(good))
         for m, err, kind in ((indefinite, errors[1], NotPositiveDefiniteError),
-                             (nonfinite, errors[2], AsymmetricInputError),
-                             (asymmetric, errors[3], AsymmetricInputError)):
+                             (nonfinite, errors[2], AsymmetricInputError)):
             with pytest.raises(kind) as single:
                 cholesky(m)
             assert type(err) is kind
             assert str(err) == str(single.value)
             assert getattr(err, "index", None) == getattr(single.value, "index", None)
         assert errors[1].index == 3
-        for j in (1, 2, 3):
+        for j in (1, 2):
             assert np.array_equal(t[j], np.eye(3))
+        # the stack is trusted to be symmetric; a matrix from outside is checked by cholesky
+        asymmetric = good.copy()
+        asymmetric[0, 2] = 1e-3
+        with pytest.raises(AsymmetricInputError, match="^asymmetry "):
+            cholesky(asymmetric)
 
     @pytest.mark.parametrize("sigma", [ar1(50, 0.5), ar1(50, 0.99),
                                        np.diag(np.r_[50.0, 20.0, 5.0, np.ones(47)])],

@@ -9,6 +9,7 @@ from covshrink import (
     schur_pivots,
     spectral_decompose,
 )
+from covshrink import _rng, estimators, hdtest, loss_risk, matrix_core
 from covshrink.matrix_core import (_canonical_signs, cholesky_stack, eigh_stack, first_refusals,
                                    symmetric_part, unrefused)
 
@@ -149,17 +150,19 @@ class TestCholeskyRefusalIndex:
         asymmetric = good.copy()
         asymmetric[0, -1] += 1e-3 * np.abs(good).max()
         bad = [indefinite(p, order, seed=p + order) for order in (1, p // 2 + 1, p)]
-        stack = np.stack([good, bad[0], nonfinite, bad[1], asymmetric, bad[2], good])
+        stack = np.stack([good, bad[0], nonfinite, bad[1], bad[2], good])
         t, errors = cholesky_stack(stack)
         assert [type(e) for e in errors] == [
             type(None), NotPositiveDefiniteError, AsymmetricInputError,
-            NotPositiveDefiniteError, AsymmetricInputError, NotPositiveDefiniteError,
-            type(None)]
-        assert [errors[j].index for j in (1, 3, 5)] == [lapack_info(m) for m in bad]
-        for j in (0, 6):
+            NotPositiveDefiniteError, NotPositiveDefiniteError, type(None)]
+        assert [errors[j].index for j in (1, 3, 4)] == [lapack_info(m) for m in bad]
+        for j in (0, 5):
             assert np.array_equal(t[j], cholesky(good))
-        for j in range(1, 6):
+        for j in range(1, 5):
             assert np.array_equal(t[j], np.eye(p))
+        # the stack is trusted to be symmetric; a matrix from outside is checked by cholesky
+        with pytest.raises(AsymmetricInputError, match="^asymmetry "):
+            cholesky(asymmetric)
 
 
 class TestEighStack:
@@ -168,9 +171,14 @@ class TestEighStack:
         rng = np.random.default_rng(40 + p)
         stack = np.stack([random_spd(rng, p) for _ in range(6)])
         stack[1, -1, 0] = np.nan
-        stack[4, 0, -1] += 1e-3 * np.abs(stack[4]).max()
         w, v, errors = eigh_stack(stack)
-        assert [j for j, e in enumerate(errors) if e is not None] == [1, 4]
+        assert [j for j, e in enumerate(errors) if e is not None] == [1]
+        # the stack is trusted to be symmetric; a matrix from outside is checked by
+        # spectral_decompose
+        asymmetric = stack[4].copy()
+        asymmetric[0, -1] += 1e-3 * np.abs(asymmetric).max()
+        with pytest.raises(AsymmetricInputError, match="^asymmetry "):
+            spectral_decompose(asymmetric)
         for j in range(6):
             if errors[j] is not None:
                 with pytest.raises(AsymmetricInputError) as exc:
@@ -253,3 +261,52 @@ def test_von_neumann_alignment():
         h, _ = np.linalg.qr(rng.standard_normal((p, p)))
         worst = min(worst, aligned_trace_excess(gamma, l, h))
     assert worst >= -1e-10
+
+
+# the shapes of the replicate loops' chunks, (n, p, replicates per chunk), and p = 1
+TRUSTED_SIZES = [(50, 10, 65), (400, 5, 16), (20, 4, 100), (100, 50, 6), (1600, 400, 1),
+                 (30, 1, 40)]
+POPULATIONS = {
+    "identity": lambda p: np.eye(p),
+    "ar1": lambda p: 0.5 ** np.abs(np.subtract.outer(np.arange(p), np.arange(p))),
+    "spiked": lambda p: np.diag(np.r_[50.0, 20.0, 5.0, np.ones(p)][:p]),
+}
+
+
+def exactly_symmetric(m):
+    return np.ascontiguousarray(m).tobytes() == np.ascontiguousarray(m.swapaxes(1, 2)).tobytes()
+
+
+@pytest.mark.parametrize("population", list(POPULATIONS))
+@pytest.mark.parametrize("n,p,k", TRUSTED_SIZES)
+def test_every_stack_the_package_factors_is_exactly_symmetric(monkeypatch, n, p, k, population):
+    # cholesky_stack and eigh_stack trust their stacks: each must equal its own
+    # transpose bit for bit, and each slice not refused must be finite.  AR(1)
+    # draws take draw_chunk's full matrix product, the diagonal ones a scaling.
+    handed = []
+
+    def spy(factorization):
+        def recorded(m):
+            handed.append(np.array(m))
+            return factorization(m)
+        return recorded
+
+    for module in (estimators, hdtest, loss_risk):
+        for name in ("cholesky_stack", "eigh_stack"):
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, spy(getattr(matrix_core, name)))
+    sigma = POPULATIONS[population](p)
+    chol = cholesky(sigma)
+    x = _rng.draw_chunk(11, chol, n, 0, k)
+    scatters, errors = estimators.scatter_stack(x)
+    built = [(scatters, errors), estimators.centered_stack(x)[1:], hdtest._centered(x)[1:]]
+    built += [kernel(scatters, n)[:2] for kernel in estimators.STACKED_ESTIMATORS.values()]
+    for kernel in hdtest.MEAN_TESTS.values():
+        kernel(x, chol)
+    loss_risk.replicate_losses(tuple(estimators.STACKED_ESTIMATORS), sigma, n, k, 11)
+    assert len(handed) >= 10
+    for stack, refusals in built:
+        assert exactly_symmetric(stack)
+        assert np.isfinite(stack[[e is None for e in refusals]]).all()
+    for stack in handed:
+        assert exactly_symmetric(stack) and np.isfinite(stack).all()
