@@ -4,13 +4,15 @@ Every Monte Carlo replicate seeds its own generator from a stable 64-bit
 hash of (master seed, replicate index), so results are bit-identical no
 matter how replicates are scheduled across workers.  ``run_chunks`` is the
 one replicate loop: it draws replicates, stacked into chunks of a fixed
-byte budget, and hands each chunk whole to a stacked scorer on the calling
-thread, with the next chunks drawn ahead on any other threads, and
-counts the refused replicates by class.  ``replicate_threads`` chooses
-that thread count from the size of one replicate's draw unless the caller
-gives it.  ``check_failures`` is the one place the failed-replicate
-tolerance is enforced, and ``aggregate`` the one mean and standard error
-over the replicates that completed.
+byte budget, hands each chunk whole to a stacked scorer, and counts the
+refused replicates by class.  On more than one thread, a chunk of large
+draws is drawn and scored on a worker, every thread at once, and the
+calling thread merges the outcomes in replicate order; small draws are
+scored on the calling thread while the other threads draw the next chunks
+ahead.  ``replicate_threads`` chooses the thread count from the size of
+one replicate's draw unless the caller gives it.  ``check_failures`` is the
+one place the failed-replicate tolerance is enforced, and ``aggregate`` the
+one mean and standard error over the replicates that completed.
 """
 
 from __future__ import annotations
@@ -28,10 +30,15 @@ MAX_FAILURE_FRACTION = 0.01
 # peak memory at any (n, p) while amortizing the per-call overhead at small p
 CHUNK_BYTES = 256 * 1024
 # float64 values in one replicate's draw (2 MiB) from which a second thread
-# drawing ahead pays.  On 2 vCPUs, in alternating fresh calls at one and two
-# threads, `simulate --experiment risk` tied at n*p = 160,000 and won from
-# 262,144 on, and `esd` tied up to 262,144 and won from 360,000 on.  At p = 5
-# and 10 two threads lose: the interpreter lock serializes the seeding.
+# pays, and from which every thread draws and scores whole chunks.  On 2
+# vCPUs, in alternating fresh calls at one and two threads, `simulate
+# --experiment risk` tied at n*p = 160,000 and won from 262,144 on, and `esd`
+# tied up to 262,144 and won from 360,000 on.  Below it a draw hands the
+# interpreter lock back at every replicate: two threads drawing 50 x 10
+# chunks at once ran at 0.98 times the speed of one, and scoring on both
+# made `--threads 2 risk --n 50 --p 10 --monte-carlo` slower, 1.20 -> 1.68 s,
+# so there the other threads only draw ahead, and at p = 5 and 10 even that
+# loses.
 DRAW_AHEAD_VALUES = 2 ** 18
 
 
@@ -92,9 +99,9 @@ def _usable_cpus() -> int:
 def replicate_threads(threads: int | None, n: int, p: int) -> int:
     """Threads of a replicate loop over (n, p) draws: ``threads`` itself unless it is None.
 
-    None gives two, one drawing ahead, when one replicate's draw holds at
-    least DRAW_AHEAD_VALUES float64 values and the process may run on two
-    CPUs; one otherwise.
+    None gives two, which both draw and score (``run_chunks``), when one
+    replicate's draw holds at least DRAW_AHEAD_VALUES float64 values and the
+    process may run on two CPUs; one otherwise.
     """
     if threads is not None:
         return threads
@@ -109,10 +116,17 @@ def run_chunks(score_chunk, seed: int, chol_factor: np.ndarray, n: int, replicat
     stop, mean)``, returns a value and a refusal (a CovshrinkError, or None)
     per slice; a refused replicate's outcome is None.  The chunk size
     depends on (n, p) alone, so every outcome depends on (seed, r) alone,
-    never on ``threads``.  Every chunk is scored on the calling thread, in
-    order; above one thread, ``threads - 1`` workers draw the next chunks
-    meanwhile.  None chooses the count by ``replicate_threads``.  Errors
-    raised by ``score_chunk`` propagate.
+    never on ``threads``.  None chooses the count by ``replicate_threads``.
+    Errors raised by ``score_chunk`` propagate.
+
+    Above one thread there are two schedules, chosen by the size of one
+    replicate's draw.  From n*p = DRAW_AHEAD_VALUES on, ``threads`` workers
+    each draw and score whole chunks, and the calling thread only merges
+    their outcomes and refusals in replicate order: such a draw, and the
+    LAPACK calls that score it, run long without the interpreter lock, so
+    the threads overlap.  Below it every chunk is scored on the calling
+    thread, in order, while ``threads - 1`` workers draw the next chunks.
+    Either way at most ``threads`` chunks are in flight.
     """
     p = chol_factor.shape[0]
     threads = replicate_threads(threads, n, p)
@@ -123,25 +137,26 @@ def run_chunks(score_chunk, seed: int, chol_factor: np.ndarray, n: int, replicat
     def draw(start: int) -> np.ndarray:
         return draw_chunk(seed, chol_factor, n, start, min(start + step, replicates), mean)
 
-    def score(start: int, x: np.ndarray) -> None:
-        values, errors = score_chunk(start, x)
+    def merge(values: list, errors: list) -> None:
         outcomes.extend(None if e is not None else v for v, e in zip(values, errors))
         refusals.update(type(e).__name__ for e in errors if e is not None)
 
     if threads <= 1:
         for start in starts:
-            score(start, draw(start))
+            merge(*score_chunk(start, draw(start)))
     else:
         from concurrent.futures import ThreadPoolExecutor  # off the import path
 
-        with ThreadPoolExecutor(max_workers=threads - 1) as pool:
-            # at most threads - 1 chunks wait in memory beyond the one being scored
-            pending = deque(pool.submit(draw, start) for start in starts[:threads - 1])
+        scored = n * p >= DRAW_AHEAD_VALUES
+        workers = threads if scored else threads - 1
+        task = (lambda start: score_chunk(start, draw(start))) if scored else draw
+        with ThreadPoolExecutor(max_workers=workers) as pool:
+            pending = deque(pool.submit(task, start) for start in starts[:workers])
             for k, start in enumerate(starts):
-                x = pending.popleft().result()
-                if k + threads - 1 < len(starts):
-                    pending.append(pool.submit(draw, starts[k + threads - 1]))
-                score(start, x)
+                done = pending.popleft().result()
+                if k + workers < len(starts):
+                    pending.append(pool.submit(task, starts[k + workers]))
+                merge(*(done if scored else score_chunk(start, done)))
     return outcomes, dict(sorted(refusals.items()))
 
 

@@ -23,7 +23,11 @@ estimates and each one's refusal: the CovshrinkError that estimate earns,
 or None.  The public functions are the k = 1 case and raise that refusal;
 ``STACKED_ESTIMATORS`` hands the kernels to the Monte Carlo loops, which
 score every estimator a chunk of replicates at a time, and ``centered_stack``
-centers a stack once for the estimators and the mean tests alike.
+centers a stack once for the estimators and the mean tests alike.  Asked
+for ``factored``, a kernel returns in place of each estimate a factor F
+with F F' the estimate in exact arithmetic, and the estimate's log
+determinant, taken from the factorization it already holds: all a Stein
+loss reads, with no estimate formed and factored again.
 """
 
 from dataclasses import dataclass
@@ -138,24 +142,44 @@ def _factors(a: np.ndarray, dof: int) -> tuple[np.ndarray, list]:
     return cholesky_stack(a)
 
 
-def _sample(a: np.ndarray, dof: int) -> tuple[np.ndarray, list]:
-    """Kernel of the sample estimator: each scatter over dof, symmetrized; never refuses."""
+def _triangular_factor(f: np.ndarray, errors: list) -> tuple[tuple, list]:
+    """A kernel's factored value: lower factors F (k, p, p) and log det F F' from their diagonals."""
+    return (f, 2.0 * np.sum(np.log(np.diagonal(f, axis1=1, axis2=2)), axis=1)), errors
+
+
+def _sample(a: np.ndarray, dof: int, factored: bool = False) -> tuple:
+    """Kernel of the sample estimator: each scatter over dof, symmetrized; never refuses.
+
+    Its factor is T / sqrt(dof), T the scatter's Cholesky factor, which
+    refuses a scatter that is not positive definite.
+    """
+    if factored:
+        t, errors = cholesky_stack(a)
+        return _triangular_factor(t / np.sqrt(dof), errors)
     return symmetric_part(a / dof), [None] * len(a)
 
 
-def _triangular(a: np.ndarray, dof: int) -> tuple[np.ndarray, list]:
-    """Kernel of the triangular estimator T diag(1/d) T', T the Cholesky factor."""
+def _triangular(a: np.ndarray, dof: int, factored: bool = False) -> tuple:
+    """Kernel of the triangular estimator T diag(1/d) T', T the Cholesky factor; F = T diag(d^-1/2)."""
     t, errors = _factors(a, dof)
-    return symmetric_part((t / CLASS_DIVISORS["stein"](dof, a.shape[1])) @ t.swapaxes(1, 2)), errors
+    d = CLASS_DIVISORS["stein"](dof, a.shape[1])
+    if factored:
+        return _triangular_factor(t / np.sqrt(d), errors)
+    return symmetric_part((t / d) @ t.swapaxes(1, 2)), errors
 
 
-def _pivot(a: np.ndarray, dof: int) -> tuple[np.ndarray, list]:
-    """Kernel of the pivot estimator diag(pivot_i / d_i), the pivots t_ii^2."""
+def _pivot(a: np.ndarray, dof: int, factored: bool = False) -> tuple:
+    """Kernel of the pivot estimator diag(pivot_i / d_i), the pivots t_ii^2; F = diag(t_ii / sqrt(d_i))."""
     t, errors = _factors(a, dof)
-    est = np.zeros(t.shape)
+    d = CLASS_DIVISORS["dp"](dof, a.shape[1])
+    pivots = np.diagonal(t, axis1=1, axis2=2)
+    out = np.zeros(t.shape)
     idx = np.arange(a.shape[1])
-    est[:, idx, idx] = np.diagonal(t, axis1=1, axis2=2) ** 2 / CLASS_DIVISORS["dp"](dof, len(idx))
-    return est, errors
+    if factored:
+        out[:, idx, idx] = pivots / np.sqrt(d)
+        return _triangular_factor(out, errors)
+    out[:, idx, idx] = pivots ** 2 / d
+    return out, errors
 
 
 def _target(method: str, sig: np.ndarray, chol_sig: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -198,14 +222,20 @@ def shrunk_spectra(w: np.ndarray, n: int, errors: list) -> tuple[np.ndarray, np.
     return psi, d
 
 
-def _tsai(s: np.ndarray, n: int) -> tuple:
+def _tsai(s: np.ndarray, n: int, factored: bool = False) -> tuple:
     """Kernel of the shrinker U diag(psi) U' over a (k, p, p) stack of covariances.
 
     Returns the estimates, each refusal, and the spectra w, psi and d.
+    Factored, F = U diag(sqrt(psi)) and log det = sum log psi; a spectrum
+    the guard accepts has every psi positive.
     """
     w, u, errors = eigh_stack(s)
     psi, d = shrunk_spectra(w, n, errors)
-    return symmetric_part((u * psi[:, None, :]) @ u.swapaxes(1, 2)), errors, w, psi, d
+    if factored:
+        value = (u * np.sqrt(psi)[:, None, :], np.sum(np.log(psi), axis=1))
+    else:
+        value = symmetric_part((u * psi[:, None, :]) @ u.swapaxes(1, 2))
+    return value, errors, w, psi, d
 
 
 def _headroom(a: np.ndarray, power: int, terms: int) -> int:
@@ -399,14 +429,15 @@ ESTIMATORS = {
 }
 
 
-# method tag -> its kernel(scatters, dof); for a (k, n, p) stack x, slice j of
-# kernel(scatter_stack(x)[0], n) is ESTIMATORS[tag](x[j], False).matrix bit for
-# bit, and its refusal is the CovshrinkError that estimator raises, or None;
-# where the scatter overflows, the estimator alone scales it into range.  The
-# scatters are trusted to be exactly symmetric, and so are the estimates
+# method tag -> its kernel(scatters, dof, factored=False); for a (k, n, p)
+# stack x, slice j of kernel(scatter_stack(x)[0], n) is ESTIMATORS[tag](x[j],
+# False).matrix bit for bit, and its refusal is the CovshrinkError that
+# estimator raises, or None; where the scatter overflows, the estimator alone
+# scales it into range.  The scatters are trusted to be exactly symmetric, and
+# so are the estimates.  factored=True returns ((F, log det), refusals) instead
 STACKED_ESTIMATORS = {
     "sample": _sample,
     "stein_triangular": _triangular,
     "dp_equivariant": _pivot,
-    "tsai": lambda a, dof: _tsai(_sample(a, dof)[0], dof)[:2],
+    "tsai": lambda a, dof, factored=False: _tsai(_sample(a, dof)[0], dof, factored)[:2],
 }

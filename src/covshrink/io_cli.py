@@ -222,9 +222,11 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--seed", type=int, default=None,
                         help=f"master seed (default: ${ENV_SEED} or 0)")
     parser.add_argument("--threads", type=int, default=None,
-                        help=f"threads for replicate loops, 1 to {_MAX_THREADS}: the extra "
-                             "threads draw replicates ahead while the calling thread scores "
-                             "them (results independent of this).  It sizes only these "
+                        help=f"threads for replicate loops, 1 to {_MAX_THREADS}: from "
+                             "n*p >= 2**18 values in one replicate's draw every thread draws "
+                             "and scores, below it the extra threads draw replicates ahead "
+                             "while the calling thread scores them (results independent of "
+                             "this).  It sizes only these "
                              "workers; BLAS and LAPACK run on one thread whatever its value.  "
                              "Default: 2 when one replicate's draw holds n*p >= 2**18 values "
                              "and 2 CPUs are usable, else 1; on 2 vCPUs two threads won "

@@ -11,7 +11,7 @@ import numpy as np
 
 from ._rng import aggregate, check_failures, run_chunks
 from .estimators import CLASS_DIVISORS, STACKED_ESTIMATORS, _target, scatter_stack
-from .matrix_core import cholesky, cholesky_stack, first_refusals
+from .matrix_core import cholesky, first_refusals
 
 RISK_KINDS = tuple(CLASS_DIVISORS)
 
@@ -26,7 +26,8 @@ def stein_loss(phi, sigma) -> float:
     t_phi, t_sig = cholesky(phi), cholesky(sigma)
     if t_phi.shape != t_sig.shape:
         raise ValueError(f"dimension mismatch: {t_phi.shape} vs {t_sig.shape}")
-    return float(_stein_losses(t_phi[None], t_sig, _inverse_factor(t_sig))[0])
+    logdet = 2.0 * np.sum(np.log(np.diag(t_phi)))
+    return float(_stein_losses(t_phi[None], logdet, t_sig, _inverse_factor(t_sig))[0])
 
 
 def _inverse_factor(t_sig: np.ndarray) -> np.ndarray:
@@ -34,24 +35,26 @@ def _inverse_factor(t_sig: np.ndarray) -> np.ndarray:
     return np.tril(np.linalg.inv(t_sig))
 
 
-def _stein_losses(t_phi: np.ndarray, t_sig: np.ndarray, inv_sig: np.ndarray) -> np.ndarray:
-    """Stein losses of a (k, p, p) stack of lower factors against one sigma factor.
+def _stein_losses(f: np.ndarray, logdet_phi, t_sig: np.ndarray,
+                  inv_sig: np.ndarray) -> np.ndarray:
+    """Stein losses of k estimates phi_j = f_j f_j' against one sigma factor.
 
-    ``inv_sig`` is ``_inverse_factor(t_sig)``, computed once per sigma.
-    May overwrite t_phi, which keeps the peak memory at one stack of factors.
+    f is a (k, p, p) stack of factors, any with f_j f_j' = phi_j, and
+    ``logdet_phi`` each log det phi_j.  ``inv_sig`` is
+    ``_inverse_factor(t_sig)``, computed once per sigma.  May overwrite f,
+    which keeps the peak memory at one stack of factors.
     """
-    p = t_phi.shape[1]
-    logdet = 2.0 * (np.sum(np.log(np.diagonal(t_phi, axis1=1, axis2=2)), axis=1)
-                    - np.sum(np.log(np.diag(t_sig))))
-    # sigma^-1 phi = (t_sig^-T t_sig^-1)(t_phi t_phi^T); trace is the squared
-    # Frobenius norm of t_sig^-1 t_phi, one matrix product per factor.  A
+    p = f.shape[1]
+    logdet = logdet_phi - 2.0 * np.sum(np.log(np.diag(t_sig)))
+    # sigma^-1 phi = (t_sig^-T t_sig^-1)(f f^T); its trace is the squared
+    # Frobenius norm of t_sig^-1 f, one matrix product per factor.  A
     # diagonal inverse scales the rows instead: each entry of the product
     # then has exactly one nonzero term, so the scaling is the same bits.
     scale = np.diag(inv_sig)
     if np.count_nonzero(inv_sig) > np.count_nonzero(scale):
-        w = inv_sig @ t_phi
+        w = inv_sig @ f
     else:
-        w = np.multiply(t_phi, scale[:, None], out=t_phi)
+        w = np.multiply(f, scale[:, None], out=f)
     w *= w
     return np.sum(w, axis=(1, 2)) - logdet - p
 
@@ -149,10 +152,17 @@ def replicate_losses(methods, sigma, n: int, replicates: int, seed: int,
     Each method makes its own pass over the replicates, and replicate r of
     every pass is drawn from ``replicate_rng(seed, r)``, so all methods see
     the same data.  Every method is scored by its STACKED_ESTIMATORS kernel
-    a chunk at a time, and its losses are the same bits as the per-replicate
-    estimator's.  ``threads`` sizes each pass's replicate loop; None, the
-    default, chooses it from the size of one replicate's draw
-    (``_rng.replicate_threads``), and no loss depends on it.
+    a chunk at a time, from the factor F (F F' = phi) and log det phi the
+    kernel already holds: T / sqrt(n) for ``sample``, T diag(d^-1/2) for
+    ``stein_triangular`` and diag(t_ii / sqrt(d_i)) for ``dp_equivariant``,
+    T the scatter's Cholesky factor, and U diag(sqrt(psi)) for ``tsai``.  No
+    estimate is formed or factored again, so a loss differs from
+    ``stein_loss`` of the per-replicate estimate by rounding alone, within
+    4 kappa(L) eps (|loss| + p), L sigma's factor; and an estimate built
+    from a valid factor is never refused.  ``threads`` sizes each pass's
+    replicate loop; None, the default, chooses it from the size of one
+    replicate's draw (``_rng.replicate_threads``), and no loss depends on
+    it.
     """
     if isinstance(methods, str):
         raise TypeError(f"methods must be a sequence of tags, got the string {methods!r}")
@@ -175,10 +185,9 @@ def replicate_losses(methods, sigma, n: int, replicates: int, seed: int,
 
         def score_chunk(start: int, x: np.ndarray) -> tuple[list, list]:
             scatters, errors = scatter_stack(x)
-            est, est_errors = estimate(scatters, n)
-            t_phi, chol_errors = cholesky_stack(est)
-            losses = _stein_losses(t_phi, t_target, inv_target)
-            return losses.tolist(), first_refusals(errors, est_errors, chol_errors)
+            (f, logdet), est_errors = estimate(scatters, n, factored=True)
+            losses = _stein_losses(f, logdet, t_target, inv_target)
+            return losses.tolist(), first_refusals(errors, est_errors)
 
         losses, refusals = run_chunks(score_chunk, seed, chol_sig, n, replicates, threads)
         out[method] = (losses, target, refusals)

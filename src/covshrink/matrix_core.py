@@ -4,11 +4,15 @@ All downstream shrinkage and risk formulas index eigenvalues in descending
 order and assume a deterministic eigenvector sign, so those conventions are
 enforced here once and nowhere else.  A matrix from outside the package is
 validated once, where it enters: ``cholesky``, ``spectral_decompose`` and
-``tsai_estimator`` pass it through ``symmetric_matrix``.  ``cholesky_stack``
-and ``eigh_stack`` trust the exactly symmetric stacks the package builds,
-and refuse only a slice that is not finite.
+``tsai_estimator`` pass it through ``symmetric_matrix``.  ``cholesky_stack``,
+``eigh_stack`` and ``eigvalsh_stack`` trust the exactly symmetric stacks the
+package builds; the first two refuse only a slice that is not finite.
+``eigvalsh_stack`` calls LAPACK through ``ctypes``, in the library NumPy's
+linalg calls, so that other threads run while it works: NumPy's own
+``eigvalsh`` holds the interpreter lock.
 """
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -27,6 +31,21 @@ SIGN_EPS = 1e-12
 # wheels (scipy-openblas, 64-bit and 32-bit integers), then plain OpenBLAS
 _BLAS_THREAD_SETTERS = ("scipy_openblas_set_num_threads64_", "scipy_openblas_set_num_threads",
                         "openblas_set_num_threads64_", "openblas_set_num_threads")
+# LAPACK's dsyevd in the spellings whose name tells its integer width: NumPy's
+# wheels (scipy-openblas, 64-bit and 32-bit integers), then a 64-bit OpenBLAS.
+# A plain dsyevd_ may take either width, so it is not called.
+_DSYEVD = (("scipy_dsyevd_64_", np.int64), ("scipy_dsyevd_", np.int32), ("dsyevd_64_", np.int64))
+
+
+def _linalg_library():
+    """The shared library NumPy's linalg calls, through ``_umath_linalg``.
+
+    Looking a symbol up in it also searches the BLAS and LAPACK it links, so
+    the symbols found are those of the one library NumPy actually uses.
+    """
+    import ctypes
+
+    return ctypes.CDLL(np.linalg._umath_linalg.__file__)
 
 
 def _one_blas_thread() -> None:
@@ -36,13 +55,12 @@ def _one_blas_thread() -> None:
     split changes the order of the sums, so at p >= 200 the last bits of a
     result depend on the pool's size, which defaults to the core count.  On
     one thread they depend on the arguments alone.  The setter is looked up
-    through ``_umath_linalg``, the extension that calls LAPACK, so it is the
-    one library NumPy actually uses.  A BLAS with none of the setters (MKL,
+    in ``_linalg_library``.  A BLAS with none of the setters (MKL,
     Accelerate, a reference BLAS) is left as it is.
     """
     import ctypes
 
-    lib = ctypes.CDLL(np.linalg._umath_linalg.__file__)
+    lib = _linalg_library()
     for symbol in _BLAS_THREAD_SETTERS:
         setter = getattr(lib, symbol, None)
         if setter is not None:
@@ -52,14 +70,14 @@ def _one_blas_thread() -> None:
             return
 
 
-def symmetric_part(a: np.ndarray, out=None) -> np.ndarray:
-    """(M + M.T)/2 of each matrix M of a (k, p, p) stack, into ``out`` when given.
+def symmetric_part(a: np.ndarray) -> np.ndarray:
+    """(M + M.T)/2 of each matrix M of a (k, p, p) stack.
 
     Summed in halves, M/2 + M.T/2: the same bits outside the subnormal range,
     and finite wherever M is.
     """
     half = a * 0.5
-    return np.add(half, half.swapaxes(1, 2), out=out)
+    return half + half.swapaxes(1, 2)
 
 
 def unrefused(values, errors: list):
@@ -179,6 +197,63 @@ def eigh_stack(m: np.ndarray) -> tuple[np.ndarray, np.ndarray, list]:
     order = np.argsort(-w, axis=1, kind="stable")
     j = np.arange(len(w))[:, None]
     return w[j, order], v[j[:, None], np.arange(w.shape[1])[:, None], order[:, None, :]], errors
+
+
+@functools.cache
+def _dsyevd():
+    """LAPACK's dsyevd in ``_linalg_library`` and its integer dtype, or None where it has none."""
+    import ctypes
+
+    lib = _linalg_library()
+    for symbol, int_type in _DSYEVD:
+        fn = getattr(lib, symbol, None)
+        if fn is not None:
+            # eleven pointers, then the lengths of the two character arguments
+            fn.argtypes = [ctypes.c_void_p] * 11 + [ctypes.c_size_t] * 2
+            fn.restype = None
+            return fn, int_type
+    return None
+
+
+def eigvalsh_stack(m: np.ndarray) -> np.ndarray:
+    """Ascending eigenvalues of each matrix of a (k, p, p) stack: ``np.linalg.eigvalsh(m)``, bit for bit.
+
+    The stack is trusted to be symmetric, as in ``eigh_stack``.  Each matrix
+    goes to the LAPACK dsyevd that NumPy's ``eigvalsh`` calls, with the same
+    arguments: jobz N, uplo L, and the workspace its query returns, so the
+    bits are the same.  Called through ``ctypes``, it lets go of the
+    interpreter lock, which NumPy's holds.  The workspace is queried and the
+    arguments built once per stack.  Where the library has no such symbol,
+    or LAPACK returns a nonzero ``info``, NumPy's ``eigvalsh`` does the work,
+    and raises as it does.
+    """
+    found = _dsyevd()
+    a = np.array(m, dtype=float, order="C")  # dsyevd overwrites its matrix
+    if found is None or a.ndim != 3 or a.shape[1] != a.shape[2]:
+        return np.linalg.eigvalsh(m)  # which refuses a stack of non-square matrices
+    dsyevd, int_type = found
+    k, p = a.shape[:2]
+    w = np.empty((k, p))
+    ints = np.array([p, -1, -1, 0], dtype=int_type)  # n (and lda), lwork, liwork, info
+    n_at, lwork_at, liwork_at, info_at = (ints.ctypes.data + i * ints.itemsize for i in range(4))
+    chars = np.frombuffer(b"NL", dtype=np.uint8)  # jobz, uplo
+    work, iwork = np.empty(1), np.empty(1, dtype=int_type)
+    a_at, w_at = a.ctypes.data, w.ctypes.data
+    # the workspace query: lwork = liwork = -1 puts the lengths in work[0], iwork[0]
+    args = [chars.ctypes.data, chars.ctypes.data + 1, n_at, a_at, n_at, w_at,
+            work.ctypes.data, lwork_at, iwork.ctypes.data, liwork_at, info_at, 1, 1]
+    dsyevd(*args)
+    if ints[3] != 0:
+        return np.linalg.eigvalsh(m)
+    ints[1:3] = int(work[0]), iwork[0]  # NumPy truncates the queried length as well
+    work, iwork = np.empty(ints[1]), np.empty(ints[2], dtype=int_type)
+    args[6], args[8] = work.ctypes.data, iwork.ctypes.data
+    for j in range(k):
+        args[3], args[5] = a_at + j * a.strides[0], w_at + j * w.strides[0]
+        dsyevd(*args)
+        if ints[3] != 0:
+            return np.linalg.eigvalsh(m)
+    return w
 
 
 def spectral_decompose(m) -> SpectralDecomp:

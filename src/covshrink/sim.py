@@ -29,7 +29,7 @@ from ._rng import aggregate, check_failures, run_chunks
 from .errors import ConfigError, NotPositiveDefiniteError, NumericError
 from .estimators import DENOM_GUARD, ESTIMATORS, _declined, scatter_stack, shrinkage_terms
 from .loss_risk import RISK_KINDS, min_risk, replicate_losses
-from .matrix_core import cholesky, unrefused
+from .matrix_core import cholesky, eigvalsh_stack, unrefused
 from .rmt import MPModel, mp_cdf
 
 VARIANTS = ("identity", "spiked", "ar1", "explicit")
@@ -190,7 +190,7 @@ def eigenvalue_recovery_experiment(config: ExperimentConfig,
     n = config.n
 
     def score_chunk(first: int, x: np.ndarray) -> tuple[list, list]:
-        spectra = np.linalg.eigvalsh(unrefused(*scatter_stack(x)) / n)[:, ::-1]
+        spectra = eigvalsh_stack(unrefused(*scatter_stack(x)) / n)[:, ::-1]
         scale = np.ldexp(1.0, -np.frexp(spectra[:, 0])[1]).tolist()
         psi, d = shrinkage_terms(spectra, n)
         accepted = (~_declined(spectra, d, n)).tolist()
@@ -231,8 +231,8 @@ def esd_fit_experiment(config: ExperimentConfig, threads: int | None = None) -> 
     i = np.arange(1, p + 1)
 
     def score_chunk(first: int, x: np.ndarray) -> tuple[list, list]:
-        # eigvalsh returns each spectrum ascending, the order the KS distance reads
-        f = mp_cdf(np.linalg.eigvalsh(unrefused(*scatter_stack(x)) / n), model)
+        # eigvalsh_stack returns each spectrum ascending, the order the KS distance reads
+        f = mp_cdf(eigvalsh_stack(unrefused(*scatter_stack(x)) / n), model)
         ks = np.max(np.maximum(np.abs(f - i / p), np.abs(f - (i - 1) / p)), axis=1).tolist()
         return [{"replicate": first + j, "ks": v} for j, v in enumerate(ks)], [None] * len(ks)
 

@@ -236,6 +236,19 @@ def test_the_scale_free_tests_take_any_power_of_two_bit_for_bit(test):
         assert test(np.ldexp(x, k)).statistic == want, k
 
 
+def test_hotelling_takes_each_columns_power_of_two():
+    # T^2 ignores each column's scale, and mean_test scales each hotelling
+    # column by its own power of two where one could overflow or go subnormal,
+    # so such samples give one statistic, bit for bit.  It is the unscaled
+    # sample's up to the solve's pivoting, which column scales change: at
+    # most 6.5e-15 relative over 200 seeds of this and the sweep's 8 x 3 sample
+    x = np.random.default_rng(0).standard_normal((200, 5)) @ np.diag([3, 2, 1, 1, 1]) ** 0.5
+    stats = {hotelling_t2(np.ldexp(x, np.array(k))).statistic
+             for k in ([1000, 0, -1000, 3, 0], [520, -520, 0, 0, 40], [-300, 0, 0, 0, 0])}
+    assert len(stats) == 1
+    assert_allclose(stats.pop(), hotelling_t2(x).statistic, rtol=1e-14)
+
+
 @pytest.mark.parametrize("seed", range(5))
 @pytest.mark.parametrize("test", [hotelling_t2, decomposite_t2])
 def test_collinear_data_is_refused(test, seed):

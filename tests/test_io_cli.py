@@ -869,6 +869,19 @@ def test_ttest_at_the_ends_of_the_float64_range(tmp_path, capsys, method, scale)
                     rtol=1e-14)
 
 
+def test_hotelling_takes_columns_of_mixed_magnitude(tmp_path, capsys):
+    # the sweep's mixed sample, columns near 1e200, 1 and 1e-200: T^2 is that of
+    # the unit-scale columns up to the rounding of the cells, measured 6.6e-16 relative
+    x = np.random.default_rng(5).standard_normal((8, 3))
+    text = "".join(",".join(map(repr, row)) + "\n"
+                   for row in (x * SWEEP_SCALES["mixed"]).tolist())
+    code = run_cli(["ttest", "--method", "hotelling", "--input", write(tmp_path, "x.csv", text)])
+    out, err = capsys.readouterr()
+    assert (code, err) == (0, "")
+    assert_allclose(strict_json(out)["results"]["statistic"], mean_test("hotelling", x).statistic,
+                    rtol=1e-14)
+
+
 class TestSeedResolution:
     def test_env_fallback(self, tmp_path, monkeypatch):
         monkeypatch.setenv("COVSHRINK_SEED", "42")
@@ -963,7 +976,7 @@ class TestDeterminism:
 
 
 class TestDefaultThreads:
-    # one replicate's draw holds 1024 * 256 = 2**18 values, where the default draws ahead
+    # one replicate's draw holds 1024 * 256 = 2**18 values, where the default runs two threads
     ESD = ["--seed", "5", "simulate", "--experiment", "esd", "--n", "1024", "--p", "256",
            "--replicates", "3"]
 

@@ -303,19 +303,32 @@ STACKED_TAGS = ("sample", "stein_triangular", "dp_equivariant", "tsai")
 class TestStackedEngine:
     @pytest.mark.parametrize("sigma", [np.eye(10), ar1(10, 0.7)], ids=["identity", "ar1"])
     def test_stacked_losses_equal_per_replicate_losses(self, sigma):
-        # n=50, p=10: 65 replicates per chunk, so 300 replicates span five chunks
+        # n=50, p=10: 65 replicates per chunk, so 300 replicates span five chunks.
+        # Each loss comes from the kernel's own factor, where stein_loss factors
+        # the formed estimate again, so the two agree to rounding: within the
+        # equivariance oracle's 4 kappa(L) eps (|loss| + p), L sigma's factor.
+        # Measured over seeds 7 to 9: at most 1.59 of that for the three class
+        # estimators.  The reference for tsai also forms U diag(psi) U', whose
+        # factor's rounding grows with the estimate's own condition kappa(phi),
+        # so its bound carries that factor too: measured, at most 2.83 of it.
+        # They refuse the same replicates.
         n, reps, seed = 50, 300, 7
         out = replicate_losses(STACKED_TAGS, sigma, n, reps, seed)
         chol = cholesky(sigma)
+        bound = 4.0 * np.linalg.cond(chol) * np.finfo(float).eps
         for tag in STACKED_TAGS:
             losses, target, _ = out[tag]
             for r in range(reps):
                 x = gaussian_rows(replicate_rng(seed, r), chol, n)
                 try:
-                    expected = stein_loss(ESTIMATORS[tag](x, False).matrix, target)
+                    phi = ESTIMATORS[tag](x, False).matrix
+                    expected = stein_loss(phi, target)
                 except CovshrinkError:
                     expected = None
-                assert losses[r] == expected
+                assert (losses[r] is None) == (expected is None)
+                if expected is not None:
+                    scale = np.linalg.cond(phi) if tag == "tsai" else 1.0
+                    assert abs(losses[r] - expected) <= bound * scale * (abs(expected) + 10), r
 
     def test_losses_do_not_depend_on_chunk_size(self, monkeypatch):
         sigma = ar1(6, 0.5)
@@ -376,7 +389,8 @@ class TestStackedEngine:
         for tag in ("sample", "stein_triangular", "tsai"):
             est, est_errors = STACKED_ESTIMATORS[tag](scatter_stack(x)[0], n)
             t_phi, errors = cholesky_stack(est)
-            losses = _stein_losses(t_phi.copy(), t_sig, _inverse_factor(t_sig))
+            logdet = 2.0 * np.sum(np.log(np.diagonal(t_phi, axis1=1, axis2=2)), axis=1)
+            losses = _stein_losses(t_phi.copy(), logdet, t_sig, _inverse_factor(t_sig))
             for j in range(k):
                 if est_errors[j] is not None or errors[j] is not None:
                     continue

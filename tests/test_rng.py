@@ -1,4 +1,5 @@
 import hashlib
+import sys
 import threading
 
 import numpy as np
@@ -117,34 +118,80 @@ class TestReplicateCounts:
             seen.clear()
 
 
+class TestScoringOnEveryThread:
+    """From n*p = DRAW_AHEAD_VALUES on, every thread draws and scores; the caller only merges."""
+
+    @pytest.mark.parametrize("threads", [2, 3])
+    def test_outcomes_and_refusals_equal_one_threads(self, monkeypatch, threads):
+        # seven replicates a chunk of 20 x 3 draws, every one at the threshold
+        monkeypatch.setattr(_rng, "DRAW_AHEAD_VALUES", 60)
+        monkeypatch.setattr(_rng, "CHUNK_BYTES", 8 * 20 * 3 * 7)
+        chol = cholesky(ar1(3, 0.6))
+        caller, worked_on = threading.get_ident(), set()
+
+        def score_chunk(start, x):
+            worked_on.add(threading.get_ident())
+            values = [float(np.sum(xj * xj)) for xj in x]
+            errors = [NumericError() if (start + j) % 5 == 0 else
+                      EigenvalueTieError() if v > 75 else None for j, v in enumerate(values)]
+            return values, errors
+
+        serial = run_chunks(score_chunk, 4, chol, 20, 100, 1)
+        assert serial[1]["NumericError"] == 20 and serial[1]["EigenvalueTieError"] > 0
+        worked_on.clear()
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)  # switch threads as often as the interpreter can
+        try:
+            assert run_chunks(score_chunk, 4, chol, 20, 100, threads) == serial
+        finally:
+            sys.setswitchinterval(interval)
+        assert caller not in worked_on and 1 <= len(worked_on) <= threads
+
+    def test_an_error_raised_on_a_worker_propagates(self, monkeypatch):
+        monkeypatch.setattr(_rng, "DRAW_AHEAD_VALUES", 1)
+
+        def score_chunk(start, x):
+            if start > 0:
+                raise ValueError(f"chunk at {start}")
+            return [0.0] * len(x), [None] * len(x)
+
+        monkeypatch.setattr(_rng, "CHUNK_BYTES", 8 * 5 * 2 * 3)
+        with pytest.raises(ValueError, match="chunk at 3"):
+            run_chunks(score_chunk, 1, np.eye(2), 5, 12, 2)
+
+
 class TestDefaultThreadCount:
-    """threads=None draws ahead on a worker exactly when n*p >= 2**18 and 2 CPUs are usable."""
+    """threads=None runs two workers exactly when n*p >= 2**18 and 2 CPUs are usable."""
 
     @staticmethod
     def drawing_threads(monkeypatch, cpus, n, p, threads=None):
-        """(outcomes, refusals) of a three-replicate loop, and the threads that drew its chunks."""
+        """(outcomes, refusals) of a three-replicate loop, and the threads that drew and scored it."""
         monkeypatch.setattr(_rng, "_usable_cpus", lambda: cpus)
-        drawn_on, draw = [], _rng.draw_chunk
+        worked_on, draw = [], _rng.draw_chunk
 
         def recorded(*args):
-            drawn_on.append(threading.get_ident())
+            worked_on.append(threading.get_ident())
             return draw(*args)
 
+        def score_chunk(start, x):
+            worked_on.append(threading.get_ident())
+            return x.sum(axis=(1, 2)).tolist(), [None] * len(x)
+
         monkeypatch.setattr(_rng, "draw_chunk", recorded)
-        out = run_chunks(lambda start, x: (x.sum(axis=(1, 2)).tolist(), [None] * len(x)),
-                         12, np.eye(p), n, 3, threads)
-        return out, set(drawn_on)
+        out = run_chunks(score_chunk, 12, np.eye(p), n, 3, threads)
+        return out, set(worked_on)
 
     @pytest.mark.parametrize("n, p", [(1023, 256), (2 ** 18 - 1, 1), (1024, 256), (2 ** 18, 1)])
     @pytest.mark.parametrize("cpus", [1, 2])
     def test_a_worker_draws_from_two_mib_on_two_cpus(self, monkeypatch, cpus, n, p):
+        # from 2 MiB on, two workers draw and score; the calling thread does neither
         assert chunk_replicates(n, p) == 1
         serial, on = self.drawing_threads(monkeypatch, cpus, n, p, threads=1)
         assert on == {threading.get_ident()}
         default, on = self.drawing_threads(monkeypatch, cpus, n, p)
         ahead = n * p >= 2 ** 18 and cpus >= 2
         assert _rng.replicate_threads(None, n, p) == (2 if ahead else 1)
-        assert (threading.get_ident() not in on) == ahead and len(on) == 1
+        assert (threading.get_ident() not in on) == ahead and len(on) <= (2 if ahead else 1)
         assert default == serial and len(serial[0]) == 3
 
     def test_an_explicit_count_is_kept_above_the_threshold(self, monkeypatch):
