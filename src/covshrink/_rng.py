@@ -2,21 +2,25 @@
 
 Every Monte Carlo replicate seeds its own generator from a stable 64-bit
 hash of (master seed, replicate index), so results are bit-identical no
-matter how replicates are scheduled across workers.  ``run_chunks`` is the
-one replicate loop: it draws replicates, stacked into chunks of a fixed
-byte budget, hands each chunk whole to a stacked scorer, and counts the
-refused replicates by class.  On more than one thread, a chunk of large
-draws is drawn and scored on a worker, every thread at once, and the
-calling thread merges the outcomes in replicate order; small draws are
-scored on the calling thread while the other threads draw the next chunks
-ahead.  ``replicate_threads`` chooses the thread count from the size of
-one replicate's draw unless the caller gives it.  ``check_failures`` is the
-one place the failed-replicate tolerance is enforced, and ``aggregate`` the
-one mean and standard error over the replicates that completed.
+matter how replicates are scheduled across workers.  The generator is
+NumPy's ``default_rng`` of that hash, bit for bit; the SeedSequence words it
+starts from are computed for SEED_BLOCK consecutive indices at once and
+cached.  ``run_chunks`` is the one replicate loop: it draws replicates,
+stacked into chunks of a fixed byte budget, hands each chunk whole to a
+stacked scorer, and counts the refused replicates by class.  On more than
+one thread, a chunk of large draws is drawn and scored on a worker, every
+thread at once, and the calling thread merges the outcomes in replicate
+order; small draws are scored on the calling thread while the other threads
+draw the next chunks ahead.  ``replicate_threads`` chooses the thread count
+from the size of one replicate's draw unless the caller gives it.
+``check_failures`` is the one place the failed-replicate tolerance is
+enforced, and ``aggregate`` the one mean and standard error over the
+replicates that completed.
 """
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import os
 from collections import Counter, deque
@@ -38,15 +42,126 @@ CHUNK_BYTES = 256 * 1024
 # chunks at once ran at 0.98 times the speed of one, and scoring on both
 # made `--threads 2 risk --n 50 --p 10 --monte-carlo` slower, 1.20 -> 1.68 s,
 # so there the other threads only draw ahead, and at p = 5 and 10 even that
-# loses.
+# ties at best.  Seeding in blocks left drawing and scoring there both
+# holding the lock most of the time (at two threads CPU time stayed within
+# 2 % of wall time): that call took 0.96 s at one thread and 0.97 s at two
+# (8 alternating pairs of fresh calls), and the 400 x 5 `power` of 4000
+# replicates 0.73 and 0.71 s (14 pairs), inside one call's spread of
+# 0.55-0.85 s.
 DRAW_AHEAD_VALUES = 2 ** 18
+
+# replicate indices whose SeedSequence words are computed together
+SEED_BLOCK = 64
+# cached blocks of words, 2 KiB each: enough for 64 threads each holding a
+# chunk that spans three blocks
+SEED_BLOCKS_CACHED = 256
+
+# SeedSequence's constants (NEP 19; numpy/random/bit_generator.pyx)
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
+_MASK32 = 0xFFFFFFFF
+
+
+def _hash_constants(init: int, mult: int, count: int) -> tuple:
+    """(xors, multipliers) of ``count`` successive hashmix steps, as uint32 arrays.
+
+    Step k xors the running constant h_k in, then multiplies by h_{k+1} =
+    h_k * mult mod 2**32; the constants never depend on the data.
+    """
+    h = [init]
+    for _ in range(count):
+        h.append(h[-1] * mult & _MASK32)
+    h = np.array(h, dtype=np.uint32)
+    return h[:-1], h[1:]
+
+
+# four pool words, then twelve pair mixes
+_POOL_XOR, _POOL_MULT = _hash_constants(_INIT_A, _MULT_A, 16)
+# eight uint32 output words
+_STATE_XOR, _STATE_MULT = _hash_constants(_INIT_B, _MULT_B, 8)
+
+
+def _hashmix(value: np.ndarray, xor, mult) -> np.ndarray:
+    """SeedSequence's hashmix of uint32 words, its running constants given."""
+    v = (value ^ xor) * mult
+    return v ^ (v >> 16)
+
+
+def _seed_words(entropy: np.ndarray) -> np.ndarray:
+    """``SeedSequence(e).generate_state(4, np.uint64)`` for each e of a uint64 array, as rows.
+
+    A 64-bit entropy is one or two uint32 words and the pool four, so the
+    pool words past the entropy hash a zero either way, and no entropy is
+    left to mix in once the pool is filled.  Each step is uint32 arithmetic
+    on one array across all the entropies.
+    """
+    pool = np.zeros((4, entropy.size), dtype=np.uint32)
+    pool[0], pool[1] = entropy & _MASK32, entropy >> 32
+    pool = _hashmix(pool, _POOL_XOR[:4, None], _POOL_MULT[:4, None])
+    # mix_entropy: each word's hash is mixed into every other word in turn.
+    # Word src does not change while it is mixed into the other three, and
+    # each of those takes in only its own hash, so the three mixes are one.
+    for src in range(4):
+        dst = [d for d in range(4) if d != src]
+        steps = slice(4 + 3 * src, 7 + 3 * src)
+        h = _hashmix(pool[src], _POOL_XOR[steps, None], _POOL_MULT[steps, None])
+        v = _MIX_MULT_L * pool[dst] - _MIX_MULT_R * h
+        pool[dst] = v ^ (v >> 16)
+    state = _hashmix(pool[[0, 1, 2, 3, 0, 1, 2, 3]], _STATE_XOR[:, None], _STATE_MULT[:, None])
+    # generate_state's uint64 words: consecutive uint32 pairs, low word first
+    return np.ascontiguousarray(state.T, dtype="<u4").view("<u8").astype(np.uint64)
+
+
+@functools.lru_cache(maxsize=SEED_BLOCKS_CACHED)
+def _block_words(seed_text: str, block: int) -> np.ndarray:
+    """(SEED_BLOCK, 4) SeedSequence words of replicates block*SEED_BLOCK onwards, read-only.
+
+    Keyed by the seed's text, which is what the hash reads: seeds that
+    compare equal may still print differently (1 and True).
+    """
+    first = block * SEED_BLOCK
+    digests = b"".join(hashlib.blake2b(f"{seed_text}:{index}".encode("ascii"),
+                                       digest_size=8).digest()
+                       for index in range(first, first + SEED_BLOCK))
+    words = _seed_words(np.frombuffer(digests, dtype="<u8").astype(np.uint64))
+    words.flags.writeable = False
+    return words
+
+
+@functools.cache
+def _precomputed_seed_type() -> type:
+    """An ISeedSequence that hands PCG64 words already computed.
+
+    Made at first use: subclassing NumPy's interface at import would load
+    numpy.random for commands that draw nothing.
+    """
+    from numpy.random.bit_generator import ISeedSequence
+
+    class PrecomputedSeed(ISeedSequence):
+        __slots__ = ("words",)
+
+        def __init__(self, words: np.ndarray):
+            self.words = words
+
+        def generate_state(self, n_words, dtype=np.uint32):
+            # PCG64 seeds itself from exactly these four uint64 words
+            if n_words != 4 or dtype is not np.uint64:
+                raise ValueError("only PCG64's request, 4 uint64 words, is precomputed")
+            return self.words
+
+    return PrecomputedSeed
 
 
 def replicate_rng(seed: int, index: int) -> np.random.Generator:
-    """Generator for replicate ``index`` of an experiment with master ``seed``."""
-    digest = hashlib.blake2b(f"{seed}:{index}".encode("ascii"), digest_size=8).digest()
-    # default_rng(seed) for an integer seed, without its argument dispatch
-    return np.random.Generator(np.random.PCG64(int.from_bytes(digest, "little")))
+    """Generator for replicate ``index`` of an experiment with master ``seed``.
+
+    Bit for bit ``default_rng(int.from_bytes(blake2b(f"{seed}:{index}",
+    digest_size=8), "little"))``.
+    """
+    block, offset = divmod(index, SEED_BLOCK)
+    words = _block_words(f"{seed}", block)[offset]
+    return np.random.Generator(np.random.PCG64(_precomputed_seed_type()(words)))
 
 
 def gaussian_rows(rng: np.random.Generator, chol_factor: np.ndarray, n: int,

@@ -25,9 +25,10 @@ or None.  The public functions are the k = 1 case and raise that refusal;
 score every estimator a chunk of replicates at a time, and ``centered_stack``
 centers a stack once for the estimators and the mean tests alike.  Asked
 for ``factored``, a kernel returns in place of each estimate a factor F
-with F F' the estimate in exact arithmetic, and the estimate's log
-determinant, taken from the factorization it already holds: all a Stein
-loss reads, with no estimate formed and factored again.
+with F F' the estimate in exact arithmetic (the pivot kernel's diagonal F
+as its (k, p) diagonal), and the estimate's log determinant, taken from the
+factorization it already holds: all a Stein loss reads, with no estimate
+formed and factored again.
 """
 
 from dataclasses import dataclass
@@ -169,15 +170,18 @@ def _triangular(a: np.ndarray, dof: int, factored: bool = False) -> tuple:
 
 
 def _pivot(a: np.ndarray, dof: int, factored: bool = False) -> tuple:
-    """Kernel of the pivot estimator diag(pivot_i / d_i), the pivots t_ii^2; F = diag(t_ii / sqrt(d_i))."""
+    """Kernel of the pivot estimator diag(pivot_i / d_i), the pivots t_ii^2.
+
+    Its factor is diag(t_ii / sqrt(d_i)), returned as that (k, p) diagonal.
+    """
     t, errors = _factors(a, dof)
     d = CLASS_DIVISORS["dp"](dof, a.shape[1])
     pivots = np.diagonal(t, axis1=1, axis2=2)
+    if factored:
+        f = pivots / np.sqrt(d)
+        return (f, 2.0 * np.sum(np.log(f), axis=1)), errors
     out = np.zeros(t.shape)
     idx = np.arange(a.shape[1])
-    if factored:
-        out[:, idx, idx] = pivots / np.sqrt(d)
-        return _triangular_factor(out, errors)
     out[:, idx, idx] = pivots ** 2 / d
     return out, errors
 
@@ -434,7 +438,8 @@ ESTIMATORS = {
 # False).matrix bit for bit, and its refusal is the CovshrinkError that
 # estimator raises, or None; where the scatter overflows, the estimator alone
 # scales it into range.  The scatters are trusted to be exactly symmetric, and
-# so are the estimates.  factored=True returns ((F, log det), refusals) instead
+# so are the estimates.  factored=True returns ((F, log det), refusals) instead,
+# F a (k, p, p) stack, or for _pivot the (k, p) diagonals
 STACKED_ESTIMATORS = {
     "sample": _sample,
     "stein_triangular": _triangular,

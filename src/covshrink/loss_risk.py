@@ -39,13 +39,20 @@ def _stein_losses(f: np.ndarray, logdet_phi, t_sig: np.ndarray,
                   inv_sig: np.ndarray) -> np.ndarray:
     """Stein losses of k estimates phi_j = f_j f_j' against one sigma factor.
 
-    f is a (k, p, p) stack of factors, any with f_j f_j' = phi_j, and
-    ``logdet_phi`` each log det phi_j.  ``inv_sig`` is
-    ``_inverse_factor(t_sig)``, computed once per sigma.  May overwrite f,
-    which keeps the peak memory at one stack of factors.
+    f is a (k, p, p) stack of factors, any with f_j f_j' = phi_j, or a
+    (k, p) stack of diagonals of diagonal factors, and ``logdet_phi`` each
+    log det phi_j.  ``inv_sig`` is ``_inverse_factor(t_sig)``, computed once
+    per sigma.  May overwrite f, which keeps the peak memory at one stack of
+    factors.
     """
     p = f.shape[1]
     logdet = logdet_phi - 2.0 * np.sum(np.log(np.diag(t_sig)))
+    if f.ndim == 2:
+        # tr(sigma^-1 diag(f)^2) = sum_i f_i^2 |column i of t_sig^-1|^2: p terms, not p^2.
+        # A row sum, not a matrix-vector product, whose rounding would follow k.
+        w = np.multiply(f, f, out=f)
+        w *= np.sum(inv_sig * inv_sig, axis=0)
+        return np.sum(w, axis=1) - logdet - p
     # sigma^-1 phi = (t_sig^-T t_sig^-1)(f f^T); its trace is the squared
     # Frobenius norm of t_sig^-1 f, one matrix product per factor.  A
     # diagonal inverse scales the rows instead: each entry of the product

