@@ -19,7 +19,6 @@ from .errors import (
     ShrinkageSingularityError,
 )
 from .matrix_core import (
-    SpectralDecomp,
     cholesky,
     schur_pivots,
     spectral_decompose,
@@ -82,7 +81,6 @@ __all__ = [
     "NotPositiveDefiniteError",
     "NumericError",
     "ShrinkageSingularityError",
-    "SpectralDecomp",
     "cholesky",
     "schur_pivots",
     "spectral_decompose",

@@ -149,7 +149,7 @@ def _triangular_factor(f: np.ndarray, errors: list) -> tuple[tuple, list]:
 
 
 def _sample(a: np.ndarray, dof: int, factored: bool = False) -> tuple:
-    """Kernel of the sample estimator: each scatter over dof, symmetrized; never refuses.
+    """Kernel of the sample estimator: each scatter over dof, left exactly symmetric; never refuses.
 
     Its factor is T / sqrt(dof), T the scatter's Cholesky factor, which
     refuses a scatter that is not positive definite.
@@ -157,7 +157,7 @@ def _sample(a: np.ndarray, dof: int, factored: bool = False) -> tuple:
     if factored:
         t, errors = cholesky_stack(a)
         return _triangular_factor(t / np.sqrt(dof), errors)
-    return symmetric_part(a / dof), [None] * len(a)
+    return a / dof, [None] * len(a)
 
 
 def _triangular(a: np.ndarray, dof: int, factored: bool = False) -> tuple:

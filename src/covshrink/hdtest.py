@@ -70,13 +70,13 @@ def _refuse_singular(s: np.ndarray, eigenvalues: np.ndarray, errors: list) -> No
     each matrix not refused already.
     """
     p = s.shape[1]
-    floors = (p * np.finfo(float).eps * np.diagonal(s, axis1=1, axis2=2).max(axis=1)).tolist()
-    smallest = eigenvalues.min(axis=1).tolist()
-    for j, (floor, low) in enumerate(zip(floors, smallest)):
-        if errors[j] is None and low <= floor:
+    floors = p * np.finfo(float).eps * np.diagonal(s, axis1=1, axis2=2).max(axis=1)
+    smallest = eigenvalues.min(axis=1)
+    for j in np.flatnonzero(smallest <= floors).tolist():
+        if errors[j] is None:
             errors[j] = NotPositiveDefiniteError(
-                f"centered covariance is singular: smallest eigenvalue {low:.3e} "
-                f"is at or below {floor:.3e}", index=p)
+                f"centered covariance is singular: smallest eigenvalue {smallest[j]:.3e} "
+                f"is at or below {floors[j]:.3e}", index=p)
 
 
 def chisq_pvalue(statistic: float, p: int) -> float:
@@ -155,8 +155,9 @@ def _oracle(x: np.ndarray, t: np.ndarray) -> tuple[np.ndarray, list]:
     """
     k, n, p = x.shape
     stats = n * _mahalanobis_sq(np.broadcast_to(t, (k, p, p)), x.mean(axis=1))
-    errors = [NumericError("oracle statistic is NaN: the sample mean overflowed")
-              if math.isnan(stat) else None for stat in stats.tolist()]
+    errors = [None] * k
+    for j in np.flatnonzero(np.isnan(stats)).tolist():
+        errors[j] = NumericError("oracle statistic is NaN: the sample mean overflowed")
     return stats, errors
 
 

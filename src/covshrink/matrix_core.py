@@ -1,19 +1,18 @@
-"""Symmetric-matrix primitives with fixed ordering and sign conventions.
+"""Symmetric-matrix primitives, with eigenvalues in descending order.
 
-All downstream shrinkage and risk formulas index eigenvalues in descending
-order and assume a deterministic eigenvector sign, so those conventions are
-enforced here once and nowhere else.  A matrix from outside the package is
-validated once, where it enters: ``cholesky``, ``spectral_decompose`` and
-``tsai_estimator`` pass it through ``symmetric_matrix``.  ``cholesky_stack``,
-``eigh_stack`` and ``eigvalsh_stack`` trust the exactly symmetric stacks the
-package builds; the first two refuse only a slice that is not finite.
-``eigvalsh_stack`` calls LAPACK through ``ctypes``, in the library NumPy's
-linalg calls, so that other threads run while it works: NumPy's own
-``eigvalsh`` holds the interpreter lock.
+The eigenvector signs are LAPACK's, and the order within exactly tied
+eigenvalues is unspecified; the shrinker refuses a tied spectrum.  A matrix
+from outside the package is validated once, where it enters: ``cholesky``,
+``spectral_decompose`` and ``tsai_estimator`` pass it through
+``symmetric_matrix``.  ``cholesky_stack``, ``eigh_stack`` and
+``eigvalsh_stack`` trust the exactly symmetric stacks the package builds;
+the first two refuse only a slice that is not finite.  ``eigvalsh_stack``
+calls LAPACK through ``ctypes``, in the library NumPy's linalg calls, so
+that other threads run while it works: NumPy's own ``eigvalsh`` holds the
+interpreter lock.
 """
 
 import functools
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -25,7 +24,6 @@ from .errors import (
 
 SYM_RTOL = 1e-12
 TIE_GAP = 1e-12  # relative to the spectrum's largest magnitude
-SIGN_EPS = 1e-12
 
 # OpenBLAS's thread-count setters, in the spellings of its builds: NumPy's
 # wheels (scipy-openblas, 64-bit and 32-bit integers), then plain OpenBLAS
@@ -142,40 +140,6 @@ def tie_gap(values: np.ndarray) -> np.ndarray:
     return np.min(values[..., :-1] - values[..., 1:], axis=-1, initial=np.inf) / scale
 
 
-@dataclass(frozen=True)
-class SpectralDecomp:
-    """Eigenvalues in descending order with sign-canonical eigenvectors.
-
-    ``eigenvalues[i]`` pairs with column ``eigenvectors[:, i]``.  ``tied`` is
-    set when ``tie_gap`` is below TIE_GAP; gap-dividing consumers (the
-    eigenvalue shrinker) must treat that as a hard error, everything else
-    can ignore it.
-    """
-
-    eigenvalues: np.ndarray
-    eigenvectors: np.ndarray
-    tied: bool
-
-    @property
-    def dim(self) -> int:
-        return self.eigenvalues.shape[0]
-
-    def reconstruct(self) -> np.ndarray:
-        u = self.eigenvectors
-        return (u * self.eigenvalues) @ u.T
-
-
-def _canonical_signs(vectors: np.ndarray) -> np.ndarray:
-    """Flip eigenvector columns so the first component of magnitude > SIGN_EPS is >= 0."""
-    v = vectors.copy()
-    for j in range(v.shape[1]):
-        col = v[:, j]
-        nz = np.nonzero(np.abs(col) > SIGN_EPS)[0]
-        if nz.size and col[nz[0]] < 0:
-            v[:, j] = -col
-    return v
-
-
 def eigh_stack(m: np.ndarray) -> tuple[np.ndarray, np.ndarray, list]:
     """Descending eigenvalues and their eigenvectors for a (k, p, p) float stack, and each refusal.
 
@@ -193,10 +157,9 @@ def eigh_stack(m: np.ndarray) -> tuple[np.ndarray, np.ndarray, list]:
         raise DecompositionError(
             f"eigenvalue iteration failed for {m.shape[1]}x{m.shape[2]} matrix"
         ) from exc
-    # eigh returns ascending; stable reversal keeps solver order within ties
-    order = np.argsort(-w, axis=1, kind="stable")
-    j = np.arange(len(w))[:, None]
-    return w[j, order], v[j[:, None], np.arange(w.shape[1])[:, None], order[:, None, :]], errors
+    # eigh returns ascending.  A reversed view of v has a negative stride, on
+    # which the products that read it leave the BLAS path and change their bits.
+    return w[:, ::-1], np.ascontiguousarray(v[..., ::-1]), errors
 
 
 @functools.cache
@@ -256,24 +219,15 @@ def eigvalsh_stack(m: np.ndarray) -> np.ndarray:
     return w
 
 
-def spectral_decompose(m) -> SpectralDecomp:
-    """Full symmetric eigendecomposition in descending eigenvalue order.
+def spectral_decompose(m) -> tuple[np.ndarray, np.ndarray]:
+    """Descending eigenvalues w and orthonormal eigenvectors v of a symmetric (p, p) matrix.
 
-    Parameters
-    ----------
-    m : (p, p) array_like
-        Symmetric matrix.  Positive definiteness is not required here; the
-        decomposition is also used to diagnose indefinite inputs.
-
-    Returns
-    -------
-    SpectralDecomp
-        Descending eigenvalues, orthonormal sign-canonical eigenvectors, and
-        a tie flag for gaps below 1e-12 relative to the largest magnitude.
+    The k = 1 case of ``eigh_stack`` for a matrix from outside the package,
+    which ``symmetric_matrix`` checks; ``w[i]`` pairs with column ``v[:, i]``.
+    Positive definiteness is not required.
     """
     w, v, _ = eigh_stack(symmetric_matrix(m)[None])
-    return SpectralDecomp(eigenvalues=w[0], eigenvectors=_canonical_signs(v[0]),
-                          tied=bool(tie_gap(w[0]) < TIE_GAP))
+    return w[0], v[0]
 
 
 def _first_failing_minor(a: np.ndarray) -> int:

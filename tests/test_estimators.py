@@ -5,6 +5,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 from covshrink import (
+    CovshrinkError,
     EigenvalueTieError,
     NotPositiveDefiniteError,
     NumericError,
@@ -13,7 +14,6 @@ from covshrink import (
     sample_covariance,
     scatter_matrix,
     shrinkage_terms,
-    spectral_decompose,
     stein_triangular,
     tsai_eigenvalues,
     tsai_estimator,
@@ -206,6 +206,54 @@ class TestTsaiEigenvalues:
         assert devs[1] < devs[0]
 
 
+def guard_crossing(l, n):
+    """The two spectra, l[-2] moved toward l[-1], between which the guard starts to refuse.
+
+    Bisection on the relative gap between the two smallest eigenvalues finds
+    the adjacent doubles at which min d crosses DENOM_GUARD * n, so the
+    smallest d of each spectrum lies within rounding of the guard.
+    """
+    def cluster(gap):
+        return np.r_[l[:-2], l[-1] * (1.0 + gap), l[-1]]
+
+    def refused(gap):
+        return bool((shrinkage_terms(cluster(gap), n)[1] <= estimators.DENOM_GUARD * n).any())
+
+    lo, hi = 0.0, 1.0  # refused at an exact tie, accepted at l[-2] = 2 l[-1]
+    assert refused(lo) and not refused(hi)
+    while np.nextafter(lo, hi) < hi:
+        mid = 0.5 * (lo + hi)
+        lo, hi = (mid, hi) if refused(mid) else (lo, mid)
+    return np.array([cluster(lo), cluster(hi)])
+
+
+def guard_cases():
+    """(n, a (k, p) stack of descending spectra) probing every rule of the shrinker's guard."""
+    rng = np.random.default_rng(26)
+    for p in (1, 2, 3, 5, 10, 30):
+        for n in sorted({p, p + 1, 2 * p, 10 * p}):
+            spread = rng.choice([0.05, 0.5, 2.0], (24, 1))
+            l = -np.sort(-rng.lognormal(0.0, spread, (24, p)), axis=1)
+            rows = [l]
+            rows.append(l[:4] * 1e-310)  # subnormal: some d are not finite, or l_p is 0
+            last = l[4:8].copy()
+            last[:, -1] = [0.0, -0.0, -last[2, -1], -1e300]  # l_p <= 0
+            rows.append(last)
+            if p > 1:
+                i = rng.integers(0, p - 1, 12)
+                ties = l[8:20].copy()
+                j = np.arange(12)
+                # exact ties, then neighbours 1e-13 apart, then 2e-12 apart, relative
+                ties[j, i + 1] = ties[j, i] * np.repeat([1.0, 1.0 - 1e-13, 1.0 - 2e-12], 4)
+                rows.append(ties)
+                # small eigenvalues 5e-13 of the largest apart: tied, though each
+                # gap is wide next to its own eigenvalues and leaves d moderate
+                rows.append(np.r_[1.0, 5e-13 * np.arange(p - 1, 0, -1)][None])
+                if n > p:
+                    rows.append(guard_crossing(4.0 ** -np.arange(p), n))
+            yield n, np.concatenate(rows)
+
+
 class TestShrunkSpectra:
     def test_shrinkage_terms_of_a_stack_equal_each_row_bit_for_bit(self):
         rng = np.random.default_rng(31)
@@ -227,6 +275,30 @@ class TestShrunkSpectra:
         for j in (0, 2, 3):
             assert errors[j] is None
             assert np.array_equal(est[j], tsai_estimator(scatter[j] / 20, n=20).matrix)
+
+    def test_the_guard_turns_down_exactly_the_spectra_tsai_eigenvalues_refuses(self):
+        # _declined and tsai_eigenvalues write the same rules twice: a row flagged
+        # without a refusal would keep its unguarded psi
+        counts = np.zeros(2, dtype=int)
+        for n, l in guard_cases():
+            want = []
+            for row in l:
+                try:
+                    want.append((tsai_eigenvalues(row, n), None))
+                except CovshrinkError as exc:
+                    want.append((None, exc))
+            flagged = estimators._declined(l, shrinkage_terms(l, n)[1], n)
+            assert flagged.tolist() == [exc is not None for _, exc in want]
+            errors = [None] * len(l)
+            psi, _ = estimators.shrunk_spectra(l, n, errors)
+            for j, (table, exc) in enumerate(want):
+                if exc is None:
+                    assert errors[j] is None
+                    assert psi[j].tobytes() == table.shrunk_eigenvalues.tobytes()
+                else:
+                    assert (type(errors[j]), str(errors[j])) == (type(exc), str(exc))
+            counts += np.bincount(flagged, minlength=2)
+        assert counts.min() > 100  # both verdicts are well represented
 
     def test_tsai_eigenvalues_runs_only_for_the_spectra_the_guard_turns_down(self, monkeypatch):
         # at n = 8, p = 4 the guard turns down some spectra and accepts most
@@ -293,7 +365,7 @@ class TestTsaiEstimator:
         rng = np.random.default_rng(78)
         s = random_spd(rng, 4)
         est = tsai_estimator(s, n=50)
-        l = spectral_decompose(s).eigenvalues
+        l = np.linalg.eigvalsh(s)[::-1]
         psi = est.shrinkage.shrunk_eigenvalues
         assert_allclose(
             np.linalg.norm(est.matrix - s, "fro"), np.linalg.norm(psi - l), rtol=1e-9

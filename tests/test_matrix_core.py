@@ -10,8 +10,8 @@ from covshrink import (
     spectral_decompose,
 )
 from covshrink import _rng, estimators, hdtest, loss_risk, matrix_core
-from covshrink.matrix_core import (_canonical_signs, cholesky_stack, eigh_stack, first_refusals,
-                                   symmetric_part, unrefused)
+from covshrink.matrix_core import (cholesky_stack, eigh_stack, first_refusals, symmetric_part,
+                                   unrefused)
 
 RT2 = np.sqrt(2.0)
 
@@ -23,52 +23,33 @@ def random_spd(rng, p):
 
 class TestSpectralDecompose:
     def test_identity(self):
-        dec = spectral_decompose(np.eye(3))
-        assert_allclose(dec.eigenvalues, [1.0, 1.0, 1.0])
-        assert_allclose(dec.eigenvectors, np.eye(3))
-        assert dec.tied
+        w, v = spectral_decompose(np.eye(3))
+        assert_allclose(w, [1.0, 1.0, 1.0])
+        assert_allclose(v.T @ v, np.eye(3), atol=1e-15)
 
     def test_already_diagonal(self):
-        dec = spectral_decompose(np.diag([3.0, 1.0]))
-        assert_allclose(dec.eigenvalues, [3.0, 1.0])
-        assert_allclose(dec.eigenvectors, np.eye(2))
-        assert not dec.tied
+        w, v = spectral_decompose(np.diag([3.0, 1.0]))
+        assert_allclose(w, [3.0, 1.0])
+        assert_allclose(np.abs(v), np.eye(2))
 
     def test_two_by_two_hand_solution(self):
-        # char poly of [[2,1],[1,2]] gives 3 and 1 with (1,1) and (1,-1) directions
-        dec = spectral_decompose(np.array([[2.0, 1.0], [1.0, 2.0]]))
-        assert_allclose(dec.eigenvalues, [3.0, 1.0], atol=1e-14)
-        assert_allclose(dec.eigenvectors[:, 0], [1 / RT2, 1 / RT2], atol=1e-14)
-        assert_allclose(dec.eigenvectors[:, 1], [1 / RT2, -1 / RT2], atol=1e-14)
+        # char poly of [[2,1],[1,2]] gives 3 and 1 with (1,1) and (1,-1) directions,
+        # each up to its sign
+        w, v = spectral_decompose(np.array([[2.0, 1.0], [1.0, 2.0]]))
+        assert_allclose(w, [3.0, 1.0], atol=1e-14)
+        assert_allclose(v[:, 0] * np.sign(v[0, 0]), [1 / RT2, 1 / RT2], atol=1e-14)
+        assert_allclose(v[:, 1] * np.sign(v[0, 1]), [1 / RT2, -1 / RT2], atol=1e-14)
 
     def test_reconstruction_500_draws(self):
         rng = np.random.default_rng(1234)
         for _ in range(500):
             p = int(rng.integers(1, 21))
             m = random_spd(rng, p)
-            dec = spectral_decompose(m)
-            err = np.abs(dec.reconstruct() - m).max()
-            assert err < 1e-8 * dec.eigenvalues[0]
-            assert np.abs(dec.eigenvectors.T @ dec.eigenvectors - np.eye(p)).max() < 1e-10
-            assert np.all(np.diff(dec.eigenvalues) <= 0)
-
-    def test_sign_canonicalization(self):
-        rng = np.random.default_rng(7)
-        m = random_spd(rng, 6)
-        dec = spectral_decompose(m)
-        # rebuild from arbitrarily flipped eigenvectors; canonical signs must return
-        flips = np.array([1, -1, -1, 1, -1, 1.0])
-        rebuilt = (dec.eigenvectors * flips * dec.eigenvalues) @ (dec.eigenvectors * flips).T
-        dec2 = spectral_decompose(rebuilt)
-        assert_allclose(dec2.eigenvectors, dec.eigenvectors, atol=1e-9)
-
-    def test_first_components_nonnegative(self):
-        rng = np.random.default_rng(99)
-        dec = spectral_decompose(random_spd(rng, 12))
-        for j in range(12):
-            col = dec.eigenvectors[:, j]
-            lead = col[np.abs(col) > 1e-12][0]
-            assert lead >= 0
+            w, v = spectral_decompose(m)
+            err = np.abs((v * w) @ v.T - m).max()
+            assert err < 1e-8 * w[0]
+            assert np.abs(v.T @ v - np.eye(p)).max() < 1e-10
+            assert np.all(np.diff(w) <= 0)
 
     def test_asymmetry_rejected(self):
         m = np.array([[1.0, 0.5], [0.1, 1.0]])
@@ -77,8 +58,8 @@ class TestSpectralDecompose:
 
     def test_tiny_asymmetry_repaired(self):
         m = np.array([[2.0, 1.0], [1.0 + 1e-14, 2.0]])
-        dec = spectral_decompose(m)
-        assert_allclose(dec.eigenvalues, [3.0, 1.0], atol=1e-12)
+        w, _ = spectral_decompose(m)
+        assert_allclose(w, [3.0, 1.0], atol=1e-12)
 
 
 class TestCholesky:
@@ -187,9 +168,22 @@ class TestEighStack:
                 assert str(errors[j]) == str(exc.value)
                 assert np.array_equal(w[j], np.ones(p))
             else:
-                dec = spectral_decompose(stack[j])
-                assert np.array_equal(w[j], dec.eigenvalues)
-                assert np.array_equal(_canonical_signs(v[j]), dec.eigenvectors)
+                w_j, v_j = spectral_decompose(stack[j])
+                assert np.array_equal(w[j], w_j)
+                assert np.array_equal(v[j], v_j)
+
+    @pytest.mark.parametrize("k", [1, 7])
+    @pytest.mark.parametrize("p", [1, 2, 10, 50])
+    def test_is_numpys_eigh_reversed_bit_for_bit(self, p, k):
+        g = np.random.default_rng(p + k).standard_normal((k, p, p))
+        m = g + g.swapaxes(1, 2)
+        want_w, want_v = np.linalg.eigh(m)
+        w, v, errors = eigh_stack(m)
+        assert errors == [None] * k
+        assert w.tobytes() == want_w[:, ::-1].tobytes()
+        assert v.tobytes() == want_v[..., ::-1].tobytes()
+        # the products that read v take the BLAS path only on a contiguous array
+        assert v.flags.c_contiguous
 
 
 class TestEigvalshStack:
