@@ -28,6 +28,7 @@ from collections import Counter, deque
 import numpy as np
 
 from .errors import NumericError
+from .matrix_core import unit_exponents
 
 MAX_FAILURE_FRACTION = 0.01
 # draws per chunk: about 256 KiB of float64, so a chunk adds little to the
@@ -293,14 +294,13 @@ def check_failures(refusals: dict, total: int, method: str, n: int, p: int) -> i
 def aggregate(values) -> dict:
     """Mean, standard error, and count; None aggregates for empty input.
 
-    Both are taken on the values scaled by a power of two, exactly, into
-    [-1, 1], where no sum or square overflows, and scaled back: the same
-    bits as the unscaled formulas outside the subnormal range.
+    Both are taken on the values times 2**-e, e = ``unit_exponents(v)``,
+    where no sum or square overflows, and scaled back.
     """
     v = np.array([x for x in values if x is not None], dtype=float)
     if v.size == 0:
         return {"mean": None, "se": None, "count": 0}
-    e = int(np.frexp(np.abs(v).max())[1])
+    e = int(unit_exponents(v))
     u = np.ldexp(v, -e)
     se = float(np.ldexp(u.std(ddof=1), e) / np.sqrt(v.size)) if v.size > 1 else None
     return {"mean": float(np.ldexp(u.mean(), e)), "se": se, "count": int(v.size)}

@@ -43,7 +43,7 @@ from .errors import (
     ShrinkageSingularityError,
 )
 from .matrix_core import (TIE_GAP, cholesky_stack, eigh_stack, finite_slices, square_matrix,
-                          symmetric_matrix, symmetric_part, tie_gap, unrefused)
+                          symmetric_matrix, symmetric_part, tie_gap, unit_exponents, unrefused)
 
 DENOM_GUARD = 1e-10  # relative to n
 
@@ -242,42 +242,37 @@ def _tsai(s: np.ndarray, n: int, factored: bool = False) -> tuple:
     return value, errors, w, psi, d
 
 
-def _headroom(a: np.ndarray, power: int, terms: int) -> int:
-    """The least e >= 0 with terms * (2**-e max|a|)**power below 2**1022; 0 for a not finite.
+def _scaled_back(e, est: np.ndarray, *spectra: np.ndarray) -> list:
+    """The estimate and its spectra times 2**e; NumericError when they leave the float64 range.
 
-    So a times 2**-e keeps a sum of ``terms`` such powers of its entries
-    finite, and a is not scaled at all unless that sum could overflow.
+    They have left it where an entry overflows, or where a diagonal entry of
+    the estimate that was not 0 rounds to 0.
     """
-    top = int(np.frexp(np.abs(a).max())[1])
-    return max(0, top - (1022 - int(terms).bit_length()) // power)
-
-
-def _scaled_back(e: int, *arrays: np.ndarray) -> list:
-    """Each array times 2**e; NumericError when some entry leaves the float64 range."""
     with np.errstate(over="ignore"):
-        out = [np.ldexp(a, e) for a in arrays]
+        out = [np.ldexp(a, e) for a in (est, *spectra)]
     if not all(np.isfinite(a).all() for a in out):
         raise NumericError("the estimate overflowed: its entries exceed the float64 range")
+    if ((np.diagonal(out[0]) == 0) & (np.diagonal(est) != 0)).any():
+        raise NumericError("the estimate underflowed: its entries are below the float64 range")
     return out
 
 
 def _from_data(method: str, x, centered: bool, divisors: str | None = None) -> CovarianceEstimate:
     """Estimator ``method`` on an (n, p) sample, the k = 1 case of its STACKED_ESTIMATORS kernel.
 
-    Every estimator is homogeneous of degree one in the scatter, so where
-    that of x could overflow it is formed from x times a power of two 2**-e,
-    and the estimate scaled back by 2**2e: outside the subnormal range, the
-    unscaled bits.  ``divisors`` names the CLASS_DIVISORS entry the report
-    lists; the degrees of freedom when None.
+    Each column j is taken times 2**-e_j, e = ``unit_exponents(x, axis=0)``,
+    and the estimate times 2**(e_i + e_j), which every kernel allows.
+    ``divisors`` names the CLASS_DIVISORS entry the report lists; the
+    degrees of freedom when None.
     """
     a = as_data_matrix(x)
     n, p = a.shape
-    e = _headroom(a, 2, 4 * n)  # a centered entry is at most 2 max|x|
+    e = unit_exponents(a, axis=0)
     dof = n - 1 if centered else n
     kernel = STACKED_ESTIMATORS[method]
     est = unrefused(*kernel(scatter_matrix(np.ldexp(a, -e), centered)[None], dof))
     return CovarianceEstimate(
-        matrix=_scaled_back(2 * e, est[0])[0], method=method, n=n, p=p,
+        matrix=_scaled_back(e[:, None] + e, est[0])[0], method=method, n=n, p=p,
         divisor=dof if divisors is None else CLASS_DIVISORS[divisors](dof, p).tolist(),
         target="sigma_star" if kernel is _pivot else "sigma")
 
@@ -405,10 +400,9 @@ def tsai_estimator(s, n: int | None = None) -> CovarianceEstimate:
         recorded on ``s`` (n for the uncentered convention, n - 1 for the
         centered one); required when ``s`` is a bare matrix.
 
-    The estimate is homogeneous of degree one in S, so where n psi_i could
-    overflow it is taken from S times a power of two and scaled back, as
-    ``_from_data`` does with the data.  An estimate beyond the float64 range
-    is refused with NumericError.
+    S is taken times 2**-e, e = ``unit_exponents(S)``, and the estimate and
+    spectra times 2**e; one beyond the float64 range is refused with
+    NumericError.
     """
     n_obs = n
     if isinstance(s, CovarianceEstimate):
@@ -416,7 +410,7 @@ def tsai_estimator(s, n: int | None = None) -> CovarianceEstimate:
     elif n is None:
         raise ValueError("n is required when s is a bare matrix")
     m = square_matrix(s)
-    e = _headroom(m, 1, n * m.shape[0])  # n l_i, with l_i up to p max|S|
+    e = unit_exponents(m)
     est, errors, w, psi, d = _tsai(symmetric_matrix(np.ldexp(m, -e))[None], n)
     est, w, psi = _scaled_back(e, unrefused(est, errors)[0], w[0], psi[0])
     return CovarianceEstimate(matrix=est, method="tsai", n=int(n_obs), p=m.shape[0],

@@ -24,7 +24,8 @@ import numpy as np
 from ._rng import check_failures, run_chunks
 from .errors import NotPositiveDefiniteError, NumericError
 from .estimators import STACKED_ESTIMATORS, as_data_matrix, centered_stack, shrunk_spectra
-from .matrix_core import cholesky, cholesky_stack, eigh_stack, first_refusals, unrefused
+from .matrix_core import (cholesky, cholesky_stack, eigh_stack, first_refusals, unit_exponents,
+                          unrefused)
 
 RATES = ("hdim", "classical")
 
@@ -170,23 +171,15 @@ MEAN_TESTS = {"hotelling": _hotelling, "decomposite": _decomposite, "oracle": _o
 def mean_test(name: str, x, t=None) -> TestResult:
     """Test ``name`` on an (n, p) sample, its kernel's k = 1 case; t = cholesky(sigma) or None.
 
-    hotelling and decomposite do not depend on the data's scale, and
-    hotelling not on each column's.  Where data lies outside about 2**-256
-    to 2**256, its scatter could overflow or go subnormal, so it is scaled
-    by powers of two, which leave the statistic's bits alone.  hotelling
-    takes each column times the power that brings its max|x_j| into
-    [1/2, 1), when some column's max|x_j| lies outside that range;
-    decomposite takes x times the one power that brings max|x| there, when
-    max|x| lies outside it.  Other data is not scaled, and keeps the bits of
-    its refusal messages too.
+    x is taken times 2**-e, e = ``unit_exponents``: of each column for
+    hotelling, which ignores each column's scale, and of all of x for
+    decomposite, which ignores x's.  The oracle's sigma is on x's scale, so
+    its x is not scaled.
     """
     a = as_data_matrix(x)
     n, p = a.shape
-    e = np.frexp(np.abs(a).max(axis=0))[1]  # each column's exponent
-    if name == "hotelling" and np.abs(e).max() > 256:
-        a = np.ldexp(a, -e)
-    elif name == "decomposite" and abs(e.max()) > 256:  # never the oracle: sigma is on x's scale
-        a = np.ldexp(a, -e.max())
+    if name != "oracle":
+        a = np.ldexp(a, -unit_exponents(a, axis=0 if name == "hotelling" else None))
     stat = float(unrefused(*MEAN_TESTS[name](a[None], t))[0])
     return TestResult(stat, p, chisq_pvalue(stat, p), name, n, p)
 

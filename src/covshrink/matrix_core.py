@@ -109,10 +109,23 @@ def symmetric_matrix(m) -> np.ndarray:
     scale = float(np.abs(a).max())
     with np.errstate(over="ignore"):  # a difference past the float64 range is refused
         gap = float(np.abs(a - a.T).max())
-    if gap > SYM_RTOL * max(scale, 1.0):
+    if gap > SYM_RTOL * scale:
         raise AsymmetricInputError(
             f"asymmetry {gap:.3e} exceeds tolerance {SYM_RTOL:.0e} relative to scale {scale:.3e}")
     return symmetric_part(a[None])[0]
+
+
+def unit_exponents(a: np.ndarray, axis: int | None = None):
+    """The powers e of two that bring max|a|, over a or along ``axis``, into [1/2, 1).
+
+    All 0 unless some such max lies outside [2**-257, 2**256), where a sum of
+    products of a's entries could overflow or go subnormal; so ordinary data
+    is never scaled, and keeps its bits.  A max that is 0 or not finite gets 0.
+    Every estimator and test is equivariant under these scalings: the
+    package's one rule for taking data to unit size and back.
+    """
+    e = np.frexp(np.abs(a).max(axis=axis))[1]
+    return e * bool((np.abs(e) > 256).any())
 
 
 def finite_slices(a: np.ndarray, error=AsymmetricInputError,

@@ -29,7 +29,7 @@ from ._rng import aggregate, check_failures, run_chunks
 from .errors import ConfigError, NotPositiveDefiniteError, NumericError
 from .estimators import DENOM_GUARD, ESTIMATORS, _declined, scatter_stack, shrinkage_terms
 from .loss_risk import RISK_KINDS, min_risk, replicate_losses
-from .matrix_core import cholesky, eigvalsh_stack, unrefused
+from .matrix_core import cholesky, eigvalsh_stack, unit_exponents, unrefused
 from .rmt import MPModel, mp_cdf
 
 VARIANTS = ("identity", "spiked", "ar1", "explicit")
@@ -178,10 +178,10 @@ def eigenvalue_recovery_experiment(config: ExperimentConfig,
     estimator would have refused to produce psi) but kept under
     ``shrunk_mae_raw`` so the breakdown is still visible in the report.
     ``rel_frobenius`` is the relative Frobenius distance between the shrunk
-    estimate and S, which in the shared eigenbasis is |psi - l| / |l|; both
-    norms are taken after scaling by the power of two that brings l_1 into
-    [0.5, 1), which keeps their squares finite and their ratio's bits.  A
-    replicate whose scatter overflows aborts the run with NumericError.
+    estimate and S, which in the shared eigenbasis is |psi - l| / |l|, taken
+    on l and psi times 2**-``unit_exponents`` of each l so no square
+    overflows.  A replicate whose scatter overflows aborts the run with
+    NumericError.
     """
     start = time.perf_counter()
     sigma = make_sigma(config.model)
@@ -191,7 +191,7 @@ def eigenvalue_recovery_experiment(config: ExperimentConfig,
 
     def score_chunk(first: int, x: np.ndarray) -> tuple[list, list]:
         spectra = eigvalsh_stack(unrefused(*scatter_stack(x)) / n)[:, ::-1]
-        scale = np.ldexp(1.0, -np.frexp(spectra[:, 0])[1]).tolist()
+        scale = np.ldexp(1.0, -unit_exponents(spectra, axis=1)).tolist()
         psi, d = shrinkage_terms(spectra, n)
         accepted = (~_declined(spectra, d, n)).tolist()
         sample_mae = np.mean(np.abs(spectra - gamma), axis=1).tolist()

@@ -393,7 +393,50 @@ def test_power_of_two_scaling_scales_every_estimate_exactly(tag, centered, k):
         assert np.array_equal(scaled.shrinkage.denominators, unit.shrinkage.denominators)
 
 
+@pytest.mark.parametrize("k", [[300, 0, -300], [400, 0, 0], [-400] * 3])
+@pytest.mark.parametrize("centered", [True, False])
+@pytest.mark.parametrize("tag", ["sample", "stein_triangular", "dp_equivariant"])
+def test_column_powers_of_two_scale_the_data_estimates_exactly(tag, centered, k):
+    # column j times 2**k_j gives entry (i, j) of each estimate 2**(k_i + k_j)
+    # times the unit-scale bits, including columns past 2**256 either way
+    x, k = README_X[:, :3], np.array(k)
+    unit = ESTIMATORS[tag](x, centered).matrix
+    scaled = ESTIMATORS[tag](np.ldexp(x, k), centered).matrix
+    assert np.array_equal(scaled, np.ldexp(unit, k[:, None] + k))
+
+
+@pytest.mark.parametrize("k", [-600, -300, 300, 600])
+def test_one_power_of_two_scales_the_shrinker_exactly(k):
+    # S times 2**k, also past 2**256 either way: the estimate and both spectra
+    # are 2**k times the unit-scale bits, and the denominators do not move
+    s = sample_covariance(README_X)
+    unit, scaled = tsai_estimator(s), tsai_estimator(np.ldexp(s.matrix, k), n=s.divisor)
+    assert np.array_equal(scaled.matrix, np.ldexp(unit.matrix, k))
+    for field in ("sample_eigenvalues", "shrunk_eigenvalues"):
+        assert np.array_equal(getattr(scaled.shrinkage, field),
+                              np.ldexp(getattr(unit.shrinkage, field), k))
+    assert np.array_equal(scaled.shrinkage.denominators, unit.shrinkage.denominators)
+
+
 class TestFloatRange:
+    @pytest.mark.parametrize("centered", [True, False])
+    @pytest.mark.parametrize("tag", list(ESTIMATORS))
+    def test_an_underflowing_estimate_is_refused(self, tag, centered):
+        # full-rank data near 1e-200 has S near 1e-400, which rounds to 0
+        x = np.random.default_rng(5).standard_normal((8, 3)) * 1e-200
+        with pytest.raises(NumericError, match="^the estimate underflowed: its entries are below"):
+            ESTIMATORS[tag](x, centered)
+
+    @pytest.mark.parametrize("scale", [1.0, 1e-155])
+    def test_a_constant_column_is_not_refused_as_underflowed(self, scale):
+        # a power of two, so its mean is exact and its centered variance 0 at
+        # every scale: the underflow check, which compares each diagonal entry
+        # before and after scaling back, passes it
+        x = np.random.default_rng(5).standard_normal((8, 3)) * scale
+        x[:, 1] = 2.0 ** -700
+        est = sample_covariance(x).matrix
+        assert est[1, 1] == 0.0 and (est[[0, 2], [0, 2]] > 0).all()
+
     @pytest.mark.parametrize("centered", [True, False])
     @pytest.mark.parametrize("tag", list(ESTIMATORS))
     def test_an_overflowing_estimate_is_refused(self, tag, centered):

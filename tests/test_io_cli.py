@@ -882,6 +882,42 @@ def test_hotelling_takes_columns_of_mixed_magnitude(tmp_path, capsys):
                     rtol=1e-14)
 
 
+def sweep_estimate(tmp_path, capsys, method, convention, scale):
+    """``estimate`` on the sweep's sample at ``scale``: (exit code, matrix or None, stderr)."""
+    x = np.random.default_rng(5).standard_normal((8, 3)) * SWEEP_SCALES[scale]
+    text = "".join(",".join(map(repr, row)) + "\n" for row in x.tolist())
+    code = run_cli(["estimate", "--method", method, "--n-convention", convention,
+                    "--input", write(tmp_path, "x.csv", text)])
+    out, err = capsys.readouterr()
+    matrix = strict_json(out)["results"]["matrix"]["data"] if code == 0 else None
+    return code, matrix, err
+
+
+@pytest.mark.parametrize("convention", ["centered", "uncentered"])
+@pytest.mark.parametrize("method", ["sample", "stein", "dp", "tsai"])
+def test_estimate_near_1e_minus_155_is_the_unit_estimate_scaled(tmp_path, capsys, method,
+                                                               convention):
+    # S near 1e-310 is subnormal, not 0: each estimate is 1e-310 times the
+    # unit-scale one up to subnormal rounding, measured at most 1.21e-13 of
+    # its largest entry
+    code, matrix, err = sweep_estimate(tmp_path, capsys, method, convention, "1e-155")
+    assert (code, err) == (0, "")
+    x = np.random.default_rng(5).standard_normal((8, 3))
+    want = ESTIMATORS[io_cli.METHOD_ALIASES.get(method, method)](x, convention == "centered")
+    want = want.matrix.ravel() * 1e-310
+    assert_allclose(matrix, want, rtol=0, atol=1e-12 * np.abs(want).max())
+
+
+@pytest.mark.parametrize("convention", ["centered", "uncentered"])
+@pytest.mark.parametrize("method", ["sample", "stein", "dp", "tsai"])
+def test_estimate_near_1e_minus_200_is_refused_as_underflowed(tmp_path, capsys, method,
+                                                              convention):
+    # S near 1e-400 rounds to 0: not a zero estimate, nor "not positive definite"
+    code, _, err = sweep_estimate(tmp_path, capsys, method, convention, "1e-200")
+    assert (code, err) == (2, "error: the estimate underflowed: its entries are below the "
+                              "float64 range\n")
+
+
 class TestSeedResolution:
     def test_env_fallback(self, tmp_path, monkeypatch):
         monkeypatch.setenv("COVSHRINK_SEED", "42")

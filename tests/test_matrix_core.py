@@ -10,8 +10,8 @@ from covshrink import (
     spectral_decompose,
 )
 from covshrink import _rng, estimators, hdtest, loss_risk, matrix_core
-from covshrink.matrix_core import (cholesky_stack, eigh_stack, first_refusals, symmetric_part,
-                                   unrefused)
+from covshrink.matrix_core import (cholesky_stack, eigh_stack, first_refusals, symmetric_matrix,
+                                   symmetric_part, unit_exponents, unrefused)
 
 RT2 = np.sqrt(2.0)
 
@@ -60,6 +60,29 @@ class TestSpectralDecompose:
         m = np.array([[2.0, 1.0], [1.0 + 1e-14, 2.0]])
         w, _ = spectral_decompose(m)
         assert_allclose(w, [3.0, 1.0], atol=1e-12)
+
+
+@pytest.mark.parametrize("k", [-600, -40, 0, 40, 600])
+def test_the_asymmetry_tolerance_is_relative_at_every_scale(k):
+    # a gap of 0.5 against the largest entry 4 is refused, and 1e-14 relative
+    # repaired, whatever the power of two the matrix is taken times
+    with pytest.raises(AsymmetricInputError, match="^asymmetry "):
+        symmetric_matrix(np.ldexp([[4.0, 1.0], [0.5, 4.0]], k))
+    m = np.array([[2.0, 1.0], [1.0 + 1e-14, 2.0]])
+    assert np.array_equal(symmetric_matrix(np.ldexp(m, k)), np.ldexp(symmetric_matrix(m), k))
+
+
+def test_unit_exponents_scale_only_past_two_to_the_256():
+    # each max|a| into [1/2, 1), all or none: none while every max lies in
+    # [2**-257, 2**256); a max of 0 or inf gets 0
+    a = np.array([[3.0, -2.0 ** -300, 0.0], [-5.0, 2.0 ** -301, 0.0]])
+    assert unit_exponents(a) == 0 and not unit_exponents(a, axis=1).any()
+    assert unit_exponents(a, axis=0).tolist() == [3, -299, 0]
+    assert unit_exponents(np.ldexp(a, 300)) == 303
+    assert unit_exponents(np.array([2.0 ** 255, 2.0 ** -257])) == 0
+    assert unit_exponents(np.array([2.0 ** 256])) == 257
+    assert unit_exponents(np.array([2.0 ** -258])) == -257
+    assert unit_exponents(np.array([np.inf, 2.0 ** -600])) == 0
 
 
 class TestCholesky:
