@@ -100,11 +100,27 @@ def centered_stack(x: np.ndarray) -> tuple[np.ndarray, np.ndarray, list]:
     """Sample means (k, p) and centered scatters (k, p, p) of a (k, n, p) stack, and each refusal.
 
     A slice whose mean, centered data or scatter overflowed has a scatter
-    that is not finite, which ``scatter_stack`` refuses.
+    that is not finite, which ``scatter_stack`` refuses.  A column whose
+    entries are all equal, with a finite mean, gets its first entry as its
+    mean and an exactly zero scatter row and column: its computed mean can
+    be off by ulps, and the scatter of that rounding is noise.  Only columns
+    whose scatter diagonal is at most n**3 spacing(|mean|)**2, the most such
+    noise can reach, are checked.
     """
+    n = x.shape[1]
     with np.errstate(over="ignore", invalid="ignore"):
         xbar = x.mean(axis=1)
-        return (xbar, *scatter_stack(x - xbar[:, None, :]))
+        a, errors = scatter_stack(x - xbar[:, None, :])
+        diag = np.diagonal(a, axis1=1, axis2=2)
+        k, j = np.nonzero(diag <= n**3 * np.spacing(xbar) ** 2)
+    if len(k):
+        first = x[k, 0, j]
+        equal = (x[k, :, j] == first[:, None]).all(axis=1) & np.isfinite(xbar[k, j])
+        k, j = k[equal], j[equal]
+        xbar[k, j] = first[equal]
+        a[k, j, :] = 0.0
+        a[k, :, j] = 0.0
+    return xbar, a, errors
 
 
 @dataclass(frozen=True)

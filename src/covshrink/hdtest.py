@@ -117,13 +117,12 @@ def _hotelling(x: np.ndarray, t=None) -> tuple[np.ndarray, list]:
 
     The statistic ignores the scale of each coordinate, so S is judged
     singular on the correlation scale D^-1/2 S D^-1/2, D = diag(S), where a
-    column with zero variance gets a zero row: one whose S_ii is zero, or
-    whose values are all equal and S_ii holds only the mean's rounding.
+    column with zero variance gets a zero row: one whose S_ii is zero, as
+    ``centered_stack`` makes it for a column whose values are all equal.
     """
     xbar, s, errors = _centered(x)
     diag = np.diagonal(s, axis1=1, axis2=2)
-    scale = np.divide(1.0, np.sqrt(diag), out=np.zeros_like(diag),
-                      where=(x != x[:, :1]).any(axis=1) & (diag > 0.0))
+    scale = np.divide(1.0, np.sqrt(diag), out=np.zeros_like(diag), where=diag > 0.0)
     r = s * scale[:, :, None] * scale[:, None, :]
     _refuse_singular(r, np.linalg.eigvalsh(r), errors)
     chol, chol_errors = cholesky_stack(s)

@@ -6,7 +6,13 @@ unreadable input or unwritable output file, or an array too large to allocate.
 Reports are JSON documents with schema_version "1"; the Marchenko-Pastur
 grid can also be emitted as CSV for external plotting.  The seed resolves
 from --seed, then the COVSHRINK_SEED environment variable, then 0.
+
+NumPy and the library modules are imported inside the functions that use
+them, so importing this module loads no NumPy and ``main`` can size NumPy's
+BLAS pool before NumPy starts it.
 """
+
+from __future__ import annotations
 
 import argparse
 import csv
@@ -17,17 +23,14 @@ import math
 import os
 import sys
 from dataclasses import asdict, dataclass, fields
+from typing import TYPE_CHECKING
 
-import numpy as np
-
-from ._rng import replicate_threads
 from .errors import ConfigError, CovshrinkError, CsvFormatError
-from .estimators import ESTIMATORS
-from .hdtest import MEAN_TESTS, mean_test, power_simulation
-from .loss_risk import RISK_KINDS, min_risk, monte_carlo_risks
-from .matrix_core import _one_blas_thread
-from .rmt import MPModel, mp_cdf, mp_density
-from .sim import EXPERIMENTS, ExperimentConfig, PopulationModel, make_sigma
+
+if TYPE_CHECKING:
+    import numpy as np
+
+    from .sim import PopulationModel
 
 SCHEMA_VERSION = "1"
 ENV_SEED = "COVSHRINK_SEED"
@@ -79,6 +82,8 @@ def _loadtxt(text: str, delimiter: str, header: bool):
     given the list of lines, which takes less memory than a StringIO's four
     bytes per character.
     """
+    import numpy as np
+
     if (len(delimiter) != 1 or delimiter in "\r\n" or '"' in text
             or "\r" in text and text.count("\r") != text.count("\r\n")):
         return None
@@ -101,6 +106,8 @@ def _parse_csv(path: str, text: str, delimiter: str, header: bool) -> np.ndarray
 
     Raises for the first short or long row, or bad cell, in file order.
     """
+    import numpy as np
+
     reader = csv.reader(io.StringIO(text, newline=""), delimiter=delimiter)
     try:
         numbered = [(i, row) for i, row in enumerate(reader, start=1)
@@ -158,6 +165,8 @@ class ReportDocument:
 
 def matrix_payload(m: np.ndarray) -> dict:
     """Row-major matrix serialization with explicit dimensions."""
+    import numpy as np
+
     a = np.asarray(m, dtype=float)
     return {"rows": int(a.shape[0]), "cols": int(a.shape[1]), "data": a.ravel().tolist()}
 
@@ -177,6 +186,8 @@ def _fields(text: str, what: str) -> list:
 
 def _methods(text: str) -> list:
     """The estimator tags of a --methods value, each checked against ESTIMATORS."""
+    from .estimators import ESTIMATORS
+
     tags = text.split(",")
     for i, tag in enumerate(tags, start=1):
         if tag not in ESTIMATORS:
@@ -187,6 +198,8 @@ def _methods(text: str) -> list:
 
 def parse_model(text: str, p: int) -> PopulationModel:
     """Parse identity | ar1:RHO | spiked:V1,V2,... into a population model."""
+    from .sim import PopulationModel
+
     name, _, rest = text.partition(":")
     if name == "identity":
         if text != name:
@@ -215,6 +228,10 @@ def _delimiter(text: str) -> str:
 
 
 def build_parser() -> argparse.ArgumentParser:
+    from .estimators import ESTIMATORS
+    from .hdtest import MEAN_TESTS
+    from .sim import EXPERIMENTS
+
     parser = argparse.ArgumentParser(
         prog="covshrink",
         description="Equivariant covariance estimation, spectral diagnostics, and mean tests.",
@@ -302,6 +319,8 @@ def _resolve_seed(args) -> int:
 
 
 def _cmd_estimate(args, seed):
+    from .estimators import ESTIMATORS
+
     data = read_csv(args.input, delimiter=args.delimiter, header=args.header)
     method = METHOD_ALIASES.get(args.method, args.method)
     est = ESTIMATORS[method](data, args.n_convention == "centered")
@@ -321,6 +340,8 @@ def _cmd_estimate(args, seed):
 
 
 def _cmd_ttest(args, seed):
+    from .hdtest import mean_test
+
     data = read_csv(args.input, delimiter=args.delimiter, header=args.header)
     res = mean_test(args.method, data)
     config = {"input": args.input, "method": args.method, "header": args.header}
@@ -328,6 +349,10 @@ def _cmd_ttest(args, seed):
 
 
 def _mp_table(args):
+    import numpy as np
+
+    from .rmt import MPModel, mp_cdf, mp_density
+
     if not 2 <= args.points <= _MP_MAX_POINTS:
         raise ConfigError(f"need 2 to {_MP_MAX_POINTS} grid points, got {args.points}")
     model = MPModel(args.c)
@@ -345,6 +370,9 @@ def _cmd_mp(args, seed):
 
 
 def _cmd_risk(args, seed):
+    from .loss_risk import RISK_KINDS, min_risk, monte_carlo_risks
+    from .sim import make_sigma
+
     closed = args.closed_form or not args.monte_carlo
     model = parse_model(args.model, args.p)
     methods = _methods(args.methods)
@@ -366,6 +394,8 @@ def _cmd_risk(args, seed):
 
 
 def _cmd_simulate(args, seed):
+    from .sim import EXPERIMENTS, ExperimentConfig
+
     model = parse_model(args.model, args.p)
     config_obj = ExperimentConfig(
         model=model,
@@ -381,6 +411,11 @@ def _cmd_simulate(args, seed):
 
 
 def _cmd_power(args, seed):
+    import numpy as np
+
+    from .hdtest import power_simulation
+    from .sim import make_sigma
+
     delta = np.array([float(v) for v in _fields(args.delta, f"--delta {args.delta!r}")])
     if delta.shape[0] != args.p:
         raise ConfigError(f"delta has {delta.shape[0]} entries, expected p={args.p}")
@@ -398,6 +433,8 @@ def _cmd_power(args, seed):
 
 def _loop_threads(args) -> dict:
     """{"replicate_threads": the count run_chunks resolves} for a command with a replicate loop."""
+    from ._rng import replicate_threads
+
     if args.subcommand in ("simulate", "power") or args.subcommand == "risk" and args.monte_carlo:
         return {"replicate_threads": replicate_threads(args.threads, args.n, args.p)}
     return {}
@@ -415,6 +452,8 @@ _COMMANDS = {
 
 def run_cli(argv) -> int:
     """Parse argv, run the subcommand, write the report. Returns the exit code."""
+    import numpy as np
+
     parser = build_parser()
     try:
         args = parser.parse_args(list(argv))
@@ -478,8 +517,14 @@ def main() -> None:
     """The covshrink command: run_cli on one BLAS thread, so reports match on any core count.
 
     The pin is made here, in the process the command owns, and not in
-    run_cli, which leaves a library caller's BLAS pool as it finds it.
+    run_cli, which leaves a library caller's BLAS pool as it finds it.  It
+    is made before NumPy loads, through OPENBLAS_NUM_THREADS, so OpenBLAS
+    starts no worker thread; ``_one_blas_thread`` then shrinks the pool of
+    a NumPy loaded before this call.
     """
+    os.environ["OPENBLAS_NUM_THREADS"] = "1"
+    from .matrix_core import _one_blas_thread
+
     _one_blas_thread()
     sys.exit(run_cli(sys.argv[1:]))
 

@@ -54,7 +54,10 @@ def _one_blas_thread() -> None:
     result depend on the pool's size, which defaults to the core count.  On
     one thread they depend on the arguments alone.  The setter is looked up
     in ``_linalg_library``.  A BLAS with none of the setters (MKL,
-    Accelerate, a reference BLAS) is left as it is.
+    Accelerate, a reference BLAS) is left as it is.  The command sets
+    OPENBLAS_NUM_THREADS=1 before NumPy loads, so OpenBLAS starts no worker
+    thread; this call shrinks the pool a NumPy loaded before then has
+    already started.
     """
     import ctypes
 

@@ -23,6 +23,7 @@ from covshrink.estimators import (
     ESTIMATORS,
     STACKED_ESTIMATORS,
     as_data_matrix,
+    centered_stack,
     scatter_stack,
 )
 
@@ -436,6 +437,18 @@ class TestFloatRange:
         x[:, 1] = 2.0 ** -700
         est = sample_covariance(x).matrix
         assert est[1, 1] == 0.0 and (est[[0, 2], [0, 2]] > 0).all()
+
+    @pytest.mark.parametrize("scale", [1.0, 1e-155])
+    def test_a_constant_column_whose_mean_rounds_has_a_zero_row(self, scale):
+        # the mean of seven 0.1s is off by an ulp; centered on it, the column
+        # would leave S_11 near 2e-34 at unit scale, which underflows at 1e-155
+        x = np.random.default_rng(5).standard_normal((7, 3)) * scale
+        x[:, 1] = 0.1 * scale
+        xbar, scatter, _ = centered_stack(x[None])
+        assert xbar[0, 1] == x[0, 1]
+        assert not scatter[0, 1].any() and not scatter[0, :, 1].any()
+        est = sample_covariance(x).matrix
+        assert not est[1].any() and not est[:, 1].any() and (est[[0, 2], [0, 2]] > 0).all()
 
     @pytest.mark.parametrize("centered", [True, False])
     @pytest.mark.parametrize("tag", list(ESTIMATORS))

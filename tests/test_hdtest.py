@@ -263,8 +263,8 @@ def test_collinear_data_is_refused(test, seed):
 @pytest.mark.parametrize("value", [0.0, 0.1, -3.7])
 @pytest.mark.parametrize("test", [hotelling_t2, decomposite_t2])
 def test_a_constant_column_is_refused(test, value):
-    # a constant column has zero variance; at 0.1 or -3.7 the computed S_ii
-    # is the square of the mean's rounding, about 1e-34, not zero
+    # a constant column has zero variance, and its S_ii is exactly 0: at 0.1
+    # or -3.7 too, whose computed mean is off by the sum's rounding
     x = np.random.default_rng(4).standard_normal((20, 3))
     x[:, 1] = value
     with pytest.raises(NotPositiveDefiniteError, match="centered covariance is singular"):

@@ -991,17 +991,20 @@ class TestDeterminism:
         assert strip_volatile(doc1) == strip_volatile(doc4)
 
     def test_blas_pool_size_invisible_in_command_reports(self, tmp_path):
-        # at p = 200 a multi-threaded pool changes last bits; the command runs on one thread
+        # at p = 200 a multi-threaded pool changes last bits; the command runs on one thread:
+        # main() sizes the pool before NumPy loads, or, where NumPy was loaded first and
+        # its pool started, shrinks it
         argv = ["--seed", "3", "simulate", "--experiment", "risk", "--n", "800", "--p", "200",
                 "--replicates", "4", "--methods", "sample,stein_triangular,dp_equivariant"]
         docs = []
-        for threads in ("1", "2"):
-            out = tmp_path / f"blas{threads}.json"
-            subprocess.run([sys.executable, "-c", CLI_MAIN, "--output", str(out)] + argv,
+        for k, (threads, entry) in enumerate([("1", CLI_MAIN), ("2", CLI_MAIN),
+                                              ("2", "import numpy; " + CLI_MAIN)]):
+            out = tmp_path / f"blas{k}.json"
+            subprocess.run([sys.executable, "-c", entry, "--output", str(out)] + argv,
                            env=child_env(OPENBLAS_NUM_THREADS=threads),
                            check=True, timeout=120)
             docs.append(strip_volatile(ReportDocument.from_json(out.read_text())))
-        assert docs[0] == docs[1]
+        assert docs[0] == docs[1] == docs[2]
 
     def test_seed_changes_results(self, tmp_path):
         argv = ["simulate", "--experiment", "recovery", "--n", "30", "--p", "3",
@@ -1080,6 +1083,25 @@ class TestOneBlasThread:
 
 # the console script's body, as `python -c` runs it
 CLI_MAIN = "import sys; from covshrink.io_cli import main; sys.exit(main())"
+# `python -m covshrink`, as `python -c` runs it
+RUN_AS_MODULE = "import runpy; runpy.run_module('covshrink', run_name='__main__', alter_sys=True)"
+# prints, once the command has exited, how many threads its process holds
+THREADS_AT_EXIT = ("import atexit, os; "
+                   "atexit.register(lambda: print(len(os.listdir('/proc/self/task')))); ")
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self/task") or _rng._usable_cpus() < 2,
+                    reason="needs /proc and two usable CPUs, where OpenBLAS would start a worker")
+@pytest.mark.parametrize("entry", [CLI_MAIN, RUN_AS_MODULE], ids=["console_script", "module"])
+def test_a_command_ends_with_one_thread(tmp_path, entry):
+    # NumPy's OpenBLAS starts its worker threads when NumPy loads, unless
+    # the environment has sized its pool to one thread by then
+    env = {k: v for k, v in child_env().items()
+           if k not in ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")}
+    argv = ["--output", str(tmp_path / "mp.json"), "mp", "--c", "0.5", "--points", "5"]
+    out = subprocess.run([sys.executable, "-c", THREADS_AT_EXIT + entry] + argv, env=env,
+                         capture_output=True, text=True, check=True, timeout=120)
+    assert out.stdout == "1\n"
 
 # Imports covshrink in a fresh interpreter, runs each argv through run_cli,
 # and prints, as JSON, the thread-pool and numpy.random modules loaded after
