@@ -5,17 +5,17 @@ hash of (master seed, replicate index), so results are bit-identical no
 matter how replicates are scheduled across workers.  The generator is
 NumPy's ``default_rng`` of that hash, bit for bit; the SeedSequence words it
 starts from are computed for SEED_BLOCK consecutive indices at once and
-cached.  ``run_chunks`` is the one replicate loop: it draws replicates,
-stacked into chunks of a fixed byte budget, hands each chunk whole to a
-stacked scorer, and counts the refused replicates by class.  On more than
-one thread, a chunk of large draws is drawn and scored on a worker, every
-thread at once, and the calling thread merges the outcomes in replicate
-order; small draws are scored on the calling thread while the other threads
-draw the next chunks ahead.  ``replicate_threads`` chooses the thread count
-from the size of one replicate's draw unless the caller gives it.
-``check_failures`` is the one place the failed-replicate tolerance is
-enforced, and ``aggregate`` the one mean and standard error over the
-replicates that completed.
+cached.  ``run_chunks`` is the one replicate loop: it draws N(0, Sigma)
+replicates, stacked into chunks of a fixed byte budget, hands each chunk
+whole to a stacked scorer, and counts the refused replicates by class.  On
+more than one thread, a chunk of large draws is drawn and scored on a
+worker, every thread at once, and the calling thread merges the outcomes in
+replicate order; small draws are scored on the calling thread while the
+other threads draw the next chunks ahead.  ``replicate_threads`` chooses
+the thread count from the size of one replicate's draw unless the caller
+gives it.  ``check_failures`` is the one place the failed-replicate
+tolerance is enforced, and ``aggregate`` the one mean and standard error
+over the replicates that completed.
 """
 
 from __future__ import annotations
@@ -34,21 +34,10 @@ MAX_FAILURE_FRACTION = 0.01
 # draws per chunk: about 256 KiB of float64, so a chunk adds little to the
 # peak memory at any (n, p) while amortizing the per-call overhead at small p
 CHUNK_BYTES = 256 * 1024
-# float64 values in one replicate's draw (2 MiB) from which a second thread
-# pays, and from which every thread draws and scores whole chunks.  On 2
-# vCPUs, in alternating fresh calls at one and two threads, `simulate
-# --experiment risk` tied at n*p = 160,000 and won from 262,144 on, and `esd`
-# tied up to 262,144 and won from 360,000 on.  Below it a draw hands the
-# interpreter lock back at every replicate: two threads drawing 50 x 10
-# chunks at once ran at 0.98 times the speed of one, and scoring on both
-# made `--threads 2 risk --n 50 --p 10 --monte-carlo` slower, 1.20 -> 1.68 s,
-# so there the other threads only draw ahead, and at p = 5 and 10 even that
-# ties at best.  Seeding in blocks left drawing and scoring there both
-# holding the lock most of the time (at two threads CPU time stayed within
-# 2 % of wall time): that call took 0.96 s at one thread and 0.97 s at two
-# (8 alternating pairs of fresh calls), and the 400 x 5 `power` of 4000
-# replicates 0.73 and 0.71 s (14 pairs), inside one call's spread of
-# 0.55-0.85 s.
+# float64 values in one replicate's draw (2 MiB) from which every thread draws
+# and scores whole chunks, and from which a second thread is the default;
+# below it the other threads only draw ahead.  The measurements behind it are
+# in README's CLI section.
 DRAW_AHEAD_VALUES = 2 ** 18
 
 # replicate indices whose SeedSequence words are computed together
@@ -165,14 +154,9 @@ def replicate_rng(seed: int, index: int) -> np.random.Generator:
     return np.random.Generator(np.random.PCG64(_precomputed_seed_type()(words)))
 
 
-def gaussian_rows(rng: np.random.Generator, chol_factor: np.ndarray, n: int,
-                  mean=None) -> np.ndarray:
-    """n rows of N(mean, L L') from a lower Cholesky factor L."""
-    z = rng.standard_normal((n, chol_factor.shape[0]))
-    x = z @ chol_factor.T
-    if mean is not None:
-        x = x + mean
-    return x
+def gaussian_rows(rng: np.random.Generator, chol_factor: np.ndarray, n: int) -> np.ndarray:
+    """n rows of N(0, L L') from a lower Cholesky factor L."""
+    return rng.standard_normal((n, chol_factor.shape[0])) @ chol_factor.T
 
 
 def chunk_replicates(n: int, p: int) -> int:
@@ -180,12 +164,11 @@ def chunk_replicates(n: int, p: int) -> int:
     return max(1, CHUNK_BYTES // (8 * n * p))
 
 
-def draw_chunk(seed: int, chol_factor: np.ndarray, n: int, start: int, stop: int,
-               mean=None) -> np.ndarray:
+def draw_chunk(seed: int, chol_factor: np.ndarray, n: int, start: int, stop: int) -> np.ndarray:
     """Replicates start .. stop - 1 stacked as a (stop - start, n, p) array.
 
     Slice j is bit for bit ``gaussian_rows(replicate_rng(seed, start + j),
-    chol_factor, n, mean)``: each replicate keeps its own stream, and the
+    chol_factor, n)``: each replicate keeps its own stream, and the
     stacked product applies the same matrix product to every slice.  A
     diagonal factor scales the columns instead, and the identity is
     skipped: each entry of ``z @ L.T`` then has exactly one nonzero term,
@@ -196,12 +179,8 @@ def draw_chunk(seed: int, chol_factor: np.ndarray, n: int, start: int, stop: int
         replicate_rng(seed, start + j).standard_normal(out=z[j])
     scale = np.diagonal(chol_factor)
     if np.count_nonzero(chol_factor) > np.count_nonzero(scale):
-        x = z @ chol_factor.T
-    else:
-        x = z if (scale == 1.0).all() else np.multiply(z, scale, out=z)
-    if mean is not None:
-        x += mean
-    return x
+        return z @ chol_factor.T
+    return z if (scale == 1.0).all() else np.multiply(z, scale, out=z)
 
 
 def _usable_cpus() -> int:
@@ -225,15 +204,18 @@ def replicate_threads(threads: int | None, n: int, p: int) -> int:
 
 
 def run_chunks(score_chunk, seed: int, chol_factor: np.ndarray, n: int, replicates: int,
-               threads: int | None = None, mean=None) -> tuple[list, dict]:
+               threads: int | None = None) -> tuple[list, dict]:
     """Each replicate's outcome, in replicate order, and the refusals as {class name: count}.
 
     ``score_chunk(start, x)``, x = ``draw_chunk(seed, chol_factor, n, start,
-    stop, mean)``, returns a value and a refusal (a CovshrinkError, or None)
-    per slice; a refused replicate's outcome is None.  The chunk size
-    depends on (n, p) alone, so every outcome depends on (seed, r) alone,
-    never on ``threads``.  None chooses the count by ``replicate_threads``.
-    Errors raised by ``score_chunk`` propagate.
+    stop)``, returns a value and a refusal (a CovshrinkError, or None) per
+    slice; a refused replicate's outcome is None.  Slice r - start of x is
+    ``gaussian_rows(replicate_rng(seed, r), chol_factor, n)``, N(0, L L')
+    rows; a scorer that needs other data (a shifted mean) transforms its own
+    chunk, which no other scorer reads.  The chunk size depends on (n, p)
+    alone, so every outcome depends on (seed, r) alone, never on
+    ``threads``.  None chooses the count by ``replicate_threads``.  Errors
+    raised by ``score_chunk`` propagate.
 
     Above one thread there are two schedules, chosen by the size of one
     replicate's draw.  From n*p = DRAW_AHEAD_VALUES on, ``threads`` workers
@@ -251,7 +233,7 @@ def run_chunks(score_chunk, seed: int, chol_factor: np.ndarray, n: int, replicat
     outcomes, refusals = [], Counter()
 
     def draw(start: int) -> np.ndarray:
-        return draw_chunk(seed, chol_factor, n, start, min(start + step, replicates), mean)
+        return draw_chunk(seed, chol_factor, n, start, min(start + step, replicates))
 
     def merge(values: list, errors: list) -> None:
         outcomes.extend(None if e is not None else v for v, e in zip(values, errors))

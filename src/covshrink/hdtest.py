@@ -240,6 +240,9 @@ def power_simulation(n: int, p: int, sigma, delta, alpha: float = 0.05,
     up to 1/2 it is exact to about 1e-14 relative; above that, 1 - alpha is
     resolved only to the sum's absolute rounding near 1.  Sigma is factored
     once, and the factor both draws the replicates and feeds the kernel.
+    Replicate r is ``gaussian_rows(replicate_rng(seed, r), cholesky(sigma),
+    n) + mu``: the loop draws N(0, sigma) rows, and each chunk is shifted by
+    mu in place before its kernel scores it.
 
     Parameters
     ----------
@@ -293,10 +296,11 @@ def power_simulation(n: int, p: int, sigma, delta, alpha: float = 0.05,
     kernel = MEAN_TESTS[method]
 
     def score_chunk(start: int, x: np.ndarray) -> tuple[list, list]:
+        x += mu
         stats, errors = kernel(x, chol_sig)
         return [stat > crit for stat in stats.tolist()], errors
 
-    outcomes, refusals = run_chunks(score_chunk, seed, chol_sig, n, replicates, threads, mean=mu)
+    outcomes, refusals = run_chunks(score_chunk, seed, chol_sig, n, replicates, threads)
     failures = check_failures(refusals, replicates, method, n, p)
     ok = [o for o in outcomes if o is not None]
     m = len(ok)

@@ -246,11 +246,11 @@ def build_parser() -> argparse.ArgumentParser:
                              "this).  It sizes only these "
                              "workers; BLAS and LAPACK run on one thread whatever its value.  "
                              "Default: 2 when one replicate's draw holds n*p >= 2**18 values "
-                             "and 2 CPUs are usable, else 1; on 2 vCPUs two threads won "
-                             "above that size and lost at p = 5 and 10")
+                             "and 2 CPUs are usable, else 1 (measurements in README)")
     parser.add_argument("--output", default=None, help="write the report here instead of stdout")
     parser.add_argument("--format", choices=("json", "csv"), default=None,
-                        help="output format (csv only for the mp grid; default json)")
+                        help="output format (csv only for the mp grid; default: csv for mp, "
+                             "json otherwise)")
     sub = parser.add_subparsers(dest="subcommand", required=True)
 
     est = sub.add_parser("estimate", help="estimate a covariance matrix from CSV data")
@@ -385,10 +385,9 @@ def _cmd_risk(args, seed):
     if args.monte_carlo:
         estimates = monte_carlo_risks(methods, make_sigma(model), args.n, args.replicates,
                                       seed, threads=args.threads)
+        # the config and the envelope carry the method, n, p and seed
         results["monte_carlo"] = {
-            method: {"mean_loss": est.mean_loss, "std_error": est.std_error,
-                     "replicates": est.replicates, "failures": est.failures,
-                     "failure_classes": est.failure_classes}
+            method: {k: v for k, v in asdict(est).items() if k not in ("method", "n", "p", "seed")}
             for method, est in estimates.items()}
     return config, results
 

@@ -149,7 +149,7 @@ def replicate_losses(methods, sigma, n: int, replicates: int, seed: int,
                      threads: int | None = None) -> dict:
     """Per-replicate Stein losses of several methods on the same replicate draws.
 
-    Returns {method: (losses, target, refusals)} for a mean-zero Gaussian
+    Returns {method: (losses, refusals)} for a mean-zero Gaussian
     population; a failed replicate is recorded as None, and ``refusals``
     counts the failures by the class name of their refusal.  The pivot
     estimator is scored against the Schur pivot diagonal of sigma, its own
@@ -186,7 +186,7 @@ def replicate_losses(methods, sigma, n: int, replicates: int, seed: int,
     chol_sig = cholesky(sig)
     out = {}
     for method in methods:
-        target, t_target = _target(method, sig, chol_sig)
+        _, t_target = _target(method, sig, chol_sig)
         inv_target = _inverse_factor(t_target)
         estimate = STACKED_ESTIMATORS[method]
 
@@ -197,7 +197,7 @@ def replicate_losses(methods, sigma, n: int, replicates: int, seed: int,
             return losses.tolist(), first_refusals(errors, est_errors)
 
         losses, refusals = run_chunks(score_chunk, seed, chol_sig, n, replicates, threads)
-        out[method] = (losses, target, refusals)
+        out[method] = (losses, refusals)
     return out
 
 
@@ -218,8 +218,8 @@ def monte_carlo_risks(methods, sigma, n: int, replicates: int, seed: int,
     if n < p:
         raise ValueError(f"sample count {n} below dimension {p}")
     out = {}
-    for method, (losses, _, refusals) in replicate_losses(methods, sigma, n, replicates, seed,
-                                                        threads=threads).items():
+    for method, (losses, refusals) in replicate_losses(methods, sigma, n, replicates, seed,
+                                                     threads=threads).items():
         failures = check_failures(refusals, replicates, method, n, p)
         agg = aggregate(losses)
         out[method] = RiskEstimate(

@@ -17,7 +17,9 @@ class MPModel:
     """Marchenko-Pastur model for concentration c = lim p/n in (0, 1).
 
     Support edges are lambda_minus = (1 - sqrt(c))^2 and
-    lambda_plus = (1 + sqrt(c))^2.
+    lambda_plus = (1 + sqrt(c))^2.  Once sqrt(c) rounds to 2**-54 or less (c
+    up to about 3.1e-33) both round to 1.0 in float64, leaving no support,
+    and c is refused.
     """
 
     c: float
@@ -28,8 +30,13 @@ class MPModel:
         if not 0.0 < self.c < 1.0:
             raise ValueError(f"concentration must lie in (0, 1), got {self.c}")
         r = math.sqrt(self.c)
-        object.__setattr__(self, "lambda_minus", (1.0 - r) ** 2)
-        object.__setattr__(self, "lambda_plus", (1.0 + r) ** 2)
+        lo, hi = (1.0 - r) ** 2, (1.0 + r) ** 2
+        if lo == hi:
+            raise ValueError(f"concentration {self.c} is too small for float64: the support "
+                             "edges (1 - sqrt(c))^2 and (1 + sqrt(c))^2 both round to 1.0; "
+                             "need c above about 3.1e-33")
+        object.__setattr__(self, "lambda_minus", lo)
+        object.__setattr__(self, "lambda_plus", hi)
 
 
 def mp_density(x, model: MPModel):

@@ -260,7 +260,7 @@ def risk_comparison_experiment(config: ExperimentConfig,
     per_method = {}
     total_failures = 0
     for method in methods:
-        values, _, refusals = losses[method]
+        values, refusals = losses[method]
         failures = sum(refusals.values())
         total_failures += failures
         try:

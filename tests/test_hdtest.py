@@ -54,7 +54,7 @@ class TestStackedKernels:
     @pytest.mark.parametrize("sigma", [np.eye(4), ar1(4, 0.6)], ids=["identity", "ar1"])
     def test_slices_equal_the_public_test_bit_for_bit(self, test, sigma):
         # n=8, p=4 makes the shrinker refuse some slices; slice 5 is collinear
-        x = draw_chunk(11, cholesky(sigma), 8, 0, 40, np.full(4, 0.3))
+        x = draw_chunk(11, cholesky(sigma), 8, 0, 40) + 0.3
         x[5, :, 3] = x[5, :, 2]
         stats, errors = MEAN_TESTS[test](x, cholesky(sigma))
         assert len(stats) == len(errors) == 40
@@ -77,7 +77,7 @@ class TestStackedKernels:
     def test_statistics_equal_the_per_sample_formulas_bit_for_bit(self, sigma):
         # each statistic written out from the public pieces, one sample at a time
         n = 40
-        x = draw_chunk(12, cholesky(sigma), n, 0, 60, np.full(5, 0.2))
+        x = draw_chunk(12, cholesky(sigma), n, 0, 60) + 0.2
         stats = {test: MEAN_TESTS[test](x, cholesky(sigma)) for test in MEAN_TESTS}
         for j in range(60):
             xbar = x[j].mean(axis=0)
@@ -96,7 +96,7 @@ class TestStackedKernels:
     def test_an_overflowing_slice_is_refused_alone(self, test):
         # slice 2's sample mean overflows; the other slices keep their bits
         t = cholesky(ar1(3, 0.5))
-        x = draw_chunk(13, t, 30, 0, 6, np.full(3, 0.2))
+        x = draw_chunk(13, t, 30, 0, 6) + 0.2
         want_stats, want_errors = MEAN_TESTS[test](np.delete(x, 2, axis=0), t)
         x[2] = 1e308
         stats, errors = MEAN_TESTS[test](x, t)
@@ -380,7 +380,7 @@ class TestPowerSimulation:
         mu = delta * p ** 0.25 / math.sqrt(n)
         rejections, classes = [], {}
         for r in range(400):
-            x = gaussian_rows(replicate_rng(1, r), cholesky(sigma), n, mu)
+            x = gaussian_rows(replicate_rng(1, r), cholesky(sigma), n) + mu
             statistic, error = statistic_or_refusal(test, x, sigma)
             if error is None:
                 rejections.append(statistic > rep.critical_value)

@@ -729,6 +729,15 @@ class TestExitCodes:
         assert (out.returncode, out.stderr) == (0, "")
         assert out.stdout.splitlines()[0] == "x,density,cdf"
 
+    def test_python_dash_m_io_cli_runs_without_warnings(self):
+        # runpy warns ("found in sys.modules") when the package's import has
+        # already loaded the module it is asked to run; -W error makes that fatal
+        out = subprocess.run([sys.executable, "-W", "error", "-m", "covshrink.io_cli", "mp",
+                              "--c", "0.5", "--points", "3"], env=child_env(),
+                             capture_output=True, text=True, timeout=120)
+        assert (out.returncode, out.stderr) == (0, "")
+        assert len(out.stdout.splitlines()) == 4
+
 
 def strict_json(text: str):
     """json.loads that refuses NaN and Infinity, which JSON does not have."""

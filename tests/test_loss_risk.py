@@ -238,32 +238,48 @@ class TestMonteCarloRisk:
     def test_mean_and_se_are_the_aggregate_of_the_losses(self):
         sigma = np.array([[4.0, 2.0], [2.0, 5.0]])
         est = monte_carlo_risk("stein_triangular", sigma, n=10, replicates=150, seed=4)
-        losses, _, _ = replicate_losses(["stein_triangular"], sigma, n=10, replicates=150,
-                                        seed=4)["stein_triangular"]
+        losses, _ = replicate_losses(["stein_triangular"], sigma, n=10, replicates=150,
+                                     seed=4)["stein_triangular"]
         agg = aggregate(losses)
         assert (est.mean_loss, est.std_error, est.replicates) == (
             agg["mean"], agg["se"], agg["count"])
 
 
 class TestReplicateLosses:
-    def test_pivot_method_scored_against_pivot_diagonal(self):
+    @staticmethod
+    def assert_scored_against_target(method):
+        # each returned loss is stein_loss of that replicate's estimate against
+        # the method's own target, to rounding (see the stacked engine's bound),
+        # and not against the other candidate
         sigma = np.array([[4.0, 2.0], [2.0, 5.0]])
-        _, target, _ = replicate_losses(["dp_equivariant"], sigma, n=10, replicates=2,
-                                        seed=0)["dp_equivariant"]
+        target = _target(method, sigma, cholesky(sigma))[0]
+        other = np.diag(schur_pivots(sigma)) if target is sigma else sigma
+        bound = 4.0 * np.linalg.cond(cholesky(sigma)) * np.finfo(float).eps
+        losses, _ = replicate_losses([method], sigma, n=10, replicates=4, seed=3)[method]
+        for r, loss in enumerate(losses):
+            x = gaussian_rows(replicate_rng(3, r), cholesky(sigma), 10)
+            phi = ESTIMATORS[method](x, False).matrix
+            expected = stein_loss(phi, target)
+            assert abs(loss - expected) <= bound * (abs(expected) + 2), r
+            assert abs(loss - stein_loss(phi, other)) > 1e-3, r
+        return target
+
+    def test_pivot_method_scored_against_pivot_diagonal(self):
+        target = self.assert_scored_against_target("dp_equivariant")
         assert_allclose(target, np.diag([4.0, 4.0]))
 
     def test_other_methods_scored_against_sigma(self):
-        sigma = np.array([[4.0, 2.0], [2.0, 5.0]])
-        _, target, _ = replicate_losses(["sample"], sigma, n=10, replicates=2, seed=0)["sample"]
-        assert_allclose(target, sigma)
+        target = self.assert_scored_against_target("sample")
+        assert_allclose(target, np.array([[4.0, 2.0], [2.0, 5.0]]))
 
     def test_losses_equal_public_stein_loss(self):
         # the per-replicate loss reuses the target's factor; the value must not move
         sigma = np.array([[4.0, 2.0], [2.0, 5.0]])
-        losses, target, _ = replicate_losses(["dp_equivariant"], sigma, n=10, replicates=4,
-                                             seed=3)["dp_equivariant"]
+        losses, _ = replicate_losses(["dp_equivariant"], sigma, n=10, replicates=4,
+                                     seed=3)["dp_equivariant"]
         x = gaussian_rows(replicate_rng(3, 2), cholesky(sigma), 10)
         est = dp_equivariant(x, centered=False)
+        target = _target("dp_equivariant", sigma, cholesky(sigma))[0]
         assert losses[2] == stein_loss(est.matrix, target)
 
     @pytest.mark.parametrize("sigma", [
@@ -283,7 +299,7 @@ class TestReplicateLosses:
             replicate_losses(["sample", "oas"], np.eye(2), n=10, replicates=0, seed=0)
 
     def test_failures_recorded_as_none(self):
-        losses, _, _ = replicate_losses(["tsai"], np.eye(20), n=40, replicates=20, seed=5)["tsai"]
+        losses, _ = replicate_losses(["tsai"], np.eye(20), n=40, replicates=20, seed=5)["tsai"]
         assert any(v is None for v in losses)
         assert len(losses) == 20
 
@@ -317,7 +333,8 @@ class TestStackedEngine:
         chol = cholesky(sigma)
         bound = 4.0 * np.linalg.cond(chol) * np.finfo(float).eps
         for tag in STACKED_TAGS:
-            losses, target, _ = out[tag]
+            losses, _ = out[tag]
+            target = _target(tag, sigma, chol)[0]
             for r in range(reps):
                 x = gaussian_rows(replicate_rng(seed, r), chol, n)
                 try:
@@ -343,7 +360,7 @@ class TestStackedEngine:
         tags = STACKED_TAGS[::-1]
         together = replicate_losses(tags, sigma, 9, 120, 6, threads=2)
         for tag in tags:
-            alone, _, _ = replicate_losses([tag], sigma, 9, 120, 6)[tag]
+            alone, _ = replicate_losses([tag], sigma, 9, 120, 6)[tag]
             assert together[tag][0] == alone
 
     def test_stacked_cholesky_refuses_as_cholesky_does(self):

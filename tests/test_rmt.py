@@ -25,10 +25,17 @@ class TestMPModel:
         assert_allclose(m.lambda_minus, (1 - math.sqrt(0.5)) ** 2)
         assert_allclose(m.lambda_plus, (1 + math.sqrt(0.5)) ** 2)
 
-    @pytest.mark.parametrize("c", [0.0, 1.0, -0.2, 1.7])
+    @pytest.mark.parametrize("c", [0.0, 1.0, -0.2, 1.7, 1e-300, 5e-324])
     def test_concentration_range(self, c):
+        # up to about 3.1e-33 both support edges round to 1.0, leaving no support
         with pytest.raises(ValueError):
             MPModel(c=c)
+
+    def test_a_tiny_concentration_keeps_its_support(self):
+        m = MPModel(c=1e-32)
+        assert m.lambda_minus < m.lambda_plus
+        assert mp_cdf(m.lambda_minus, m) == 0.0
+        assert mp_cdf(m.lambda_plus, m) == 1.0
 
 
 class TestMPDensity:

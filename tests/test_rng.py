@@ -113,24 +113,22 @@ class TestChunking:
         assert chunk_replicates(1600, 400) == 1
         assert chunk_replicates(10 ** 6, 10 ** 3) == 1
 
-    @pytest.mark.parametrize("mean", [None, np.array([0.5, -1.0, 2.0, 0.0, 3.0])])
-    def test_chunk_slices_equal_single_replicate_draws(self, mean):
+    def test_chunk_slices_equal_single_replicate_draws(self):
         # n=40, p=5: 163 replicates per chunk, so 400 replicates span three chunks
         chol = cholesky(ar1(5, 0.7))
         slices, refusals = run_chunks(lambda start, x: (list(x), [None] * len(x)), 21, chol, 40,
-                                      400, mean=mean)
+                                      400)
         assert (len(slices), refusals) == (400, {})
         for r, xr in enumerate(slices):
-            assert np.array_equal(xr, gaussian_rows(replicate_rng(21, r), chol, 40, mean))
+            assert np.array_equal(xr, gaussian_rows(replicate_rng(21, r), chol, 40))
 
     @pytest.mark.parametrize("sigma", [np.eye(6), np.diag([9.0, 4.0, 2.5, 1.0, 1.0, 1.0]),
                                        ar1(6, 0.5)], ids=["identity", "spiked", "ar1"])
-    @pytest.mark.parametrize("mean", [None, np.linspace(-1.0, 2.0, 6)])
-    def test_draw_chunk_slices_equal_gaussian_rows_for_each_factor(self, sigma, mean):
+    def test_draw_chunk_slices_equal_gaussian_rows_for_each_factor(self, sigma):
         chol = cholesky(sigma)
-        x = draw_chunk(9, chol, 25, 4, 30, mean)
+        x = draw_chunk(9, chol, 25, 4, 30)
         for j in range(26):
-            assert np.array_equal(x[j], gaussian_rows(replicate_rng(9, 4 + j), chol, 25, mean))
+            assert np.array_equal(x[j], gaussian_rows(replicate_rng(9, 4 + j), chol, 25))
 
     def test_draw_chunk_starts_mid_stream(self):
         chol = cholesky(ar1(3, 0.4))
