@@ -202,15 +202,14 @@ def _pivot(a: np.ndarray, dof: int, factored: bool = False) -> tuple:
     return out, errors
 
 
-def _target(method: str, sig: np.ndarray, chol_sig: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(target, its Cholesky factor) of estimator ``method`` for sigma with factor chol_sig:
-    sigma itself for every kernel but ``_pivot``, whose target is the Schur pivot diagonal
-    diag(t^2), t the diagonal of sigma's factor; its factor is diag(t) bit for bit, as
+def _target(method: str, chol_sig: np.ndarray) -> np.ndarray:
+    """Cholesky factor of estimator ``method``'s target, for sigma with factor chol_sig:
+    chol_sig for every kernel but ``_pivot``, whose target is the Schur pivot diagonal
+    diag(t^2), t the diagonal of chol_sig; its factor is diag(t) bit for bit, as
     sqrt(fl(t^2)) = t."""
     if STACKED_ESTIMATORS[method] is not _pivot:
-        return sig, chol_sig
-    t = np.diag(np.diag(chol_sig))
-    return t * t, t
+        return chol_sig
+    return np.diag(np.diag(chol_sig))
 
 
 def _declined(l: np.ndarray, d: np.ndarray, n: int) -> np.ndarray:
@@ -414,7 +413,8 @@ def tsai_estimator(s, n: int | None = None) -> CovarianceEstimate:
     n : int, optional
         Effective sample count for the shrinkage.  Defaults to the divisor
         recorded on ``s`` (n for the uncentered convention, n - 1 for the
-        centered one); required when ``s`` is a bare matrix.
+        centered one); required when ``s`` is a bare matrix or records one
+        divisor per coordinate, as stein_triangular and dp_equivariant do.
 
     S is taken times 2**-e, e = ``unit_exponents(S)``, and the estimate and
     spectra times 2**e; one beyond the float64 range is refused with
@@ -422,6 +422,8 @@ def tsai_estimator(s, n: int | None = None) -> CovarianceEstimate:
     """
     n_obs = n
     if isinstance(s, CovarianceEstimate):
+        if n is None and np.ndim(s.divisor):
+            raise ValueError(f"a {s.method} estimate has one divisor per coordinate; pass n=")
         s, n_obs, n = s.matrix, s.n, int(s.divisor) if n is None else n
     elif n is None:
         raise ValueError("n is required when s is a bare matrix")

@@ -281,6 +281,8 @@ def power_simulation(n: int, p: int, sigma, delta, alpha: float = 0.05,
     if not np.isfinite(d).all():
         raise ValueError("delta must be finite")
     chol_sig = cholesky(sigma)
+    if chol_sig.shape != (p, p):
+        raise ValueError(f"sigma must be {p} x {p} for p={p}, got shape {chol_sig.shape}")
     scale = p ** 0.25 if rate == "hdim" else 1.0
     mu = d * scale / math.sqrt(n)
     # chisq_pvalue(lo) > alpha >= chisq_pvalue(crit) throughout

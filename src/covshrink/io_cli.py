@@ -47,6 +47,8 @@ _MAX_SIZE = 2**53
 # replicate's outcome is held until the run ends, and simulate keeps a report
 # row of several hundred bytes for each, so a million rows is about a gigabyte
 _MAX_REPLICATES = 1_000_000
+# the refusal of a delimiter the csv module does not take
+_ONE_CHARACTER = "must be exactly one character, got {!r}"
 
 
 def read_csv(path: str, delimiter: str = ",", header: bool = False) -> np.ndarray:
@@ -57,7 +59,10 @@ def read_csv(path: str, delimiter: str = ",", header: bool = False) -> np.ndarra
     whitespace are skipped; a file without data rows is an error.  A file
     without quotes goes through NumPy's C reader, and whatever that reader
     refuses goes through the csv module, which alone names the line and column.
+    A delimiter that is not exactly one character is refused with ValueError.
     """
+    if len(delimiter) != 1:
+        raise ValueError(f"delimiter {_ONE_CHARACTER.format(delimiter)}")
     try:
         with open(path, newline="") as fh:
             text = fh.read()
@@ -71,8 +76,8 @@ def _loadtxt(text: str, delimiter: str, header: bool):
     """``np.loadtxt`` of ``text``, or None where ``_parse_csv`` alone decides.
 
     loadtxt runs only where the lines and cells are the csv module's: a
-    one-character delimiter other than a line ending, no quote character,
-    and no lone CR, which ends a csv line but not a line split at LF.  It
+    delimiter other than a line ending, no quote character, and no lone CR,
+    which ends a csv line but not a line split at LF.  It
     converts each cell with PyOS_string_to_double, the parser float() uses,
     on a subset of the spellings float() accepts, so every value it returns
     has float()'s bits.  A cell it refuses, a ragged row, a non-finite
@@ -84,7 +89,7 @@ def _loadtxt(text: str, delimiter: str, header: bool):
     """
     import numpy as np
 
-    if (len(delimiter) != 1 or delimiter in "\r\n" or '"' in text
+    if (delimiter in "\r\n" or '"' in text
             or "\r" in text and text.count("\r") != text.count("\r\n")):
         return None
     lines = text.split("\n")
@@ -223,13 +228,13 @@ def parse_model(text: str, p: int) -> PopulationModel:
 def _delimiter(text: str) -> str:
     """argparse type of --delimiter: the csv module takes exactly one character."""
     if len(text) != 1:
-        raise argparse.ArgumentTypeError(f"must be exactly one character, got {text!r}")
+        raise argparse.ArgumentTypeError(_ONE_CHARACTER.format(text))
     return text
 
 
 def build_parser() -> argparse.ArgumentParser:
     from .estimators import ESTIMATORS
-    from .hdtest import MEAN_TESTS
+    from .hdtest import MEAN_TESTS, RATES
     from .sim import EXPERIMENTS
 
     parser = argparse.ArgumentParser(
@@ -254,6 +259,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="subcommand", required=True)
 
     est = sub.add_parser("estimate", help="estimate a covariance matrix from CSV data")
+    est.set_defaults(handler=_cmd_estimate)
     est.add_argument("--input", required=True)
     short = {tag: alias for alias, tag in METHOD_ALIASES.items()}
     est.add_argument("--method", choices=tuple(short.get(tag, tag) for tag in ESTIMATORS),
@@ -264,6 +270,7 @@ def build_parser() -> argparse.ArgumentParser:
     est.add_argument("--header", action="store_true")
 
     tt = sub.add_parser("ttest", help="one-sample mean test")
+    tt.set_defaults(handler=_cmd_ttest)
     tt.add_argument("--input", required=True)
     tt.add_argument("--method", choices=tuple(m for m in MEAN_TESTS if m != "oracle"),
                     default="decomposite")
@@ -271,11 +278,13 @@ def build_parser() -> argparse.ArgumentParser:
     tt.add_argument("--header", action="store_true")
 
     mp = sub.add_parser("mp", help="Marchenko-Pastur density/CDF grid")
+    mp.set_defaults(handler=_cmd_mp)
     mp.add_argument("--c", type=float, required=True, help="concentration ratio in (0, 1)")
     mp.add_argument("--points", type=int, default=101,
                     help=f"grid size across the support, 2 to {_MP_MAX_POINTS}")
 
     rk = sub.add_parser("risk", help="closed-form and Monte Carlo Stein-loss risks")
+    rk.set_defaults(handler=_cmd_risk)
     rk.add_argument("--n", type=int, required=True)
     rk.add_argument("--p", type=int, required=True)
     rk.add_argument("--closed-form", action="store_true")
@@ -285,6 +294,7 @@ def build_parser() -> argparse.ArgumentParser:
     rk.add_argument("--replicates", type=int, default=10000)
 
     si = sub.add_parser("simulate", help="run a desk-scale experiment")
+    si.set_defaults(handler=_cmd_simulate)
     si.add_argument("--experiment", choices=tuple(EXPERIMENTS), required=True)
     si.add_argument("--n", type=int, required=True)
     si.add_argument("--p", type=int, required=True)
@@ -295,13 +305,14 @@ def build_parser() -> argparse.ArgumentParser:
                     help="omit per-replicate rows from the report")
 
     pw = sub.add_parser("power", help="rejection rate of a mean test under a mean shift")
+    pw.set_defaults(handler=_cmd_power)
     pw.add_argument("--n", type=int, required=True)
     pw.add_argument("--p", type=int, required=True)
     pw.add_argument("--delta", required=True, help="comma-separated shift vector of length p")
     pw.add_argument("--alpha", type=float, default=0.05)
     pw.add_argument("--replicates", type=int, default=1000)
     pw.add_argument("--method", choices=tuple(MEAN_TESTS), default="oracle")
-    pw.add_argument("--rate", choices=("hdim", "classical"), default="hdim")
+    pw.add_argument("--rate", choices=RATES, default="hdim")
     pw.add_argument("--model", default="identity")
     return parser
 
@@ -348,7 +359,7 @@ def _cmd_ttest(args, seed):
     return config, asdict(res)
 
 
-def _mp_table(args):
+def _cmd_mp(args, seed):
     import numpy as np
 
     from .rmt import MPModel, mp_cdf, mp_density
@@ -358,14 +369,9 @@ def _mp_table(args):
     model = MPModel(args.c)
     xs = np.linspace(model.lambda_minus, model.lambda_plus, args.points)
     columns = zip(xs, mp_density(xs, model), mp_cdf(xs, model))
-    return model, [{"x": float(x), "density": float(d), "cdf": float(f)} for x, d, f in columns]
-
-
-def _cmd_mp(args, seed):
-    model, table = _mp_table(args)
     config = {"c": args.c, "points": args.points}
-    results = {"lambda_minus": model.lambda_minus, "lambda_plus": model.lambda_plus,
-               "table": table}
+    results = {"lambda_minus": model.lambda_minus, "lambda_plus": model.lambda_plus}
+    results["table"] = [dict(x=float(x), density=float(d), cdf=float(f)) for x, d, f in columns]
     return config, results
 
 
@@ -439,20 +445,8 @@ def _loop_threads(args) -> dict:
     return {}
 
 
-_COMMANDS = {
-    "estimate": _cmd_estimate,
-    "ttest": _cmd_ttest,
-    "mp": _cmd_mp,
-    "risk": _cmd_risk,
-    "simulate": _cmd_simulate,
-    "power": _cmd_power,
-}
-
-
 def run_cli(argv) -> int:
     """Parse argv, run the subcommand, write the report. Returns the exit code."""
-    import numpy as np
-
     parser = build_parser()
     try:
         args = parser.parse_args(list(argv))
@@ -476,7 +470,7 @@ def run_cli(argv) -> int:
                                   f"got {size}")
         if getattr(args, "replicates", 0) > _MAX_REPLICATES:
             raise ConfigError(f"need at most {_MAX_REPLICATES} replicates, got {args.replicates}")
-        config, results = _COMMANDS[args.subcommand](args, seed)
+        config, results = args.handler(args, seed)
 
         fmt = args.format or ("csv" if args.subcommand == "mp" else "json")
         if fmt == "csv":
@@ -496,7 +490,7 @@ def run_cli(argv) -> int:
                 },
             )
             text = doc.to_json()
-    except (CovshrinkError, ValueError, np.linalg.LinAlgError, MemoryError) as exc:
+    except (CovshrinkError, ValueError, MemoryError) as exc:  # LinAlgError is a ValueError
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -182,11 +182,10 @@ def replicate_losses(methods, sigma, n: int, replicates: int, seed: int,
         raise ValueError(f"duplicate method tags in {list(methods)}")
     if not methods:
         return {}
-    sig = np.asarray(sigma, dtype=float)
-    chol_sig = cholesky(sig)
+    chol_sig = cholesky(sigma)
     out = {}
     for method in methods:
-        _, t_target = _target(method, sig, chol_sig)
+        t_target = _target(method, chol_sig)
         inv_target = _inverse_factor(t_target)
         estimate = STACKED_ESTIMATORS[method]
 

@@ -2,6 +2,8 @@ import importlib.util
 import json
 from pathlib import Path
 
+from covshrink import io_cli
+
 SPEC = importlib.util.spec_from_file_location(
     "compare_reports", Path(__file__).resolve().parents[1] / "tools" / "compare_reports.py")
 compare_reports = importlib.util.module_from_spec(SPEC)
@@ -31,3 +33,12 @@ def test_every_other_difference_is_named_by_its_path():
 def test_text_that_is_not_json_is_compared_as_text():
     assert compare_reports.comparable("x,cdf\n0.25,0.0\n") == "x,cdf\n0.25,0.0\n"
     assert compare_reports.differences("a\n", "b\n") == ["/: 'a\\n' != 'b\\n'"]
+
+
+def test_the_cli_accepts_every_extra_call(tmp_path):
+    calls = compare_reports.extra_calls(7, tmp_path)
+    assert len({label for label, _ in calls}) == len(calls)
+    for label, argv in calls:
+        args = io_cli.build_parser().parse_args(argv)
+        assert args.seed == 7, label
+    assert io_cli.read_csv(str(tmp_path / "extra.csv")).shape == (30, 4)

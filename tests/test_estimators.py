@@ -340,6 +340,14 @@ class TestTsaiEstimator:
         with pytest.raises(ValueError):
             tsai_estimator(np.eye(2) + 0.1)
 
+    @pytest.mark.parametrize("estimator", [stein_triangular, dp_equivariant])
+    def test_estimate_with_a_divisor_per_coordinate_requires_n(self, estimator):
+        s = estimator(np.random.default_rng(3).standard_normal((20, 3)))
+        with pytest.raises(ValueError, match=f"a {s.method} estimate has one divisor per "
+                                             "coordinate; pass n="):
+            tsai_estimator(s)
+        assert tsai_estimator(s, n=19).n == 20
+
     def test_univariate_passthrough(self):
         est = tsai_estimator(np.array([[3.7]]), n=9)
         assert_allclose(est.matrix, [[3.7]])

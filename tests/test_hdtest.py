@@ -411,6 +411,16 @@ class TestPowerSimulation:
         assert (rep.failures, rep.replicates) == (1, 399)
         assert rep.failure_classes == {"NumericError": 1}
 
+    @pytest.mark.parametrize("size", [3, 1])
+    def test_sigma_of_other_size_than_p_is_refused_before_any_draw(self, monkeypatch, size):
+        def no_draw(*args, **kwargs):
+            raise AssertionError("drew a chunk")
+
+        monkeypatch.setattr(_rng, "draw_chunk", no_draw)
+        message = rf"sigma must be 2 x 2 for p=2, got shape \({size}, {size}\)"
+        with pytest.raises(ValueError, match=message):
+            power_simulation(5, 2, np.eye(size), [0, 0])
+
     def test_refusals_above_the_limit_abort(self):
         with pytest.raises(NumericError, match="8 of 400 replicates failed"):
             power_simulation(20, 4, ar1(4, 0.5), np.array([1.0, 0.5, 0.0, 0.0]),

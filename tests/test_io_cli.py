@@ -259,12 +259,13 @@ class TestReadCsvMatchesTheCsvPath:
         assert same_outcome(got, want), (got, want)
         assert capfd.readouterr().err == ""
 
-    @pytest.mark.parametrize("delimiter", [",,", ""])
-    def test_delimiter_of_other_than_one_character_is_the_csv_modules_error(self, tmp_path,
-                                                                             delimiter):
-        path = write(tmp_path, "a.csv", "1,2\n3,4\n")
-        with pytest.raises(TypeError, match="1-character string"):
-            read_csv(path, delimiter)
+    @pytest.mark.parametrize("delimiter", [";;", ""])
+    def test_delimiter_of_other_than_one_character_is_refused_before_the_read(self, tmp_path,
+                                                                              delimiter):
+        # the path names no file: the delimiter is refused before the file is opened
+        message = f"delimiter must be exactly one character, got {delimiter!r}"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            read_csv(str(tmp_path / "absent.csv"), delimiter)
 
     @pytest.mark.parametrize("seed", range(1, 21))
     def test_oneshot_csv_takes_numpys_reader(self, seed):
@@ -653,11 +654,21 @@ class TestExitCodes:
         assert err == "error: the estimate overflowed: its entries exceed the float64 range\n"
 
     def test_non_finite_report_is_2(self, capsys, monkeypatch):
-        monkeypatch.setitem(io_cli._COMMANDS, "mp", lambda args, seed: ({}, {"x": math.inf}))
+        monkeypatch.setattr(io_cli, "_cmd_mp", lambda args, seed: ({}, {"x": math.inf}))
         assert run_cli(["--format", "json", "mp", "--c", "0.5"]) == 2
         out, err = capsys.readouterr()
         assert out == ""
         assert err == "error: Out of range float values are not JSON compliant: inf\n"
+
+    def test_linalg_error_is_2(self, capsys, monkeypatch):
+        def singular(args, seed):
+            raise np.linalg.LinAlgError("Singular matrix")
+
+        monkeypatch.setattr(io_cli, "_cmd_mp", singular)
+        assert run_cli(["mp", "--c", "0.5"]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == "error: Singular matrix\n"
 
     @pytest.mark.parametrize("value", [str(2**53 + 1), str(2**63 - 1), str(10**20)])
     @pytest.mark.parametrize("flag", ["--n", "--p"])
