@@ -5,9 +5,12 @@ hash of (master seed, replicate index), so results are bit-identical no
 matter how replicates are scheduled across workers.  The generator is
 NumPy's ``default_rng`` of that hash, bit for bit; the SeedSequence words it
 starts from are computed for SEED_BLOCK consecutive indices at once and
-cached.  ``run_chunks`` is the one replicate loop: it draws N(0, Sigma)
-replicates, stacked into chunks of a fixed byte budget, hands each chunk
-whole to a stacked scorer, and counts the refused replicates by class.  On
+cached.  ``run_chunks`` is the one replicate loop: it draws replicates,
+stacked into chunks of a fixed byte budget, hands each chunk whole to a
+stacked scorer, and counts the refused replicates by class.  A replicate is
+n rows of N(0, Sigma) (``gaussian_rows``), or for a scorer that reads only
+the scatter, the scatter's Cholesky factor drawn directly
+(``bartlett_factor``).  On
 more than one thread, a chunk of large draws is drawn and scored on a
 worker, every thread at once, and the calling thread merges the outcomes in
 replicate order; small draws are scored on the calling thread while the
@@ -31,8 +34,10 @@ from .errors import NumericError
 from .matrix_core import unit_exponents
 
 MAX_FAILURE_FRACTION = 0.01
-# draws per chunk: about 256 KiB of float64, so a chunk adds little to the
-# peak memory at any (n, p) while amortizing the per-call overhead at small p
+# replicates per chunk: as many (n, p) draws of rows as fit in 256 KiB of
+# float64, so a chunk adds little to the peak memory at any (n, p) while
+# amortizing the per-call overhead at small p.  A chunk of scatter factors
+# holds as many replicates, each p x p, so it is no larger, as n >= p.
 CHUNK_BYTES = 256 * 1024
 # float64 values in one replicate's draw (2 MiB) from which every thread draws
 # and scores whole chunks, and from which a second thread is the default;
@@ -159,28 +164,98 @@ def gaussian_rows(rng: np.random.Generator, chol_factor: np.ndarray, n: int) -> 
     return rng.standard_normal((n, chol_factor.shape[0])) @ chol_factor.T
 
 
+def bartlett_factor(rng: np.random.Generator, chol_factor: np.ndarray, n: int) -> np.ndarray:
+    """L T, the lower Cholesky factor of the scatter of n >= p rows of N(0, L L'), drawn directly.
+
+    T is Bartlett's factor (Bartlett 1933; Anderson, *An Introduction to
+    Multivariate Statistical Analysis*, sec. 7.2): its p(p - 1)/2 entries
+    below the diagonal are standard normals, drawn first, in
+    ``np.tril_indices(p, -1)`` order, and then T_ii = sqrt(chi2_{n-i+1}),
+    i = 1 .. p, drawn as 2 * standard_gamma((n - i + 1) / 2), which is
+    ``Generator.chisquare`` bit for bit.  All are independent, so T T' is
+    distributed as the scatter of n N(0, I) rows, and (L T)(L T)' as that
+    of n N(0, L L') rows, at p(p - 1)/2 normals and p gamma variates where
+    the rows take n p normals, an n p^2 product and a factorization.
+    """
+    p = chol_factor.shape[0]
+    t = np.zeros((p, p))
+    t[np.tril_indices(p, -1)] = rng.standard_normal(p * (p - 1) // 2)
+    t[np.diag_indices(p)] = np.sqrt(2.0 * rng.standard_gamma((n - np.arange(p)) / 2.0))
+    return chol_factor @ t
+
+
 def chunk_replicates(n: int, p: int) -> int:
     """Replicates per chunk: as many (n, p) draws as fit in CHUNK_BYTES, at least one."""
     return max(1, CHUNK_BYTES // (8 * n * p))
 
 
+def _diagonal(chol_factor: np.ndarray) -> np.ndarray | None:
+    """L's diagonal when L is diagonal, else None.
+
+    A product with a diagonal L scales by that diagonal instead, bit for
+    bit: each entry of the product has exactly one nonzero term.
+    """
+    scale = np.diagonal(chol_factor)
+    return None if np.count_nonzero(chol_factor) > np.count_nonzero(scale) else scale
+
+
 def draw_chunk(seed: int, chol_factor: np.ndarray, n: int, start: int, stop: int) -> np.ndarray:
-    """Replicates start .. stop - 1 stacked as a (stop - start, n, p) array.
+    """Replicates start .. stop - 1 as Gaussian rows, stacked as a (stop - start, n, p) array.
 
     Slice j is bit for bit ``gaussian_rows(replicate_rng(seed, start + j),
     chol_factor, n)``: each replicate keeps its own stream, and the
     stacked product applies the same matrix product to every slice.  A
-    diagonal factor scales the columns instead, and the identity is
-    skipped: each entry of ``z @ L.T`` then has exactly one nonzero term,
-    so the product is that term, bit for bit.
+    diagonal factor scales the columns instead (``_diagonal``), and the
+    identity is skipped.
     """
     z = np.empty((stop - start, n, chol_factor.shape[0]))
     for j in range(stop - start):
         replicate_rng(seed, start + j).standard_normal(out=z[j])
-    scale = np.diagonal(chol_factor)
-    if np.count_nonzero(chol_factor) > np.count_nonzero(scale):
+    scale = _diagonal(chol_factor)
+    if scale is None:
         return z @ chol_factor.T
     return z if (scale == 1.0).all() else np.multiply(z, scale, out=z)
+
+
+@functools.lru_cache(maxsize=8)
+def _strictly_lower(p: int) -> np.ndarray:
+    """Flat indices of the entries below a (p, p) matrix's diagonal, in ``np.tril_indices`` order.
+
+    Read-only, and cached per p: at p = 400, making them takes longer
+    than placing one factor's normals through them (0.34 against 0.25 ms).
+    """
+    rows, cols = np.tril_indices(p, -1)
+    flat = rows * p + cols
+    flat.flags.writeable = False
+    return flat
+
+
+def bartlett_chunk(seed: int, chol_factor: np.ndarray, n: int, start: int,
+                   stop: int) -> np.ndarray:
+    """Replicates start .. stop - 1 as scatter factors, stacked as a (stop - start, p, p) array.
+
+    Slice j is bit for bit ``bartlett_factor(replicate_rng(seed, start +
+    j), chol_factor, n)``: each replicate's variates come from its own
+    stream in the same order, and the stacked product applies the same
+    matrix product to every slice.  A diagonal factor scales the rows
+    instead (``_diagonal``), and the identity is skipped.
+    """
+    p, k = chol_factor.shape[0], stop - start
+    normals, gammas = np.empty((k, p * (p - 1) // 2)), np.empty((k, p))
+    half_dof = (n - np.arange(p)) / 2.0
+    for j in range(k):
+        rng = replicate_rng(seed, start + j)
+        rng.standard_normal(out=normals[j])
+        rng.standard_gamma(half_dof, out=gammas[j])
+    t = np.zeros((k, p * p))
+    t[:, _strictly_lower(p)] = normals
+    gammas *= 2.0
+    t[:, ::p + 1] = np.sqrt(gammas, out=gammas)  # the diagonal of each p x p slice
+    t = t.reshape(k, p, p)
+    scale = _diagonal(chol_factor)
+    if scale is None:
+        return chol_factor @ t
+    return t if (scale == 1.0).all() else np.multiply(t, scale[:, None], out=t)
 
 
 def _usable_cpus() -> int:
@@ -204,36 +279,40 @@ def replicate_threads(threads: int | None, n: int, p: int) -> int:
 
 
 def run_chunks(score_chunk, seed: int, chol_factor: np.ndarray, n: int, replicates: int,
-               threads: int | None = None) -> tuple[list, dict]:
+               threads: int | None = None, draw=None) -> tuple[list, dict]:
     """Each replicate's outcome, in replicate order, and the refusals as {class name: count}.
 
-    ``score_chunk(start, x)``, x = ``draw_chunk(seed, chol_factor, n, start,
+    ``score_chunk(start, x)``, x = ``draw(seed, chol_factor, n, start,
     stop)``, returns a value and a refusal (a CovshrinkError, or None) per
-    slice; a refused replicate's outcome is None.  Slice r - start of x is
+    slice; a refused replicate's outcome is None.  ``draw`` is a chunk
+    stacker: ``draw_chunk`` when None, whose slice r - start is
     ``gaussian_rows(replicate_rng(seed, r), chol_factor, n)``, N(0, L L')
-    rows; a scorer that needs other data (a shifted mean) transforms its own
-    chunk, which no other scorer reads.  The chunk size depends on (n, p)
-    alone, so every outcome depends on (seed, r) alone, never on
-    ``threads``.  None chooses the count by ``replicate_threads``.  Errors
-    raised by ``score_chunk`` propagate.
+    rows, or ``bartlett_chunk``, whose slice is ``bartlett_factor`` of the
+    same generator, the Cholesky factor of such rows' scatter.  A scorer
+    that needs other data (a shifted mean) transforms its own chunk, which
+    no other scorer reads.  The chunk size depends on (n, p) alone, so
+    every outcome depends on (seed, r) alone, never on ``threads``, whose
+    None chooses the count by ``replicate_threads``.  Errors raised by
+    ``score_chunk`` propagate.
 
     Above one thread there are two schedules, chosen by the size of one
-    replicate's draw.  From n*p = DRAW_AHEAD_VALUES on, ``threads`` workers
-    each draw and score whole chunks, and the calling thread only merges
-    their outcomes and refusals in replicate order: such a draw, and the
-    LAPACK calls that score it, run long without the interpreter lock, so
-    the threads overlap.  Below it every chunk is scored on the calling
+    replicate's draw of rows.  From n*p = DRAW_AHEAD_VALUES on, ``threads``
+    workers each draw and score whole chunks, and the calling thread only
+    merges their outcomes and refusals in replicate order: such a draw, and
+    the LAPACK calls that score it, run long without the interpreter lock,
+    so the threads overlap.  Below it every chunk is scored on the calling
     thread, in order, while ``threads - 1`` workers draw the next chunks.
     Either way at most ``threads`` chunks are in flight.
     """
+    stacker = draw_chunk if draw is None else draw
     p = chol_factor.shape[0]
     threads = replicate_threads(threads, n, p)
     step = chunk_replicates(n, p)
     starts = range(0, replicates, step)
     outcomes, refusals = [], Counter()
 
-    def draw(start: int) -> np.ndarray:
-        return draw_chunk(seed, chol_factor, n, start, min(start + step, replicates))
+    def chunk(start: int) -> np.ndarray:
+        return stacker(seed, chol_factor, n, start, min(start + step, replicates))
 
     def merge(values: list, errors: list) -> None:
         outcomes.extend(None if e is not None else v for v, e in zip(values, errors))
@@ -241,13 +320,13 @@ def run_chunks(score_chunk, seed: int, chol_factor: np.ndarray, n: int, replicat
 
     if threads <= 1:
         for start in starts:
-            merge(*score_chunk(start, draw(start)))
+            merge(*score_chunk(start, chunk(start)))
     else:
         from concurrent.futures import ThreadPoolExecutor  # off the import path
 
         scored = n * p >= DRAW_AHEAD_VALUES
         workers = threads if scored else threads - 1
-        task = (lambda start: score_chunk(start, draw(start))) if scored else draw
+        task = (lambda start: score_chunk(start, chunk(start))) if scored else chunk
         with ThreadPoolExecutor(max_workers=workers) as pool:
             pending = deque(pool.submit(task, start) for start in starts[:workers])
             for k, start in enumerate(starts):

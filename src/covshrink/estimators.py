@@ -23,12 +23,14 @@ estimates and each one's refusal: the CovshrinkError that estimate earns,
 or None.  The public functions are the k = 1 case and raise that refusal;
 ``STACKED_ESTIMATORS`` hands the kernels to the Monte Carlo loops, which
 score every estimator a chunk of replicates at a time, and ``centered_stack``
-centers a stack once for the estimators and the mean tests alike.  Asked
-for ``factored``, a kernel returns in place of each estimate a factor F
-with F F' the estimate in exact arithmetic (the pivot kernel's diagonal F
-as its (k, p) diagonal), and the estimate's log determinant, taken from the
-factorization it already holds: all a Stein loss reads, with no estimate
-formed and factored again.
+centers a stack once for the estimators and the mean tests alike.
+``FACTOR_ESTIMATORS`` holds each estimator's kernel over a stack of the
+scatters' Cholesky factors instead, for the risk loop, which draws those
+factors: in place of each estimate it returns a factor F with F F' the
+estimate in exact arithmetic (the pivot kernel's diagonal F as its (k, p)
+diagonal), and the estimate's log determinant, taken from the factorization
+it already holds: all a Stein loss reads, with no estimate formed and
+factored again.
 """
 
 from dataclasses import dataclass
@@ -42,8 +44,9 @@ from .errors import (
     NumericError,
     ShrinkageSingularityError,
 )
-from .matrix_core import (TIE_GAP, cholesky_stack, eigh_stack, finite_slices, square_matrix,
-                          symmetric_matrix, symmetric_part, tie_gap, unit_exponents, unrefused)
+from .matrix_core import (TIE_GAP, cholesky_stack, eigh_stack, finite_slices, first_refusals,
+                          square_matrix, symmetric_matrix, symmetric_part, tie_gap,
+                          unit_exponents, unrefused)
 
 DENOM_GUARD = 1e-10  # relative to n
 
@@ -86,10 +89,17 @@ def scatter_stack(x: np.ndarray) -> tuple[np.ndarray, list]:
 
     A scatter that is not finite, because the data's cross products exceed
     the float64 range, is refused with NumericError and replaced by the
-    identity, a placeholder.
+    identity, a placeholder.  NumPy computes x' x as a symmetric rank-k
+    update and copies one triangle to the other, so each scatter is exactly
+    symmetric.
     """
     if x.shape[1] < 2:
         raise ValueError(f"need at least 2 observations, got {x.shape[1]}")
+    return _cross_products(x)
+
+
+def _cross_products(x: np.ndarray) -> tuple[np.ndarray, list]:
+    """x_j' x_j of each slice of a (k, m, p) stack, refused as in ``scatter_stack``."""
     with np.errstate(over="ignore", invalid="ignore"):
         a = x.transpose(0, 2, 1) @ x
     return finite_slices(a, NumericError, "the scatter matrix overflowed: the data's cross "
@@ -159,47 +169,58 @@ def _factors(a: np.ndarray, dof: int) -> tuple[np.ndarray, list]:
     return cholesky_stack(a)
 
 
-def _triangular_factor(f: np.ndarray, errors: list) -> tuple[tuple, list]:
-    """A kernel's factored value: lower factors F (k, p, p) and log det F F' from their diagonals."""
-    return (f, 2.0 * np.sum(np.log(np.diagonal(f, axis1=1, axis2=2)), axis=1)), errors
-
-
-def _sample(a: np.ndarray, dof: int, factored: bool = False) -> tuple:
-    """Kernel of the sample estimator: each scatter over dof, left exactly symmetric; never refuses.
-
-    Its factor is T / sqrt(dof), T the scatter's Cholesky factor, which
-    refuses a scatter that is not positive definite.
-    """
-    if factored:
-        t, errors = cholesky_stack(a)
-        return _triangular_factor(t / np.sqrt(dof), errors)
+def _sample(a: np.ndarray, dof: int) -> tuple:
+    """Kernel of the sample estimator: each scatter over dof, left exactly symmetric; never refuses."""
     return a / dof, [None] * len(a)
 
 
-def _triangular(a: np.ndarray, dof: int, factored: bool = False) -> tuple:
-    """Kernel of the triangular estimator T diag(1/d) T', T the Cholesky factor; F = T diag(d^-1/2)."""
+def _triangular(a: np.ndarray, dof: int) -> tuple:
+    """Kernel of the triangular estimator T diag(1/d) T', T the Cholesky factor."""
     t, errors = _factors(a, dof)
     d = CLASS_DIVISORS["stein"](dof, a.shape[1])
-    if factored:
-        return _triangular_factor(t / np.sqrt(d), errors)
     return symmetric_part((t / d) @ t.swapaxes(1, 2)), errors
 
 
-def _pivot(a: np.ndarray, dof: int, factored: bool = False) -> tuple:
-    """Kernel of the pivot estimator diag(pivot_i / d_i), the pivots t_ii^2.
-
-    Its factor is diag(t_ii / sqrt(d_i)), returned as that (k, p) diagonal.
-    """
+def _pivot(a: np.ndarray, dof: int) -> tuple:
+    """Kernel of the pivot estimator diag(pivot_i / d_i), the pivots t_ii^2."""
     t, errors = _factors(a, dof)
     d = CLASS_DIVISORS["dp"](dof, a.shape[1])
-    pivots = np.diagonal(t, axis1=1, axis2=2)
-    if factored:
-        f = pivots / np.sqrt(d)
-        return (f, 2.0 * np.sum(np.log(f), axis=1)), errors
     out = np.zeros(t.shape)
     idx = np.arange(a.shape[1])
-    out[:, idx, idx] = pivots ** 2 / d
+    out[:, idx, idx] = np.diagonal(t, axis1=1, axis2=2) ** 2 / d
     return out, errors
+
+
+def _factor_with_log_det(f: np.ndarray) -> tuple:
+    """Lower factors F (k, p, p) and log det F F', summed from their diagonals."""
+    return f, 2.0 * np.sum(np.log(np.diagonal(f, axis1=1, axis2=2)), axis=1)
+
+
+def _sample_from_factor(t: np.ndarray, dof: int) -> tuple:
+    """The sample estimator's factor T / sqrt(dof), T the scatter's Cholesky factor."""
+    return _factor_with_log_det(t / np.sqrt(dof)), [None] * len(t)
+
+
+def _triangular_from_factor(t: np.ndarray, dof: int) -> tuple:
+    """The triangular estimator's factor T diag(d^-1/2)."""
+    d = CLASS_DIVISORS["stein"](dof, t.shape[1])
+    return _factor_with_log_det(t / np.sqrt(d)), [None] * len(t)
+
+
+def _pivot_from_factor(t: np.ndarray, dof: int) -> tuple:
+    """The pivot estimator's factor diag(t_ii / sqrt(d_i)), as that (k, p) diagonal."""
+    f = np.diagonal(t, axis1=1, axis2=2) / np.sqrt(CLASS_DIVISORS["dp"](dof, t.shape[1]))
+    return (f, 2.0 * np.sum(np.log(f), axis=1)), [None] * len(t)
+
+
+def _tsai_from_factor(t: np.ndarray, dof: int) -> tuple:
+    """The shrinker's factor U diag(sqrt(psi)) of S = T T' / dof, formed exactly symmetric.
+
+    A scatter T T' that overflows is refused as ``scatter_stack`` refuses it.
+    """
+    a, errors = _cross_products(t.swapaxes(1, 2))
+    value, est_errors = _tsai(a / dof, dof, factored=True)[:2]
+    return value, first_refusals(errors, est_errors)
 
 
 def _target(method: str, chol_sig: np.ndarray) -> np.ndarray:
@@ -445,16 +466,26 @@ ESTIMATORS = {
 }
 
 
-# method tag -> its kernel(scatters, dof, factored=False); for a (k, n, p)
-# stack x, slice j of kernel(scatter_stack(x)[0], n) is ESTIMATORS[tag](x[j],
-# False).matrix bit for bit, and its refusal is the CovshrinkError that
-# estimator raises, or None; where the scatter overflows, the estimator alone
-# scales it into range.  The scatters are trusted to be exactly symmetric, and
-# so are the estimates.  factored=True returns ((F, log det), refusals) instead,
-# F a (k, p, p) stack, or for _pivot the (k, p) diagonals
+# method tag -> its kernel(scatters, dof); for a (k, n, p) stack x, slice j of
+# kernel(scatter_stack(x)[0], n) is ESTIMATORS[tag](x[j], False).matrix bit for
+# bit, and its refusal is the CovshrinkError that estimator raises, or None;
+# where the scatter overflows, the estimator alone scales it into range.  The
+# scatters are trusted to be exactly symmetric, and so are the estimates
 STACKED_ESTIMATORS = {
     "sample": _sample,
     "stein_triangular": _triangular,
     "dp_equivariant": _pivot,
-    "tsai": lambda a, dof, factored=False: _tsai(_sample(a, dof)[0], dof, factored)[:2],
+    "tsai": lambda a, dof: _tsai(_sample(a, dof)[0], dof)[:2],
+}
+
+# method tag -> its kernel(t, dof) over a (k, p, p) stack t of the scatters'
+# lower Cholesky factors, with positive diagonals: ((F, log det F F'),
+# refusals), F F' the estimate in exact arithmetic, F a (k, p, p) stack, or
+# for the pivot estimator the (k, p) diagonals.  Only the shrinker forms the
+# scatter, and only it refuses
+FACTOR_ESTIMATORS = {
+    "sample": _sample_from_factor,
+    "stein_triangular": _triangular_from_factor,
+    "dp_equivariant": _pivot_from_factor,
+    "tsai": _tsai_from_factor,
 }

@@ -9,9 +9,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._rng import aggregate, check_failures, run_chunks
-from .estimators import CLASS_DIVISORS, STACKED_ESTIMATORS, _target, scatter_stack
-from .matrix_core import cholesky, first_refusals
+from ._rng import aggregate, bartlett_chunk, check_failures, run_chunks
+from .estimators import CLASS_DIVISORS, FACTOR_ESTIMATORS, _target
+from .matrix_core import cholesky
 
 RISK_KINDS = tuple(CLASS_DIVISORS)
 
@@ -125,7 +125,8 @@ class RiskEstimate:
     """Monte Carlo mean Stein loss with its standard error.
 
     ``failure_classes`` counts the failed replicates by the class name of
-    their refusal.
+    their refusal.  ``median_loss``, ``max_loss`` and ``max_share`` describe
+    the losses' tail (``loss_tail``); None where a report predates them.
     """
 
     mean_loss: float
@@ -137,6 +138,9 @@ class RiskEstimate:
     seed: int
     failures: int = 0
     failure_classes: dict = field(default_factory=dict)
+    median_loss: float | None = None
+    max_loss: float | None = None
+    max_share: float | None = None
 
     def __post_init__(self):
         if self.replicates < 2:
@@ -154,50 +158,67 @@ def replicate_losses(methods, sigma, n: int, replicates: int, seed: int,
     counts the failures by the class name of their refusal.  The pivot
     estimator is scored against the Schur pivot diagonal of sigma, its own
     target; every other method against sigma itself.  Targets are validated
-    and factored once, not per replicate, and every estimator runs uncentered.
+    and factored once, not per replicate, and every estimator runs
+    uncentered, on n >= p observations.
 
-    Each method makes its own pass over the replicates, and replicate r of
-    every pass is drawn from ``replicate_rng(seed, r)``, so all methods see
-    the same data.  Every method is scored by its STACKED_ESTIMATORS kernel
-    a chunk at a time, from the factor F (F F' = phi) and log det phi the
-    kernel already holds: T / sqrt(n) for ``sample``, T diag(d^-1/2) for
-    ``stein_triangular`` and diag(t_ii / sqrt(d_i)) for ``dp_equivariant``,
-    T the scatter's Cholesky factor, and U diag(sqrt(psi)) for ``tsai``.  No
-    estimate is formed or factored again, so a loss differs from
-    ``stein_loss`` of the per-replicate estimate by rounding alone, within
-    4 kappa(L) eps (|loss| + p), L sigma's factor; and an estimate built
-    from a valid factor is never refused.  ``threads`` sizes each pass's
-    replicate loop; None, the default, chooses it from the size of one
-    replicate's draw (``_rng.replicate_threads``), and no loss depends on
-    it.
+    Every estimator here reads only the scatter, so a replicate is the
+    scatter's Cholesky factor L T, drawn directly: replicate r of every
+    method's pass is ``bartlett_factor(replicate_rng(seed, r), L, n)``, L
+    sigma's factor and T Bartlett's, so all methods see the same data, and
+    no replicate forms a scatter or factors one.  Each method is scored by
+    its FACTOR_ESTIMATORS kernel a chunk at a time, from the factor F (F F' =
+    phi) and log det phi the kernel holds: L T / sqrt(n) for ``sample``,
+    L T diag(d^-1/2) for ``stein_triangular`` and diag(t_ii / sqrt(d_i)),
+    t_ii those of L T, for ``dp_equivariant``; ``tsai`` forms S = (L T)(L
+    T)' / n and scores U diag(sqrt(psi)).  No estimate is formed or factored
+    again, so a loss differs from ``stein_loss`` of the estimate formed from
+    the scatter (L T)(L T)' by rounding alone, within 4 kappa(L) eps (|loss|
+    + p); and the three class estimators never refuse a replicate, as their
+    factors are valid.  ``threads`` sizes each pass's replicate loop; None,
+    the default, chooses it from the size of one replicate's draw of rows
+    (``_rng.replicate_threads``), and no loss depends on it.
     """
     if isinstance(methods, str):
         raise TypeError(f"methods must be a sequence of tags, got the string {methods!r}")
     methods = tuple(methods)
     for method in methods:
-        if method not in STACKED_ESTIMATORS:
+        if method not in FACTOR_ESTIMATORS:
             raise ValueError(
-                f"unknown method {method!r}, expected one of {tuple(STACKED_ESTIMATORS)}")
+                f"unknown method {method!r}, expected one of {tuple(FACTOR_ESTIMATORS)}")
     if len(set(methods)) < len(methods):
         raise ValueError(f"duplicate method tags in {list(methods)}")
     if not methods:
         return {}
     chol_sig = cholesky(sigma)
+    if n < chol_sig.shape[0]:
+        raise ValueError(f"sample count {n} below dimension {chol_sig.shape[0]}")
     out = {}
     for method in methods:
         t_target = _target(method, chol_sig)
         inv_target = _inverse_factor(t_target)
-        estimate = STACKED_ESTIMATORS[method]
+        estimate = FACTOR_ESTIMATORS[method]
 
-        def score_chunk(start: int, x: np.ndarray) -> tuple[list, list]:
-            scatters, errors = scatter_stack(x)
-            (f, logdet), est_errors = estimate(scatters, n, factored=True)
-            losses = _stein_losses(f, logdet, t_target, inv_target)
-            return losses.tolist(), first_refusals(errors, est_errors)
+        def score_chunk(start: int, t: np.ndarray) -> tuple[list, list]:
+            (f, logdet), errors = estimate(t, n)
+            return _stein_losses(f, logdet, t_target, inv_target).tolist(), errors
 
-        losses, refusals = run_chunks(score_chunk, seed, chol_sig, n, replicates, threads)
-        out[method] = (losses, refusals)
+        out[method] = run_chunks(score_chunk, seed, chol_sig, n, replicates, threads,
+                                 draw=bartlett_chunk)
     return out
+
+
+def loss_tail(losses) -> dict:
+    """Median, largest, and largest over the sum of the losses that are not None.
+
+    A mean set by a few replicates, as the raw shrinker's is near its
+    guard, shows as a ``max_share`` far above 1 / count.  None for each
+    when no loss completed.
+    """
+    v = np.array([x for x in losses if x is not None], dtype=float)
+    if v.size == 0:
+        return {"median_loss": None, "max_loss": None, "max_share": None}
+    return {"median_loss": float(np.median(v)), "max_loss": float(v.max()),
+            "max_share": float(v.max() / v.sum())}
 
 
 def monte_carlo_risks(methods, sigma, n: int, replicates: int, seed: int,
@@ -214,8 +235,6 @@ def monte_carlo_risks(methods, sigma, n: int, replicates: int, seed: int,
     if replicates < 100:
         raise ValueError(f"need at least 100 replicates for reporting, got {replicates}")
     p = np.asarray(sigma).shape[0]
-    if n < p:
-        raise ValueError(f"sample count {n} below dimension {p}")
     out = {}
     for method, (losses, refusals) in replicate_losses(methods, sigma, n, replicates, seed,
                                                      threads=threads).items():
@@ -231,6 +250,7 @@ def monte_carlo_risks(methods, sigma, n: int, replicates: int, seed: int,
             seed=seed,
             failures=int(failures),
             failure_classes=refusals,
+            **loss_tail(losses),
         )
     return out
 

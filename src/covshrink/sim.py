@@ -28,7 +28,7 @@ import numpy as np
 from ._rng import aggregate, check_failures, run_chunks
 from .errors import ConfigError, NotPositiveDefiniteError, NumericError
 from .estimators import DENOM_GUARD, ESTIMATORS, _declined, scatter_stack, shrinkage_terms
-from .loss_risk import RISK_KINDS, min_risk, replicate_losses
+from .loss_risk import RISK_KINDS, loss_tail, min_risk, replicate_losses
 from .matrix_core import cholesky, eigvalsh_stack, unit_exponents, unrefused
 from .rmt import MPModel, mp_cdf
 
@@ -247,10 +247,11 @@ def risk_comparison_experiment(config: ExperimentConfig,
 
     Every method is scored on the same replicate draws.  The pivot
     estimator is scored against its own target (the Schur pivot diagonal of
-    sigma); everything else against sigma.  Replicate failures are recorded;
-    a method above the risk runner's 1 percent tolerance reports a null
-    mean and se with the tolerance message under ``error``, and the other
-    methods keep their results.
+    sigma); everything else against sigma.  Each method's entry carries
+    the losses' tail (``loss_tail``) beside their mean.  Replicate failures
+    are recorded; a method above the risk runner's 1 percent tolerance
+    reports a null mean, se and tail with the tolerance message under
+    ``error``, and the other methods keep their results.
     """
     start = time.perf_counter()
     methods = tuple(config.methods) or tuple(ESTIMATORS)
@@ -269,10 +270,10 @@ def risk_comparison_experiment(config: ExperimentConfig,
             # a censored mean is not the risk; keep the other methods' results
             per_method[method] = {"mean": None, "se": None, "count": len(values) - failures,
                                   "failures": failures, "failure_classes": refusals,
-                                  "error": str(exc)}
+                                  **loss_tail([]), "error": str(exc)}
         else:
             per_method[method] = {**aggregate(values), "failures": failures,
-                                  "failure_classes": refusals}
+                                  "failure_classes": refusals, **loss_tail(values)}
     rows = [
         {"replicate": r, "losses": {m: losses[m][0][r] for m in methods}}
         for r in range(config.replicates)

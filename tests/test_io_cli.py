@@ -14,10 +14,10 @@ import pytest
 from numpy.testing import assert_allclose
 
 import covshrink
-from covshrink import CsvFormatError, _rng, io_cli, min_risk
+from covshrink import CsvFormatError, _rng, io_cli, loss_risk, min_risk
 from covshrink.estimators import ESTIMATORS
 from covshrink.hdtest import mean_test
-from covshrink.loss_risk import RiskEstimate
+from covshrink.loss_risk import RiskEstimate, loss_tail
 from covshrink.io_cli import (
     ReportDocument,
     matrix_payload,
@@ -454,12 +454,42 @@ class TestRiskCommand:
         assert abs(mc["mean_loss"] - min_risk("ml", 8, 2)) < 5 * mc["std_error"]
 
     def test_failures_are_counted_by_class(self, tmp_path):
-        # at a spike of 5e306 one replicate's scatter overflows, for every method
+        # at a spike of 5e306 the class estimators, which score the drawn scatter
+        # factor, complete every replicate; tsai forms the scatter, and one
+        # replicate's overflows
         model = ["--model", "spiked:5e306", "--n", "20", "--p", "2", "--replicates", "100"]
-        risk = run_json(tmp_path, ["risk", "--monte-carlo"] + model).results["monte_carlo"]
+        methods = ["--methods", "sample,stein_triangular,dp_equivariant,tsai"]
+        risk = run_json(tmp_path, ["risk", "--monte-carlo"] + methods + model)
         sim = run_json(tmp_path, ["simulate", "--experiment", "risk", "--drop-rows"] + model)
-        for entry in [*risk.values(), *sim.results["metrics"]["monte_carlo"].values()]:
-            assert (entry["failures"], entry["failure_classes"]) == (1, {"NumericError": 1})
+        for mc in (risk.results["monte_carlo"], sim.results["metrics"]["monte_carlo"]):
+            assert {m: (e["failures"], e["failure_classes"]) for m, e in mc.items()} == {
+                "sample": (0, {}), "stein_triangular": (0, {}), "dp_equivariant": (0, {}),
+                "tsai": (1, {"NumericError": 1})}
+
+    def test_tail_keys_describe_the_losses(self, tmp_path):
+        # risk --monte-carlo and simulate --experiment risk report the same tail,
+        # that of the per-replicate losses the simulate rows list
+        argv = ["--n", "100", "--p", "3", "--replicates", "150", "--methods", "sample,tsai"]
+        risk = run_json(tmp_path, ["--seed", "3", "risk", "--monte-carlo"] + argv)
+        sim = run_json(tmp_path, ["--seed", "3", "simulate", "--experiment", "risk"] + argv)
+        keys = ("median_loss", "max_loss", "max_share")
+        for method in ("sample", "tsai"):
+            losses = [row["losses"][method] for row in sim.results["rows"]]
+            tail = loss_tail(losses)
+            assert {k: risk.results["monte_carlo"][method][k] for k in keys} == tail
+            assert {k: sim.results["metrics"]["monte_carlo"][method][k] for k in keys} == tail
+
+    def test_a_report_without_tail_keys_still_loads(self, tmp_path):
+        doc = run_json(tmp_path, ["--seed", "3", "risk", "--n", "8", "--p", "2", "--monte-carlo",
+                                  "--methods", "sample", "--replicates", "150"])
+        entry = doc.results["monte_carlo"]["sample"]
+        for key in ("median_loss", "max_loss", "max_share"):
+            del entry[key]
+        assert ReportDocument.from_json(doc.to_json()) == doc
+        estimate = RiskEstimate(mean_loss=entry["mean_loss"], std_error=entry["std_error"],
+                                replicates=entry["replicates"], method="sample", n=8, p=2,
+                                seed=3, failures=entry["failures"])
+        assert (estimate.median_loss, estimate.max_loss, estimate.max_share) == (None, None, None)
 
     def test_a_report_without_failure_classes_still_loads(self, tmp_path):
         doc = run_json(tmp_path, ["--seed", "3", "risk", "--n", "8", "--p", "2", "--monte-carlo",
@@ -559,6 +589,7 @@ class TestExitCodes:
             raise AssertionError("a replicate was drawn")
 
         monkeypatch.setattr(_rng, "draw_chunk", no_draws)
+        monkeypatch.setattr(loss_risk, "bartlett_chunk", no_draws)
         argv = ["--format", "csv"] + command + ["--n", "50", "--p", "3", "--replicates", "20000"]
         assert run_cli(argv) == 1
         assert capsys.readouterr().err == (
@@ -573,6 +604,7 @@ class TestExitCodes:
             raise AssertionError("a replicate was drawn")
 
         monkeypatch.setattr(_rng, "draw_chunk", no_draws)
+        monkeypatch.setattr(loss_risk, "bartlett_chunk", no_draws)
         argv = command + ["--n", "50", "--p", "3", "--replicates", str(10**20)]
         assert run_cli(argv) == 2
         assert capsys.readouterr().err == (
@@ -980,7 +1012,7 @@ class TestDeterminism:
         assert strip_volatile(doc1) == strip_volatile(doc2)
 
     def test_risk_keeps_the_methods_that_completed(self, tmp_path):
-        # tsai refuses 4 of 300 replicates here, above the 1 % tolerance
+        # tsai refuses 5 of 300 replicates here, above the 1 % tolerance
         argv = ["--seed", "7", "simulate", "--experiment", "risk", "--n", "60", "--p", "4",
                 "--replicates", "300"]
         doc = run_json(tmp_path, argv)
@@ -988,13 +1020,14 @@ class TestDeterminism:
         alone = run_json(tmp_path, argv + ["--methods", ",".join(stacked)])
         mc = doc.results["metrics"]["monte_carlo"]
         assert mc["tsai"] == {
-            "mean": None, "se": None, "count": 296, "failures": 4,
-            "failure_classes": {"ShrinkageSingularityError": 4},
-            "error": "4 of 300 replicates failed for method 'tsai' at n=60, p=4; "
-                     "above the 1% tolerance; refusals: ShrinkageSingularityError 4"}
+            "mean": None, "se": None, "count": 295, "failures": 5,
+            "failure_classes": {"ShrinkageSingularityError": 5},
+            "median_loss": None, "max_loss": None, "max_share": None,
+            "error": "5 of 300 replicates failed for method 'tsai' at n=60, p=4; "
+                     "above the 1% tolerance; refusals: ShrinkageSingularityError 5"}
         assert {m: mc[m] for m in stacked} == alone.results["metrics"]["monte_carlo"]
         assert all("error" not in mc[m] for m in stacked)
-        assert doc.results["failures"] == 4
+        assert doc.results["failures"] == 5
         for row, row_alone in zip(doc.results["rows"], alone.results["rows"]):
             assert {m: row["losses"][m] for m in stacked} == row_alone["losses"]
 

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -15,18 +17,19 @@ from covshrink import (
     stein_loss,
 )
 from covshrink import _rng
-from covshrink._rng import aggregate, check_failures, gaussian_rows, replicate_rng
+from covshrink._rng import aggregate, bartlett_factor, check_failures, replicate_rng
 from covshrink.estimators import (
+    CLASS_DIVISORS,
     ESTIMATORS,
+    FACTOR_ESTIMATORS,
     STACKED_ESTIMATORS,
     _target,
-    dp_equivariant,
     scatter_matrix,
     scatter_stack,
     tsai_estimator,
 )
-from covshrink.loss_risk import _inverse_factor, _stein_losses, replicate_losses
-from covshrink.matrix_core import cholesky, cholesky_stack, schur_pivots
+from covshrink.loss_risk import _inverse_factor, _stein_losses, loss_tail, replicate_losses
+from covshrink.matrix_core import cholesky, cholesky_stack, schur_pivots, unrefused
 
 EULER_GAMMA = 0.5772156649015329
 
@@ -251,6 +254,18 @@ def own_target(method, sigma):
     return np.diag(schur_pivots(sigma)) if method == "dp_equivariant" else sigma
 
 
+def reference_scatter(sigma, n, seed, r):
+    """Replicate r's scatter (L T)(L T)', from its reference factor; exactly symmetric."""
+    f = bartlett_factor(replicate_rng(seed, r), cholesky(sigma), n)
+    return f @ f.T
+
+
+def reference_estimate(method, sigma, n, seed, r):
+    """Replicate r's estimate, formed by ``method``'s kernel from its reference scatter."""
+    return unrefused(*STACKED_ESTIMATORS[method](reference_scatter(sigma, n, seed, r)[None],
+                                                 n))[0]
+
+
 class TestReplicateLosses:
     @staticmethod
     def assert_scored_against_target(method):
@@ -263,8 +278,7 @@ class TestReplicateLosses:
         bound = 4.0 * np.linalg.cond(cholesky(sigma)) * np.finfo(float).eps
         losses, _ = replicate_losses([method], sigma, n=10, replicates=4, seed=3)[method]
         for r, loss in enumerate(losses):
-            x = gaussian_rows(replicate_rng(3, r), cholesky(sigma), 10)
-            phi = ESTIMATORS[method](x, False).matrix
+            phi = reference_estimate(method, sigma, 10, 3, r)
             expected = stein_loss(phi, target)
             assert abs(loss - expected) <= bound * (abs(expected) + 2), r
             assert abs(loss - stein_loss(phi, other)) > 1e-3, r
@@ -279,14 +293,18 @@ class TestReplicateLosses:
         assert_allclose(target, np.array([[4.0, 2.0], [2.0, 5.0]]))
 
     def test_losses_equal_public_stein_loss(self):
-        # the per-replicate loss reuses the target's factor; the value must not move
+        # the per-replicate loss reuses the target's factor and the drawn scatter
+        # factor; it is the public stein_loss of the pivot estimate built from the
+        # scatter by the public schur_pivots, to the stacked engine's rounding bound
         sigma = np.array([[4.0, 2.0], [2.0, 5.0]])
         losses, _ = replicate_losses(["dp_equivariant"], sigma, n=10, replicates=4,
                                      seed=3)["dp_equivariant"]
-        x = gaussian_rows(replicate_rng(3, 2), cholesky(sigma), 10)
-        est = dp_equivariant(x, centered=False)
         target = own_target("dp_equivariant", sigma)
-        assert losses[2] == stein_loss(est.matrix, target)
+        bound = 4.0 * np.linalg.cond(cholesky(sigma)) * np.finfo(float).eps
+        for r, loss in enumerate(losses):
+            pivots = schur_pivots(reference_scatter(sigma, 10, 3, r))
+            expected = stein_loss(np.diag(pivots / CLASS_DIVISORS["dp"](10, 2)), target)
+            assert abs(loss - expected) <= bound * (abs(expected) + 2), r
 
     @pytest.mark.parametrize("sigma", [
         np.eye(6), np.diag([20.0, 10.0, 5.0, 1.0, 1.0, 1.0]),
@@ -299,6 +317,11 @@ class TestReplicateLosses:
         expected = np.diag(schur_pivots(sigma))
         assert np.array_equal(f * f, expected)
         assert np.array_equal(f, cholesky(expected))
+
+    def test_fewer_observations_than_dimensions_refused_before_any_replicate(self, monkeypatch):
+        monkeypatch.setattr(_rng, "replicate_rng", None)  # a draw would fail on it
+        with pytest.raises(ValueError, match="sample count 4 below dimension 5"):
+            replicate_losses(["sample"], np.eye(5), n=4, replicates=10, seed=0)
 
     def test_unknown_method_refused_before_any_replicate(self):
         with pytest.raises(ValueError, match="unknown method 'oas'"):
@@ -326,14 +349,15 @@ class TestStackedEngine:
     @pytest.mark.parametrize("sigma", [np.eye(10), ar1(10, 0.7)], ids=["identity", "ar1"])
     def test_stacked_losses_equal_per_replicate_losses(self, sigma):
         # n=50, p=10: 65 replicates per chunk, so 300 replicates span five chunks.
-        # Each loss comes from the kernel's own factor, where stein_loss factors
-        # the formed estimate again, so the two agree to rounding: within the
-        # equivariance oracle's 4 kappa(L) eps (|loss| + p), L sigma's factor.
-        # Measured over seeds 7 to 9: at most 1.59 of that for the three class
-        # estimators.  The reference for tsai also forms U diag(psi) U', whose
-        # factor's rounding grows with the estimate's own condition kappa(phi),
-        # so its bound carries that factor too: measured, at most 2.83 of it.
-        # They refuse the same replicates.
+        # Each loss comes from the kernel's own factor of the drawn scatter
+        # factor L T, where the reference forms the scatter (L T)(L T)', the
+        # estimate from it, and stein_loss factors that estimate again, so the
+        # two agree to rounding: within the equivariance oracle's 4 kappa(L) eps
+        # (|loss| + p), L sigma's factor.  Measured over seeds 7 to 9: at most
+        # 0.40 of that for the three class estimators.  The reference for tsai
+        # also forms U diag(psi) U', whose factor's rounding grows with the
+        # estimate's own condition kappa(phi), so its bound carries that factor
+        # too: measured, at most 0.46 of it.  They refuse the same replicates.
         n, reps, seed = 50, 300, 7
         out = replicate_losses(STACKED_TAGS, sigma, n, reps, seed)
         chol = cholesky(sigma)
@@ -342,9 +366,8 @@ class TestStackedEngine:
             losses, _ = out[tag]
             target = own_target(tag, sigma)
             for r in range(reps):
-                x = gaussian_rows(replicate_rng(seed, r), chol, n)
                 try:
-                    phi = ESTIMATORS[tag](x, False).matrix
+                    phi = reference_estimate(tag, sigma, n, seed, r)
                     expected = stein_loss(phi, target)
                 except CovshrinkError:
                     expected = None
@@ -354,12 +377,26 @@ class TestStackedEngine:
                     assert abs(losses[r] - expected) <= bound * scale * (abs(expected) + 10), r
 
     def test_losses_do_not_depend_on_chunk_size(self, monkeypatch):
+        # n=12, p=6: 455 replicates a chunk by default, so 150 in one chunk; then
+        # 1, 7 or 64 a chunk.  Losses and refusals alike
         sigma = ar1(6, 0.5)
         default = replicate_losses(STACKED_TAGS, sigma, 12, 150, 2)
-        monkeypatch.setattr(_rng, "CHUNK_BYTES", 1)
-        single = replicate_losses(STACKED_TAGS, sigma, 12, 150, 2)
-        assert {t: default[t][0] for t in STACKED_TAGS} == {t: single[t][0] for t in STACKED_TAGS}
+        for step in (1, 7, 64):
+            monkeypatch.setattr(_rng, "CHUNK_BYTES", 8 * 12 * 6 * step)
+            assert _rng.chunk_replicates(12, 6) == step
+            assert replicate_losses(STACKED_TAGS, sigma, 12, 150, 2) == default
         assert any(v is None for v in default["tsai"][0])
+
+    @pytest.mark.parametrize("scored", [False, True], ids=["draw-ahead", "every-thread-scores"])
+    def test_three_methods_on_two_threads_equal_one_thread(self, monkeypatch, scored):
+        # both schedules of run_chunks: workers drawing ahead of the calling
+        # thread, and, from DRAW_AHEAD_VALUES on, workers that draw and score
+        if scored:
+            monkeypatch.setattr(_rng, "DRAW_AHEAD_VALUES", 1)
+        monkeypatch.setattr(_rng, "CHUNK_BYTES", 8 * 30 * 5 * 9)  # nine replicates a chunk
+        tags = ("sample", "stein_triangular", "dp_equivariant")
+        one = replicate_losses(tags, ar1(5, 0.6), 30, 200, 13, threads=1)
+        assert replicate_losses(tags, ar1(5, 0.6), 30, 200, 13, threads=2) == one
 
     def test_each_method_scored_alone_or_together_alike(self):
         sigma = ar1(4, 0.3)
@@ -513,3 +550,84 @@ class TestStackedEngine:
         assert errors[3] is None
         assert np.array_equal(est[3], tsai_estimator(scatter[3] / 10, n=10).matrix)
         assert np.isfinite(est).all()
+
+
+class TestScatterOverflow:
+    def test_only_the_shrinker_refuses_a_scatter_past_the_float64_range(self):
+        # sigma = diag(5e306, 1): the class estimators score the drawn factor and
+        # never form the scatter; tsai forms it, and 5e306 chi2_20 overflows
+        # where chi2_20 > 36, in about 1.6 % of replicates
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            out = replicate_losses(STACKED_TAGS, np.diag([5e306, 1.0]), 20, 400, 5)
+        for tag in STACKED_TAGS[:3]:
+            assert out[tag][1] == {} and None not in out[tag][0]
+        assert out["tsai"][1].get("NumericError", 0) > 0
+
+    def test_the_shrinker_refuses_it_as_scatter_stack_does(self):
+        t = np.array([[[1e155, 0.0], [0.0, 1.0]], [[2.0, 0.0], [1.0, 1.0]]])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            (f, logdet), errors = FACTOR_ESTIMATORS["tsai"](t, 20)
+            with pytest.raises(NumericError) as single:
+                unrefused(*scatter_stack(t.swapaxes(1, 2)[:1]))
+        assert type(errors[0]) is NumericError and str(errors[0]) == str(single.value)
+        assert errors[1] is None and np.isfinite(f).all() and np.isfinite(logdet).all()
+
+
+class TestLossTail:
+    def test_median_max_and_share_of_the_completed_losses(self):
+        assert loss_tail([1.0, None, 3.0, 2.0, 6.0]) == {
+            "median_loss": 2.5, "max_loss": 6.0, "max_share": 0.5}
+        assert loss_tail([None]) == {"median_loss": None, "max_loss": None, "max_share": None}
+
+    def test_risk_estimates_carry_the_tail_of_their_losses(self):
+        sigma = ar1(3, 0.4)
+        est = monte_carlo_risk("stein_triangular", sigma, n=10, replicates=150, seed=4)
+        losses, _ = replicate_losses(["stein_triangular"], sigma, n=10, replicates=150,
+                                     seed=4)["stein_triangular"]
+        assert (est.median_loss, est.max_loss, est.max_share) == tuple(loss_tail(losses).values())
+        assert 1 / 150 < est.max_share < 1
+
+
+# the exact moments are checked to |z| <= LOSS_Z at LOSS_REPLICATES replicates
+# per cell: 18 z's, so a false alarm has probability about 18 * 6.3e-5 = 1.1e-3
+LOSS_Z = 4.0
+LOSS_REPLICATES = 20_000
+CLASS_KINDS = {"sample": "ml", "stein_triangular": "stein", "dp_equivariant": "dp"}
+
+
+class TestClassLossMoments:
+    """Each class method's losses against the exact mean and variance of its Stein loss.
+
+    At the identity, L = T T' with T Bartlett's factor, and each class loss
+    is a sum over columns j of independent terms (chi2_{k_j} + chi2_{o_j}) /
+    d_j - log chi2_{k_j} + log d_j - 1, k_j = n - j + 1, d_j the class
+    divisor and o_j the number of entries of column j below the diagonal
+    that reach tr phi: p - j for ml and stein, 0 for dp.  With Var log
+    chi2_k = psi'(k/2) and Cov(chi2_k, log chi2_k) = 2, Var L = sum_j
+    [2 (k_j + o_j) / d_j^2 + psi'(k_j / 2) - 4 / d_j], and the mean is
+    ``min_risk``.  By equivariance the same holds at every sigma.
+    """
+
+    @pytest.mark.parametrize("n, sigma", [
+        (50, np.eye(10)), (20, ar1(10, 0.6)), (200, np.diag(np.r_[20.0, 10.0, 5.0, np.ones(47)])),
+    ], ids=["50x10-identity", "20x10-ar1", "200x50-spiked"])
+    def test_mean_and_variance_match_the_closed_forms(self, n, sigma):
+        from scipy.special import polygamma
+
+        p, reps = sigma.shape[0], LOSS_REPLICATES
+        out = replicate_losses(tuple(CLASS_KINDS), sigma, n, reps, 11)
+        j = np.arange(1, p + 1)
+        k = n - j + 1
+        for method, kind in CLASS_KINDS.items():
+            d = CLASS_DIVISORS[kind](n, p)
+            o = 0 if kind == "dp" else p - j
+            var = float(np.sum(2.0 * (k + o) / d ** 2 + polygamma(1, k / 2.0) - 4.0 / d))
+            losses = np.array(out[method][0])
+            z_mean = (losses.mean() - min_risk(kind, n, p)) / np.sqrt(var / reps)
+            c = losses - losses.mean()
+            s2 = float(c @ c) / (reps - 1)
+            # the standard error of a sample variance, from the fourth central moment
+            z_var = (s2 - var) / np.sqrt((np.mean(c ** 4) - s2 ** 2) / reps)
+            assert abs(z_mean) <= LOSS_Z and abs(z_var) <= LOSS_Z, (method, z_mean, z_var)

@@ -356,8 +356,9 @@ def test_every_stack_the_package_factors_is_exactly_symmetric(monkeypatch, n, p,
         kernel(x, chol)
     loss_risk.replicate_losses(tuple(estimators.STACKED_ESTIMATORS), sigma, n, k, 11)
     # three kernels and two mean tests factor a stack each, and replicate_losses
-    # one per kernel: the own factors, since no estimate is factored again
-    assert len(handed) == 9
+    # only the shrinker's covariances: it draws each scatter's factor, so the
+    # class estimators factor nothing, and no estimate is factored again
+    assert len(handed) == 6
     for stack, refusals in built:
         assert exactly_symmetric(stack)
         assert np.isfinite(stack[[e is None for e in refusals]]).all()

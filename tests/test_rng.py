@@ -7,6 +7,8 @@ import pytest
 
 from covshrink import EigenvalueTieError, NumericError, _rng
 from covshrink._rng import (
+    bartlett_chunk,
+    bartlett_factor,
     chunk_replicates,
     draw_chunk,
     gaussian_rows,
@@ -136,6 +138,31 @@ class TestChunking:
         assert x.shape == (3, 12, 3)
         for j in range(3):
             assert np.array_equal(x[j], gaussian_rows(replicate_rng(5, 7 + j), chol, 12))
+
+    def test_bartlett_factor_draws_the_lower_entries_then_the_chi_square_diagonal(self):
+        p, n = 4, 9
+        t = bartlett_factor(replicate_rng(3, 1), np.eye(p), n)
+        rng = replicate_rng(3, 1)
+        assert np.array_equal(t[np.tril_indices(p, -1)], rng.standard_normal(p * (p - 1) // 2))
+        assert np.array_equal(np.diag(t), np.sqrt([rng.chisquare(n - i) for i in range(p)]))
+        assert not np.triu(t, 1).any()
+
+    @pytest.mark.parametrize("sigma", [np.eye(6), np.diag([9.0, 4.0, 2.5, 1.0, 1.0, 1.0]),
+                                       ar1(6, 0.5)], ids=["identity", "diagonal", "dense"])
+    def test_bartlett_chunk_slices_equal_bartlett_factor_for_each_factor(self, sigma):
+        chol = cholesky(sigma)
+        t = bartlett_chunk(9, chol, 25, 4, 30)
+        assert t.shape == (26, 6, 6)
+        for j in range(26):
+            assert np.array_equal(t[j], bartlett_factor(replicate_rng(9, 4 + j), chol, 25))
+
+    def test_run_chunks_hands_the_scorer_the_stacker_it_is_given(self):
+        # n=40, p=5: 163 replicates per chunk, so 400 replicates span three chunks
+        chol = cholesky(ar1(5, 0.7))
+        slices, _ = run_chunks(lambda start, t: (list(t), [None] * len(t)), 21, chol, 40, 400,
+                               draw=bartlett_chunk)
+        for r, tr in enumerate(slices):
+            assert np.array_equal(tr, bartlett_factor(replicate_rng(21, r), chol, 40))
 
     def test_outcomes_do_not_depend_on_chunk_size_or_threads(self, monkeypatch):
         chol = cholesky(ar1(4, 0.3))
