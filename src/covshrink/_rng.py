@@ -10,15 +10,12 @@ stacked into chunks of a fixed byte budget, hands each chunk whole to a
 stacked scorer, and counts the refused replicates by class.  A replicate is
 n rows of N(0, Sigma) (``gaussian_rows``), or for a scorer that reads only
 the scatter, the scatter's Cholesky factor drawn directly
-(``bartlett_factor``).  On
-more than one thread, a chunk of large draws is drawn and scored on a
-worker, every thread at once, and the calling thread merges the outcomes in
-replicate order; small draws are scored on the calling thread while the
-other threads draw the next chunks ahead.  ``replicate_threads`` chooses
-the thread count from the size of one replicate's draw unless the caller
-gives it.  ``check_failures`` is the one place the failed-replicate
-tolerance is enforced, and ``aggregate`` the one mean and standard error
-over the replicates that completed.
+(``bartlett_factor``).  On more than one thread, each worker draws and
+scores whole chunks, and the calling thread merges the outcomes in replicate
+order.  ``replicate_threads`` chooses the thread count from the size of one
+replicate's draw unless the caller gives it.  ``check_failures`` is the one
+place the failed-replicate tolerance is enforced, and ``aggregate`` the one
+mean and standard error over the replicates that completed.
 """
 
 from __future__ import annotations
@@ -39,11 +36,10 @@ MAX_FAILURE_FRACTION = 0.01
 # amortizing the per-call overhead at small p.  A chunk of scatter factors
 # holds as many replicates, each p x p, so it is no larger, as n >= p.
 CHUNK_BYTES = 256 * 1024
-# float64 values in one replicate's draw (2 MiB) from which every thread draws
-# and scores whole chunks, and from which a second thread is the default;
-# below it the other threads only draw ahead.  The measurements behind it are
-# in README's CLI section.
-DRAW_AHEAD_VALUES = 2 ** 18
+# float64 values in one replicate's draw of rows (2 MiB) from which the default
+# is two threads, on 2 usable CPUs.  The measurements behind it are in
+# README's CLI section.
+TWO_THREAD_VALUES = 2 ** 18
 
 # replicate indices whose SeedSequence words are computed together
 SEED_BLOCK = 64
@@ -269,13 +265,13 @@ def _usable_cpus() -> int:
 def replicate_threads(threads: int | None, n: int, p: int) -> int:
     """Threads of a replicate loop over (n, p) draws: ``threads`` itself unless it is None.
 
-    None gives two, which both draw and score (``run_chunks``), when one
-    replicate's draw holds at least DRAW_AHEAD_VALUES float64 values and the
-    process may run on two CPUs; one otherwise.
+    None gives two when one replicate's draw of rows holds at least
+    TWO_THREAD_VALUES float64 values and the process may run on two CPUs;
+    one otherwise.
     """
     if threads is not None:
         return threads
-    return 2 if n * p >= DRAW_AHEAD_VALUES and _usable_cpus() >= 2 else 1
+    return 2 if n * p >= TWO_THREAD_VALUES and _usable_cpus() >= 2 else 1
 
 
 def run_chunks(score_chunk, seed: int, chol_factor: np.ndarray, n: int, replicates: int,
@@ -295,14 +291,11 @@ def run_chunks(score_chunk, seed: int, chol_factor: np.ndarray, n: int, replicat
     None chooses the count by ``replicate_threads``.  Errors raised by
     ``score_chunk`` propagate.
 
-    Above one thread there are two schedules, chosen by the size of one
-    replicate's draw of rows.  From n*p = DRAW_AHEAD_VALUES on, ``threads``
-    workers each draw and score whole chunks, and the calling thread only
-    merges their outcomes and refusals in replicate order: such a draw, and
-    the LAPACK calls that score it, run long without the interpreter lock,
-    so the threads overlap.  Below it every chunk is scored on the calling
-    thread, in order, while ``threads - 1`` workers draw the next chunks.
-    Either way at most ``threads`` chunks are in flight.
+    Above one thread, ``threads`` workers each draw and score whole chunks,
+    and the calling thread only merges their outcomes and refusals in
+    replicate order.  At most ``threads`` chunks are submitted ahead of the
+    merge, so once a chunk's scorer raises, at most ``threads - 1`` chunks
+    past it are drawn.
     """
     stacker = draw_chunk if draw is None else draw
     p = chol_factor.shape[0]
@@ -311,8 +304,9 @@ def run_chunks(score_chunk, seed: int, chol_factor: np.ndarray, n: int, replicat
     starts = range(0, replicates, step)
     outcomes, refusals = [], Counter()
 
-    def chunk(start: int) -> np.ndarray:
-        return stacker(seed, chol_factor, n, start, min(start + step, replicates))
+    def scored(start: int) -> tuple:
+        return score_chunk(start, stacker(seed, chol_factor, n, start,
+                                          min(start + step, replicates)))
 
     def merge(values: list, errors: list) -> None:
         outcomes.extend(None if e is not None else v for v, e in zip(values, errors))
@@ -320,20 +314,17 @@ def run_chunks(score_chunk, seed: int, chol_factor: np.ndarray, n: int, replicat
 
     if threads <= 1:
         for start in starts:
-            merge(*score_chunk(start, chunk(start)))
+            merge(*scored(start))
     else:
         from concurrent.futures import ThreadPoolExecutor  # off the import path
 
-        scored = n * p >= DRAW_AHEAD_VALUES
-        workers = threads if scored else threads - 1
-        task = (lambda start: score_chunk(start, chunk(start))) if scored else chunk
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            pending = deque(pool.submit(task, start) for start in starts[:workers])
-            for k, start in enumerate(starts):
+        with ThreadPoolExecutor(max_workers=threads) as pool:
+            pending = deque(pool.submit(scored, start) for start in starts[:threads])
+            for k in range(len(starts)):
                 done = pending.popleft().result()
-                if k + workers < len(starts):
-                    pending.append(pool.submit(task, starts[k + workers]))
-                merge(*(done if scored else score_chunk(start, done)))
+                if k + threads < len(starts):
+                    pending.append(pool.submit(scored, starts[k + threads]))
+                merge(*done)
     return outcomes, dict(sorted(refusals.items()))
 
 

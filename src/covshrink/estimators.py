@@ -19,18 +19,18 @@ nearly collide, so denominators at or below the guard are a hard error and
 
 Each estimator's arithmetic is written once, as a kernel over a (k, p, p)
 stack of scatters and their degrees of freedom.  A kernel returns the k
-estimates and each one's refusal: the CovshrinkError that estimate earns,
-or None.  The public functions are the k = 1 case and raise that refusal;
-``STACKED_ESTIMATORS`` hands the kernels to the Monte Carlo loops, which
-score every estimator a chunk of replicates at a time, and ``centered_stack``
-centers a stack once for the estimators and the mean tests alike.
-``FACTOR_ESTIMATORS`` holds each estimator's kernel over a stack of the
-scatters' Cholesky factors instead, for the risk loop, which draws those
-factors: in place of each estimate it returns a factor F with F F' the
-estimate in exact arithmetic (the pivot kernel's diagonal F as its (k, p)
-diagonal), and the estimate's log determinant, taken from the factorization
-it already holds: all a Stein loss reads, with no estimate formed and
-factored again.
+estimates, or for the shrinker the spectra and eigenvectors
+``tsai_estimator`` forms its estimate from, and each one's refusal: the
+CovshrinkError that estimate earns, or None.  The public functions are the
+k = 1 case and raise that refusal, and ``centered_stack`` centers a stack
+once for the estimators and the mean tests alike.  ``FACTOR_ESTIMATORS``
+holds each estimator's kernel over a stack of the scatters' Cholesky
+factors instead, for the risk loop, which scores every estimator a chunk of
+drawn factors at a time: in place of each estimate it returns a factor F
+with F F' the estimate in exact arithmetic (the pivot kernel's diagonal F
+as its (k, p) diagonal), and the estimate's log determinant, taken from the
+factorization it already holds: all a Stein loss reads, with no estimate
+formed and factored again.
 """
 
 from dataclasses import dataclass
@@ -219,16 +219,18 @@ def _tsai_from_factor(t: np.ndarray, dof: int) -> tuple:
     A scatter T T' that overflows is refused as ``scatter_stack`` refuses it.
     """
     a, errors = _cross_products(t.swapaxes(1, 2))
-    value, est_errors = _tsai(a / dof, dof, factored=True)[:2]
+    _, u, psi, _, est_errors = _tsai(a / dof, dof)
+    # a spectrum the guard accepts has every psi positive
+    value = (u * np.sqrt(psi)[:, None, :], np.sum(np.log(psi), axis=1))
     return value, first_refusals(errors, est_errors)
 
 
 def _target(method: str, chol_sig: np.ndarray) -> np.ndarray:
     """Cholesky factor of estimator ``method``'s target, for sigma with factor chol_sig:
-    chol_sig for every kernel but ``_pivot``, whose target is the Schur pivot diagonal
-    diag(t^2), t the diagonal of chol_sig; its factor is diag(t) bit for bit, as
+    chol_sig for every kernel but ``_pivot_from_factor``, whose target is the Schur pivot
+    diagonal diag(t^2), t the diagonal of chol_sig; its factor is diag(t) bit for bit, as
     sqrt(fl(t^2)) = t."""
-    if STACKED_ESTIMATORS[method] is not _pivot:
+    if FACTOR_ESTIMATORS[method] is not _pivot_from_factor:
         return chol_sig
     return np.diag(np.diag(chol_sig))
 
@@ -262,20 +264,15 @@ def shrunk_spectra(w: np.ndarray, n: int, errors: list) -> tuple[np.ndarray, np.
     return psi, d
 
 
-def _tsai(s: np.ndarray, n: int, factored: bool = False) -> tuple:
+def _tsai(s: np.ndarray, n: int) -> tuple:
     """Kernel of the shrinker U diag(psi) U' over a (k, p, p) stack of covariances.
 
-    Returns the estimates, each refusal, and the spectra w, psi and d.
-    Factored, F = U diag(sqrt(psi)) and log det = sum log psi; a spectrum
-    the guard accepts has every psi positive.
+    Returns the spectra w, the eigenvectors U, psi, the denominators d, and
+    each refusal.
     """
     w, u, errors = eigh_stack(s)
     psi, d = shrunk_spectra(w, n, errors)
-    if factored:
-        value = (u * np.sqrt(psi)[:, None, :], np.sum(np.log(psi), axis=1))
-    else:
-        value = symmetric_part((u * psi[:, None, :]) @ u.swapaxes(1, 2))
-    return value, errors, w, psi, d
+    return w, u, psi, d, errors
 
 
 def _scaled_back(e, est: np.ndarray, *spectra: np.ndarray) -> list:
@@ -293,8 +290,9 @@ def _scaled_back(e, est: np.ndarray, *spectra: np.ndarray) -> list:
     return out
 
 
-def _from_data(method: str, x, centered: bool, divisors: str | None = None) -> CovarianceEstimate:
-    """Estimator ``method`` on an (n, p) sample, the k = 1 case of its STACKED_ESTIMATORS kernel.
+def _from_data(method: str, kernel, x, centered: bool,
+               divisors: str | None = None) -> CovarianceEstimate:
+    """Estimator ``method`` on an (n, p) sample, the k = 1 case of its ``kernel``.
 
     Each column j is taken times 2**-e_j, e = ``unit_exponents(x, axis=0)``,
     and the estimate times 2**(e_i + e_j), which every kernel allows.
@@ -305,7 +303,6 @@ def _from_data(method: str, x, centered: bool, divisors: str | None = None) -> C
     n, p = a.shape
     e = unit_exponents(a, axis=0)
     dof = n - 1 if centered else n
-    kernel = STACKED_ESTIMATORS[method]
     est = unrefused(*kernel(scatter_matrix(np.ldexp(a, -e), centered)[None], dof))
     return CovarianceEstimate(
         matrix=_scaled_back(e[:, None] + e, est[0])[0], method=method, n=n, p=p,
@@ -323,7 +320,7 @@ def sample_covariance(x, centered: bool = True) -> CovarianceEstimate:
     Never fails on finite input whose S is finite; a rank-deficient S is
     left for consumers that actually need to invert it.
     """
-    return _from_data("sample", x, centered)
+    return _from_data("sample", _sample, x, centered)
 
 
 def stein_triangular(x, centered: bool = True) -> CovarianceEstimate:
@@ -332,7 +329,7 @@ def stein_triangular(x, centered: bool = True) -> CovarianceEstimate:
     T is the Cholesky factor of the data's scatter and m its degrees of
     freedom.
     """
-    return _from_data("stein_triangular", x, centered, "stein")
+    return _from_data("stein_triangular", _triangular, x, centered, "stein")
 
 
 def dp_equivariant(x, centered: bool = True) -> CovarianceEstimate:
@@ -342,7 +339,7 @@ def dp_equivariant(x, centered: bool = True) -> CovarianceEstimate:
     Estimates the Schur pivot diagonal of sigma (the target in the
     successively transformed coordinates), not sigma itself.
     """
-    return _from_data("dp_equivariant", x, centered, "dp")
+    return _from_data("dp_equivariant", _pivot, x, centered, "dp")
 
 
 @np.errstate(divide="ignore", over="ignore", invalid="ignore")  # a tie divides by zero
@@ -450,7 +447,8 @@ def tsai_estimator(s, n: int | None = None) -> CovarianceEstimate:
         raise ValueError("n is required when s is a bare matrix")
     m = square_matrix(s)
     e = unit_exponents(m)
-    est, errors, w, psi, d = _tsai(symmetric_matrix(np.ldexp(m, -e))[None], n)
+    w, u, psi, d, errors = _tsai(symmetric_matrix(np.ldexp(m, -e))[None], n)
+    est = symmetric_part((u * psi[:, None, :]) @ u.swapaxes(1, 2))
     est, w, psi = _scaled_back(e, unrefused(est, errors)[0], w[0], psi[0])
     return CovarianceEstimate(matrix=est, method="tsai", n=int(n_obs), p=m.shape[0],
                               divisor=int(n), shrinkage=ShrinkageTable(w, psi, d[0]))
@@ -465,18 +463,6 @@ ESTIMATORS = {
     "tsai": lambda x, centered: tsai_estimator(sample_covariance(x, centered)),
 }
 
-
-# method tag -> its kernel(scatters, dof); for a (k, n, p) stack x, slice j of
-# kernel(scatter_stack(x)[0], n) is ESTIMATORS[tag](x[j], False).matrix bit for
-# bit, and its refusal is the CovshrinkError that estimator raises, or None;
-# where the scatter overflows, the estimator alone scales it into range.  The
-# scatters are trusted to be exactly symmetric, and so are the estimates
-STACKED_ESTIMATORS = {
-    "sample": _sample,
-    "stein_triangular": _triangular,
-    "dp_equivariant": _pivot,
-    "tsai": lambda a, dof: _tsai(_sample(a, dof)[0], dof)[:2],
-}
 
 # method tag -> its kernel(t, dof) over a (k, p, p) stack t of the scatters'
 # lower Cholesky factors, with positive diagonals: ((F, log det F F'),

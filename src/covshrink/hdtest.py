@@ -23,7 +23,7 @@ import numpy as np
 
 from ._rng import check_failures, run_chunks
 from .errors import NotPositiveDefiniteError, NumericError
-from .estimators import STACKED_ESTIMATORS, as_data_matrix, centered_stack, shrunk_spectra
+from .estimators import as_data_matrix, centered_stack, shrunk_spectra
 from .matrix_core import (cholesky, cholesky_stack, eigh_stack, first_refusals, unit_exponents,
                           unrefused)
 
@@ -58,7 +58,7 @@ def _centered(x: np.ndarray) -> tuple[np.ndarray, np.ndarray, list]:
     if n < p + 1:
         raise ValueError(f"need n >= p + 1 for an invertible centered covariance, got n={n}, p={p}")
     xbar, scatters, errors = centered_stack(x)
-    return xbar, STACKED_ESTIMATORS["sample"](scatters, n - 1)[0], errors
+    return xbar, scatters / (n - 1), errors
 
 
 def _refuse_singular(s: np.ndarray, eigenvalues: np.ndarray, errors: list) -> None:

@@ -244,14 +244,10 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--seed", type=int, default=None,
                         help=f"master seed (default: ${ENV_SEED} or 0)")
     parser.add_argument("--threads", type=int, default=None,
-                        help=f"threads for replicate loops, 1 to {_MAX_THREADS}: from "
-                             "n*p >= 2**18 values in one replicate's draw every thread draws "
-                             "and scores, below it the extra threads draw replicates ahead "
-                             "while the calling thread scores them (results independent of "
-                             "this).  It sizes only these "
-                             "workers; BLAS and LAPACK run on one thread whatever its value.  "
-                             "Default: 2 when one replicate's draw holds n*p >= 2**18 values "
-                             "and 2 CPUs are usable, else 1 (measurements in README)")
+                        help=f"1 to {_MAX_THREADS} threads that each draw and score replicates; "
+                             "results do not depend on it, BLAS stays on one thread.  "
+                             "Default: 2 if one replicate's draw holds n*p >= 2**18 values "
+                             "on 2 usable CPUs, else 1")
     parser.add_argument("--output", default=None, help="write the report here instead of stdout")
     parser.add_argument("--format", choices=("json", "csv"), default=None,
                         help="output format (csv only for the mp grid; default: csv for mp, "

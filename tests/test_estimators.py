@@ -21,11 +21,19 @@ from covshrink import (
 from covshrink import estimators
 from covshrink.estimators import (
     ESTIMATORS,
-    STACKED_ESTIMATORS,
     as_data_matrix,
     centered_stack,
     scatter_stack,
 )
+
+
+def stacked_tsai(a, dof):
+    """The shrinker's estimates of a (k, p, p) stack of scatters over dof, and each refusal.
+
+    Formed from ``_tsai``'s spectra as ``tsai_estimator`` forms its one.
+    """
+    _, u, psi, _, errors = estimators._tsai(a / dof, dof)
+    return estimators.symmetric_part((u * psi[:, None, :]) @ u.swapaxes(1, 2)), errors
 
 
 def random_spd(rng, p):
@@ -270,7 +278,7 @@ class TestShrunkSpectra:
         x = np.random.default_rng(32).standard_normal((4, 20, 3))
         scatter, _ = scatter_stack(x)
         scatter[1] = 20.0 * np.diag([3.0, 2.0, 2.0])
-        est, errors = STACKED_ESTIMATORS["tsai"](scatter, 20)
+        est, errors = stacked_tsai(scatter, 20)
         assert type(errors[1]) is EigenvalueTieError
         assert str(errors[1]) == "minimum relative eigenvalue gap 0.000e+00 below 1e-12"
         for j in (0, 2, 3):
@@ -311,7 +319,7 @@ class TestShrunkSpectra:
 
         monkeypatch.setattr(estimators, "tsai_eigenvalues", counted)
         x = np.random.default_rng(33).standard_normal((200, 8, 4))
-        _, errors = STACKED_ESTIMATORS["tsai"](scatter_stack(x)[0], 8)
+        _, errors = stacked_tsai(scatter_stack(x)[0], 8)
         refused = sum(e is not None for e in errors)
         assert 0 < refused < 200
         assert len(calls) == refused
@@ -482,7 +490,7 @@ class TestFloatRange:
         with pytest.raises(NumericError, match="denominators are not finite"):
             tsai_eigenvalues(l, 10)
         scatter = np.stack([np.diag([3.0, 1.0]), np.diag(l)])
-        est, errors = STACKED_ESTIMATORS["tsai"](scatter, 10)
+        est, errors = stacked_tsai(scatter, 10)
         assert errors[0] is None and type(errors[1]) is NumericError
         assert np.isfinite(est).all()
 

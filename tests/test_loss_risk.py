@@ -22,14 +22,18 @@ from covshrink.estimators import (
     CLASS_DIVISORS,
     ESTIMATORS,
     FACTOR_ESTIMATORS,
-    STACKED_ESTIMATORS,
+    _pivot,
+    _sample,
     _target,
+    _triangular,
+    _tsai,
     scatter_matrix,
     scatter_stack,
     tsai_estimator,
 )
 from covshrink.loss_risk import _inverse_factor, _stein_losses, loss_tail, replicate_losses
-from covshrink.matrix_core import cholesky, cholesky_stack, schur_pivots, unrefused
+from covshrink.matrix_core import (cholesky, cholesky_stack, schur_pivots, symmetric_part,
+                                   unrefused)
 
 EULER_GAMMA = 0.5772156649015329
 
@@ -260,10 +264,23 @@ def reference_scatter(sigma, n, seed, r):
     return f @ f.T
 
 
+def stacked_tsai(a, dof):
+    """The shrinker's estimates of a (k, p, p) stack of scatters over dof, and each refusal.
+
+    Formed from ``_tsai``'s spectra as ``tsai_estimator`` forms its one.
+    """
+    _, u, psi, _, errors = _tsai(a / dof, dof)
+    return symmetric_part((u * psi[:, None, :]) @ u.swapaxes(1, 2)), errors
+
+
+# method tag -> its kernel(scatters, dof) over a (k, p, p) stack of scatters
+KERNELS = {"sample": _sample, "stein_triangular": _triangular, "dp_equivariant": _pivot,
+           "tsai": stacked_tsai}
+
+
 def reference_estimate(method, sigma, n, seed, r):
     """Replicate r's estimate, formed by ``method``'s kernel from its reference scatter."""
-    return unrefused(*STACKED_ESTIMATORS[method](reference_scatter(sigma, n, seed, r)[None],
-                                                 n))[0]
+    return unrefused(*KERNELS[method](reference_scatter(sigma, n, seed, r)[None], n))[0]
 
 
 class TestReplicateLosses:
@@ -387,12 +404,7 @@ class TestStackedEngine:
             assert replicate_losses(STACKED_TAGS, sigma, 12, 150, 2) == default
         assert any(v is None for v in default["tsai"][0])
 
-    @pytest.mark.parametrize("scored", [False, True], ids=["draw-ahead", "every-thread-scores"])
-    def test_three_methods_on_two_threads_equal_one_thread(self, monkeypatch, scored):
-        # both schedules of run_chunks: workers drawing ahead of the calling
-        # thread, and, from DRAW_AHEAD_VALUES on, workers that draw and score
-        if scored:
-            monkeypatch.setattr(_rng, "DRAW_AHEAD_VALUES", 1)
+    def test_three_methods_on_two_threads_equal_one_thread(self, monkeypatch):
         monkeypatch.setattr(_rng, "CHUNK_BYTES", 8 * 30 * 5 * 9)  # nine replicates a chunk
         tags = ("sample", "stein_triangular", "dp_equivariant")
         one = replicate_losses(tags, ar1(5, 0.6), 30, 200, 13, threads=1)
@@ -447,7 +459,7 @@ class TestStackedEngine:
         bound = 2.0 * np.linalg.cond(t_sig) * np.finfo(float).eps
         x = _rng.draw_chunk(4, t_sig, n, 0, k)
         for tag in ("sample", "stein_triangular", "tsai"):
-            est, est_errors = STACKED_ESTIMATORS[tag](scatter_stack(x)[0], n)
+            est, est_errors = KERNELS[tag](scatter_stack(x)[0], n)
             t_phi, errors = cholesky_stack(est)
             logdet = 2.0 * np.sum(np.log(np.diagonal(t_phi, axis1=1, axis2=2)), axis=1)
             losses = _stein_losses(t_phi.copy(), logdet, t_sig, _inverse_factor(t_sig))
@@ -501,7 +513,7 @@ class TestStackedEngine:
             assert np.all(np.abs(losses - base) <= bound * (np.abs(base) + p)), tag
 
     def test_every_estimator_has_a_stacked_kernel(self):
-        assert list(STACKED_ESTIMATORS) == list(ESTIMATORS)
+        assert list(FACTOR_ESTIMATORS) == list(ESTIMATORS)
 
     def test_stacked_estimators_refuse_as_the_estimators_do(self):
         # replicate 1 has an all-zero column, so its scatter is singular at index 2
@@ -510,7 +522,7 @@ class TestStackedEngine:
         scatter, _ = scatter_stack(x)
         assert np.array_equal(scatter[1], scatter_matrix(x[1]))
         for tag in STACKED_TAGS[1:]:
-            est, errors = STACKED_ESTIMATORS[tag](scatter, 8)
+            est, errors = KERNELS[tag](scatter, 8)
             with pytest.raises(NotPositiveDefiniteError) as single:
                 ESTIMATORS[tag](x[1], False)
             assert (str(errors[1]), errors[1].index) == (str(single.value), single.value.index)
@@ -521,7 +533,7 @@ class TestStackedEngine:
     @pytest.mark.parametrize("n, p", [(50, 10), (60, 4), (200, 20), (100, 50)])
     def test_stacked_tsai_equals_tsai_estimator(self, n, p):
         x = np.random.default_rng(n + p).standard_normal((40, n, p))
-        est, errors = STACKED_ESTIMATORS["tsai"](scatter_stack(x)[0], n)
+        est, errors = stacked_tsai(scatter_stack(x)[0], n)
         for j in range(40):
             try:
                 single = ESTIMATORS["tsai"](x[j], False).matrix
@@ -539,7 +551,7 @@ class TestStackedEngine:
                    [3.0, 2.0, 1.0])
         scatter = np.stack([10.0 * np.diag(l) for l in spectra])
         scatter[3] = q @ scatter[3] @ q.T
-        est, errors = STACKED_ESTIMATORS["tsai"](scatter, 10)
+        est, errors = stacked_tsai(scatter, 10)
         for j, kind in enumerate((EigenvalueTieError, ShrinkageSingularityError,
                                   NotPositiveDefiniteError)):
             with pytest.raises(kind) as single:

@@ -351,10 +351,12 @@ def test_every_stack_the_package_factors_is_exactly_symmetric(monkeypatch, n, p,
     x = _rng.draw_chunk(11, chol, n, 0, k)
     scatters, errors = estimators.scatter_stack(x)
     built = [(scatters, errors), estimators.centered_stack(x)[1:], hdtest._centered(x)[1:]]
-    built += [kernel(scatters, n)[:2] for kernel in estimators.STACKED_ESTIMATORS.values()]
+    built += [kernel(scatters, n)
+              for kernel in (estimators._sample, estimators._triangular, estimators._pivot)]
+    estimators._tsai(scatters / n, n)
     for kernel in hdtest.MEAN_TESTS.values():
         kernel(x, chol)
-    loss_risk.replicate_losses(tuple(estimators.STACKED_ESTIMATORS), sigma, n, k, 11)
+    loss_risk.replicate_losses(tuple(estimators.FACTOR_ESTIMATORS), sigma, n, k, 11)
     # three kernels and two mean tests factor a stack each, and replicate_losses
     # only the shrinker's covariances: it draws each scatter's factor, so the
     # class estimators factor nothing, and no estimate is factored again

@@ -1,6 +1,7 @@
 import hashlib
 import sys
 import threading
+import time
 
 import numpy as np
 import pytest
@@ -203,31 +204,13 @@ class TestReplicateCounts:
         assert code == 0
         assert sorted(calls) == sorted(list(range(200)) * 3)
 
-    def test_draw_ahead_scores_on_the_calling_thread_in_order(self, monkeypatch):
-        monkeypatch.setattr(_rng, "CHUNK_BYTES", 8 * 10 * 3 * 7)  # seven replicates a chunk
-        chol = cholesky(ar1(3, 0.2))
-        seen = []
-
-        def score_chunk(start, x):
-            seen.append((start, threading.get_ident()))
-            return [float(np.sum(xj)) for xj in x], [None] * len(x)
-
-        serial = run_chunks(score_chunk, 8, chol, 10, 100)
-        assert len(serial[0]) == 100
-        seen.clear()
-        for threads in (2, 3):
-            assert run_chunks(score_chunk, 8, chol, 10, 100, threads) == serial
-            assert seen == [(start, threading.get_ident()) for start in range(0, 100, 7)]
-            seen.clear()
-
 
 class TestScoringOnEveryThread:
-    """From n*p = DRAW_AHEAD_VALUES on, every thread draws and scores; the caller only merges."""
+    """Above one thread, every worker draws and scores; the calling thread only merges."""
 
     @pytest.mark.parametrize("threads", [2, 3])
     def test_outcomes_and_refusals_equal_one_threads(self, monkeypatch, threads):
-        # seven replicates a chunk of 20 x 3 draws, every one at the threshold
-        monkeypatch.setattr(_rng, "DRAW_AHEAD_VALUES", 60)
+        # seven replicates a chunk of 20 x 3 draws
         monkeypatch.setattr(_rng, "CHUNK_BYTES", 8 * 20 * 3 * 7)
         chol = cholesky(ar1(3, 0.6))
         caller, worked_on = threading.get_ident(), set()
@@ -251,8 +234,6 @@ class TestScoringOnEveryThread:
         assert caller not in worked_on and 1 <= len(worked_on) <= threads
 
     def test_an_error_raised_on_a_worker_propagates(self, monkeypatch):
-        monkeypatch.setattr(_rng, "DRAW_AHEAD_VALUES", 1)
-
         def score_chunk(start, x):
             if start > 0:
                 raise ValueError(f"chunk at {start}")
@@ -261,6 +242,30 @@ class TestScoringOnEveryThread:
         monkeypatch.setattr(_rng, "CHUNK_BYTES", 8 * 5 * 2 * 3)
         with pytest.raises(ValueError, match="chunk at 3"):
             run_chunks(score_chunk, 1, np.eye(2), 5, 12, 2)
+
+    def test_no_more_than_threads_chunks_are_drawn_ahead_of_the_merge(self, monkeypatch):
+        # one replicate a chunk, 20 chunks; chunk 3's scorer is slow and then
+        # raises.  While it sleeps, the other worker may draw only the chunks
+        # already submitted, so none past 3 + threads; a loop that submitted
+        # every chunk up front would draw nearly all 20
+        monkeypatch.setattr(_rng, "CHUNK_BYTES", 8 * 5 * 2)
+        threads, drawn = 2, []
+
+        def counted(seed, chol_factor, n, start, stop):
+            drawn.append(start)
+            return draw_chunk(seed, chol_factor, n, start, stop)
+
+        def score_chunk(start, x):
+            if start == 3:
+                time.sleep(0.2)
+                raise ValueError("chunk at 3")
+            return [0.0] * len(x), [None] * len(x)
+
+        before = threading.active_count()
+        with pytest.raises(ValueError, match="chunk at 3"):
+            run_chunks(score_chunk, 1, np.eye(2), 5, 20, threads, draw=counted)
+        assert threading.active_count() == before
+        assert 3 in drawn and max(drawn) <= 3 + threads
 
 
 class TestDefaultThreadCount:

@@ -71,8 +71,9 @@ def extra_calls(seed: int, workdir: Path) -> list:
     it leaves out: a dense population factor in the draws and the losses,
     the pivot target that differs from sigma's factor, a run refused on its
     refusal tally, every estimator on the uncentered convention, the mp grid
-    as JSON, and threads drawing ahead.  The estimators read a 30 x 4 CSV
-    drawn from ``seed`` and written into ``workdir``.
+    as JSON, and two threads at sizes whose default is one, in the esd
+    experiment and the decomposite power test.  The estimators read a 30 x 4
+    CSV drawn from ``seed`` and written into ``workdir``.
     """
     rng = random.Random(seed)
     data = workdir / "extra.csv"
@@ -90,6 +91,7 @@ def extra_calls(seed: int, workdir: Path) -> list:
         ("simulate_risk_spiked", sim + ("risk", "--model", "spiked:6,3")),
         ("simulate_recovery_ar1", sim + ("recovery", "--model", "ar1:0.4")),
         *((f"power_{method}", power + (method,)) for method in ("hotelling", "oracle")),
+        ("power_threads_2", ("--threads", "2") + power + ("decomposite",)),
         *((f"estimate_{method}", s + ("estimate", "--input", str(data), "--method", method,
                                       "--n-convention", "uncentered"))
           for method in ("sample", "stein", "dp", "tsai")),
