@@ -243,6 +243,24 @@ class TestScoringOnEveryThread:
         with pytest.raises(ValueError, match="chunk at 3"):
             run_chunks(score_chunk, 1, np.eye(2), 5, 12, 2)
 
+    def test_a_chunk_that_finishes_first_is_merged_in_replicate_order(self, monkeypatch):
+        # one replicate a chunk; chunk 0's scorer waits until chunk 1's has
+        # finished, so the workers finish out of order and the merge must not
+        monkeypatch.setattr(_rng, "CHUNK_BYTES", 8 * 5 * 2)
+        first_done, finished = threading.Event(), []
+
+        def score_chunk(start, x):
+            if start == 0:
+                assert first_done.wait(5.0)
+            finished.append(start)
+            if start == 1:
+                first_done.set()
+            return [float(start)] * len(x), [NumericError() if start == 1 else None] * len(x)
+
+        out = run_chunks(score_chunk, 1, np.eye(2), 5, 6, 2)
+        assert finished[:2] == [1, 0]
+        assert out == ([0.0, None, 2.0, 3.0, 4.0, 5.0], {"NumericError": 1})
+
     def test_no_more_than_threads_chunks_are_drawn_ahead_of_the_merge(self, monkeypatch):
         # one replicate a chunk, 20 chunks; chunk 3's scorer is slow and then
         # raises.  While it sleeps, the other worker may draw only the chunks
