@@ -8,20 +8,25 @@ starts from are computed for SEED_BLOCK consecutive indices at once and
 cached.  ``run_chunks`` is the one replicate loop: it draws replicates,
 stacked into chunks of a fixed byte budget, hands each chunk whole to a
 stacked scorer, and counts the refused replicates by class.  A replicate is
-n rows of N(0, Sigma) (``gaussian_rows``), or for a scorer that reads only
-the scatter, the scatter's Cholesky factor drawn directly
-(``bartlett_factor``).  On more than one thread, each worker draws and
-scores whole chunks, and the calling thread merges the outcomes in replicate
-order.  ``replicate_threads`` chooses the thread count from the size of one
-replicate's draw unless the caller gives it.  ``check_failures`` is the one
-place the failed-replicate tolerance is enforced, and ``aggregate`` the one
-mean and standard error over the replicates that completed.
+what its scorer reads, drawn directly: n rows of N(0, Sigma)
+(``gaussian_rows``); for a scorer that reads only the scatter, the
+scatter's Cholesky factor (``bartlett_factor``); for one that reads only
+the sample mean and the centered scatter, the mean and, if the scorer reads
+it, the centered scatter's factor (``mean_and_factor``).  Each has one chunk
+stacker, ``chunk_stacker`` names it with the float64 values it draws per
+replicate, and that count sizes the chunk and chooses the default thread
+count (``replicate_threads``).  On more than one thread, each worker draws
+and scores whole chunks, and the calling thread merges the outcomes in
+replicate order.  ``check_failures`` is the one place the failed-replicate
+tolerance is enforced, and ``aggregate`` the one mean and standard error
+over the replicates that completed.
 """
 
 from __future__ import annotations
 
 import functools
 import hashlib
+import math
 import os
 from collections import Counter, deque
 
@@ -31,14 +36,14 @@ from .errors import NumericError
 from .matrix_core import unit_exponents
 
 MAX_FAILURE_FRACTION = 0.01
-# replicates per chunk: as many (n, p) draws of rows as fit in 256 KiB of
-# float64, so a chunk adds little to the peak memory at any (n, p) while
-# amortizing the per-call overhead at small p.  A chunk of scatter factors
-# holds as many replicates, each p x p, so it is no larger, as n >= p.
+# replicates per chunk: as many draws as fit in 256 KiB of float64, counted by
+# what one replicate's draw holds (n p rows, a p x p factor, or a mean of p and
+# its factor), so a chunk adds little to the peak memory at any (n, p) while
+# amortizing the per-call overhead at small p
 CHUNK_BYTES = 256 * 1024
-# float64 values in one replicate's draw of rows (2 MiB) from which the default
-# is two threads, on 2 usable CPUs.  The measurements behind it are in
-# README's CLI section.
+# float64 values in one replicate's draw (2 MiB) from which the default is two
+# threads, on 2 usable CPUs.  The measurements behind it are in README's CLI
+# section.
 TWO_THREAD_VALUES = 2 ** 18
 
 # replicate indices whose SeedSequence words are computed together
@@ -180,9 +185,23 @@ def bartlett_factor(rng: np.random.Generator, chol_factor: np.ndarray, n: int) -
     return chol_factor @ t
 
 
-def chunk_replicates(n: int, p: int) -> int:
-    """Replicates per chunk: as many (n, p) draws as fit in CHUNK_BYTES, at least one."""
-    return max(1, CHUNK_BYTES // (8 * n * p))
+def mean_and_factor(rng: np.random.Generator, chol_factor: np.ndarray, n: int,
+                    factor: bool = True) -> tuple:
+    """The mean of n >= 2 rows of N(0, L L') and, if ``factor``, their centered scatter's factor.
+
+    Both are drawn directly.  The mean is z' L' / sqrt(n), z the first p
+    standard normals of rng.  The centered scatter is W_p(n - 1, L L') and
+    independent of the mean (Anderson, sec. 3.3 and 7.2), so its Cholesky
+    factor is ``bartlett_factor(rng, L, n - 1)``, drawn next from the same
+    generator; None if not ``factor``.  The mean is the same either way.
+    """
+    xbar = rng.standard_normal(chol_factor.shape[0]) @ chol_factor.T / math.sqrt(n)
+    return xbar, bartlett_factor(rng, chol_factor, n - 1) if factor else None
+
+
+def chunk_replicates(values: int) -> int:
+    """Replicates per chunk, at least one: as many ``values``-value draws as fit in CHUNK_BYTES."""
+    return max(1, CHUNK_BYTES // (8 * values))
 
 
 def _diagonal(chol_factor: np.ndarray) -> np.ndarray | None:
@@ -195,22 +214,29 @@ def _diagonal(chol_factor: np.ndarray) -> np.ndarray | None:
     return None if np.count_nonzero(chol_factor) > np.count_nonzero(scale) else scale
 
 
+def _rows_times(z: np.ndarray, chol_factor: np.ndarray) -> np.ndarray:
+    """z L' for a (k, m, p) stack z of rows.
+
+    A diagonal L scales z's columns in place instead (``_diagonal``), and
+    the identity returns z itself.
+    """
+    scale = _diagonal(chol_factor)
+    if scale is None:
+        return z @ chol_factor.T
+    return z if (scale == 1.0).all() else np.multiply(z, scale, out=z)
+
+
 def draw_chunk(seed: int, chol_factor: np.ndarray, n: int, start: int, stop: int) -> np.ndarray:
     """Replicates start .. stop - 1 as Gaussian rows, stacked as a (stop - start, n, p) array.
 
     Slice j is bit for bit ``gaussian_rows(replicate_rng(seed, start + j),
     chol_factor, n)``: each replicate keeps its own stream, and the
-    stacked product applies the same matrix product to every slice.  A
-    diagonal factor scales the columns instead (``_diagonal``), and the
-    identity is skipped.
+    stacked product applies the same matrix product to every slice.
     """
     z = np.empty((stop - start, n, chol_factor.shape[0]))
     for j in range(stop - start):
         replicate_rng(seed, start + j).standard_normal(out=z[j])
-    scale = _diagonal(chol_factor)
-    if scale is None:
-        return z @ chol_factor.T
-    return z if (scale == 1.0).all() else np.multiply(z, scale, out=z)
+    return _rows_times(z, chol_factor)
 
 
 @functools.lru_cache(maxsize=8)
@@ -226,23 +252,37 @@ def _strictly_lower(p: int) -> np.ndarray:
     return flat
 
 
-def bartlett_chunk(seed: int, chol_factor: np.ndarray, n: int, start: int,
-                   stop: int) -> np.ndarray:
-    """Replicates start .. stop - 1 as scatter factors, stacked as a (stop - start, p, p) array.
+def _variates(seed: int, start: int, stop: int, p: int, mean: bool, dof: int | None) -> tuple:
+    """Replicates start .. stop - 1's variates, each from its own stream in stream order.
 
-    Slice j is bit for bit ``bartlett_factor(replicate_rng(seed, start +
-    j), chol_factor, n)``: each replicate's variates come from its own
-    stream in the same order, and the stacked product applies the same
-    matrix product to every slice.  A diagonal factor scales the rows
-    instead (``_diagonal``), and the identity is skipped.
+    (z, normals, gammas), stacked: z (k, 1, p), the p standard normals of a
+    mean, if ``mean``; then, if dof is not None, Bartlett's p(p - 1)/2
+    normals and p gamma variates of shapes (dof - i) / 2, i = 0 .. p - 1.
+    What is not drawn is None.
     """
-    p, k = chol_factor.shape[0], stop - start
-    normals, gammas = np.empty((k, p * (p - 1) // 2)), np.empty((k, p))
-    half_dof = (n - np.arange(p)) / 2.0
+    k = stop - start
+    z = np.empty((k, 1, p)) if mean else None
+    normals = gammas = None
+    if dof is not None:
+        normals, gammas = np.empty((k, p * (p - 1) // 2)), np.empty((k, p))
+        half_dof = (dof - np.arange(p)) / 2.0
     for j in range(k):
         rng = replicate_rng(seed, start + j)
-        rng.standard_normal(out=normals[j])
-        rng.standard_gamma(half_dof, out=gammas[j])
+        if mean:
+            rng.standard_normal(out=z[j, 0])
+        if dof is not None:
+            rng.standard_normal(out=normals[j])
+            rng.standard_gamma(half_dof, out=gammas[j])
+    return z, normals, gammas
+
+
+def _factors(chol_factor: np.ndarray, normals: np.ndarray, gammas: np.ndarray) -> np.ndarray:
+    """The (k, p, p) stack L T of ``_variates``' Bartlett variates, as ``bartlett_factor`` forms it.
+
+    A diagonal L scales T's rows instead (``_diagonal``), and the identity
+    returns T itself.
+    """
+    k, p = gammas.shape
     t = np.zeros((k, p * p))
     t[:, _strictly_lower(p)] = normals
     gammas *= 2.0
@@ -254,6 +294,49 @@ def bartlett_chunk(seed: int, chol_factor: np.ndarray, n: int, start: int,
     return t if (scale == 1.0).all() else np.multiply(t, scale[:, None], out=t)
 
 
+def bartlett_chunk(seed: int, chol_factor: np.ndarray, n: int, start: int,
+                   stop: int) -> np.ndarray:
+    """Replicates start .. stop - 1 as scatter factors, stacked as a (stop - start, p, p) array.
+
+    Slice j is bit for bit ``bartlett_factor(replicate_rng(seed, start +
+    j), chol_factor, n)``: each replicate's variates come from its own
+    stream in the same order, and the stacked product applies the same
+    matrix product to every slice.
+    """
+    _, normals, gammas = _variates(seed, start, stop, chol_factor.shape[0], False, n)
+    return _factors(chol_factor, normals, gammas)
+
+
+def mean_chunk(seed: int, chol_factor: np.ndarray, n: int, start: int, stop: int,
+               factor: bool = True) -> tuple:
+    """Replicates start .. stop - 1 as means (k, p) and centered scatter factors (k, p, p).
+
+    The factors are None if not ``factor``.  Slice j of each is bit for bit
+    that of ``mean_and_factor(replicate_rng(seed, start + j), chol_factor,
+    n, factor)``.  The means are formed as
+    ``draw_chunk`` forms rows, one row per replicate (a (1, p) product is
+    the reference's vector product), and the factors as ``bartlett_chunk``
+    forms them.
+    """
+    z, normals, gammas = _variates(seed, start, stop, chol_factor.shape[0], True,
+                                   n - 1 if factor else None)
+    means = _rows_times(z, chol_factor)[:, 0] / math.sqrt(n)
+    return means, _factors(chol_factor, normals, gammas) if factor else None
+
+
+def chunk_stacker(draw: str, n: int, p: int) -> tuple:
+    """(chunk stacker, float64 values it draws per replicate) of replicates drawn as ``draw``.
+
+    "rows": ``draw_chunk``, n p; "factor": ``bartlett_chunk``, p^2; "mean":
+    ``mean_chunk`` without the factor, p; "mean+factor": ``mean_chunk``,
+    p + p^2.  The stackers are read from this module at each call, so a
+    stub of one is what draws.
+    """
+    return {"rows": (draw_chunk, n * p), "factor": (bartlett_chunk, p * p),
+            "mean": (functools.partial(mean_chunk, factor=False), p),
+            "mean+factor": (mean_chunk, p + p * p)}[draw]
+
+
 def _usable_cpus() -> int:
     """CPUs this process may run on: its affinity mask, else the machine's count."""
     try:
@@ -262,34 +345,37 @@ def _usable_cpus() -> int:
         return os.cpu_count() or 1
 
 
-def replicate_threads(threads: int | None, n: int, p: int) -> int:
-    """Threads of a replicate loop over (n, p) draws: ``threads`` itself unless it is None.
+def replicate_threads(threads: int | None, values: int) -> int:
+    """Threads of a replicate loop whose draw holds ``values`` float64 a replicate.
 
-    None gives two when one replicate's draw of rows holds at least
-    TWO_THREAD_VALUES float64 values and the process may run on two CPUs;
-    one otherwise.
+    ``threads`` itself unless it is None.  None gives two when one
+    replicate's draw holds at least TWO_THREAD_VALUES values and the
+    process may run on two CPUs; one otherwise.
     """
     if threads is not None:
         return threads
-    return 2 if n * p >= TWO_THREAD_VALUES and _usable_cpus() >= 2 else 1
+    return 2 if values >= TWO_THREAD_VALUES and _usable_cpus() >= 2 else 1
 
 
 def run_chunks(score_chunk, seed: int, chol_factor: np.ndarray, n: int, replicates: int,
-               threads: int | None = None, draw=None) -> tuple[list, dict]:
+               threads: int | None = None, draw: str = "rows") -> tuple[list, dict]:
     """Each replicate's outcome, in replicate order, and the refusals as {class name: count}.
 
-    ``score_chunk(start, x)``, x = ``draw(seed, chol_factor, n, start,
-    stop)``, returns a value and a refusal (a CovshrinkError, or None) per
-    slice; a refused replicate's outcome is None.  ``draw`` is a chunk
-    stacker: ``draw_chunk`` when None, whose slice r - start is
+    ``score_chunk(start, x)``, x the chunk of replicates start .. stop - 1
+    that ``chunk_stacker(draw, n, p)``'s stacker draws, returns a value and
+    a refusal (a CovshrinkError, or None) per replicate; a refused
+    replicate's outcome is None.  Replicate r is, by ``draw``: "rows",
     ``gaussian_rows(replicate_rng(seed, r), chol_factor, n)``, N(0, L L')
-    rows, or ``bartlett_chunk``, whose slice is ``bartlett_factor`` of the
-    same generator, the Cholesky factor of such rows' scatter.  A scorer
-    that needs other data (a shifted mean) transforms its own chunk, which
-    no other scorer reads.  The chunk size depends on (n, p) alone, so
-    every outcome depends on (seed, r) alone, never on ``threads``, whose
-    None chooses the count by ``replicate_threads``.  Errors raised by
-    ``score_chunk`` propagate.
+    rows; "factor", ``bartlett_factor`` of the same generator, the
+    Cholesky factor of such rows' scatter; "mean" and "mean+factor",
+    ``mean_and_factor`` of it, such rows' mean, without and with their
+    centered scatter's factor.  A scorer that needs other data (a shifted
+    mean) transforms its own chunk, which no other scorer reads.  A chunk
+    holds ``chunk_replicates`` of the values one replicate draws, and the
+    thread count, when ``threads`` is None, is ``replicate_threads`` of
+    them too.  The chunk size depends on (draw, n, p) alone, so every
+    outcome depends on (seed, r) alone, never on ``threads``.  Errors
+    raised by ``score_chunk`` propagate.
 
     Above one thread, ``threads`` workers each draw and score whole chunks,
     and the calling thread only merges their outcomes and refusals in
@@ -297,10 +383,9 @@ def run_chunks(score_chunk, seed: int, chol_factor: np.ndarray, n: int, replicat
     merge, so once a chunk's scorer raises, at most ``threads - 1`` chunks
     past it are drawn.
     """
-    stacker = draw_chunk if draw is None else draw
-    p = chol_factor.shape[0]
-    threads = replicate_threads(threads, n, p)
-    step = chunk_replicates(n, p)
+    stacker, size = chunk_stacker(draw, n, chol_factor.shape[0])
+    threads = replicate_threads(threads, size)
+    step = chunk_replicates(size)
     starts = range(0, replicates, step)
     outcomes, refusals = [], Counter()
 

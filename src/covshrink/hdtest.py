@@ -6,14 +6,17 @@ sample covariance (classical test), the spectrally shrunk estimate
 P-values always use the chi-square limit with p degrees of freedom; no
 finite-sample F calibration is attempted.
 
-Each statistic is written once, as a kernel over a (k, n, p) stack of
-samples that returns the k statistics and each one's refusal: the
-CovshrinkError that sample earns, or None.  The public tests are the k = 1
-case through ``mean_test``, which raises the refusal and adds the p-value.
-``MEAN_TESTS`` maps each name to its kernel, which ``power_simulation``
-hands a chunk of replicates at a time.  A slice whose mean or statistic
-overflows is refused, so the kernels keep numpy's overflow and
-invalid-value warnings quiet.
+Each statistic reads only the sample mean and, but for the oracle, the
+centered covariance S.  It is written once, as a kernel over a stack of k
+means and k covariances that returns the k statistics and each one's
+refusal: the CovshrinkError that sample earns, or None.  The public tests
+are the k = 1 case through ``mean_test``, which centers the sample, raises
+the refusal and adds the p-value.  ``MEAN_TESTS`` maps each name to its
+kernel.  ``power_simulation`` draws each replicate's mean and S directly,
+not its rows, and hands the kernel a chunk of replicates at a time.  A
+slice whose mean or S overflows, or whose oracle statistic is NaN, is
+refused, so the kernels keep numpy's overflow and invalid-value warnings
+quiet.
 """
 
 import math
@@ -23,7 +26,7 @@ import numpy as np
 
 from ._rng import check_failures, run_chunks
 from .errors import NotPositiveDefiniteError, NumericError
-from .estimators import as_data_matrix, centered_stack, shrunk_spectra
+from .estimators import _cross_products, as_data_matrix, centered_stack, shrunk_spectra
 from .matrix_core import (cholesky, cholesky_stack, eigh_stack, first_refusals, unit_exponents,
                           unrefused)
 
@@ -52,13 +55,10 @@ def _mahalanobis_sq(t: np.ndarray, xbar: np.ndarray) -> np.ndarray:
     return (w.transpose(0, 2, 1) @ w)[:, 0, 0]
 
 
-def _centered(x: np.ndarray) -> tuple[np.ndarray, np.ndarray, list]:
-    """Sample means (k, p), centered covariances (k, p, p) and ``centered_stack``'s refusals."""
-    n, p = x.shape[1:]
-    if n < p + 1:
+def _require_samples(method: str, n: int, p: int) -> None:
+    """ValueError when ``method`` reads S, which n < p + 1 samples cannot make invertible."""
+    if method != "oracle" and n < p + 1:
         raise ValueError(f"need n >= p + 1 for an invertible centered covariance, got n={n}, p={p}")
-    xbar, scatters, errors = centered_stack(x)
-    return xbar, scatters / (n - 1), errors
 
 
 def _refuse_singular(s: np.ndarray, eigenvalues: np.ndarray, errors: list) -> None:
@@ -112,31 +112,30 @@ def chisq_pvalue(statistic: float, p: int) -> float:
 
 
 @np.errstate(over="ignore", invalid="ignore")
-def _hotelling(x: np.ndarray, t=None) -> tuple[np.ndarray, list]:
-    """Kernel of the classical test n xbar' S^-1 xbar over a (k, n, p) stack; t is unused.
+def _hotelling(n: int, xbar: np.ndarray, s: np.ndarray, errors: list,
+               t=None) -> tuple[np.ndarray, list]:
+    """Kernel of the classical test n xbar' S^-1 xbar; t is unused.
 
     The statistic ignores the scale of each coordinate, so S is judged
     singular on the correlation scale D^-1/2 S D^-1/2, D = diag(S), where a
     column with zero variance gets a zero row: one whose S_ii is zero, as
     ``centered_stack`` makes it for a column whose values are all equal.
     """
-    xbar, s, errors = _centered(x)
     diag = np.diagonal(s, axis1=1, axis2=2)
     scale = np.divide(1.0, np.sqrt(diag), out=np.zeros_like(diag), where=diag > 0.0)
     r = s * scale[:, :, None] * scale[:, None, :]
     _refuse_singular(r, np.linalg.eigvalsh(r), errors)
     chol, chol_errors = cholesky_stack(s)
-    return x.shape[1] * _mahalanobis_sq(chol, xbar), first_refusals(errors, chol_errors)
+    return n * _mahalanobis_sq(chol, xbar), first_refusals(errors, chol_errors)
 
 
 @np.errstate(over="ignore", invalid="ignore")
-def _decomposite(x: np.ndarray, t=None) -> tuple[np.ndarray, list]:
-    """Kernel of the shrinkage test n sum_i (u_i' xbar)^2 / psi_i over a (k, n, p) stack.
+def _decomposite(n: int, xbar: np.ndarray, s: np.ndarray, errors: list,
+                 t=None) -> tuple[np.ndarray, list]:
+    """Kernel of the shrinkage test n sum_i (u_i' xbar)^2 / psi_i; t is unused.
 
-    t is unused.  S is judged singular on the scale the shrinker reads, its own.
+    S is judged singular on the scale the shrinker reads, its own.
     """
-    n = x.shape[1]
-    xbar, s, errors = _centered(x)
     w, v, _ = eigh_stack(s)  # s is finite, so eigh_stack refuses none of it
     _refuse_singular(s, w, errors)
     psi, _ = shrunk_spectra(w, n - 1, errors)
@@ -146,24 +145,26 @@ def _decomposite(x: np.ndarray, t=None) -> tuple[np.ndarray, list]:
 
 
 @np.errstate(over="ignore", invalid="ignore")
-def _oracle(x: np.ndarray, t: np.ndarray) -> tuple[np.ndarray, list]:
-    """Kernel of the oracle test n xbar' sigma^-1 xbar over a (k, n, p) stack.
+def _oracle(n: int, xbar: np.ndarray, s, errors: list, t: np.ndarray) -> tuple[np.ndarray, list]:
+    """Kernel of the oracle test n xbar' sigma^-1 xbar; s is unused.
 
     t is sigma's lower Cholesky factor, factored once by the caller.  A
     slice whose statistic is NaN (a sample mean that overflowed) is refused
     with NumericError, since NaN would otherwise read as "not rejected".
     """
-    k, n, p = x.shape
-    stats = n * _mahalanobis_sq(np.broadcast_to(t, (k, p, p)), x.mean(axis=1))
-    errors = [None] * k
+    k, p = xbar.shape
+    stats = n * _mahalanobis_sq(np.broadcast_to(t, (k, p, p)), xbar)
     for j in np.flatnonzero(np.isnan(stats)).tolist():
         errors[j] = NumericError("oracle statistic is NaN: the sample mean overflowed")
     return stats, errors
 
 
-# test name -> its kernel(x, t), t = cholesky(sigma); entry j of the statistics
-# is mean_test(name, x[j], t).statistic bit for bit, and its refusal is the
-# CovshrinkError that test raises, or None; S, exactly symmetric, is factored unchecked
+# test name -> its kernel(n, xbar, s, errors, t): the statistics of n samples
+# whose (k, p) means are xbar and (k, p, p) centered covariances s (None for
+# the oracle, which reads t = cholesky(sigma) instead), and each refusal; errors
+# holds each slice's refusal so far and is updated in place.  S, exactly
+# symmetric, is factored unchecked.  Entry j is mean_test(name, x, t).statistic
+# bit for bit when xbar[j] and s[j] are x's, as mean_test forms them
 MEAN_TESTS = {"hotelling": _hotelling, "decomposite": _decomposite, "oracle": _oracle}
 
 
@@ -172,14 +173,21 @@ def mean_test(name: str, x, t=None) -> TestResult:
 
     x is taken times 2**-e, e = ``unit_exponents``: of each column for
     hotelling, which ignores each column's scale, and of all of x for
-    decomposite, which ignores x's.  The oracle's sigma is on x's scale, so
-    its x is not scaled.
+    decomposite, which ignores x's.  Their mean and S are then
+    ``centered_stack``'s, S its scatter over n - 1.  The oracle's sigma is
+    on x's scale, so its x is not scaled, and it reads x's mean alone.
     """
     a = as_data_matrix(x)
     n, p = a.shape
-    if name != "oracle":
+    _require_samples(name, n, p)
+    if name == "oracle":
+        with np.errstate(over="ignore"):
+            xbar, s, errors = a[None].mean(axis=1), None, [None]
+    else:
         a = np.ldexp(a, -unit_exponents(a, axis=0 if name == "hotelling" else None))
-    stat = float(unrefused(*MEAN_TESTS[name](a[None], t))[0])
+        xbar, scatter, errors = centered_stack(a[None])
+        s = scatter / (n - 1)
+    stat = float(unrefused(*MEAN_TESTS[name](n, xbar, s, errors, t))[0])
     return TestResult(stat, p, chisq_pvalue(stat, p), name, n, p)
 
 
@@ -240,9 +248,17 @@ def power_simulation(n: int, p: int, sigma, delta, alpha: float = 0.05,
     up to 1/2 it is exact to about 1e-14 relative; above that, 1 - alpha is
     resolved only to the sum's absolute rounding near 1.  Sigma is factored
     once, and the factor both draws the replicates and feeds the kernel.
-    Replicate r is ``gaussian_rows(replicate_rng(seed, r), cholesky(sigma),
-    n) + mu``: the loop draws N(0, sigma) rows, and each chunk is shifted by
-    mu in place before its kernel scores it.
+
+    Every test reads only the sample mean and S of n rows of N(mu, sigma),
+    and replicate r draws those directly from ``replicate_rng(seed, r)``:
+    ``_rng.mean_and_factor(rng, L, n, factor)`` gives the mean of N(0,
+    sigma) rows, L z / sqrt(n) for the generator's first p normals z, and
+    for the tests that read S, the Cholesky factor L T of the centered
+    scatter, T Bartlett's factor at n - 1 degrees of freedom; L =
+    cholesky(sigma).  Each chunk's means are shifted by mu in place, and S
+    is F F' for F = L T / sqrt(n - 1), whose product is refused where S
+    overflows, as is a replicate whose mean does.  So the oracle's mean at
+    (seed, r) is the other tests' mean, bit for bit.
 
     Parameters
     ----------
@@ -258,8 +274,9 @@ def power_simulation(n: int, p: int, sigma, delta, alpha: float = 0.05,
 
     threads : int or None
         Thread count of the replicate loop; None, the default, chooses it
-        from the size of one replicate's draw (``_rng.replicate_threads``).
-        No result depends on it.
+        from the size of one replicate's draw, p values for the oracle and
+        p + p^2 for the others (``_rng.replicate_threads``).  No result
+        depends on it.
 
     Failed replicates (singular shrinkage) are recorded and counted by
     refusal class; more than 1 percent failures aborts, as in the risk
@@ -275,6 +292,7 @@ def power_simulation(n: int, p: int, sigma, delta, alpha: float = 0.05,
         raise ValueError(f"alpha must lie in (0, 1), got {alpha}")
     if n < 2:
         raise ValueError(f"need at least 2 observations, got {n}")
+    _require_samples(method, n, p)
     d = np.asarray(delta, dtype=float)
     if d.shape != (p,):
         raise ValueError(f"delta must have length p={p}, got shape {d.shape}")
@@ -284,7 +302,8 @@ def power_simulation(n: int, p: int, sigma, delta, alpha: float = 0.05,
     if chol_sig.shape != (p, p):
         raise ValueError(f"sigma must be {p} x {p} for p={p}, got shape {chol_sig.shape}")
     scale = p ** 0.25 if rate == "hdim" else 1.0
-    mu = d * scale / math.sqrt(n)
+    with np.errstate(over="ignore"):  # a shift that overflows refuses every replicate
+        mu = d * scale / math.sqrt(n)
     # chisq_pvalue(lo) > alpha >= chisq_pvalue(crit) throughout
     lo, crit = 0.0, float(p)
     while chisq_pvalue(crit, p) > alpha:
@@ -296,13 +315,23 @@ def power_simulation(n: int, p: int, sigma, delta, alpha: float = 0.05,
         else:
             crit = mid
     kernel = MEAN_TESTS[method]
+    root = math.sqrt(n - 1)
 
-    def score_chunk(start: int, x: np.ndarray) -> tuple[list, list]:
-        x += mu
-        stats, errors = kernel(x, chol_sig)
+    @np.errstate(over="ignore", invalid="ignore")
+    def score_chunk(start: int, drawn: tuple) -> tuple[list, list]:
+        xbar, factors = drawn
+        xbar += mu
+        if factors is None:
+            s, errors = None, [None] * len(xbar)
+        else:
+            s, errors = _cross_products((factors / root).swapaxes(1, 2))
+            for j in np.flatnonzero(~np.isfinite(xbar).all(axis=1)).tolist():
+                errors[j] = errors[j] or NumericError("the sample mean overflowed")
+        stats, errors = kernel(n, xbar, s, errors, chol_sig)
         return [stat > crit for stat in stats.tolist()], errors
 
-    outcomes, refusals = run_chunks(score_chunk, seed, chol_sig, n, replicates, threads)
+    outcomes, refusals = run_chunks(score_chunk, seed, chol_sig, n, replicates, threads,
+                                    draw="mean" if method == "oracle" else "mean+factor")
     failures = check_failures(refusals, replicates, method, n, p)
     ok = [o for o in outcomes if o is not None]
     m = len(ok)

@@ -433,12 +433,24 @@ def _cmd_power(args, seed):
 
 
 def _loop_threads(args) -> dict:
-    """{"replicate_threads": the count run_chunks resolves} for a command with a replicate loop."""
-    from ._rng import replicate_threads
+    """{"replicate_threads": the count run_chunks resolves} for a command with a replicate loop.
 
-    if args.subcommand in ("simulate", "power") or args.subcommand == "risk" and args.monte_carlo:
-        return {"replicate_threads": replicate_threads(args.threads, args.n, args.p)}
-    return {}
+    It reads what the loop draws per replicate: a mean, and but for the
+    oracle its factor, for ``power``; a scatter factor for the risk loop;
+    rows for the esd and recovery experiments.
+    """
+    from ._rng import chunk_stacker, replicate_threads
+
+    if args.subcommand == "power":
+        draw = "mean" if args.method == "oracle" else "mean+factor"
+    elif args.subcommand == "risk" and args.monte_carlo:
+        draw = "factor"
+    elif args.subcommand == "simulate":
+        draw = "factor" if args.experiment == "risk" else "rows"
+    else:
+        return {}
+    _, values = chunk_stacker(draw, args.n, args.p)
+    return {"replicate_threads": replicate_threads(args.threads, values)}
 
 
 def run_cli(argv) -> int:

@@ -9,7 +9,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._rng import aggregate, bartlett_chunk, check_failures, run_chunks
+from ._rng import aggregate, check_failures, run_chunks
 from .estimators import CLASS_DIVISORS, FACTOR_ESTIMATORS, _target
 from .matrix_core import cholesky
 
@@ -175,8 +175,8 @@ def replicate_losses(methods, sigma, n: int, replicates: int, seed: int,
     the scatter (L T)(L T)' by rounding alone, within 4 kappa(L) eps (|loss|
     + p); and the three class estimators never refuse a replicate, as their
     factors are valid.  ``threads`` sizes each pass's replicate loop; None,
-    the default, chooses it from the size of one replicate's draw of rows
-    (``_rng.replicate_threads``), and no loss depends on it.
+    the default, chooses it from the size of one replicate's factor, p^2
+    values (``_rng.replicate_threads``), and no loss depends on it.
     """
     if isinstance(methods, str):
         raise TypeError(f"methods must be a sequence of tags, got the string {methods!r}")
@@ -203,7 +203,7 @@ def replicate_losses(methods, sigma, n: int, replicates: int, seed: int,
             return _stein_losses(f, logdet, t_target, inv_target).tolist(), errors
 
         out[method] = run_chunks(score_chunk, seed, chol_sig, n, replicates, threads,
-                                 draw=bartlett_chunk)
+                                 draw="factor")
     return out
 
 

@@ -41,4 +41,9 @@ def test_the_cli_accepts_every_extra_call(tmp_path):
     for label, argv in calls:
         args = io_cli.build_parser().parse_args(argv)
         assert args.seed == 7, label
+    edges = {label: io_cli.build_parser().parse_args(argv) for label, argv in calls
+             if label.startswith("power_") and "_n_" in label}
+    assert {label: (args.method, args.n - args.p) for label, args in edges.items()} == {
+        "power_hotelling_n_p_plus_1": ("hotelling", 1),
+        "power_oracle_n_below_p_plus_1": ("oracle", -1)}
     assert io_cli.read_csv(str(tmp_path / "extra.csv")).shape == (30, 4)

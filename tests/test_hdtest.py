@@ -9,7 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
-from scipy.stats import chi2, ncx2
+from scipy.stats import chi2, ncf, ncx2
 
 import covshrink
 from covshrink import (
@@ -26,7 +26,8 @@ from covshrink import (
     tsai_eigenvalues,
 )
 from covshrink import _rng, hdtest
-from covshrink._rng import draw_chunk, gaussian_rows, replicate_rng
+from covshrink._rng import draw_chunk, mean_and_factor, replicate_rng
+from covshrink.estimators import centered_stack
 from covshrink.hdtest import MEAN_TESTS, mean_test
 from covshrink.matrix_core import cholesky
 
@@ -39,6 +40,18 @@ def random_spd(rng, p):
 def ar1(p, rho):
     idx = np.arange(p)
     return rho ** np.abs(idx[:, None] - idx[None, :])
+
+
+def kernel_on_samples(test, x, t):
+    """MEAN_TESTS[test] on a (k, n, p) stack of samples, centered as mean_test centers one."""
+    n = x.shape[1]
+    if test == "oracle":
+        with np.errstate(over="ignore"):
+            xbar, s, errors = x.mean(axis=1), None, [None] * len(x)
+    else:
+        xbar, scatter, errors = centered_stack(x)
+        s = scatter / (n - 1)
+    return MEAN_TESTS[test](n, xbar, s, errors, t)
 
 
 def statistic_or_refusal(test, x, sigma):
@@ -56,7 +69,7 @@ class TestStackedKernels:
         # n=8, p=4 makes the shrinker refuse some slices; slice 5 is collinear
         x = draw_chunk(11, cholesky(sigma), 8, 0, 40) + 0.3
         x[5, :, 3] = x[5, :, 2]
-        stats, errors = MEAN_TESTS[test](x, cholesky(sigma))
+        stats, errors = kernel_on_samples(test, x, cholesky(sigma))
         assert len(stats) == len(errors) == 40
         classes = set()
         for j in range(40):
@@ -78,7 +91,7 @@ class TestStackedKernels:
         # each statistic written out from the public pieces, one sample at a time
         n = 40
         x = draw_chunk(12, cholesky(sigma), n, 0, 60) + 0.2
-        stats = {test: MEAN_TESTS[test](x, cholesky(sigma)) for test in MEAN_TESTS}
+        stats = {test: kernel_on_samples(test, x, cholesky(sigma)) for test in MEAN_TESTS}
         for j in range(60):
             xbar = x[j].mean(axis=0)
             s = sample_covariance(x[j], centered=True).matrix
@@ -97,9 +110,9 @@ class TestStackedKernels:
         # slice 2's sample mean overflows; the other slices keep their bits
         t = cholesky(ar1(3, 0.5))
         x = draw_chunk(13, t, 30, 0, 6) + 0.2
-        want_stats, want_errors = MEAN_TESTS[test](np.delete(x, 2, axis=0), t)
+        want_stats, want_errors = kernel_on_samples(test, np.delete(x, 2, axis=0), t)
         x[2] = 1e308
-        stats, errors = MEAN_TESTS[test](x, t)
+        stats, errors = kernel_on_samples(test, x, t)
         assert type(errors[2]) is NumericError
         assert errors[:2] + errors[3:] == want_errors
         assert np.delete(stats, 2).tobytes() == want_stats.tobytes()
@@ -372,59 +385,126 @@ class TestPowerSimulation:
     @pytest.mark.parametrize("threads", [1, 2])
     @pytest.mark.parametrize("test", list(MEAN_TESTS))
     def test_equals_a_loop_over_the_public_test(self, test, threads):
-        # at n=40 the shrinker refuses 2 of 400 replicates, within the 1 % limit
+        # replicate r is mean_and_factor's draw, shifted by mu, with S = F F' for
+        # F = L T / sqrt(n - 1), scored one at a time by the public test's k = 1
+        # kernel.  At n=40 the shrinker refuses 1 of 400, within the 1 % limit
         n, p, sigma = 40, 4, ar1(4, 0.5)
+        t = cholesky(sigma)
         delta = np.array([1.0, 0.5, 0.0, 0.0])
         rep = power_simulation(n, p, sigma, delta, replicates=400, seed=1, method=test,
                                threads=threads)
         mu = delta * p ** 0.25 / math.sqrt(n)
         rejections, classes = [], {}
         for r in range(400):
-            x = gaussian_rows(replicate_rng(1, r), cholesky(sigma), n) + mu
-            statistic, error = statistic_or_refusal(test, x, sigma)
-            if error is None:
-                rejections.append(statistic > rep.critical_value)
+            xbar, f = mean_and_factor(replicate_rng(1, r), t, n, test != "oracle")
+            s = None if f is None else (f / math.sqrt(n - 1)) @ (f / math.sqrt(n - 1)).T
+            stats, errors = MEAN_TESTS[test](n, (xbar + mu)[None], None if s is None else s[None],
+                                             [None], t)
+            if errors[0] is None:
+                rejections.append(stats[0] > rep.critical_value)
             else:
-                classes[type(error).__name__] = classes.get(type(error).__name__, 0) + 1
+                classes[type(errors[0]).__name__] = classes.get(type(errors[0]).__name__, 0) + 1
         assert rep.rejection_rate == sum(rejections) / len(rejections)
         assert rep.replicates == len(rejections)
         assert rep.failures == 400 - len(rejections) == sum(classes.values())
         assert rep.failure_classes == classes
         if test == "decomposite":
-            assert classes == {"ShrinkageSingularityError": 2}
+            assert classes == {"ShrinkageSingularityError": 1}
 
     def test_nan_oracle_statistic_is_a_numeric_failure(self, monkeypatch):
         # the mean's sum overflows to inf and the solve turns it into NaN; such
         # a replicate is refused, not counted as "not rejected"
         with pytest.raises(NumericError, match="NaN"):
             oracle_t2(np.full((30, 2), 1e308), np.eye(2))
-        draw = _rng.draw_chunk
+        draw = _rng.mean_chunk
 
         def overflow_first(*args, **kwargs):
-            x = draw(*args, **kwargs)
+            xbar, factors = draw(*args, **kwargs)
             if args[3] == 0:
-                x[0, :, 0] = 1e308
-            return x
+                xbar[0, 0] = np.inf  # replicate 0's mean overflowed
+            return xbar, factors
 
-        monkeypatch.setattr(_rng, "draw_chunk", overflow_first)
+        monkeypatch.setattr(_rng, "mean_chunk", overflow_first)
         rep = power_simulation(30, 2, np.eye(2), np.zeros(2), replicates=400, seed=3)
         assert (rep.failures, rep.replicates) == (1, 399)
         assert rep.failure_classes == {"NumericError": 1}
+
+    @pytest.mark.parametrize("test", ["hotelling", "decomposite"])
+    def test_an_overflowing_mean_or_covariance_is_a_numeric_failure(self, monkeypatch, test):
+        # replicate 0's mean overflows and replicate 1's S does; each is refused alone
+        args = (100, 2, np.eye(2), np.zeros(2))
+        want = power_simulation(*args, replicates=400, seed=3, method=test)
+        draw = _rng.mean_chunk
+
+        def overflow_two(*args, **kwargs):
+            xbar, factors = draw(*args, **kwargs)
+            if args[3] == 0:
+                xbar[0, 0] = np.inf
+                factors[1] *= 1e200
+            return xbar, factors
+
+        monkeypatch.setattr(_rng, "mean_chunk", overflow_two)
+        rep = power_simulation(*args, replicates=400, seed=3, method=test)
+        assert rep.failures == want.failures + 2
+        assert rep.failure_classes == {**want.failure_classes, "NumericError": 2}
 
     @pytest.mark.parametrize("size", [3, 1])
     def test_sigma_of_other_size_than_p_is_refused_before_any_draw(self, monkeypatch, size):
         def no_draw(*args, **kwargs):
             raise AssertionError("drew a chunk")
 
-        monkeypatch.setattr(_rng, "draw_chunk", no_draw)
+        monkeypatch.setattr(_rng, "mean_chunk", no_draw)
         message = rf"sigma must be 2 x 2 for p=2, got shape \({size}, {size}\)"
         with pytest.raises(ValueError, match=message):
             power_simulation(5, 2, np.eye(size), [0, 0])
 
+    @pytest.mark.parametrize("test", ["hotelling", "decomposite"])
+    def test_too_few_samples_for_s_are_refused_before_any_draw(self, monkeypatch, test):
+        def no_draw(*args, **kwargs):
+            raise AssertionError("drew a chunk")
+
+        monkeypatch.setattr(_rng, "mean_chunk", no_draw)
+        message = "need n >= p [+] 1 for an invertible centered covariance, got n=4, p=4"
+        with pytest.raises(ValueError, match=message):
+            power_simulation(4, 4, np.eye(4), np.zeros(4), method=test)
+        with pytest.raises(ValueError, match=message):
+            mean_test(test, np.random.default_rng(0).standard_normal((4, 4)))
+
     def test_refusals_above_the_limit_abort(self):
-        with pytest.raises(NumericError, match="8 of 400 replicates failed"):
-            power_simulation(20, 4, ar1(4, 0.5), np.array([1.0, 0.5, 0.0, 0.0]),
+        # n=18 is the largest n below 20 that aborts: 5 of 400 refused, one past the 4 allowed
+        with pytest.raises(NumericError, match="5 of 400 replicates failed"):
+            power_simulation(18, 4, ar1(4, 0.5), np.array([1.0, 0.5, 0.0, 0.0]),
                              replicates=400, seed=1, method="decomposite")
+
+    # (method, n, p, delta, sigma); n = p + 1 is the fewest samples hotelling takes
+    EXACT_CASES = [
+        ("oracle", 100, 5, [2.0, 0.0, 0.0, 0.0, 0.0], np.eye(5)),
+        ("oracle", 40, 3, [1.0, -1.0, 0.5], ar1(3, 0.5)),
+        ("oracle", 2, 4, [1.0, 1.0, 0.0, 0.0], np.diag([4.0, 1.0, 0.25, 1.0])),
+        ("hotelling", 60, 4, [1.5, 0.0, 0.0, 0.0], ar1(4, 0.5)),
+        ("hotelling", 5, 4, [2.0, 1.0, 0.0, 0.0], ar1(4, 0.5)),
+        ("hotelling", 30, 6, [1.0, 0.0, -1.0, 0.0, 0.5, 0.0],
+         random_spd(np.random.default_rng(8), 6)),
+    ]
+
+    @pytest.mark.parametrize("rate", ["hdim", "classical"])
+    @pytest.mark.parametrize("case", range(len(EXACT_CASES)))
+    def test_rejection_rate_matches_the_exact_power(self, case, rate):
+        # the oracle statistic is noncentral chi2_p(lam) and (n - p) / (p (n - 1)) T^2 is
+        # noncentral F(p, n - p; lam), lam = n mu' sigma^-1 mu, for Gaussian data at any n.
+        # |z| <= 4 over these 12 runs: a false alarm on either in about 1 of 1300 runs
+        method, n, p, delta, sigma = self.EXACT_CASES[case]
+        rep = power_simulation(n, p, sigma, delta, replicates=2000, seed=500 + case,
+                               method=method, rate=rate)
+        mu = np.asarray(delta) * (p ** 0.25 if rate == "hdim" else 1.0) / math.sqrt(n)
+        lam = n * float(mu @ np.linalg.solve(sigma, mu))
+        crit = rep.critical_value
+        if method == "oracle":
+            exact = ncx2.sf(crit, p, lam)
+        else:
+            exact = ncf.sf(crit * (n - p) / (p * (n - 1)), p, n - p, lam)
+        z = (rep.rejection_rate - exact) / math.sqrt(exact * (1.0 - exact) / rep.replicates)
+        assert abs(z) <= 4.0, f"rate {rep.rejection_rate:.4f} against exact {exact:.4f}"
 
     def test_report_without_failure_classes_still_loads(self):
         rep = power_simulation(n=30, p=2, sigma=np.eye(2), delta=np.zeros(2),

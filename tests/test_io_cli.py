@@ -14,7 +14,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 import covshrink
-from covshrink import CsvFormatError, _rng, io_cli, loss_risk, min_risk
+from covshrink import CsvFormatError, _rng, io_cli, min_risk
 from covshrink.estimators import ESTIMATORS
 from covshrink.hdtest import mean_test
 from covshrink.loss_risk import RiskEstimate, loss_tail
@@ -543,9 +543,10 @@ class TestPowerCommand:
         assert "--delta '0,,0' has an empty field at position 2" in capsys.readouterr().err
 
     def test_oracle_mean_overflow_is_2(self, tmp_path, capsys):
-        # the sample mean overflows, so every oracle statistic is NaN and refused
+        # the mean shift delta p^(1/4) / sqrt(n) overflows, and with it every sample
+        # mean, so every oracle statistic is NaN and refused
         argv = ["power", "--n", "30", "--p", "2", "--method", "oracle", "--delta"]
-        assert run_cli(argv + ["1e308,0"]) == 2
+        assert run_cli(argv + ["1.7e308,0"]) == 2
         err = capsys.readouterr().err
         assert "1000 of 1000 replicates failed for method 'oracle'" in err
         assert err.endswith("above the 1% tolerance; refusals: NumericError 1000\n")
@@ -553,13 +554,23 @@ class TestPowerCommand:
 
     @pytest.mark.parametrize("method", ["hotelling", "decomposite", "oracle"])
     def test_overflowing_replicates_are_refusals(self, method, capsys):
-        # every sample mean overflows: each replicate is a NumericError refusal,
-        # and the abort message is the only line on stderr
+        # the mean shift overflows, so every sample mean does: each replicate is a
+        # NumericError refusal, and the abort message is the only line on stderr
         assert run_cli(["power", "--n", "30", "--p", "2", "--method", method, "--delta",
-                        "1e308,0", "--replicates", "200", "--rate", "classical"]) == 2
+                        "1.7e308,0", "--replicates", "200"]) == 2
         assert capsys.readouterr().err == (
             f"error: 200 of 200 replicates failed for method {method!r} at n=30, p=2; "
             "above the 1% tolerance; refusals: NumericError 200\n")
+
+    @pytest.mark.parametrize("method", ["hotelling", "decomposite", "oracle"])
+    def test_a_statistic_that_overflows_is_a_rejection(self, tmp_path, method):
+        # each sample mean, drawn directly, is finite (about 1.8e307), and only the
+        # statistic n xbar' M^-1 xbar overflows, to inf: every replicate rejects
+        doc = run_json(tmp_path, ["power", "--n", "30", "--p", "2", "--method", method,
+                                  "--delta", "1e308,0", "--replicates", "200",
+                                  "--rate", "classical"])
+        assert doc.results["rejection_rate"] == 1.0
+        assert "NumericError" not in doc.results["failure_classes"]
 
     def test_replicate_count_below_one_is_2(self, capsys):
         for count in ("0", "-2"):
@@ -588,8 +599,8 @@ class TestExitCodes:
         def no_draws(*args, **kwargs):
             raise AssertionError("a replicate was drawn")
 
-        monkeypatch.setattr(_rng, "draw_chunk", no_draws)
-        monkeypatch.setattr(loss_risk, "bartlett_chunk", no_draws)
+        for stacker in ("draw_chunk", "bartlett_chunk", "mean_chunk"):
+            monkeypatch.setattr(_rng, stacker, no_draws)
         argv = ["--format", "csv"] + command + ["--n", "50", "--p", "3", "--replicates", "20000"]
         assert run_cli(argv) == 1
         assert capsys.readouterr().err == (
@@ -603,8 +614,8 @@ class TestExitCodes:
         def no_draws(*args, **kwargs):
             raise AssertionError("a replicate was drawn")
 
-        monkeypatch.setattr(_rng, "draw_chunk", no_draws)
-        monkeypatch.setattr(loss_risk, "bartlett_chunk", no_draws)
+        for stacker in ("draw_chunk", "bartlett_chunk", "mean_chunk"):
+            monkeypatch.setattr(_rng, stacker, no_draws)
         argv = command + ["--n", "50", "--p", "3", "--replicates", str(10**20)]
         assert run_cli(argv) == 2
         assert capsys.readouterr().err == (
@@ -724,7 +735,7 @@ class TestExitCodes:
 
     @pytest.mark.parametrize("argv", [
         ["simulate", "--experiment", "recovery"],
-        ["power", "--delta", "0,0,0"],
+        ["simulate", "--experiment", "esd"],
     ])
     def test_unallocatable_sample_is_2(self, capsys, argv):
         # one replicate of 2**53 x 3 doubles is 192 PiB, beyond a 57-bit address space,
@@ -733,6 +744,14 @@ class TestExitCodes:
         out, err = capsys.readouterr()
         assert out == ""
         assert err.startswith("error: Unable to allocate ") and err.count("\n") == 1
+
+    def test_power_draws_no_rows_so_any_n_runs(self, tmp_path):
+        # power draws each replicate's mean and scatter factor, p + p^2 values, never
+        # its n rows, so n = 2**53 needs no more memory than n = 4
+        doc = run_json(tmp_path, ["power", "--delta", "0,0,0", "--n", str(2**53), "--p", "3",
+                                  "--replicates", "100"])
+        assert doc.results["replicates"] + doc.results["failures"] == 100
+        assert 0.0 <= doc.results["rejection_rate"] <= 1.0
 
     def test_mp_points_above_a_million_are_2(self, capsys):
         # refused before the grid is allocated: this many points would need 8 GB each
@@ -832,8 +851,13 @@ def test_float_edge_populations_leave_stderr_clean(capsys, call, threads):
         assert code == 2
         assert out == ""
         assert err.startswith("error: ") and err.count("\n") == 1
-        # a refusal counted by class, NumericError, or the overflow named
-        assert "NumericError" in err or "overflowed" in err
+        # a refusal counted by class, NumericError, or the overflow named.  Power's S
+        # fits in float64, and decomposite judges it singular on its own scale, where
+        # 1e307 and 1 are not both resolved, as ttest does its sample's
+        if call == "decomposite-1e307":
+            assert err.endswith("refusals: NotPositiveDefiniteError 100\n")
+        else:
+            assert "NumericError" in err or "overflowed" in err
 
 
 # the one-column CSV 1.5e154 / 0 has S = 1.125e308 under both conventions,
@@ -1096,6 +1120,35 @@ class TestDefaultThreads:
         doc = run_json(tmp_path, argv)
         assert doc.timestamps.get("replicate_threads") == threads
         assert set(doc.timestamps) - {"replicate_threads"} == {"started", "finished"}
+
+    @pytest.mark.parametrize("argv", [
+        ["risk", "--n", "30", "--p", "6", "--monte-carlo", "--replicates", "100"],
+        ["simulate", "--experiment", "risk", "--n", "30", "--p", "6", "--replicates", "5"],
+        ["simulate", "--experiment", "esd", "--n", "30", "--p", "6", "--replicates", "5"],
+        ["power", "--n", "30", "--p", "6", "--delta", "1,0,0,0,0,0", "--replicates", "20"],
+        ["power", "--n", "30", "--p", "6", "--delta", "1,0,0,0,0,0", "--replicates", "20",
+         "--method", "oracle"],
+    ], ids=["risk", "simulate-risk", "esd", "power", "power-oracle"])
+    def test_the_report_reads_the_value_count_its_loop_reads(self, tmp_path, monkeypatch, argv):
+        # every call of the thread rule, the report's and the loop's, sees one count
+        seen, rule = [], _rng.replicate_threads
+
+        def recorded(threads, values):
+            seen.append(values)
+            return rule(threads, values)
+
+        monkeypatch.setattr(_rng, "replicate_threads", recorded)
+        run_json(tmp_path, argv)
+        assert len(seen) >= 2 and len(set(seen)) == 1
+
+    @pytest.mark.parametrize("experiment, threads", [("esd", 2), ("recovery", 2), ("risk", 1)])
+    def test_at_1600_by_400_only_the_row_loops_default_to_two_threads(self, monkeypatch,
+                                                                      experiment, threads):
+        # rows hold n p = 640,000 values, a risk replicate's factor p^2 = 160,000
+        monkeypatch.setattr(_rng, "_usable_cpus", lambda: 2)
+        args = io_cli.build_parser().parse_args(["simulate", "--experiment", experiment,
+                                                 "--n", "1600", "--p", "400"])
+        assert io_cli._loop_threads(args) == {"replicate_threads": threads}
 
     @pytest.mark.parametrize("threads", ["0", "-3", "1000"])
     def test_a_count_out_of_range_is_2_before_any_thread_starts(self, capsys, monkeypatch,

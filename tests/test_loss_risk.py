@@ -394,18 +394,18 @@ class TestStackedEngine:
                     assert abs(losses[r] - expected) <= bound * scale * (abs(expected) + 10), r
 
     def test_losses_do_not_depend_on_chunk_size(self, monkeypatch):
-        # n=12, p=6: 455 replicates a chunk by default, so 150 in one chunk; then
-        # 1, 7 or 64 a chunk.  Losses and refusals alike
+        # p=6: a 6 x 6 factor a replicate, 910 replicates a chunk by default, so 150
+        # in one chunk; then 1, 7 or 64 a chunk.  Losses and refusals alike
         sigma = ar1(6, 0.5)
         default = replicate_losses(STACKED_TAGS, sigma, 12, 150, 2)
         for step in (1, 7, 64):
-            monkeypatch.setattr(_rng, "CHUNK_BYTES", 8 * 12 * 6 * step)
-            assert _rng.chunk_replicates(12, 6) == step
+            monkeypatch.setattr(_rng, "CHUNK_BYTES", 8 * 6 * 6 * step)
+            assert _rng.chunk_replicates(6 * 6) == step
             assert replicate_losses(STACKED_TAGS, sigma, 12, 150, 2) == default
         assert any(v is None for v in default["tsai"][0])
 
     def test_three_methods_on_two_threads_equal_one_thread(self, monkeypatch):
-        monkeypatch.setattr(_rng, "CHUNK_BYTES", 8 * 30 * 5 * 9)  # nine replicates a chunk
+        monkeypatch.setattr(_rng, "CHUNK_BYTES", 8 * 5 * 5 * 9)  # nine 5 x 5 factors a chunk
         tags = ("sample", "stein_triangular", "dp_equivariant")
         one = replicate_losses(tags, ar1(5, 0.6), 30, 200, 13, threads=1)
         assert replicate_losses(tags, ar1(5, 0.6), 30, 200, 13, threads=2) == one

@@ -5,6 +5,7 @@ from numpy.testing import assert_allclose
 from covshrink import (
     AsymmetricInputError,
     NotPositiveDefiniteError,
+    NumericError,
     cholesky,
     schur_pivots,
     spectral_decompose,
@@ -350,17 +351,27 @@ def test_every_stack_the_package_factors_is_exactly_symmetric(monkeypatch, n, p,
     chol = cholesky(sigma)
     x = _rng.draw_chunk(11, chol, n, 0, k)
     scatters, errors = estimators.scatter_stack(x)
-    built = [(scatters, errors), estimators.centered_stack(x)[1:], hdtest._centered(x)[1:]]
+    xbar, centered, centered_errors = estimators.centered_stack(x)
+    built = [(scatters, errors), (centered, centered_errors)]
     built += [kernel(scatters, n)
               for kernel in (estimators._sample, estimators._triangular, estimators._pivot)]
     estimators._tsai(scatters / n, n)
-    for kernel in hdtest.MEAN_TESTS.values():
-        kernel(x, chol)
+    for name, kernel in hdtest.MEAN_TESTS.items():
+        kernel(n, xbar, None if name == "oracle" else centered / (n - 1), list(centered_errors),
+               chol)
+    for method in ("hotelling", "decomposite"):
+        # S formed from each replicate's drawn factor, in one chunk of k
+        try:
+            hdtest.power_simulation(n, p, sigma, np.zeros(p), replicates=k, seed=11,
+                                    method=method)
+        except NumericError:  # refused on its tally, after scoring its chunk
+            pass
     loss_risk.replicate_losses(tuple(estimators.FACTOR_ESTIMATORS), sigma, n, k, 11)
-    # three kernels and two mean tests factor a stack each, and replicate_losses
-    # only the shrinker's covariances: it draws each scatter's factor, so the
-    # class estimators factor nothing, and no estimate is factored again
-    assert len(handed) == 6
+    # three kernels and two mean tests on samples and two on power's drawn S
+    # factor a stack each, and replicate_losses only the shrinker's covariances:
+    # it draws each scatter's factor, so the class estimators factor nothing,
+    # and no estimate is factored again
+    assert len(handed) == 8
     for stack, refusals in built:
         assert exactly_symmetric(stack)
         assert np.isfinite(stack[[e is None for e in refusals]]).all()

@@ -11,8 +11,11 @@ from covshrink._rng import (
     bartlett_chunk,
     bartlett_factor,
     chunk_replicates,
+    chunk_stacker,
     draw_chunk,
     gaussian_rows,
+    mean_and_factor,
+    mean_chunk,
     replicate_rng,
     run_chunks,
 )
@@ -112,9 +115,14 @@ class TestBulkSeeding:
 
 class TestChunking:
     def test_chunk_size_follows_the_byte_budget(self):
-        assert chunk_replicates(50, 10) == 65
-        assert chunk_replicates(1600, 400) == 1
-        assert chunk_replicates(10 ** 6, 10 ** 3) == 1
+        assert chunk_replicates(50 * 10) == 65
+        assert chunk_replicates(1600 * 400) == 1
+        assert chunk_replicates(10 ** 9) == 1
+        # what each stacker draws per replicate sizes its chunks
+        assert [chunk_stacker(draw, 50, 10)[1] for draw in ("rows", "factor", "mean",
+                                                            "mean+factor")] == [500, 100, 10, 110]
+        assert chunk_replicates(chunk_stacker("factor", 50, 10)[1]) == 327
+        assert chunk_replicates(chunk_stacker("mean+factor", 400, 5)[1]) == 1092
 
     def test_chunk_slices_equal_single_replicate_draws(self):
         # n=40, p=5: 163 replicates per chunk, so 400 replicates span three chunks
@@ -157,11 +165,48 @@ class TestChunking:
         for j in range(26):
             assert np.array_equal(t[j], bartlett_factor(replicate_rng(9, 4 + j), chol, 25))
 
+    def test_mean_and_factor_draws_the_mean_then_bartletts_factor_at_n_minus_1(self):
+        p, n, t = 4, 9, cholesky(ar1(4, 0.5))
+        xbar, f = mean_and_factor(replicate_rng(3, 1), t, n)
+        rng = replicate_rng(3, 1)
+        assert np.array_equal(xbar, rng.standard_normal(p) @ t.T / np.sqrt(n))
+        assert np.array_equal(f, bartlett_factor(rng, t, n - 1))
+        alone, none = mean_and_factor(replicate_rng(3, 1), t, n, factor=False)
+        assert none is None and np.array_equal(alone, xbar)
+
+    @pytest.mark.parametrize("factor", [True, False])
+    @pytest.mark.parametrize("sigma", [np.eye(6), np.diag([9.0, 4.0, 2.5, 1.0, 1.0, 1.0]),
+                                       ar1(6, 0.5)], ids=["identity", "diagonal", "dense"])
+    def test_mean_chunk_slices_equal_mean_and_factor_for_each_factor(self, sigma, factor):
+        chol = cholesky(sigma)
+        xbar, f = mean_chunk(9, chol, 25, 4, 30, factor=factor)
+        assert xbar.shape == (26, 6) and (f is None) != factor
+        for j in range(26):
+            want_xbar, want_f = mean_and_factor(replicate_rng(9, 4 + j), chol, 25, factor)
+            assert np.array_equal(xbar[j], want_xbar)
+            assert (f is None and want_f is None) or np.array_equal(f[j], want_f)
+
+    @pytest.mark.parametrize("draw", ["mean", "mean+factor"])
+    def test_run_chunks_draws_means_with_or_without_the_factor(self, draw):
+        # p=5: 6553 or 1191 replicates a chunk; 2000 replicates span one or two
+        chol = cholesky(ar1(5, 0.7))
+
+        def score_chunk(start, drawn):
+            xbar, f = drawn
+            pairs = [(m, None if f is None else f[j]) for j, m in enumerate(xbar)]
+            return pairs, [None] * len(pairs)
+
+        slices, _ = run_chunks(score_chunk, 21, chol, 40, 2000, draw=draw)
+        for r, (xbar, f) in enumerate(slices):
+            want_xbar, want_f = mean_and_factor(replicate_rng(21, r), chol, 40, draw != "mean")
+            assert np.array_equal(xbar, want_xbar)
+            assert (f is None and want_f is None) or np.array_equal(f, want_f)
+
     def test_run_chunks_hands_the_scorer_the_stacker_it_is_given(self):
         # n=40, p=5: 163 replicates per chunk, so 400 replicates span three chunks
         chol = cholesky(ar1(5, 0.7))
         slices, _ = run_chunks(lambda start, t: (list(t), [None] * len(t)), 21, chol, 40, 400,
-                               draw=bartlett_chunk)
+                               draw="factor")
         for r, tr in enumerate(slices):
             assert np.array_equal(tr, bartlett_factor(replicate_rng(21, r), chol, 40))
 
@@ -182,7 +227,7 @@ class TestChunking:
         assert sum(default[1].values()) == sum(e is not None for e in errors)
         for step in (1, 2, 7, 64, 250):
             monkeypatch.setattr(_rng, "CHUNK_BYTES", 8 * 30 * 4 * step)
-            assert chunk_replicates(30, 4) == step
+            assert chunk_replicates(30 * 4) == step
             for threads in (1, 3):
                 assert run_chunks(score_chunk, 3, chol, 30, 250, threads) == default
 
@@ -273,6 +318,8 @@ class TestScoringOnEveryThread:
             drawn.append(start)
             return draw_chunk(seed, chol_factor, n, start, stop)
 
+        monkeypatch.setattr(_rng, "draw_chunk", counted)
+
         def score_chunk(start, x):
             if start == 3:
                 time.sleep(0.2)
@@ -281,13 +328,14 @@ class TestScoringOnEveryThread:
 
         before = threading.active_count()
         with pytest.raises(ValueError, match="chunk at 3"):
-            run_chunks(score_chunk, 1, np.eye(2), 5, 20, threads, draw=counted)
+            run_chunks(score_chunk, 1, np.eye(2), 5, 20, threads)
         assert threading.active_count() == before
         assert 3 in drawn and max(drawn) <= 3 + threads
 
 
 class TestDefaultThreadCount:
-    """threads=None runs two workers exactly when n*p >= 2**18 and 2 CPUs are usable."""
+    """threads=None runs two workers exactly when a replicate's draw holds >= 2**18 values and 2
+    CPUs are usable."""
 
     @staticmethod
     def drawing_threads(monkeypatch, cpus, n, p, threads=None):
@@ -311,20 +359,29 @@ class TestDefaultThreadCount:
     @pytest.mark.parametrize("cpus", [1, 2])
     def test_a_worker_draws_from_two_mib_on_two_cpus(self, monkeypatch, cpus, n, p):
         # from 2 MiB on, two workers draw and score; the calling thread does neither
-        assert chunk_replicates(n, p) == 1
+        assert chunk_replicates(n * p) == 1
         serial, on = self.drawing_threads(monkeypatch, cpus, n, p, threads=1)
         assert on == {threading.get_ident()}
         default, on = self.drawing_threads(monkeypatch, cpus, n, p)
         ahead = n * p >= 2 ** 18 and cpus >= 2
-        assert _rng.replicate_threads(None, n, p) == (2 if ahead else 1)
+        assert _rng.replicate_threads(None, n * p) == (2 if ahead else 1)
         assert (threading.get_ident() not in on) == ahead and len(on) <= (2 if ahead else 1)
         assert default == serial and len(serial[0]) == 3
 
     def test_an_explicit_count_is_kept_above_the_threshold(self, monkeypatch):
         _, on = self.drawing_threads(monkeypatch, 2, 1024, 256, threads=1)
         assert on == {threading.get_ident()}
-        assert _rng.replicate_threads(1, 1024, 256) == 1
-        assert _rng.replicate_threads(3, 10, 5) == 3
+        assert _rng.replicate_threads(1, 1024 * 256) == 1
+        assert _rng.replicate_threads(3, 10 * 5) == 3
+
+    def test_the_count_follows_what_a_replicate_draws(self, monkeypatch):
+        # at 1600 x 400 rows hold 640,000 values and a factor 160,000, so the esd and
+        # recovery loops default to two threads and the risk and power loops to one
+        monkeypatch.setattr(_rng, "_usable_cpus", lambda: 2)
+        threads = {draw: _rng.replicate_threads(None, chunk_stacker(draw, 1600, 400)[1])
+                   for draw in ("rows", "factor", "mean", "mean+factor")}
+        assert threads == {"rows": 2, "factor": 1, "mean": 1, "mean+factor": 1}
+        assert _rng.replicate_threads(None, chunk_stacker("factor", 600, 600)[1]) == 2
 
     def test_usable_cpus_falls_back_to_the_machines_count(self, monkeypatch):
         monkeypatch.setattr(_rng.os, "sched_getaffinity", lambda pid: {0, 3, 5}, raising=False)

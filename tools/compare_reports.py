@@ -72,7 +72,10 @@ def extra_calls(seed: int, workdir: Path) -> list:
     the pivot target that differs from sigma's factor, a run refused on its
     refusal tally, every estimator on the uncentered convention, the mp grid
     as JSON, and two threads at sizes whose default is one, in the esd
-    experiment and the decomposite power test.  The estimators read a 30 x 4
+    experiment and the decomposite power test.  Two power calls sit at the
+    edges of what a replicate draws: hotelling at n = p + 1, whose scatter
+    factor has the fewest degrees of freedom it takes, and the oracle at
+    n < p + 1, which draws the mean alone.  The estimators read a 30 x 4
     CSV drawn from ``seed`` and written into ``workdir``.
     """
     rng = random.Random(seed)
@@ -84,6 +87,8 @@ def extra_calls(seed: int, workdir: Path) -> list:
     sim = s + ("simulate", "--n", "40", "--p", "8", "--replicates", "20", "--experiment")
     power = s + ("power", "--n", "40", "--p", "4", "--delta", "1,0.5,0,0", "--model", "ar1:0.5",
                  "--replicates", "400", "--method")
+    edge = s + ("power", "--p", "4", "--delta", "1,0.5,0,0", "--model", "ar1:0.5",
+                "--replicates", "400", "--method")
     return [
         ("risk_ar1", risk + ("--n", "60", "--replicates", "1000", "--model", "ar1:0.6",
                              "--methods", "sample,stein_triangular,dp_equivariant,tsai")),
@@ -92,6 +97,8 @@ def extra_calls(seed: int, workdir: Path) -> list:
         ("simulate_recovery_ar1", sim + ("recovery", "--model", "ar1:0.4")),
         *((f"power_{method}", power + (method,)) for method in ("hotelling", "oracle")),
         ("power_threads_2", ("--threads", "2") + power + ("decomposite",)),
+        ("power_hotelling_n_p_plus_1", edge + ("hotelling", "--n", "5")),
+        ("power_oracle_n_below_p_plus_1", edge + ("oracle", "--n", "3")),
         *((f"estimate_{method}", s + ("estimate", "--input", str(data), "--method", method,
                                       "--n-convention", "uncentered"))
           for method in ("sample", "stein", "dp", "tsai")),
