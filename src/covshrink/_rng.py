@@ -14,10 +14,10 @@ scatter's Cholesky factor (``bartlett_factor``); for one that reads only
 the sample mean and the centered scatter, the mean and, if the scorer reads
 it, the centered scatter's factor (``mean_and_factor``).  Each has one chunk
 stacker, ``chunk_stacker`` names it with the float64 values it draws per
-replicate, and that count sizes the chunk and chooses the default thread
-count (``replicate_threads``).  On more than one thread, each worker draws
-and scores whole chunks, and the calling thread merges the outcomes in
-replicate order.  ``check_failures`` is the one place the failed-replicate
+replicate, and that count sizes the chunk.  The default thread count
+(``replicate_threads``) reads n p, whatever the loop draws.  On more than
+one thread, each worker draws and scores whole chunks, and the calling
+thread merges the outcomes in replicate order.  ``check_failures`` is the one place the failed-replicate
 tolerance is enforced, and ``aggregate`` the one mean and standard error
 over the replicates that completed.
 """
@@ -41,7 +41,7 @@ MAX_FAILURE_FRACTION = 0.01
 # its factor), so a chunk adds little to the peak memory at any (n, p) while
 # amortizing the per-call overhead at small p
 CHUNK_BYTES = 256 * 1024
-# float64 values in one replicate's draw (2 MiB) from which the default is two
+# n p, the float64 values in n rows of p (2 MiB), from which the default is two
 # threads, on 2 usable CPUs.  The measurements behind it are in README's CLI
 # section.
 TWO_THREAD_VALUES = 2 ** 18
@@ -345,16 +345,18 @@ def _usable_cpus() -> int:
         return os.cpu_count() or 1
 
 
-def replicate_threads(threads: int | None, values: int) -> int:
-    """Threads of a replicate loop whose draw holds ``values`` float64 a replicate.
+def replicate_threads(threads: int | None, n: int, p: int) -> int:
+    """Threads of a replicate loop over (n, p) draws: ``threads`` itself unless it is None.
 
-    ``threads`` itself unless it is None.  None gives two when one
-    replicate's draw holds at least TWO_THREAD_VALUES values and the
-    process may run on two CPUs; one otherwise.
+    None gives two when n p, the values in n rows of p, is at least
+    TWO_THREAD_VALUES and the process may run on two CPUs; one otherwise.
+    It reads n p whatever the loop draws: a loop over a factor or a mean
+    still scores kernels of p x p matrices, and at p = 300 and 400 those
+    overlap on two threads.
     """
     if threads is not None:
         return threads
-    return 2 if values >= TWO_THREAD_VALUES and _usable_cpus() >= 2 else 1
+    return 2 if n * p >= TWO_THREAD_VALUES and _usable_cpus() >= 2 else 1
 
 
 def run_chunks(score_chunk, seed: int, chol_factor: np.ndarray, n: int, replicates: int,
@@ -372,8 +374,8 @@ def run_chunks(score_chunk, seed: int, chol_factor: np.ndarray, n: int, replicat
     centered scatter's factor.  A scorer that needs other data (a shifted
     mean) transforms its own chunk, which no other scorer reads.  A chunk
     holds ``chunk_replicates`` of the values one replicate draws, and the
-    thread count, when ``threads`` is None, is ``replicate_threads`` of
-    them too.  The chunk size depends on (draw, n, p) alone, so every
+    thread count, when ``threads`` is None, is ``replicate_threads(None,
+    n, p)``.  The chunk size depends on (draw, n, p) alone, so every
     outcome depends on (seed, r) alone, never on ``threads``.  Errors
     raised by ``score_chunk`` propagate.
 
@@ -383,8 +385,9 @@ def run_chunks(score_chunk, seed: int, chol_factor: np.ndarray, n: int, replicat
     merge, so once a chunk's scorer raises, at most ``threads - 1`` chunks
     past it are drawn.
     """
-    stacker, size = chunk_stacker(draw, n, chol_factor.shape[0])
-    threads = replicate_threads(threads, size)
+    p = chol_factor.shape[0]
+    stacker, size = chunk_stacker(draw, n, p)
+    threads = replicate_threads(threads, n, p)
     step = chunk_replicates(size)
     starts = range(0, replicates, step)
     outcomes, refusals = [], Counter()

@@ -255,10 +255,11 @@ def power_simulation(n: int, p: int, sigma, delta, alpha: float = 0.05,
     sigma) rows, L z / sqrt(n) for the generator's first p normals z, and
     for the tests that read S, the Cholesky factor L T of the centered
     scatter, T Bartlett's factor at n - 1 degrees of freedom; L =
-    cholesky(sigma).  Each chunk's means are shifted by mu in place, and S
-    is F F' for F = L T / sqrt(n - 1), whose product is refused where S
-    overflows, as is a replicate whose mean does.  So the oracle's mean at
-    (seed, r) is the other tests' mean, bit for bit.
+    cholesky(sigma).  So the oracle's mean at (seed, r) is the other tests'
+    mean, bit for bit.  Each chunk's means are shifted by mu in place, and
+    S is F F' for F = L T / sqrt(n - 1), whose product is refused where S
+    overflows.  A replicate whose mean is not finite is refused by every
+    test.
 
     Parameters
     ----------
@@ -274,9 +275,7 @@ def power_simulation(n: int, p: int, sigma, delta, alpha: float = 0.05,
 
     threads : int or None
         Thread count of the replicate loop; None, the default, chooses it
-        from the size of one replicate's draw, p values for the oracle and
-        p + p^2 for the others (``_rng.replicate_threads``).  No result
-        depends on it.
+        from n p (``_rng.replicate_threads``).  No result depends on it.
 
     Failed replicates (singular shrinkage) are recorded and counted by
     refusal class; more than 1 percent failures aborts, as in the risk
@@ -302,7 +301,9 @@ def power_simulation(n: int, p: int, sigma, delta, alpha: float = 0.05,
     if chol_sig.shape != (p, p):
         raise ValueError(f"sigma must be {p} x {p} for p={p}, got shape {chol_sig.shape}")
     scale = p ** 0.25 if rate == "hdim" else 1.0
-    with np.errstate(over="ignore"):  # a shift that overflows refuses every replicate
+    # d p^(1/4) may overflow before its division by sqrt(n); each mean is then
+    # infinite, and every replicate is refused
+    with np.errstate(over="ignore"):
         mu = d * scale / math.sqrt(n)
     # chisq_pvalue(lo) > alpha >= chisq_pvalue(crit) throughout
     lo, crit = 0.0, float(p)
@@ -325,8 +326,8 @@ def power_simulation(n: int, p: int, sigma, delta, alpha: float = 0.05,
             s, errors = None, [None] * len(xbar)
         else:
             s, errors = _cross_products((factors / root).swapaxes(1, 2))
-            for j in np.flatnonzero(~np.isfinite(xbar).all(axis=1)).tolist():
-                errors[j] = errors[j] or NumericError("the sample mean overflowed")
+        for j in np.flatnonzero(~np.isfinite(xbar).all(axis=1)).tolist():
+            errors[j] = errors[j] or NumericError("the sample mean overflowed")
         stats, errors = kernel(n, xbar, s, errors, chol_sig)
         return [stat > crit for stat in stats.tolist()], errors
 

@@ -246,8 +246,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--threads", type=int, default=None,
                         help=f"1 to {_MAX_THREADS} threads that each draw and score replicates; "
                              "results do not depend on it, BLAS stays on one thread.  "
-                             "Default: 2 if one replicate's draw holds n*p >= 2**18 values "
-                             "on 2 usable CPUs, else 1")
+                             "Default: 2 if n*p >= 2**18 on 2 usable CPUs, else 1")
     parser.add_argument("--output", default=None, help="write the report here instead of stdout")
     parser.add_argument("--format", choices=("json", "csv"), default=None,
                         help="output format (csv only for the mp grid; default: csv for mp, "
@@ -433,24 +432,12 @@ def _cmd_power(args, seed):
 
 
 def _loop_threads(args) -> dict:
-    """{"replicate_threads": the count run_chunks resolves} for a command with a replicate loop.
+    """{"replicate_threads": the count run_chunks resolves} for a command with a replicate loop."""
+    from ._rng import replicate_threads
 
-    It reads what the loop draws per replicate: a mean, and but for the
-    oracle its factor, for ``power``; a scatter factor for the risk loop;
-    rows for the esd and recovery experiments.
-    """
-    from ._rng import chunk_stacker, replicate_threads
-
-    if args.subcommand == "power":
-        draw = "mean" if args.method == "oracle" else "mean+factor"
-    elif args.subcommand == "risk" and args.monte_carlo:
-        draw = "factor"
-    elif args.subcommand == "simulate":
-        draw = "factor" if args.experiment == "risk" else "rows"
-    else:
-        return {}
-    _, values = chunk_stacker(draw, args.n, args.p)
-    return {"replicate_threads": replicate_threads(args.threads, values)}
+    if args.subcommand in ("simulate", "power") or args.subcommand == "risk" and args.monte_carlo:
+        return {"replicate_threads": replicate_threads(args.threads, args.n, args.p)}
+    return {}
 
 
 def run_cli(argv) -> int:

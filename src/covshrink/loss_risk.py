@@ -175,8 +175,8 @@ def replicate_losses(methods, sigma, n: int, replicates: int, seed: int,
     the scatter (L T)(L T)' by rounding alone, within 4 kappa(L) eps (|loss|
     + p); and the three class estimators never refuse a replicate, as their
     factors are valid.  ``threads`` sizes each pass's replicate loop; None,
-    the default, chooses it from the size of one replicate's factor, p^2
-    values (``_rng.replicate_threads``), and no loss depends on it.
+    the default, chooses it from n p (``_rng.replicate_threads``), and no
+    loss depends on it.
     """
     if isinstance(methods, str):
         raise TypeError(f"methods must be a sequence of tags, got the string {methods!r}")

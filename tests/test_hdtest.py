@@ -448,6 +448,18 @@ class TestPowerSimulation:
         assert rep.failures == want.failures + 2
         assert rep.failure_classes == {**want.failure_classes, "NumericError": 2}
 
+    @pytest.mark.parametrize("test", ["hotelling", "decomposite", "oracle"])
+    @pytest.mark.parametrize("sigma", [np.eye(2), [[1.0, 2.0], [2.0, 5.0]]],
+                             ids=["identity", "dense"])
+    def test_an_infinite_mean_is_refused_by_every_test(self, sigma, test):
+        # the product 1.7e308 * 2**(1/4) overflows before its division by sqrt(30),
+        # so every mean's first entry is inf.  With the dense sigma, whose factor
+        # [[1, 0], [2, 1]] the solve pivots, the oracle's statistic is inf, not
+        # NaN, and would read as a rejection: the mean itself must be refused
+        with pytest.raises(NumericError, match="200 of 200 replicates failed") as info:
+            power_simulation(30, 2, sigma, [1.7e308, 0.0], replicates=200, seed=3, method=test)
+        assert str(info.value).endswith("refusals: NumericError 200")
+
     @pytest.mark.parametrize("size", [3, 1])
     def test_sigma_of_other_size_than_p_is_refused_before_any_draw(self, monkeypatch, size):
         def no_draw(*args, **kwargs):

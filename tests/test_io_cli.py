@@ -543,8 +543,8 @@ class TestPowerCommand:
         assert "--delta '0,,0' has an empty field at position 2" in capsys.readouterr().err
 
     def test_oracle_mean_overflow_is_2(self, tmp_path, capsys):
-        # the mean shift delta p^(1/4) / sqrt(n) overflows, and with it every sample
-        # mean, so every oracle statistic is NaN and refused
+        # the product delta p^(1/4) overflows before its division by sqrt(n), so the
+        # shift and every sample mean are infinite, and every replicate is refused
         argv = ["power", "--n", "30", "--p", "2", "--method", "oracle", "--delta"]
         assert run_cli(argv + ["1.7e308,0"]) == 2
         err = capsys.readouterr().err
@@ -554,8 +554,9 @@ class TestPowerCommand:
 
     @pytest.mark.parametrize("method", ["hotelling", "decomposite", "oracle"])
     def test_overflowing_replicates_are_refusals(self, method, capsys):
-        # the mean shift overflows, so every sample mean does: each replicate is a
-        # NumericError refusal, and the abort message is the only line on stderr
+        # delta p^(1/4) overflows before its division by sqrt(n), so every sample mean
+        # is infinite: each replicate is a NumericError refusal, and the abort message
+        # is the only line on stderr
         assert run_cli(["power", "--n", "30", "--p", "2", "--method", method, "--delta",
                         "1.7e308,0", "--replicates", "200"]) == 2
         assert capsys.readouterr().err == (
@@ -1122,33 +1123,16 @@ class TestDefaultThreads:
         assert set(doc.timestamps) - {"replicate_threads"} == {"started", "finished"}
 
     @pytest.mark.parametrize("argv", [
-        ["risk", "--n", "30", "--p", "6", "--monte-carlo", "--replicates", "100"],
-        ["simulate", "--experiment", "risk", "--n", "30", "--p", "6", "--replicates", "5"],
-        ["simulate", "--experiment", "esd", "--n", "30", "--p", "6", "--replicates", "5"],
-        ["power", "--n", "30", "--p", "6", "--delta", "1,0,0,0,0,0", "--replicates", "20"],
-        ["power", "--n", "30", "--p", "6", "--delta", "1,0,0,0,0,0", "--replicates", "20",
-         "--method", "oracle"],
-    ], ids=["risk", "simulate-risk", "esd", "power", "power-oracle"])
-    def test_the_report_reads_the_value_count_its_loop_reads(self, tmp_path, monkeypatch, argv):
-        # every call of the thread rule, the report's and the loop's, sees one count
-        seen, rule = [], _rng.replicate_threads
-
-        def recorded(threads, values):
-            seen.append(values)
-            return rule(threads, values)
-
-        monkeypatch.setattr(_rng, "replicate_threads", recorded)
-        run_json(tmp_path, argv)
-        assert len(seen) >= 2 and len(set(seen)) == 1
-
-    @pytest.mark.parametrize("experiment, threads", [("esd", 2), ("recovery", 2), ("risk", 1)])
-    def test_at_1600_by_400_only_the_row_loops_default_to_two_threads(self, monkeypatch,
-                                                                      experiment, threads):
-        # rows hold n p = 640,000 values, a risk replicate's factor p^2 = 160,000
+        ["simulate", "--experiment", "esd"], ["simulate", "--experiment", "recovery"],
+        ["simulate", "--experiment", "risk"], ["risk", "--monte-carlo"],
+        ["power", "--method", "decomposite", "--delta", ",".join(["0"] * 400)],
+        ["power", "--method", "oracle", "--delta", ",".join(["0"] * 400)],
+    ], ids=["esd", "recovery", "simulate-risk", "risk", "power", "power-oracle"])
+    def test_at_1600_by_400_every_loop_defaults_to_two_threads(self, monkeypatch, argv):
+        # n p = 640,000, whether the loop draws rows, a factor or a mean
         monkeypatch.setattr(_rng, "_usable_cpus", lambda: 2)
-        args = io_cli.build_parser().parse_args(["simulate", "--experiment", experiment,
-                                                 "--n", "1600", "--p", "400"])
-        assert io_cli._loop_threads(args) == {"replicate_threads": threads}
+        args = io_cli.build_parser().parse_args(argv + ["--n", "1600", "--p", "400"])
+        assert io_cli._loop_threads(args) == {"replicate_threads": 2}
 
     @pytest.mark.parametrize("threads", ["0", "-3", "1000"])
     def test_a_count_out_of_range_is_2_before_any_thread_starts(self, capsys, monkeypatch,

@@ -334,8 +334,7 @@ class TestScoringOnEveryThread:
 
 
 class TestDefaultThreadCount:
-    """threads=None runs two workers exactly when a replicate's draw holds >= 2**18 values and 2
-    CPUs are usable."""
+    """threads=None runs two workers exactly when n*p >= 2**18 and 2 CPUs are usable."""
 
     @staticmethod
     def drawing_threads(monkeypatch, cpus, n, p, threads=None):
@@ -364,24 +363,37 @@ class TestDefaultThreadCount:
         assert on == {threading.get_ident()}
         default, on = self.drawing_threads(monkeypatch, cpus, n, p)
         ahead = n * p >= 2 ** 18 and cpus >= 2
-        assert _rng.replicate_threads(None, n * p) == (2 if ahead else 1)
+        assert _rng.replicate_threads(None, n, p) == (2 if ahead else 1)
         assert (threading.get_ident() not in on) == ahead and len(on) <= (2 if ahead else 1)
         assert default == serial and len(serial[0]) == 3
 
     def test_an_explicit_count_is_kept_above_the_threshold(self, monkeypatch):
         _, on = self.drawing_threads(monkeypatch, 2, 1024, 256, threads=1)
         assert on == {threading.get_ident()}
-        assert _rng.replicate_threads(1, 1024 * 256) == 1
-        assert _rng.replicate_threads(3, 10 * 5) == 3
+        assert _rng.replicate_threads(1, 1024, 256) == 1
+        assert _rng.replicate_threads(3, 10, 5) == 3
 
-    def test_the_count_follows_what_a_replicate_draws(self, monkeypatch):
-        # at 1600 x 400 rows hold 640,000 values and a factor 160,000, so the esd and
-        # recovery loops default to two threads and the risk and power loops to one
+    @pytest.mark.parametrize("draw, stacker", [("factor", "bartlett_chunk"),
+                                               ("mean", "mean_chunk"),
+                                               ("mean+factor", "mean_chunk")])
+    def test_the_count_reads_n_p_whatever_the_loop_draws(self, monkeypatch, draw, stacker):
+        # at n = 1024, p = 256 a replicate draws 2**16 values or fewer, yet two
+        # workers draw and score, as for rows: the count reads n p alone
         monkeypatch.setattr(_rng, "_usable_cpus", lambda: 2)
-        threads = {draw: _rng.replicate_threads(None, chunk_stacker(draw, 1600, 400)[1])
-                   for draw in ("rows", "factor", "mean", "mean+factor")}
-        assert threads == {"rows": 2, "factor": 1, "mean": 1, "mean+factor": 1}
-        assert _rng.replicate_threads(None, chunk_stacker("factor", 600, 600)[1]) == 2
+        worked_on, real = [], getattr(_rng, stacker)
+
+        def recorded(*args, **kwargs):
+            worked_on.append(threading.get_ident())
+            return real(*args, **kwargs)
+
+        def score_chunk(start, drawn):
+            k = len(drawn[0] if isinstance(drawn, tuple) else drawn)
+            return [0.0] * k, [None] * k
+
+        monkeypatch.setattr(_rng, stacker, recorded)
+        outcomes, _ = run_chunks(score_chunk, 12, np.eye(256), 1024, 3, draw=draw)
+        assert outcomes == [0.0] * 3 and worked_on
+        assert threading.get_ident() not in worked_on and len(set(worked_on)) <= 2
 
     def test_usable_cpus_falls_back_to_the_machines_count(self, monkeypatch):
         monkeypatch.setattr(_rng.os, "sched_getaffinity", lambda pid: {0, 3, 5}, raising=False)
