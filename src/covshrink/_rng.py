@@ -5,28 +5,28 @@ hash of (master seed, replicate index), so results are bit-identical no
 matter how replicates are scheduled across workers.  The generator is
 NumPy's ``default_rng`` of that hash, bit for bit; the SeedSequence words it
 starts from are computed for SEED_BLOCK consecutive indices at once and
-cached.  ``run_chunks`` is the one replicate loop: it draws replicates,
-stacked into chunks of a fixed byte budget, hands each chunk whole to a
-stacked scorer, and counts the refused replicates by class.  A replicate is
-what its scorer reads, drawn directly: n rows of N(0, Sigma)
-(``gaussian_rows``); for a scorer that reads only the scatter, the
-scatter's Cholesky factor (``bartlett_factor``); for one that reads only
-the sample mean and the centered scatter, the mean and, if the scorer reads
-it, the centered scatter's factor (``mean_and_factor``).  Each has one chunk
-stacker, ``chunk_stacker`` names it with the float64 values it draws per
-replicate, and that count sizes the chunk.  The default thread count
+cached.
+
+A replicate is one draw from its generator that two numbers describe:
+``rows`` rows of N(0, Sigma) (``gaussian_rows``), then, when ``dof`` is not
+None, the Cholesky factor of the scatter of ``dof`` such rows
+(``bartlett_factor``).  A loop draws what its scorer reads: n rows, a
+scatter's factor alone (no rows), or one row for a sample mean and, if the
+scorer reads it, the centered scatter's factor.  ``draw_chunk`` stacks a
+chunk of replicates, and ``run_chunks`` is the one replicate loop: it draws
+chunks of a fixed byte budget, hands each whole to a stacked scorer, and
+counts the refused replicates by class.  The default thread count
 (``replicate_threads``) reads n p, whatever the loop draws.  On more than
 one thread, each worker draws and scores whole chunks, and the calling
-thread merges the outcomes in replicate order.  ``check_failures`` is the one place the failed-replicate
-tolerance is enforced, and ``aggregate`` the one mean and standard error
-over the replicates that completed.
+thread merges the outcomes in replicate order.  ``check_failures`` is the
+one place the failed-replicate tolerance is enforced, and ``aggregate`` the
+one mean and standard error over the replicates that completed.
 """
 
 from __future__ import annotations
 
 import functools
 import hashlib
-import math
 import os
 from collections import Counter, deque
 
@@ -37,9 +37,9 @@ from .matrix_core import unit_exponents
 
 MAX_FAILURE_FRACTION = 0.01
 # replicates per chunk: as many draws as fit in 256 KiB of float64, counted by
-# what one replicate's draw holds (n p rows, a p x p factor, or a mean of p and
-# its factor), so a chunk adds little to the peak memory at any (n, p) while
-# amortizing the per-call overhead at small p
+# what one replicate's draw holds (rows p, and p^2 more for a factor), so a
+# chunk adds little to the peak memory at any size while amortizing the
+# per-call overhead at small p
 CHUNK_BYTES = 256 * 1024
 # n p, the float64 values in n rows of p (2 MiB), from which the default is two
 # threads, on 2 usable CPUs.  The measurements behind it are in README's CLI
@@ -185,20 +185,6 @@ def bartlett_factor(rng: np.random.Generator, chol_factor: np.ndarray, n: int) -
     return chol_factor @ t
 
 
-def mean_and_factor(rng: np.random.Generator, chol_factor: np.ndarray, n: int,
-                    factor: bool = True) -> tuple:
-    """The mean of n >= 2 rows of N(0, L L') and, if ``factor``, their centered scatter's factor.
-
-    Both are drawn directly.  The mean is z' L' / sqrt(n), z the first p
-    standard normals of rng.  The centered scatter is W_p(n - 1, L L') and
-    independent of the mean (Anderson, sec. 3.3 and 7.2), so its Cholesky
-    factor is ``bartlett_factor(rng, L, n - 1)``, drawn next from the same
-    generator; None if not ``factor``.  The mean is the same either way.
-    """
-    xbar = rng.standard_normal(chol_factor.shape[0]) @ chol_factor.T / math.sqrt(n)
-    return xbar, bartlett_factor(rng, chol_factor, n - 1) if factor else None
-
-
 def chunk_replicates(values: int) -> int:
     """Replicates per chunk, at least one: as many ``values``-value draws as fit in CHUNK_BYTES."""
     return max(1, CHUNK_BYTES // (8 * values))
@@ -226,19 +212,6 @@ def _rows_times(z: np.ndarray, chol_factor: np.ndarray) -> np.ndarray:
     return z if (scale == 1.0).all() else np.multiply(z, scale, out=z)
 
 
-def draw_chunk(seed: int, chol_factor: np.ndarray, n: int, start: int, stop: int) -> np.ndarray:
-    """Replicates start .. stop - 1 as Gaussian rows, stacked as a (stop - start, n, p) array.
-
-    Slice j is bit for bit ``gaussian_rows(replicate_rng(seed, start + j),
-    chol_factor, n)``: each replicate keeps its own stream, and the
-    stacked product applies the same matrix product to every slice.
-    """
-    z = np.empty((stop - start, n, chol_factor.shape[0]))
-    for j in range(stop - start):
-        replicate_rng(seed, start + j).standard_normal(out=z[j])
-    return _rows_times(z, chol_factor)
-
-
 @functools.lru_cache(maxsize=8)
 def _strictly_lower(p: int) -> np.ndarray:
     """Flat indices of the entries below a (p, p) matrix's diagonal, in ``np.tril_indices`` order.
@@ -252,35 +225,12 @@ def _strictly_lower(p: int) -> np.ndarray:
     return flat
 
 
-def _variates(seed: int, start: int, stop: int, p: int, mean: bool, dof: int | None) -> tuple:
-    """Replicates start .. stop - 1's variates, each from its own stream in stream order.
-
-    (z, normals, gammas), stacked: z (k, 1, p), the p standard normals of a
-    mean, if ``mean``; then, if dof is not None, Bartlett's p(p - 1)/2
-    normals and p gamma variates of shapes (dof - i) / 2, i = 0 .. p - 1.
-    What is not drawn is None.
-    """
-    k = stop - start
-    z = np.empty((k, 1, p)) if mean else None
-    normals = gammas = None
-    if dof is not None:
-        normals, gammas = np.empty((k, p * (p - 1) // 2)), np.empty((k, p))
-        half_dof = (dof - np.arange(p)) / 2.0
-    for j in range(k):
-        rng = replicate_rng(seed, start + j)
-        if mean:
-            rng.standard_normal(out=z[j, 0])
-        if dof is not None:
-            rng.standard_normal(out=normals[j])
-            rng.standard_gamma(half_dof, out=gammas[j])
-    return z, normals, gammas
-
-
 def _factors(chol_factor: np.ndarray, normals: np.ndarray, gammas: np.ndarray) -> np.ndarray:
-    """The (k, p, p) stack L T of ``_variates``' Bartlett variates, as ``bartlett_factor`` forms it.
+    """The (k, p, p) stack L T of Bartlett normals (k, p(p-1)/2) and gammas (k, p).
 
-    A diagonal L scales T's rows instead (``_diagonal``), and the identity
-    returns T itself.
+    Each slice is formed as ``bartlett_factor`` forms it.  A diagonal L
+    scales T's rows instead (``_diagonal``), and the identity returns T
+    itself.
     """
     k, p = gammas.shape
     t = np.zeros((k, p * p))
@@ -294,47 +244,33 @@ def _factors(chol_factor: np.ndarray, normals: np.ndarray, gammas: np.ndarray) -
     return t if (scale == 1.0).all() else np.multiply(t, scale[:, None], out=t)
 
 
-def bartlett_chunk(seed: int, chol_factor: np.ndarray, n: int, start: int,
-                   stop: int) -> np.ndarray:
-    """Replicates start .. stop - 1 as scatter factors, stacked as a (stop - start, p, p) array.
+def draw_chunk(seed: int, chol_factor: np.ndarray, start: int, stop: int, rows: int,
+               dof: int | None = None) -> tuple:
+    """Replicates start .. stop - 1 as (x, t): x a (k, rows, p) stack, t a (k, p, p) one or None.
 
-    Slice j is bit for bit ``bartlett_factor(replicate_rng(seed, start +
-    j), chol_factor, n)``: each replicate's variates come from its own
-    stream in the same order, and the stacked product applies the same
-    matrix product to every slice.
+    For replicate start + j, with rng its ``replicate_rng``, slice j of x
+    is bit for bit ``gaussian_rows(rng, chol_factor, rows)``, and, when dof
+    is not None, slice j of t is ``bartlett_factor(rng, chol_factor, dof)``
+    drawn next from the same generator; t is None otherwise.  Each
+    replicate's variates come from its own stream in the references'
+    order, and each stacked product applies the same matrix product to
+    every slice.  At rows = 0 no row draw is made: an empty draw does not
+    advance the stream, but costs about a microsecond per replicate.
     """
-    _, normals, gammas = _variates(seed, start, stop, chol_factor.shape[0], False, n)
-    return _factors(chol_factor, normals, gammas)
-
-
-def mean_chunk(seed: int, chol_factor: np.ndarray, n: int, start: int, stop: int,
-               factor: bool = True) -> tuple:
-    """Replicates start .. stop - 1 as means (k, p) and centered scatter factors (k, p, p).
-
-    The factors are None if not ``factor``.  Slice j of each is bit for bit
-    that of ``mean_and_factor(replicate_rng(seed, start + j), chol_factor,
-    n, factor)``.  The means are formed as
-    ``draw_chunk`` forms rows, one row per replicate (a (1, p) product is
-    the reference's vector product), and the factors as ``bartlett_chunk``
-    forms them.
-    """
-    z, normals, gammas = _variates(seed, start, stop, chol_factor.shape[0], True,
-                                   n - 1 if factor else None)
-    means = _rows_times(z, chol_factor)[:, 0] / math.sqrt(n)
-    return means, _factors(chol_factor, normals, gammas) if factor else None
-
-
-def chunk_stacker(draw: str, n: int, p: int) -> tuple:
-    """(chunk stacker, float64 values it draws per replicate) of replicates drawn as ``draw``.
-
-    "rows": ``draw_chunk``, n p; "factor": ``bartlett_chunk``, p^2; "mean":
-    ``mean_chunk`` without the factor, p; "mean+factor": ``mean_chunk``,
-    p + p^2.  The stackers are read from this module at each call, so a
-    stub of one is what draws.
-    """
-    return {"rows": (draw_chunk, n * p), "factor": (bartlett_chunk, p * p),
-            "mean": (functools.partial(mean_chunk, factor=False), p),
-            "mean+factor": (mean_chunk, p + p * p)}[draw]
+    k, p = stop - start, chol_factor.shape[0]
+    z = np.empty((k, rows, p))
+    if dof is not None:
+        normals, gammas = np.empty((k, p * (p - 1) // 2)), np.empty((k, p))
+        half_dof = (dof - np.arange(p)) / 2.0
+    for j in range(k):
+        rng = replicate_rng(seed, start + j)
+        if rows:
+            rng.standard_normal(out=z[j])
+        if dof is not None:
+            rng.standard_normal(out=normals[j])
+            rng.standard_gamma(half_dof, out=gammas[j])
+    x = _rows_times(z, chol_factor) if rows else z
+    return x, None if dof is None else _factors(chol_factor, normals, gammas)
 
 
 def _usable_cpus() -> int:
@@ -352,32 +288,34 @@ def replicate_threads(threads: int | None, n: int, p: int) -> int:
     TWO_THREAD_VALUES and the process may run on two CPUs; one otherwise.
     It reads n p whatever the loop draws: a loop over a factor or a mean
     still scores kernels of p x p matrices, and at p = 300 and 400 those
-    overlap on two threads.
+    overlap on two threads.  A count below 1 is a ValueError.
     """
-    if threads is not None:
-        return threads
-    return 2 if n * p >= TWO_THREAD_VALUES and _usable_cpus() >= 2 else 1
+    if threads is None:
+        return 2 if n * p >= TWO_THREAD_VALUES and _usable_cpus() >= 2 else 1
+    if threads < 1:
+        raise ValueError(f"need at least 1 thread, got {threads}")
+    return threads
 
 
 def run_chunks(score_chunk, seed: int, chol_factor: np.ndarray, n: int, replicates: int,
-               threads: int | None = None, draw: str = "rows") -> tuple[list, dict]:
+               threads: int | None = None, *, rows: int,
+               dof: int | None = None) -> tuple[list, dict]:
     """Each replicate's outcome, in replicate order, and the refusals as {class name: count}.
 
-    ``score_chunk(start, x)``, x the chunk of replicates start .. stop - 1
-    that ``chunk_stacker(draw, n, p)``'s stacker draws, returns a value and
-    a refusal (a CovshrinkError, or None) per replicate; a refused
-    replicate's outcome is None.  Replicate r is, by ``draw``: "rows",
-    ``gaussian_rows(replicate_rng(seed, r), chol_factor, n)``, N(0, L L')
-    rows; "factor", ``bartlett_factor`` of the same generator, the
-    Cholesky factor of such rows' scatter; "mean" and "mean+factor",
-    ``mean_and_factor`` of it, such rows' mean, without and with their
-    centered scatter's factor.  A scorer that needs other data (a shifted
-    mean) transforms its own chunk, which no other scorer reads.  A chunk
-    holds ``chunk_replicates`` of the values one replicate draws, and the
-    thread count, when ``threads`` is None, is ``replicate_threads(None,
-    n, p)``.  The chunk size depends on (draw, n, p) alone, so every
-    outcome depends on (seed, r) alone, never on ``threads``.  Errors
-    raised by ``score_chunk`` propagate.
+    ``score_chunk(start, x, t)``, (x, t) = ``draw_chunk(seed, chol_factor,
+    start, stop, rows, dof)`` the chunk of replicates start .. stop - 1,
+    returns a value and a refusal (a CovshrinkError, or None) per
+    replicate; a refused replicate's outcome is None.  So replicate r is
+    ``rows`` N(0, L L') rows drawn from ``replicate_rng(seed, r)`` and,
+    when dof is not None, the Cholesky factor of the scatter of dof such
+    rows, drawn next from the same generator.  A scorer that needs other
+    data (a sample mean, a shifted one) forms it from its own chunk, which
+    no other scorer reads.  A chunk holds ``chunk_replicates`` of the rows
+    p values, plus p^2 with a factor, that one replicate draws.  n is the
+    sample count the default thread count reads, ``replicate_threads(None,
+    n, p)`` when ``threads`` is None.  The chunk size depends on (rows,
+    dof, p) alone, so every outcome depends on (seed, r) alone, never on
+    ``threads``.  Errors raised by ``score_chunk`` propagate.
 
     Above one thread, ``threads`` workers each draw and score whole chunks,
     and the calling thread only merges their outcomes and refusals in
@@ -386,15 +324,14 @@ def run_chunks(score_chunk, seed: int, chol_factor: np.ndarray, n: int, replicat
     past it are drawn.
     """
     p = chol_factor.shape[0]
-    stacker, size = chunk_stacker(draw, n, p)
     threads = replicate_threads(threads, n, p)
-    step = chunk_replicates(size)
+    step = chunk_replicates(rows * p + (p * p if dof is not None else 0))
     starts = range(0, replicates, step)
     outcomes, refusals = [], Counter()
 
     def scored(start: int) -> tuple:
-        return score_chunk(start, stacker(seed, chol_factor, n, start,
-                                          min(start + step, replicates)))
+        stop = min(start + step, replicates)
+        return score_chunk(start, *draw_chunk(seed, chol_factor, start, stop, rows, dof))
 
     def merge(values: list, errors: list) -> None:
         outcomes.extend(None if e is not None else v for v, e in zip(values, errors))

@@ -250,16 +250,16 @@ def power_simulation(n: int, p: int, sigma, delta, alpha: float = 0.05,
     once, and the factor both draws the replicates and feeds the kernel.
 
     Every test reads only the sample mean and S of n rows of N(mu, sigma),
-    and replicate r draws those directly from ``replicate_rng(seed, r)``:
-    ``_rng.mean_and_factor(rng, L, n, factor)`` gives the mean of N(0,
-    sigma) rows, L z / sqrt(n) for the generator's first p normals z, and
-    for the tests that read S, the Cholesky factor L T of the centered
-    scatter, T Bartlett's factor at n - 1 degrees of freedom; L =
-    cholesky(sigma).  So the oracle's mean at (seed, r) is the other tests'
-    mean, bit for bit.  Each chunk's means are shifted by mu in place, and
-    S is F F' for F = L T / sqrt(n - 1), whose product is refused where S
-    overflows.  A replicate whose mean is not finite is refused by every
-    test.
+    and replicate r draws those directly from rng = ``replicate_rng(seed,
+    r)``, as ``_rng.run_chunks`` draws at rows = 1: the mean of N(0,
+    sigma) rows is ``gaussian_rows(rng, L, 1)[0] / sqrt(n)``, L =
+    cholesky(sigma), and, for the tests that read S, dof = n - 1 gives
+    ``bartlett_factor(rng, L, n - 1)``, the Cholesky factor L T of the
+    centered scatter, drawn next.  So the oracle's mean at (seed, r) is the
+    other tests' mean, bit for bit.  Each chunk's means are shifted by mu
+    in place, and S is F F' for F = L T / sqrt(n - 1), whose product is
+    refused where S overflows.  A replicate whose mean is not finite is
+    refused by every test.
 
     Parameters
     ----------
@@ -316,11 +316,11 @@ def power_simulation(n: int, p: int, sigma, delta, alpha: float = 0.05,
         else:
             crit = mid
     kernel = MEAN_TESTS[method]
-    root = math.sqrt(n - 1)
+    root_n, root = math.sqrt(n), math.sqrt(n - 1)
 
     @np.errstate(over="ignore", invalid="ignore")
-    def score_chunk(start: int, drawn: tuple) -> tuple[list, list]:
-        xbar, factors = drawn
+    def score_chunk(start: int, x: np.ndarray, factors) -> tuple[list, list]:
+        xbar = x[:, 0] / root_n
         xbar += mu
         if factors is None:
             s, errors = None, [None] * len(xbar)
@@ -332,7 +332,7 @@ def power_simulation(n: int, p: int, sigma, delta, alpha: float = 0.05,
         return [stat > crit for stat in stats.tolist()], errors
 
     outcomes, refusals = run_chunks(score_chunk, seed, chol_sig, n, replicates, threads,
-                                    draw="mean" if method == "oracle" else "mean+factor")
+                                    rows=1, dof=None if method == "oracle" else n - 1)
     failures = check_failures(refusals, replicates, method, n, p)
     ok = [o for o in outcomes if o is not None]
     m = len(ok)

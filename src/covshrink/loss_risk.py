@@ -162,10 +162,11 @@ def replicate_losses(methods, sigma, n: int, replicates: int, seed: int,
     uncentered, on n >= p observations.
 
     Every estimator here reads only the scatter, so a replicate is the
-    scatter's Cholesky factor L T, drawn directly: replicate r of every
-    method's pass is ``bartlett_factor(replicate_rng(seed, r), L, n)``, L
-    sigma's factor and T Bartlett's, so all methods see the same data, and
-    no replicate forms a scatter or factors one.  Each method is scored by
+    scatter's Cholesky factor L T, drawn directly with no rows (rows = 0,
+    dof = n in ``_rng.run_chunks``): replicate r of every method's pass is
+    ``bartlett_factor(replicate_rng(seed, r), L, n)``, L sigma's factor and
+    T Bartlett's, so all methods see the same data, and no replicate forms
+    a scatter or factors one.  Each method is scored by
     its FACTOR_ESTIMATORS kernel a chunk at a time, from the factor F (F F' =
     phi) and log det phi the kernel holds: L T / sqrt(n) for ``sample``,
     L T diag(d^-1/2) for ``stein_triangular`` and diag(t_ii / sqrt(d_i)),
@@ -198,12 +199,12 @@ def replicate_losses(methods, sigma, n: int, replicates: int, seed: int,
         inv_target = _inverse_factor(t_target)
         estimate = FACTOR_ESTIMATORS[method]
 
-        def score_chunk(start: int, t: np.ndarray) -> tuple[list, list]:
+        def score_chunk(start: int, _, t: np.ndarray) -> tuple[list, list]:
             (f, logdet), errors = estimate(t, n)
             return _stein_losses(f, logdet, t_target, inv_target).tolist(), errors
 
         out[method] = run_chunks(score_chunk, seed, chol_sig, n, replicates, threads,
-                                 draw="factor")
+                                 rows=0, dof=n)
     return out
 
 

@@ -15,8 +15,10 @@ risk_comparison_experiment
     closed-form minima.
 
 Each takes ``threads``, the thread count of its replicate loop; None, the
-default, chooses it from the size of one replicate's draw
-(``_rng.replicate_threads``).  No result depends on it.
+default, chooses it from n p (``_rng.replicate_threads``).  No result
+depends on it.  A replicate of the recovery and esd experiments is n rows of
+N(0, sigma) (rows = n in ``_rng.run_chunks``); the risk experiment's are
+``replicate_losses``' scatter factors.
 """
 
 import math
@@ -189,7 +191,7 @@ def eigenvalue_recovery_experiment(config: ExperimentConfig,
     chol_sig = cholesky(sigma)
     n = config.n
 
-    def score_chunk(first: int, x: np.ndarray) -> tuple[list, list]:
+    def score_chunk(first: int, x: np.ndarray, _) -> tuple[list, list]:
         spectra = eigvalsh_stack(unrefused(*scatter_stack(x)) / n)[:, ::-1]
         scale = np.ldexp(1.0, -unit_exponents(spectra, axis=1)).tolist()
         psi, d = shrinkage_terms(spectra, n)
@@ -209,7 +211,8 @@ def eigenvalue_recovery_experiment(config: ExperimentConfig,
                              if ok else None,
         } for j, (l, ok, s) in enumerate(zip(spectra, accepted, scale))], [None] * len(x)
 
-    rows, _ = run_chunks(score_chunk, config.seed, chol_sig, n, config.replicates, threads)
+    rows, _ = run_chunks(score_chunk, config.seed, chol_sig, n, config.replicates, threads,
+                         rows=n)
     failures = sum(1 for row in rows if row["shrunk_mae"] is None)
     metrics = {
         "sample_mae": aggregate(row["sample_mae"] for row in rows),
@@ -230,13 +233,14 @@ def esd_fit_experiment(config: ExperimentConfig, threads: int | None = None) -> 
     model = MPModel(p / n)
     i = np.arange(1, p + 1)
 
-    def score_chunk(first: int, x: np.ndarray) -> tuple[list, list]:
+    def score_chunk(first: int, x: np.ndarray, _) -> tuple[list, list]:
         # eigvalsh_stack returns each spectrum ascending, the order the KS distance reads
         f = mp_cdf(eigvalsh_stack(unrefused(*scatter_stack(x)) / n), model)
         ks = np.max(np.maximum(np.abs(f - i / p), np.abs(f - (i - 1) / p)), axis=1).tolist()
         return [{"replicate": first + j, "ks": v} for j, v in enumerate(ks)], [None] * len(ks)
 
-    rows, _ = run_chunks(score_chunk, config.seed, np.eye(p), n, config.replicates, threads)
+    rows, _ = run_chunks(score_chunk, config.seed, np.eye(p), n, config.replicates, threads,
+                         rows=n)
     metrics = {"ks": aggregate(row["ks"] for row in rows), "concentration": p / n}
     return _report(config, metrics, rows, 0, start)
 

@@ -47,3 +47,7 @@ def test_the_cli_accepts_every_extra_call(tmp_path):
         "power_hotelling_n_p_plus_1": ("hotelling", 1),
         "power_oracle_n_below_p_plus_1": ("oracle", -1)}
     assert io_cli.read_csv(str(tmp_path / "extra.csv")).shape == (30, 4)
+    # the row-free risk draw on worker threads with a dense population factor
+    threaded = io_cli.build_parser().parse_args(dict(calls)["risk_ar1_threads_2"])
+    assert (threaded.threads, threaded.model, threaded.monte_carlo) == (2, "ar1:0.6", True)
+    assert threaded.methods.split(",") == ["sample", "stein_triangular", "dp_equivariant", "tsai"]

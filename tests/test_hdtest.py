@@ -26,7 +26,7 @@ from covshrink import (
     tsai_eigenvalues,
 )
 from covshrink import _rng, hdtest
-from covshrink._rng import draw_chunk, mean_and_factor, replicate_rng
+from covshrink._rng import bartlett_factor, draw_chunk, gaussian_rows, replicate_rng
 from covshrink.estimators import centered_stack
 from covshrink.hdtest import MEAN_TESTS, mean_test
 from covshrink.matrix_core import cholesky
@@ -67,7 +67,7 @@ class TestStackedKernels:
     @pytest.mark.parametrize("sigma", [np.eye(4), ar1(4, 0.6)], ids=["identity", "ar1"])
     def test_slices_equal_the_public_test_bit_for_bit(self, test, sigma):
         # n=8, p=4 makes the shrinker refuse some slices; slice 5 is collinear
-        x = draw_chunk(11, cholesky(sigma), 8, 0, 40) + 0.3
+        x = draw_chunk(11, cholesky(sigma), 0, 40, 8)[0] + 0.3
         x[5, :, 3] = x[5, :, 2]
         stats, errors = kernel_on_samples(test, x, cholesky(sigma))
         assert len(stats) == len(errors) == 40
@@ -90,7 +90,7 @@ class TestStackedKernels:
     def test_statistics_equal_the_per_sample_formulas_bit_for_bit(self, sigma):
         # each statistic written out from the public pieces, one sample at a time
         n = 40
-        x = draw_chunk(12, cholesky(sigma), n, 0, 60) + 0.2
+        x = draw_chunk(12, cholesky(sigma), 0, 60, n)[0] + 0.2
         stats = {test: kernel_on_samples(test, x, cholesky(sigma)) for test in MEAN_TESTS}
         for j in range(60):
             xbar = x[j].mean(axis=0)
@@ -109,7 +109,7 @@ class TestStackedKernels:
     def test_an_overflowing_slice_is_refused_alone(self, test):
         # slice 2's sample mean overflows; the other slices keep their bits
         t = cholesky(ar1(3, 0.5))
-        x = draw_chunk(13, t, 30, 0, 6) + 0.2
+        x = draw_chunk(13, t, 0, 6, 30)[0] + 0.2
         want_stats, want_errors = kernel_on_samples(test, np.delete(x, 2, axis=0), t)
         x[2] = 1e308
         stats, errors = kernel_on_samples(test, x, t)
@@ -119,7 +119,7 @@ class TestStackedKernels:
 
     def test_oracle_and_power_refuse_an_indefinite_sigma(self):
         sigma = np.diag([1.0, -1.0, 2.0])
-        x = draw_chunk(3, np.eye(3), 10, 0, 1)[0]
+        x = draw_chunk(3, np.eye(3), 0, 1, 10)[0][0]
         message = "leading minor of order 2 is not positive definite"
         with pytest.raises(NotPositiveDefiniteError, match=message):
             oracle_t2(x, sigma)
@@ -385,8 +385,9 @@ class TestPowerSimulation:
     @pytest.mark.parametrize("threads", [1, 2])
     @pytest.mark.parametrize("test", list(MEAN_TESTS))
     def test_equals_a_loop_over_the_public_test(self, test, threads):
-        # replicate r is mean_and_factor's draw, shifted by mu, with S = F F' for
-        # F = L T / sqrt(n - 1), scored one at a time by the public test's k = 1
+        # replicate r is one row z L' from its generator, whose mean z L' / sqrt(n)
+        # is shifted by mu, then, but for the oracle, the factor F = L T drawn next,
+        # with S = F F' / (n - 1), scored one at a time by the public test's k = 1
         # kernel.  At n=40 the shrinker refuses 1 of 400, within the 1 % limit
         n, p, sigma = 40, 4, ar1(4, 0.5)
         t = cholesky(sigma)
@@ -396,7 +397,9 @@ class TestPowerSimulation:
         mu = delta * p ** 0.25 / math.sqrt(n)
         rejections, classes = [], {}
         for r in range(400):
-            xbar, f = mean_and_factor(replicate_rng(1, r), t, n, test != "oracle")
+            rng = replicate_rng(1, r)
+            xbar = gaussian_rows(rng, t, 1)[0] / math.sqrt(n)
+            f = None if test == "oracle" else bartlett_factor(rng, t, n - 1)
             s = None if f is None else (f / math.sqrt(n - 1)) @ (f / math.sqrt(n - 1)).T
             stats, errors = MEAN_TESTS[test](n, (xbar + mu)[None], None if s is None else s[None],
                                              [None], t)
@@ -416,15 +419,15 @@ class TestPowerSimulation:
         # a replicate is refused, not counted as "not rejected"
         with pytest.raises(NumericError, match="NaN"):
             oracle_t2(np.full((30, 2), 1e308), np.eye(2))
-        draw = _rng.mean_chunk
+        draw = _rng.draw_chunk
 
-        def overflow_first(*args, **kwargs):
-            xbar, factors = draw(*args, **kwargs)
-            if args[3] == 0:
-                xbar[0, 0] = np.inf  # replicate 0's mean overflowed
-            return xbar, factors
+        def overflow_first(*args):
+            x, factors = draw(*args)
+            if args[2] == 0:
+                x[0, 0, 0] = np.inf  # replicate 0's mean overflowed
+            return x, factors
 
-        monkeypatch.setattr(_rng, "mean_chunk", overflow_first)
+        monkeypatch.setattr(_rng, "draw_chunk", overflow_first)
         rep = power_simulation(30, 2, np.eye(2), np.zeros(2), replicates=400, seed=3)
         assert (rep.failures, rep.replicates) == (1, 399)
         assert rep.failure_classes == {"NumericError": 1}
@@ -434,16 +437,16 @@ class TestPowerSimulation:
         # replicate 0's mean overflows and replicate 1's S does; each is refused alone
         args = (100, 2, np.eye(2), np.zeros(2))
         want = power_simulation(*args, replicates=400, seed=3, method=test)
-        draw = _rng.mean_chunk
+        draw = _rng.draw_chunk
 
-        def overflow_two(*args, **kwargs):
-            xbar, factors = draw(*args, **kwargs)
-            if args[3] == 0:
-                xbar[0, 0] = np.inf
+        def overflow_two(*args):
+            x, factors = draw(*args)
+            if args[2] == 0:
+                x[0, 0, 0] = np.inf
                 factors[1] *= 1e200
-            return xbar, factors
+            return x, factors
 
-        monkeypatch.setattr(_rng, "mean_chunk", overflow_two)
+        monkeypatch.setattr(_rng, "draw_chunk", overflow_two)
         rep = power_simulation(*args, replicates=400, seed=3, method=test)
         assert rep.failures == want.failures + 2
         assert rep.failure_classes == {**want.failure_classes, "NumericError": 2}
@@ -465,7 +468,7 @@ class TestPowerSimulation:
         def no_draw(*args, **kwargs):
             raise AssertionError("drew a chunk")
 
-        monkeypatch.setattr(_rng, "mean_chunk", no_draw)
+        monkeypatch.setattr(_rng, "draw_chunk", no_draw)
         message = rf"sigma must be 2 x 2 for p=2, got shape \({size}, {size}\)"
         with pytest.raises(ValueError, match=message):
             power_simulation(5, 2, np.eye(size), [0, 0])
@@ -475,7 +478,7 @@ class TestPowerSimulation:
         def no_draw(*args, **kwargs):
             raise AssertionError("drew a chunk")
 
-        monkeypatch.setattr(_rng, "mean_chunk", no_draw)
+        monkeypatch.setattr(_rng, "draw_chunk", no_draw)
         message = "need n >= p [+] 1 for an invertible centered covariance, got n=4, p=4"
         with pytest.raises(ValueError, match=message):
             power_simulation(4, 4, np.eye(4), np.zeros(4), method=test)

@@ -600,8 +600,7 @@ class TestExitCodes:
         def no_draws(*args, **kwargs):
             raise AssertionError("a replicate was drawn")
 
-        for stacker in ("draw_chunk", "bartlett_chunk", "mean_chunk"):
-            monkeypatch.setattr(_rng, stacker, no_draws)
+        monkeypatch.setattr(_rng, "draw_chunk", no_draws)
         argv = ["--format", "csv"] + command + ["--n", "50", "--p", "3", "--replicates", "20000"]
         assert run_cli(argv) == 1
         assert capsys.readouterr().err == (
@@ -615,8 +614,7 @@ class TestExitCodes:
         def no_draws(*args, **kwargs):
             raise AssertionError("a replicate was drawn")
 
-        for stacker in ("draw_chunk", "bartlett_chunk", "mean_chunk"):
-            monkeypatch.setattr(_rng, stacker, no_draws)
+        monkeypatch.setattr(_rng, "draw_chunk", no_draws)
         argv = command + ["--n", "50", "--p", "3", "--replicates", str(10**20)]
         assert run_cli(argv) == 2
         assert capsys.readouterr().err == (

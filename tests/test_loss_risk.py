@@ -457,7 +457,7 @@ class TestStackedEngine:
         n, k, p = 100, 40, sigma.shape[0]
         t_sig = cholesky(sigma)
         bound = 2.0 * np.linalg.cond(t_sig) * np.finfo(float).eps
-        x = _rng.draw_chunk(4, t_sig, n, 0, k)
+        x = _rng.draw_chunk(4, t_sig, 0, k, n)[0]
         for tag in ("sample", "stein_triangular", "tsai"):
             est, est_errors = KERNELS[tag](scatter_stack(x)[0], n)
             t_phi, errors = cholesky_stack(est)

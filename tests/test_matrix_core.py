@@ -349,7 +349,7 @@ def test_every_stack_the_package_factors_is_exactly_symmetric(monkeypatch, n, p,
                 monkeypatch.setattr(module, name, spy(getattr(matrix_core, name)))
     sigma = POPULATIONS[population](p)
     chol = cholesky(sigma)
-    x = _rng.draw_chunk(11, chol, n, 0, k)
+    x = _rng.draw_chunk(11, chol, 0, k, n)[0]
     scatters, errors = estimators.scatter_stack(x)
     xbar, centered, centered_errors = estimators.centered_stack(x)
     built = [(scatters, errors), (centered, centered_errors)]

@@ -8,18 +8,16 @@ import pytest
 
 from covshrink import EigenvalueTieError, NumericError, _rng
 from covshrink._rng import (
-    bartlett_chunk,
     bartlett_factor,
     chunk_replicates,
-    chunk_stacker,
     draw_chunk,
     gaussian_rows,
-    mean_and_factor,
-    mean_chunk,
     replicate_rng,
     run_chunks,
 )
+from covshrink.hdtest import power_simulation
 from covshrink.io_cli import run_cli
+from covshrink.loss_risk import monte_carlo_risk
 from covshrink.matrix_core import cholesky
 
 
@@ -113,40 +111,75 @@ class TestBulkSeeding:
             seed_type(words).generate_state(8, np.uint32)
 
 
+# the (rows, dof) draws of the loops at n = 25: sim's rows, the risk loop's
+# factor, and power's mean row with and without its centered scatter's factor
+DRAWS = {"rows": (25, None), "factor": (0, 25), "mean+factor": (1, 24), "mean": (1, None)}
+SIGMAS = {"identity": np.eye(6), "diagonal": np.diag([9.0, 4.0, 2.5, 1.0, 1.0, 1.0]),
+          "dense": ar1(6, 0.5)}
+
+
+def reference_draw(seed, r, chol, rows, dof):
+    """Replicate r as the references draw it: rows, then, if dof is not None, the factor."""
+    rng = replicate_rng(seed, r)
+    x = gaussian_rows(rng, chol, rows)
+    return x, None if dof is None else bartlett_factor(rng, chol, dof)
+
+
+def equal_draws(got, want):
+    (x, t), (want_x, want_t) = got, want
+    return (x.tobytes() == want_x.tobytes() and x.shape == want_x.shape
+            and ((t is None and want_t is None) or t.tobytes() == want_t.tobytes()))
+
+
 class TestChunking:
     def test_chunk_size_follows_the_byte_budget(self):
         assert chunk_replicates(50 * 10) == 65
         assert chunk_replicates(1600 * 400) == 1
         assert chunk_replicates(10 ** 9) == 1
-        # what each stacker draws per replicate sizes its chunks
-        assert [chunk_stacker(draw, 50, 10)[1] for draw in ("rows", "factor", "mean",
-                                                            "mean+factor")] == [500, 100, 10, 110]
-        assert chunk_replicates(chunk_stacker("factor", 50, 10)[1]) == 327
-        assert chunk_replicates(chunk_stacker("mean+factor", 400, 5)[1]) == 1092
 
-    def test_chunk_slices_equal_single_replicate_draws(self):
-        # n=40, p=5: 163 replicates per chunk, so 400 replicates span three chunks
-        chol = cholesky(ar1(5, 0.7))
-        slices, refusals = run_chunks(lambda start, x: (list(x), [None] * len(x)), 21, chol, 40,
-                                      400)
-        assert (len(slices), refusals) == (400, {})
-        for r, xr in enumerate(slices):
-            assert np.array_equal(xr, gaussian_rows(replicate_rng(21, r), chol, 40))
+    @pytest.mark.parametrize("rows, dof, n, p, step", [
+        (50, None, 50, 10, 65), (0, 50, 50, 10, 327), (1, None, 50, 10, 3276),
+        (1, 49, 50, 10, 297), (1, 399, 400, 5, 1092)])
+    def test_what_a_replicate_draws_sizes_its_chunks(self, rows, dof, n, p, step):
+        # rows p values, and p^2 more with a factor: 500, 100, 10, 110 and 30
+        starts = []
 
-    @pytest.mark.parametrize("sigma", [np.eye(6), np.diag([9.0, 4.0, 2.5, 1.0, 1.0, 1.0]),
-                                       ar1(6, 0.5)], ids=["identity", "spiked", "ar1"])
-    def test_draw_chunk_slices_equal_gaussian_rows_for_each_factor(self, sigma):
-        chol = cholesky(sigma)
-        x = draw_chunk(9, chol, 25, 4, 30)
-        for j in range(26):
-            assert np.array_equal(x[j], gaussian_rows(replicate_rng(9, 4 + j), chol, 25))
+        def score_chunk(start, x, t):
+            starts.append((start, len(x)))
+            return [None] * len(x), [None] * len(x)
 
-    def test_draw_chunk_starts_mid_stream(self):
-        chol = cholesky(ar1(3, 0.4))
-        x = draw_chunk(5, chol, 12, 7, 10)
-        assert x.shape == (3, 12, 3)
-        for j in range(3):
-            assert np.array_equal(x[j], gaussian_rows(replicate_rng(5, 7 + j), chol, 12))
+        run_chunks(score_chunk, 3, np.eye(p), n, 2 * step + 1, rows=rows, dof=dof)
+        assert starts == [(0, step), (step, step), (2 * step, 1)]
+
+    @pytest.mark.parametrize("draw", list(DRAWS))
+    @pytest.mark.parametrize("sigma", list(SIGMAS))
+    @pytest.mark.parametrize("start, stop", [(0, 26), (4, 30), (67, 70)])
+    def test_draw_chunk_slices_equal_the_reference_draws(self, draw, sigma, start, stop):
+        # rows from gaussian_rows, then the factor from bartlett_factor, from one
+        # replicate_rng, for each replicate of a chunk that may start mid-stream
+        rows, dof = DRAWS[draw]
+        chol = cholesky(SIGMAS[sigma])
+        x, t = draw_chunk(9, chol, start, stop, rows, dof)
+        assert x.shape == (stop - start, rows, 6) and (t is None) == (dof is None)
+        for j in range(stop - start):
+            got = (x[j], None if t is None else t[j])
+            assert equal_draws(got, reference_draw(9, start + j, chol, rows, dof))
+
+    @pytest.mark.parametrize("draw", list(DRAWS))
+    def test_run_chunks_hands_the_scorer_each_replicates_draw(self, draw):
+        # p=6, dense: 218, 910, 5461 or 851 replicates a chunk; 1000 replicates span
+        # one to five chunks
+        rows, dof = DRAWS[draw]
+        chol = cholesky(SIGMAS["dense"])
+
+        def score_chunk(start, x, t):
+            pairs = [(xj, None if t is None else t[j]) for j, xj in enumerate(x)]
+            return pairs, [None] * len(pairs)
+
+        slices, refusals = run_chunks(score_chunk, 21, chol, 25, 1000, rows=rows, dof=dof)
+        assert (len(slices), refusals) == (1000, {})
+        for r, got in enumerate(slices):
+            assert equal_draws(got, reference_draw(21, r, chol, rows, dof))
 
     def test_bartlett_factor_draws_the_lower_entries_then_the_chi_square_diagonal(self):
         p, n = 4, 9
@@ -156,71 +189,17 @@ class TestChunking:
         assert np.array_equal(np.diag(t), np.sqrt([rng.chisquare(n - i) for i in range(p)]))
         assert not np.triu(t, 1).any()
 
-    @pytest.mark.parametrize("sigma", [np.eye(6), np.diag([9.0, 4.0, 2.5, 1.0, 1.0, 1.0]),
-                                       ar1(6, 0.5)], ids=["identity", "diagonal", "dense"])
-    def test_bartlett_chunk_slices_equal_bartlett_factor_for_each_factor(self, sigma):
-        chol = cholesky(sigma)
-        t = bartlett_chunk(9, chol, 25, 4, 30)
-        assert t.shape == (26, 6, 6)
-        for j in range(26):
-            assert np.array_equal(t[j], bartlett_factor(replicate_rng(9, 4 + j), chol, 25))
-
-    def test_mean_and_factor_draws_the_mean_then_bartletts_factor_at_n_minus_1(self):
-        p, n, t = 4, 9, cholesky(ar1(4, 0.5))
-        xbar, f = mean_and_factor(replicate_rng(3, 1), t, n)
-        rng = replicate_rng(3, 1)
-        assert np.array_equal(xbar, rng.standard_normal(p) @ t.T / np.sqrt(n))
-        assert np.array_equal(f, bartlett_factor(rng, t, n - 1))
-        alone, none = mean_and_factor(replicate_rng(3, 1), t, n, factor=False)
-        assert none is None and np.array_equal(alone, xbar)
-
-    @pytest.mark.parametrize("factor", [True, False])
-    @pytest.mark.parametrize("sigma", [np.eye(6), np.diag([9.0, 4.0, 2.5, 1.0, 1.0, 1.0]),
-                                       ar1(6, 0.5)], ids=["identity", "diagonal", "dense"])
-    def test_mean_chunk_slices_equal_mean_and_factor_for_each_factor(self, sigma, factor):
-        chol = cholesky(sigma)
-        xbar, f = mean_chunk(9, chol, 25, 4, 30, factor=factor)
-        assert xbar.shape == (26, 6) and (f is None) != factor
-        for j in range(26):
-            want_xbar, want_f = mean_and_factor(replicate_rng(9, 4 + j), chol, 25, factor)
-            assert np.array_equal(xbar[j], want_xbar)
-            assert (f is None and want_f is None) or np.array_equal(f[j], want_f)
-
-    @pytest.mark.parametrize("draw", ["mean", "mean+factor"])
-    def test_run_chunks_draws_means_with_or_without_the_factor(self, draw):
-        # p=5: 6553 or 1191 replicates a chunk; 2000 replicates span one or two
-        chol = cholesky(ar1(5, 0.7))
-
-        def score_chunk(start, drawn):
-            xbar, f = drawn
-            pairs = [(m, None if f is None else f[j]) for j, m in enumerate(xbar)]
-            return pairs, [None] * len(pairs)
-
-        slices, _ = run_chunks(score_chunk, 21, chol, 40, 2000, draw=draw)
-        for r, (xbar, f) in enumerate(slices):
-            want_xbar, want_f = mean_and_factor(replicate_rng(21, r), chol, 40, draw != "mean")
-            assert np.array_equal(xbar, want_xbar)
-            assert (f is None and want_f is None) or np.array_equal(f, want_f)
-
-    def test_run_chunks_hands_the_scorer_the_stacker_it_is_given(self):
-        # n=40, p=5: 163 replicates per chunk, so 400 replicates span three chunks
-        chol = cholesky(ar1(5, 0.7))
-        slices, _ = run_chunks(lambda start, t: (list(t), [None] * len(t)), 21, chol, 40, 400,
-                               draw="factor")
-        for r, tr in enumerate(slices):
-            assert np.array_equal(tr, bartlett_factor(replicate_rng(21, r), chol, 40))
-
     def test_outcomes_do_not_depend_on_chunk_size_or_threads(self, monkeypatch):
         chol = cholesky(ar1(4, 0.3))
 
-        def score_chunk(start, x):
+        def score_chunk(start, x, t):
             values = [(start + j, float(np.sum(xj * xj))) for j, xj in enumerate(x)]
             errors = [NumericError() if r % 7 == 0 else EigenvalueTieError() if v > 140 else None
                       for r, v in values]
             return values, errors
 
-        default = run_chunks(score_chunk, 3, chol, 30, 250)
-        values, errors = score_chunk(0, draw_chunk(3, chol, 30, 0, 250))
+        default = run_chunks(score_chunk, 3, chol, 30, 250, rows=30)
+        values, errors = score_chunk(0, *draw_chunk(3, chol, 0, 250, 30))
         assert default[0] == [None if e is not None else v for v, e in zip(values, errors)]
         assert list(default[1]) == ["EigenvalueTieError", "NumericError"]
         assert default[1]["NumericError"] == 36
@@ -229,7 +208,7 @@ class TestChunking:
             monkeypatch.setattr(_rng, "CHUNK_BYTES", 8 * 30 * 4 * step)
             assert chunk_replicates(30 * 4) == step
             for threads in (1, 3):
-                assert run_chunks(score_chunk, 3, chol, 30, 250, threads) == default
+                assert run_chunks(score_chunk, 3, chol, 30, 250, threads, rows=30) == default
 
 
 class TestReplicateCounts:
@@ -260,33 +239,33 @@ class TestScoringOnEveryThread:
         chol = cholesky(ar1(3, 0.6))
         caller, worked_on = threading.get_ident(), set()
 
-        def score_chunk(start, x):
+        def score_chunk(start, x, t):
             worked_on.add(threading.get_ident())
             values = [float(np.sum(xj * xj)) for xj in x]
             errors = [NumericError() if (start + j) % 5 == 0 else
                       EigenvalueTieError() if v > 75 else None for j, v in enumerate(values)]
             return values, errors
 
-        serial = run_chunks(score_chunk, 4, chol, 20, 100, 1)
+        serial = run_chunks(score_chunk, 4, chol, 20, 100, 1, rows=20)
         assert serial[1]["NumericError"] == 20 and serial[1]["EigenvalueTieError"] > 0
         worked_on.clear()
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)  # switch threads as often as the interpreter can
         try:
-            assert run_chunks(score_chunk, 4, chol, 20, 100, threads) == serial
+            assert run_chunks(score_chunk, 4, chol, 20, 100, threads, rows=20) == serial
         finally:
             sys.setswitchinterval(interval)
         assert caller not in worked_on and 1 <= len(worked_on) <= threads
 
     def test_an_error_raised_on_a_worker_propagates(self, monkeypatch):
-        def score_chunk(start, x):
+        def score_chunk(start, x, t):
             if start > 0:
                 raise ValueError(f"chunk at {start}")
             return [0.0] * len(x), [None] * len(x)
 
         monkeypatch.setattr(_rng, "CHUNK_BYTES", 8 * 5 * 2 * 3)
         with pytest.raises(ValueError, match="chunk at 3"):
-            run_chunks(score_chunk, 1, np.eye(2), 5, 12, 2)
+            run_chunks(score_chunk, 1, np.eye(2), 5, 12, 2, rows=5)
 
     def test_a_chunk_that_finishes_first_is_merged_in_replicate_order(self, monkeypatch):
         # one replicate a chunk; chunk 0's scorer waits until chunk 1's has
@@ -294,7 +273,7 @@ class TestScoringOnEveryThread:
         monkeypatch.setattr(_rng, "CHUNK_BYTES", 8 * 5 * 2)
         first_done, finished = threading.Event(), []
 
-        def score_chunk(start, x):
+        def score_chunk(start, x, t):
             if start == 0:
                 assert first_done.wait(5.0)
             finished.append(start)
@@ -302,7 +281,7 @@ class TestScoringOnEveryThread:
                 first_done.set()
             return [float(start)] * len(x), [NumericError() if start == 1 else None] * len(x)
 
-        out = run_chunks(score_chunk, 1, np.eye(2), 5, 6, 2)
+        out = run_chunks(score_chunk, 1, np.eye(2), 5, 6, 2, rows=5)
         assert finished[:2] == [1, 0]
         assert out == ([0.0, None, 2.0, 3.0, 4.0, 5.0], {"NumericError": 1})
 
@@ -314,13 +293,13 @@ class TestScoringOnEveryThread:
         monkeypatch.setattr(_rng, "CHUNK_BYTES", 8 * 5 * 2)
         threads, drawn = 2, []
 
-        def counted(seed, chol_factor, n, start, stop):
+        def counted(seed, chol_factor, start, stop, rows, dof):
             drawn.append(start)
-            return draw_chunk(seed, chol_factor, n, start, stop)
+            return draw_chunk(seed, chol_factor, start, stop, rows, dof)
 
         monkeypatch.setattr(_rng, "draw_chunk", counted)
 
-        def score_chunk(start, x):
+        def score_chunk(start, x, t):
             if start == 3:
                 time.sleep(0.2)
                 raise ValueError("chunk at 3")
@@ -328,7 +307,7 @@ class TestScoringOnEveryThread:
 
         before = threading.active_count()
         with pytest.raises(ValueError, match="chunk at 3"):
-            run_chunks(score_chunk, 1, np.eye(2), 5, 20, threads)
+            run_chunks(score_chunk, 1, np.eye(2), 5, 20, threads, rows=5)
         assert threading.active_count() == before
         assert 3 in drawn and max(drawn) <= 3 + threads
 
@@ -346,12 +325,12 @@ class TestDefaultThreadCount:
             worked_on.append(threading.get_ident())
             return draw(*args)
 
-        def score_chunk(start, x):
+        def score_chunk(start, x, t):
             worked_on.append(threading.get_ident())
             return x.sum(axis=(1, 2)).tolist(), [None] * len(x)
 
         monkeypatch.setattr(_rng, "draw_chunk", recorded)
-        out = run_chunks(score_chunk, 12, np.eye(p), n, 3, threads)
+        out = run_chunks(score_chunk, 12, np.eye(p), n, 3, threads, rows=n)
         return out, set(worked_on)
 
     @pytest.mark.parametrize("n, p", [(1023, 256), (2 ** 18 - 1, 1), (1024, 256), (2 ** 18, 1)])
@@ -373,25 +352,39 @@ class TestDefaultThreadCount:
         assert _rng.replicate_threads(1, 1024, 256) == 1
         assert _rng.replicate_threads(3, 10, 5) == 3
 
-    @pytest.mark.parametrize("draw, stacker", [("factor", "bartlett_chunk"),
-                                               ("mean", "mean_chunk"),
-                                               ("mean+factor", "mean_chunk")])
-    def test_the_count_reads_n_p_whatever_the_loop_draws(self, monkeypatch, draw, stacker):
+    @pytest.mark.parametrize("threads", [0, -1])
+    def test_a_count_below_one_is_refused_before_any_draw(self, monkeypatch, threads):
+        def no_draw(*args):
+            raise AssertionError("drew a chunk")
+
+        monkeypatch.setattr(_rng, "draw_chunk", no_draw)
+        message = f"need at least 1 thread, got {threads}"
+        with pytest.raises(ValueError, match=message):
+            _rng.replicate_threads(threads, 50, 10)
+        with pytest.raises(ValueError, match=message):
+            run_chunks(lambda start, x, t: ([], []), 1, np.eye(2), 5, 10, threads, rows=5)
+        with pytest.raises(ValueError, match=message):
+            monte_carlo_risk("sample", np.eye(2), 5, 100, 1, threads=threads)
+        with pytest.raises(ValueError, match=message):
+            power_simulation(5, 2, np.eye(2), [0.0, 0.0], replicates=10, threads=threads)
+
+    @pytest.mark.parametrize("rows, dof", [(0, 1024), (1, None), (1, 1023)],
+                             ids=["factor", "mean", "mean+factor"])
+    def test_the_count_reads_n_p_whatever_the_loop_draws(self, monkeypatch, rows, dof):
         # at n = 1024, p = 256 a replicate draws 2**16 values or fewer, yet two
         # workers draw and score, as for rows: the count reads n p alone
         monkeypatch.setattr(_rng, "_usable_cpus", lambda: 2)
-        worked_on, real = [], getattr(_rng, stacker)
+        worked_on, real = [], _rng.draw_chunk
 
-        def recorded(*args, **kwargs):
+        def recorded(*args):
             worked_on.append(threading.get_ident())
-            return real(*args, **kwargs)
+            return real(*args)
 
-        def score_chunk(start, drawn):
-            k = len(drawn[0] if isinstance(drawn, tuple) else drawn)
-            return [0.0] * k, [None] * k
+        def score_chunk(start, x, t):
+            return [0.0] * len(x), [None] * len(x)
 
-        monkeypatch.setattr(_rng, stacker, recorded)
-        outcomes, _ = run_chunks(score_chunk, 12, np.eye(256), 1024, 3, draw=draw)
+        monkeypatch.setattr(_rng, "draw_chunk", recorded)
+        outcomes, _ = run_chunks(score_chunk, 12, np.eye(256), 1024, 3, rows=rows, dof=dof)
         assert outcomes == [0.0] * 3 and worked_on
         assert threading.get_ident() not in worked_on and len(set(worked_on)) <= 2
 

@@ -72,11 +72,12 @@ def extra_calls(seed: int, workdir: Path) -> list:
     the pivot target that differs from sigma's factor, a run refused on its
     refusal tally, every estimator on the uncentered convention, the mp grid
     as JSON, and two threads at sizes whose default is one, in the esd
-    experiment and the decomposite power test.  Two power calls sit at the
-    edges of what a replicate draws: hotelling at n = p + 1, whose scatter
-    factor has the fewest degrees of freedom it takes, and the oracle at
-    n < p + 1, which draws the mean alone.  The estimators read a 30 x 4
-    CSV drawn from ``seed`` and written into ``workdir``.
+    experiment, the decomposite power test and the four-method risk loop
+    on the dense population, whose draws have no rows.  Two power calls
+    sit at the edges of what a replicate draws: hotelling at n = p + 1,
+    whose scatter factor has the fewest degrees of freedom it takes, and
+    the oracle at n < p + 1, which draws the mean alone.  The estimators
+    read a 30 x 4 CSV drawn from ``seed`` and written into ``workdir``.
     """
     rng = random.Random(seed)
     data = workdir / "extra.csv"
@@ -89,9 +90,11 @@ def extra_calls(seed: int, workdir: Path) -> list:
                  "--replicates", "400", "--method")
     edge = s + ("power", "--p", "4", "--delta", "1,0.5,0,0", "--model", "ar1:0.5",
                 "--replicates", "400", "--method")
+    risk_ar1 = risk + ("--n", "60", "--replicates", "1000", "--model", "ar1:0.6",
+                       "--methods", "sample,stein_triangular,dp_equivariant,tsai")
     return [
-        ("risk_ar1", risk + ("--n", "60", "--replicates", "1000", "--model", "ar1:0.6",
-                             "--methods", "sample,stein_triangular,dp_equivariant,tsai")),
+        ("risk_ar1", risk_ar1),
+        ("risk_ar1_threads_2", ("--threads", "2") + risk_ar1),
         ("risk_tsai_refused", risk + ("--n", "12", "--replicates", "200", "--methods", "tsai")),
         ("simulate_risk_spiked", sim + ("risk", "--model", "spiked:6,3")),
         ("simulate_recovery_ar1", sim + ("recovery", "--model", "ar1:0.4")),
