@@ -10,12 +10,14 @@ cached.
 A replicate is one draw from its generator that two numbers describe:
 ``rows`` rows of N(0, Sigma) (``gaussian_rows``), then, when ``dof`` is not
 None, the Cholesky factor of the scatter of ``dof`` such rows
-(``bartlett_factor``).  A loop draws what its scorer reads: n rows, a
-scatter's factor alone (no rows), or one row for a sample mean and, if the
-scorer reads it, the centered scatter's factor.  ``draw_chunk`` stacks a
-chunk of replicates, and ``run_chunks`` is the one replicate loop: it draws
-chunks of a fixed byte budget, hands each whole to a stacked scorer, and
-counts the refused replicates by class.  The default thread count
+(``bartlett_factor``), whose chi-square diagonal takes one shared gamma
+shape at p <= SHARED_SHAPE_MAX_P and one shape per column above it.  A loop
+draws what its scorer reads: n rows, a scatter's factor alone (no rows), or
+one row for a sample mean and, if the scorer reads it, the centered
+scatter's factor.  ``draw_chunk`` stacks a chunk of replicates, and
+``run_chunks`` is the one replicate loop: it draws chunks of a fixed byte
+budget, hands each whole to a stacked scorer, and counts the refused
+replicates by class.  The default thread count
 (``replicate_threads``) reads n p, whatever the loop draws.  On more than
 one thread, each worker draws and scores whole chunks, and the calling
 thread merges the outcomes in replicate order.  ``check_failures`` is the
@@ -45,6 +47,11 @@ CHUNK_BYTES = 256 * 1024
 # threads, on 2 usable CPUs.  The measurements behind it are in README's CLI
 # section.
 TWO_THREAD_VALUES = 2 ** 18
+# the largest p at which a Bartlett factor's diagonal takes one shared gamma
+# shape and p(p - 1)/2 more normals (``bartlett_factor``): up to p = 16 that
+# draws a factor faster than p per-column shapes, near p = 20 the two tie,
+# and from p = 24 it is slower, as tabled in CHANGES.md
+SHARED_SHAPE_MAX_P = 16
 
 # replicate indices whose SeedSequence words are computed together
 SEED_BLOCK = 64
@@ -170,18 +177,36 @@ def bartlett_factor(rng: np.random.Generator, chol_factor: np.ndarray, n: int) -
 
     T is Bartlett's factor (Bartlett 1933; Anderson, *An Introduction to
     Multivariate Statistical Analysis*, sec. 7.2): its p(p - 1)/2 entries
-    below the diagonal are standard normals, drawn first, in
-    ``np.tril_indices(p, -1)`` order, and then T_ii = sqrt(chi2_{n-i+1}),
-    i = 1 .. p, drawn as 2 * standard_gamma((n - i + 1) / 2), which is
-    ``Generator.chisquare`` bit for bit.  All are independent, so T T' is
-    distributed as the scatter of n N(0, I) rows, and (L T)(L T)' as that
-    of n N(0, L L') rows, at p(p - 1)/2 normals and p gamma variates where
-    the rows take n p normals, an n p^2 product and a factorization.
+    below the diagonal are standard normals, in ``np.tril_indices(p, -1)``
+    order, and T_ii = sqrt(chi2_{n-i+1}), i = 1 .. p, all independent, so
+    T T' is distributed as the scatter of n N(0, I) rows, and (L T)(L T)'
+    as that of n N(0, L L') rows, at p(p - 1)/2 normals and p chi-squares
+    where the rows take n p normals, an n p^2 product and a factorization.
+
+    At p <= SHARED_SHAPE_MAX_P one ``standard_normal`` call draws the
+    entries below the diagonal and then p(p - 1)/2 more, row i's p - i in
+    ``np.triu_indices(p, 1)`` order, and one ``standard_gamma`` call draws
+    p variates G_i of the shared shape (n - p + 1)/2; T_ii = sqrt(2 G_i +
+    sum_{j>i} Z_ij^2), as chi2_{n-i+1} = chi2_{n-p+1} + chi2_{p-i}.  Above
+    it, the entries below the diagonal are drawn first, then T_ii =
+    sqrt(2 * standard_gamma((n - i + 1)/2)), one shape per column, which is
+    ``Generator.chisquare`` bit for bit.  NumPy checks a shape array on
+    every call: at small p that check costs more than the p(p - 1)/2 extra
+    normals, at large p less.
     """
     p = chol_factor.shape[0]
+    m = p * (p - 1) // 2
     t = np.zeros((p, p))
-    t[np.tril_indices(p, -1)] = rng.standard_normal(p * (p - 1) // 2)
-    t[np.diag_indices(p)] = np.sqrt(2.0 * rng.standard_gamma((n - np.arange(p)) / 2.0))
+    if p <= SHARED_SHAPE_MAX_P:
+        z = rng.standard_normal(2 * m)
+        t[np.tril_indices(p, -1)] = z[:m]
+        u = np.zeros((p, p))
+        u[np.triu_indices(p, 1)] = z[m:]
+        chi2 = 2.0 * rng.standard_gamma((n - p + 1) / 2.0, size=p) + np.sum(u * u, axis=1)
+    else:
+        t[np.tril_indices(p, -1)] = rng.standard_normal(m)
+        chi2 = 2.0 * rng.standard_gamma((n - np.arange(p)) / 2.0)
+    t[np.diag_indices(p)] = np.sqrt(chi2)
     return chol_factor @ t
 
 
@@ -213,29 +238,37 @@ def _rows_times(z: np.ndarray, chol_factor: np.ndarray) -> np.ndarray:
 
 
 @functools.lru_cache(maxsize=8)
-def _strictly_lower(p: int) -> np.ndarray:
-    """Flat indices of the entries below a (p, p) matrix's diagonal, in ``np.tril_indices`` order.
+def _off_diagonal(p: int, upper: bool) -> np.ndarray:
+    """Flat indices of the entries below a (p, p) matrix's diagonal, in ``np.tril_indices``
+    order, or above it, in ``np.triu_indices`` order.
 
     Read-only, and cached per p: at p = 400, making them takes longer
     than placing one factor's normals through them (0.34 against 0.25 ms).
     """
-    rows, cols = np.tril_indices(p, -1)
+    rows, cols = np.triu_indices(p, 1) if upper else np.tril_indices(p, -1)
     flat = rows * p + cols
     flat.flags.writeable = False
     return flat
 
 
 def _factors(chol_factor: np.ndarray, normals: np.ndarray, gammas: np.ndarray) -> np.ndarray:
-    """The (k, p, p) stack L T of Bartlett normals (k, p(p-1)/2) and gammas (k, p).
+    """The (k, p, p) stack L T of Bartlett normals (k, p(p-1)/2, or p(p-1) at a shared
+    shape) and gammas (k, p).
 
     Each slice is formed as ``bartlett_factor`` forms it.  A diagonal L
     scales T's rows instead (``_diagonal``), and the identity returns T
     itself.
     """
     k, p = gammas.shape
+    m = p * (p - 1) // 2
     t = np.zeros((k, p * p))
-    t[:, _strictly_lower(p)] = normals
+    t[:, _off_diagonal(p, False)] = normals[:, :m]
     gammas *= 2.0
+    if p <= SHARED_SHAPE_MAX_P:
+        u = np.zeros((k, p * p))
+        u[:, _off_diagonal(p, True)] = normals[:, m:]
+        u *= u
+        gammas += np.sum(u.reshape(k, p, p), axis=2)
     t[:, ::p + 1] = np.sqrt(gammas, out=gammas)  # the diagonal of each p x p slice
     t = t.reshape(k, p, p)
     scale = _diagonal(chol_factor)
@@ -252,25 +285,32 @@ def draw_chunk(seed: int, chol_factor: np.ndarray, start: int, stop: int, rows: 
     is bit for bit ``gaussian_rows(rng, chol_factor, rows)``, and, when dof
     is not None, slice j of t is ``bartlett_factor(rng, chol_factor, dof)``
     drawn next from the same generator; t is None otherwise.  Each
-    replicate's variates come from its own stream in the references'
-    order, and each stacked product applies the same matrix product to
-    every slice.  At rows = 0 no row draw is made: an empty draw does not
-    advance the stream, but costs about a microsecond per replicate.
+    replicate makes one ``standard_normal`` call for its rows and its
+    factor's normals, in the references' order, and, with a factor, one
+    ``standard_gamma`` call, of the shared shape at p <=
+    SHARED_SHAPE_MAX_P; each stacked product applies the same matrix
+    product to every slice.  A replicate that draws no normals makes no
+    normal call: an empty draw does not advance the stream, but costs about
+    a microsecond per replicate.
     """
     k, p = stop - start, chol_factor.shape[0]
-    z = np.empty((k, rows, p))
+    width = rows * p
     if dof is not None:
-        normals, gammas = np.empty((k, p * (p - 1) // 2)), np.empty((k, p))
-        half_dof = (dof - np.arange(p)) / 2.0
+        shared = p <= SHARED_SHAPE_MAX_P
+        width += p * (p - 1) // (1 if shared else 2)
+        shape = (dof - p + 1) / 2.0 if shared else (dof - np.arange(p)) / 2.0
+        gammas = np.empty((k, p))
+    z = np.empty((k, width))
     for j in range(k):
         rng = replicate_rng(seed, start + j)
-        if rows:
+        if width:
             rng.standard_normal(out=z[j])
         if dof is not None:
-            rng.standard_normal(out=normals[j])
-            rng.standard_gamma(half_dof, out=gammas[j])
-    x = _rows_times(z, chol_factor) if rows else z
-    return x, None if dof is None else _factors(chol_factor, normals, gammas)
+            rng.standard_gamma(shape, out=gammas[j])
+    # a copy only when a factor's normals follow the rows
+    x = np.ascontiguousarray(z[:, :rows * p]).reshape(k, rows, p)
+    x = _rows_times(x, chol_factor) if rows else x
+    return x, None if dof is None else _factors(chol_factor, z[:, rows * p:], gammas)
 
 
 def _usable_cpus() -> int:

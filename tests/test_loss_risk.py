@@ -353,6 +353,23 @@ class TestReplicateLosses:
         with pytest.raises(TypeError, match="sequence of tags"):
             replicate_losses("sample", np.eye(2), n=10, replicates=2, seed=0)
 
+    def test_each_distinct_target_is_inverted_once(self, monkeypatch):
+        # sample, stein_triangular and tsai share sigma's factor, and dp_equivariant's
+        # target is the pivot diagonal: two inverses for four methods, and each
+        # method's losses and refusals are those of a call for it alone
+        from covshrink import loss_risk
+
+        sigma, inverted = ar1(5, 0.5), []
+
+        def counted(t_sig):
+            inverted.append(t_sig)
+            return _inverse_factor(t_sig)
+
+        alone = {m: replicate_losses([m], sigma, 12, 40, 4)[m] for m in STACKED_TAGS}
+        monkeypatch.setattr(loss_risk, "_inverse_factor", counted)
+        assert replicate_losses(STACKED_TAGS, sigma, 12, 40, 4) == alone
+        assert len(inverted) == 2
+
 
 def ar1(p, rho):
     idx = np.arange(p)

@@ -115,7 +115,8 @@ class TestBulkSeeding:
 # factor, and power's mean row with and without its centered scatter's factor
 DRAWS = {"rows": (25, None), "factor": (0, 25), "mean+factor": (1, 24), "mean": (1, None)}
 SIGMAS = {"identity": np.eye(6), "diagonal": np.diag([9.0, 4.0, 2.5, 1.0, 1.0, 1.0]),
-          "dense": ar1(6, 0.5)}
+          "dense": ar1(6, 0.5),
+          "dense-above-the-shared-shape-limit": ar1(_rng.SHARED_SHAPE_MAX_P + 1, 0.5)}
 
 
 def reference_draw(seed, r, chol, rows, dof):
@@ -160,7 +161,7 @@ class TestChunking:
         rows, dof = DRAWS[draw]
         chol = cholesky(SIGMAS[sigma])
         x, t = draw_chunk(9, chol, start, stop, rows, dof)
-        assert x.shape == (stop - start, rows, 6) and (t is None) == (dof is None)
+        assert x.shape == (stop - start, rows, chol.shape[0]) and (t is None) == (dof is None)
         for j in range(stop - start):
             got = (x[j], None if t is None else t[j])
             assert equal_draws(got, reference_draw(9, start + j, chol, rows, dof))
@@ -182,7 +183,21 @@ class TestChunking:
             assert equal_draws(got, reference_draw(21, r, chol, rows, dof))
 
     def test_bartlett_factor_draws_the_lower_entries_then_the_chi_square_diagonal(self):
+        # at p <= SHARED_SHAPE_MAX_P, one normal call: the 6 entries below the diagonal,
+        # then rows 1 to 3's 3, 2 and 1 normals whose squares complete chi2_{n-i+1};
+        # then one gamma call of the shared shape (n - p + 1)/2 = 3
         p, n = 4, 9
+        t = bartlett_factor(replicate_rng(3, 1), np.eye(p), n)
+        rng = replicate_rng(3, 1)
+        z, g = rng.standard_normal(12), rng.standard_gamma(3.0, size=4)
+        assert np.array_equal(t[np.tril_indices(p, -1)], z[:6])
+        squares = [z[6:9] @ z[6:9], z[9:11] @ z[9:11], z[11] ** 2, 0.0]
+        # the sums of squares may round apart in their last bit
+        np.testing.assert_allclose(np.diag(t), np.sqrt(2.0 * g + squares), rtol=1e-15, atol=0)
+        assert not np.triu(t, 1).any()
+
+    def test_above_the_shared_shape_limit_each_column_keeps_its_own_gamma_shape(self):
+        p, n = _rng.SHARED_SHAPE_MAX_P + 1, 20
         t = bartlett_factor(replicate_rng(3, 1), np.eye(p), n)
         rng = replicate_rng(3, 1)
         assert np.array_equal(t[np.tril_indices(p, -1)], rng.standard_normal(p * (p - 1) // 2))
@@ -209,6 +224,30 @@ class TestChunking:
             assert chunk_replicates(30 * 4) == step
             for threads in (1, 3):
                 assert run_chunks(score_chunk, 3, chol, 30, 250, threads, rows=30) == default
+
+
+# the diagonal's chi-square moments are checked to |z| <= DIAGONAL_Z at
+# DIAGONAL_REPLICATES factors: 52 z's, so a false alarm has probability about
+# 52 * 7e-6 = 4e-4; 4.5, not 4, as the sample variance of chi2_1 is right-skewed
+DIAGONAL_Z = 4.5
+DIAGONAL_REPLICATES = 20_000
+
+
+class TestSharedShapeDiagonal:
+    @pytest.mark.parametrize("p, n", [(16, 16), (10, 50)])
+    def test_each_squared_diagonal_entry_has_the_chi_square_mean_and_variance(self, p, n):
+        # T_ii^2 is chi2_k, k = n - i + 1: mean k and variance 2k, whose sample
+        # variance has variance (mu_4 - 4 k^2) / R, mu_4 = 12 k^2 + 48 k.  At p = n the
+        # last entry is chi2_1, drawn from the smallest shared shape, 1/2, alone
+        assert p <= _rng.SHARED_SHAPE_MAX_P
+        reps = DIAGONAL_REPLICATES
+        t = draw_chunk(5, np.eye(p), 0, reps, 0, n)[1]
+        d2 = np.diagonal(t, axis1=1, axis2=2) ** 2
+        k = n - np.arange(p)
+        z_mean = (d2.mean(axis=0) - k) / np.sqrt(2.0 * k / reps)
+        z_var = (d2.var(axis=0, ddof=1) - 2.0 * k) / np.sqrt((8.0 * k ** 2 + 48.0 * k) / reps)
+        assert np.abs(z_mean).max() <= DIAGONAL_Z, z_mean
+        assert np.abs(z_var).max() <= DIAGONAL_Z, z_var
 
 
 class TestReplicateCounts:
