@@ -158,8 +158,8 @@ def replicate_losses(methods, sigma, n: int, replicates: int, seed: int,
     counts the failures by the class name of their refusal.  The pivot
     estimator is scored against the Schur pivot diagonal of sigma, its own
     target; every other method against sigma itself.  Targets are validated
-    and factored once, not per replicate, each distinct target's inverse
-    factor is computed once, not per method, and every estimator runs
+    and factored once, not per replicate, sigma's inverse factor is computed
+    once for all the methods scored against it, and every estimator runs
     uncentered, on n >= p observations.
 
     Every estimator here reads only the scatter, so a replicate is the
@@ -194,13 +194,11 @@ def replicate_losses(methods, sigma, n: int, replicates: int, seed: int,
     chol_sig = cholesky(sigma)
     if n < chol_sig.shape[0]:
         raise ValueError(f"sample count {n} below dimension {chol_sig.shape[0]}")
-    out, inverses = {}, []  # inverses: (target factor, its inverse), one per distinct target
+    inv_sig = _inverse_factor(chol_sig)
+    out = {}
     for method in methods:
         t_target = _target(method, chol_sig)
-        inv_target = next((inv for t, inv in inverses if t is t_target), None)
-        if inv_target is None:
-            inv_target = _inverse_factor(t_target)
-            inverses.append((t_target, inv_target))
+        inv_target = inv_sig if t_target is chol_sig else _inverse_factor(t_target)
         estimate = FACTOR_ESTIMATORS[method]
 
         def score_chunk(start: int, _, t: np.ndarray) -> tuple[list, list]:

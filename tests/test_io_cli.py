@@ -471,6 +471,21 @@ class TestRiskCommand:
             "tsai": (2, {"NumericError": 2})}
         assert "error" in mc["tsai"] and sim.results["failures"] == 2
 
+    def test_failures_within_the_tolerance_are_counted_by_class(self, tmp_path):
+        # the same spike over 200 replicates: tsai's two overflows are the only
+        # ones, at the 1 % tolerance and not above it, so risk completes and both
+        # reports count them by class beside the three class methods' zero
+        model = ["--model", "spiked:5e306", "--n", "20", "--p", "2", "--replicates", "200"]
+        methods = ["--methods", "sample,stein_triangular,dp_equivariant,tsai"]
+        risk = run_json(tmp_path, ["risk", "--monte-carlo"] + methods + model)
+        sim = run_json(tmp_path, ["simulate", "--experiment", "risk", "--drop-rows"] + model)
+        for mc in (risk.results["monte_carlo"], sim.results["metrics"]["monte_carlo"]):
+            assert {m: (e["failures"], e["failure_classes"]) for m, e in mc.items()} == {
+                "sample": (0, {}), "stein_triangular": (0, {}), "dp_equivariant": (0, {}),
+                "tsai": (2, {"NumericError": 2})}
+        assert "error" not in sim.results["metrics"]["monte_carlo"]["tsai"]
+        assert sim.results["failures"] == 2
+
     def test_tail_keys_describe_the_losses(self, tmp_path):
         # risk --monte-carlo and simulate --experiment risk report the same tail,
         # that of the per-replicate losses the simulate rows list

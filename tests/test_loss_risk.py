@@ -354,8 +354,8 @@ class TestReplicateLosses:
             replicate_losses("sample", np.eye(2), n=10, replicates=2, seed=0)
 
     def test_each_distinct_target_is_inverted_once(self, monkeypatch):
-        # sample, stein_triangular and tsai share sigma's factor, and dp_equivariant's
-        # target is the pivot diagonal: two inverses for four methods, and each
+        # sample, stein_triangular and tsai share sigma's inverse factor, and
+        # dp_equivariant's target is the pivot diagonal: two inverses for four methods, and each
         # method's losses and refusals are those of a call for it alone
         from covshrink import loss_risk
 
