@@ -245,9 +245,11 @@ def power_simulation(n: int, p: int, sigma, delta, alpha: float = 0.05,
     The critical value is the least double c with chisq_pvalue(c, p) <=
     alpha, found by doubling a bracket and then bisecting it down to two
     adjacent doubles: at most about 120 evaluations of the sum.  For alpha
-    up to 1/2 it is exact to about 1e-14 relative; above that, 1 - alpha is
-    resolved only to the sum's absolute rounding near 1.  Sigma is factored
-    once, and the factor both draws the replicates and feeds the kernel.
+    in (0, 1/2] it is exact to about 1e-14 relative.  Above 1/2, 1 - alpha
+    would be resolved only to the sum's absolute rounding near 1 (3e-11
+    relative at 0.9999), so such an alpha raises ValueError.  Sigma is
+    factored once, and the factor both draws the replicates and feeds the
+    kernel.
 
     Every test reads only the sample mean and S of n rows of N(mu, sigma),
     and replicate r draws those directly from rng = ``replicate_rng(seed,
@@ -287,8 +289,8 @@ def power_simulation(n: int, p: int, sigma, delta, alpha: float = 0.05,
         raise ValueError(f"need at least 1 replicate, got {replicates}")
     if rate not in RATES:
         raise ValueError(f"unknown rate {rate!r}, expected one of {RATES}")
-    if not 0.0 < alpha < 1.0:
-        raise ValueError(f"alpha must lie in (0, 1), got {alpha}")
+    if not 0.0 < alpha <= 0.5:
+        raise ValueError(f"alpha must lie in (0, 1/2], got {alpha}")
     if n < 2:
         raise ValueError(f"need at least 2 observations, got {n}")
     _require_samples(method, n, p)

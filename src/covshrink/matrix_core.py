@@ -9,10 +9,12 @@ from outside the package is validated once, where it enters: ``cholesky``,
 the first two refuse only a slice that is not finite.  ``eigvalsh_stack``
 calls LAPACK through ``ctypes``, in the library NumPy's linalg calls, so
 that other threads run while it works: NumPy's own ``eigvalsh`` holds the
-interpreter lock.
+interpreter lock.  Every routine called in that library, LAPACK's or
+OpenBLAS's own, is found by one lookup, ``_routine``, under the spellings
+of ``_SPELLINGS``.
 """
 
-import functools
+import ctypes
 
 import numpy as np
 
@@ -25,25 +27,27 @@ from .errors import (
 SYM_RTOL = 1e-12
 TIE_GAP = 1e-12  # relative to the spectrum's largest magnitude
 
-# OpenBLAS's thread-count setters, in the spellings of its builds: NumPy's
-# wheels (scipy-openblas, 64-bit and 32-bit integers), then plain OpenBLAS
-_BLAS_THREAD_SETTERS = ("scipy_openblas_set_num_threads64_", "scipy_openblas_set_num_threads",
-                        "openblas_set_num_threads64_", "openblas_set_num_threads")
-# LAPACK's dsyevd in the spellings whose name tells its integer width: NumPy's
-# wheels (scipy-openblas, 64-bit and 32-bit integers), then a 64-bit OpenBLAS.
-# A plain dsyevd_ may take either width, so it is not called.
-_DSYEVD = (("scipy_dsyevd_64_", np.int64), ("scipy_dsyevd_", np.int32), ("dsyevd_64_", np.int64))
+# A routine's spellings in the builds of OpenBLAS, each with the integer width
+# its name tells: NumPy's wheels (scipy-openblas, 64-bit and 32-bit integers),
+# a 64-bit OpenBLAS, then the plain name, which may take either width
+_SPELLINGS = (("scipy_{}64_", np.int64), ("scipy_{}", np.int32), ("{}64_", np.int64), ("{}", None))
 
 
-def _linalg_library():
-    """The shared library NumPy's linalg calls, through ``_umath_linalg``.
+def _routine(name: str):
+    """(function, integer dtype or None) of the first spelling of ``name`` in NumPy's library.
 
-    Looking a symbol up in it also searches the BLAS and LAPACK it links, so
-    the symbols found are those of the one library NumPy actually uses.
+    The library is the one NumPy's linalg calls, through ``_umath_linalg``;
+    looking a symbol up in it also searches the BLAS and LAPACK it links, so
+    the routine found is that of the one library NumPy actually uses.  The
+    dtype is None for the plain spelling, whose width the name does not
+    tell.  None where the library has no spelling of ``name``.
     """
-    import ctypes
-
-    return ctypes.CDLL(np.linalg._umath_linalg.__file__)
+    lib = ctypes.CDLL(np.linalg._umath_linalg.__file__)
+    for spelling, int_type in _SPELLINGS:
+        fn = getattr(lib, spelling.format(name), None)
+        if fn is not None:
+            return fn, int_type
+    return None
 
 
 def _one_blas_thread() -> None:
@@ -52,23 +56,18 @@ def _one_blas_thread() -> None:
     OpenBLAS splits a product or a factorization across its pool, and the
     split changes the order of the sums, so at p >= 200 the last bits of a
     result depend on the pool's size, which defaults to the core count.  On
-    one thread they depend on the arguments alone.  The setter is looked up
-    in ``_linalg_library``.  A BLAS with none of the setters (MKL,
-    Accelerate, a reference BLAS) is left as it is.  The command sets
-    OPENBLAS_NUM_THREADS=1 before NumPy loads, so OpenBLAS starts no worker
-    thread; this call shrinks the pool a NumPy loaded before then has
-    already started.
+    one thread they depend on the arguments alone.  The setter is found by
+    ``_routine``; it takes a C int, whatever width its spelling tells.  A
+    BLAS with no spelling of it (MKL, Accelerate, a reference BLAS) is left
+    as it is.  The command sets OPENBLAS_NUM_THREADS=1 before NumPy loads,
+    so OpenBLAS starts no worker thread; this call shrinks the pool a NumPy
+    loaded before then has already started.
     """
-    import ctypes
-
-    lib = _linalg_library()
-    for symbol in _BLAS_THREAD_SETTERS:
-        setter = getattr(lib, symbol, None)
-        if setter is not None:
-            setter.argtypes = [ctypes.c_int]
-            setter.restype = None
-            setter(1)
-            return
+    setter, _ = _routine("openblas_set_num_threads") or (None, None)
+    if setter is not None:
+        setter.argtypes = [ctypes.c_int]
+        setter.restype = None
+        setter(1)
 
 
 def symmetric_part(a: np.ndarray) -> np.ndarray:
@@ -178,22 +177,6 @@ def eigh_stack(m: np.ndarray) -> tuple[np.ndarray, np.ndarray, list]:
     return w[:, ::-1], np.ascontiguousarray(v[..., ::-1]), errors
 
 
-@functools.cache
-def _dsyevd():
-    """LAPACK's dsyevd in ``_linalg_library`` and its integer dtype, or None where it has none."""
-    import ctypes
-
-    lib = _linalg_library()
-    for symbol, int_type in _DSYEVD:
-        fn = getattr(lib, symbol, None)
-        if fn is not None:
-            # eleven pointers, then the lengths of the two character arguments
-            fn.argtypes = [ctypes.c_void_p] * 11 + [ctypes.c_size_t] * 2
-            fn.restype = None
-            return fn, int_type
-    return None
-
-
 def eigvalsh_stack(m: np.ndarray) -> np.ndarray:
     """Ascending eigenvalues of each matrix of a (k, p, p) stack: ``np.linalg.eigvalsh(m)``, bit for bit.
 
@@ -202,15 +185,18 @@ def eigvalsh_stack(m: np.ndarray) -> np.ndarray:
     arguments: jobz N, uplo L, and the workspace its query returns, so the
     bits are the same.  Called through ``ctypes``, it lets go of the
     interpreter lock, which NumPy's holds.  The workspace is queried and the
-    arguments built once per stack.  Where the library has no such symbol,
-    or LAPACK returns a nonzero ``info``, NumPy's ``eigvalsh`` does the work,
-    and raises as it does.
+    arguments built once per stack.  Where ``_routine`` finds no dsyevd, or
+    only the plain spelling, whose integer width is unknown, or LAPACK
+    returns a nonzero ``info``, NumPy's ``eigvalsh`` does the work, and
+    raises as it does.
     """
-    found = _dsyevd()
+    dsyevd, int_type = _routine("dsyevd_") or (None, None)
     a = np.array(m, dtype=float, order="C")  # dsyevd overwrites its matrix
-    if found is None or a.ndim != 3 or a.shape[1] != a.shape[2]:
+    if int_type is None or a.ndim != 3 or a.shape[1] != a.shape[2]:
         return np.linalg.eigvalsh(m)  # which refuses a stack of non-square matrices
-    dsyevd, int_type = found
+    # eleven pointers, then the lengths of the two character arguments
+    dsyevd.argtypes = [ctypes.c_void_p] * 11 + [ctypes.c_size_t] * 2
+    dsyevd.restype = None
     k, p = a.shape[:2]
     w = np.empty((k, p))
     ints = np.array([p, -1, -1, 0], dtype=int_type)  # n (and lda), lwork, liwork, info

@@ -553,6 +553,13 @@ class TestPowerCommand:
         assert abs(doc.results["rejection_rate"] - 0.05) < 0.03
         assert doc.results["failures"] == 0
 
+    def test_alpha_above_one_half_is_2(self, tmp_path, capsys):
+        argv = ["power", "--n", "30", "--p", "2", "--delta", "0,0", "--replicates", "50",
+                "--alpha"]
+        assert run_cli(argv + ["0.9"]) == 2
+        assert "alpha must lie in (0, 1/2], got 0.9" in capsys.readouterr().err
+        assert run_json(tmp_path, argv + ["0.5"]).results["alpha"] == 0.5
+
     def test_delta_length_checked(self, tmp_path, capsys):
         code = run_cli(["power", "--n", "30", "--p", "3", "--delta", "1,0"])
         assert code == 2

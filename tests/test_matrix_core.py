@@ -1,3 +1,5 @@
+import ctypes
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -223,7 +225,7 @@ class TestEigvalshStack:
             # NumPy's own eigvalsh must not run on the LAPACK path
             monkeypatch.setattr(np.linalg, "eigvalsh", None)
         else:
-            monkeypatch.setattr(matrix_core, "_dsyevd", lambda: None)
+            monkeypatch.setattr(matrix_core, "_routine", lambda name: None)
         got = matrix_core.eigvalsh_stack(m)
         assert got.tobytes() == want.tobytes()
         assert np.array_equal(m, m.swapaxes(1, 2))  # the input is left as it was
@@ -232,7 +234,33 @@ class TestEigvalshStack:
         lapack = np.show_config(mode="dicts")["Build Dependencies"]["lapack"]
         if lapack["name"] != "scipy-openblas":
             pytest.skip(f"NumPy links {lapack['name']}, not its scipy-openblas wheel")
-        assert matrix_core._dsyevd() is not None
+        dsyevd, int_type = matrix_core._routine("dsyevd_")
+        assert (dsyevd.__name__, int_type) == ("scipy_dsyevd_64_", np.int64)
+
+    def test_the_first_spelling_found_gives_its_integer_width(self, monkeypatch):
+        class ThirtyTwoBitWheel:
+            scipy_dsyevd_, dsyevd_64_ = object(), object()
+
+            def __init__(self, name):
+                pass
+
+        monkeypatch.setattr(ctypes, "CDLL", ThirtyTwoBitWheel)
+        assert matrix_core._routine("dsyevd_") == (ThirtyTwoBitWheel.scipy_dsyevd_, np.int32)
+
+    def test_a_plain_spelling_of_unknown_width_is_not_called(self, monkeypatch):
+        def dsyevd_(*args):
+            raise AssertionError("a dsyevd_ of unknown integer width was called")
+
+        class PlainLapack:
+            def __init__(self, name):
+                self.dsyevd_ = dsyevd_
+
+        g = np.random.default_rng(5).standard_normal((3, 10, 10))
+        m = g + g.swapaxes(1, 2)
+        want = np.linalg.eigvalsh(m)
+        monkeypatch.setattr(ctypes, "CDLL", PlainLapack)
+        assert matrix_core._routine("dsyevd_") == (dsyevd_, None)
+        assert matrix_core.eigvalsh_stack(m).tobytes() == want.tobytes()
 
     def test_a_lapack_failure_falls_back_to_numpy_and_raises_as_it_does(self):
         m = np.stack([np.eye(3), np.eye(3)])

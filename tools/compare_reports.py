@@ -76,8 +76,10 @@ def extra_calls(seed: int, workdir: Path) -> list:
     on the dense population, whose draws have no rows.  Two power calls
     sit at the edges of what a replicate draws: hotelling at n = p + 1,
     whose scatter factor has the fewest degrees of freedom it takes, and
-    the oracle at n < p + 1, which draws the mean alone.  The estimators
-    read a 30 x 4 CSV drawn from ``seed`` and written into ``workdir``.
+    the oracle at n < p + 1, which draws the mean alone.
+    ``power_alpha_half`` runs decomposite at alpha 1/2, the largest alpha
+    ``power`` takes.  The estimators read a 30 x 4 CSV drawn from ``seed``
+    and written into ``workdir``.
     """
     rng = random.Random(seed)
     data = workdir / "extra.csv"
@@ -100,6 +102,7 @@ def extra_calls(seed: int, workdir: Path) -> list:
         ("simulate_recovery_ar1", sim + ("recovery", "--model", "ar1:0.4")),
         *((f"power_{method}", power + (method,)) for method in ("hotelling", "oracle")),
         ("power_threads_2", ("--threads", "2") + power + ("decomposite",)),
+        ("power_alpha_half", power + ("decomposite", "--alpha", "0.5")),
         ("power_hotelling_n_p_plus_1", edge + ("hotelling", "--n", "5")),
         ("power_oracle_n_below_p_plus_1", edge + ("oracle", "--n", "3")),
         *((f"estimate_{method}", s + ("estimate", "--input", str(data), "--method", method,
